@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the compiler passes themselves:
- * decomposition, async conversion, fusion and the two schedulers. These
+ * decomposition, async conversion, fusion, the two schedulers, and the
+ * guarded pipeline's verify and snapshot clone. These
  * measure *compile time* of the technique (the paper's optimization runs
  * automatically during compilation), not simulated device time.
  */
@@ -9,6 +10,7 @@
 
 #include "core/overlap_compiler.h"
 #include "hlo/builder.h"
+#include "hlo/verifier.h"
 #include "models/step_builder.h"
 #include "passes/async.h"
 #include "passes/decompose.h"
@@ -67,6 +69,45 @@ BM_FullPipelineOnLayerStep(benchmark::State& state)
 }
 BENCHMARK(BM_FullPipelineOnLayerStep)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/** The compiled (default overlap) layer step of GPT_32B (0) or GPT_1T. */
+std::unique_ptr<HloModule>
+CompiledLayerStep(benchmark::State& state)
+{
+    const ModelConfig* config = FindModel(
+        state.range(0) == 0 ? "GPT_32B" : "GPT_1T");
+    auto module = std::move(BuildLayerStepModule(*config)).value();
+    auto report = OverlapCompiler(CompilerOptions()).Compile(module.get());
+    if (!report.ok()) state.SkipWithError(report.status().ToString().c_str());
+    state.SetLabel(config->name);
+    return module;
+}
+
+// The guarded pipeline's per-pass costs: one verify after every pass and
+// one snapshot clone before it.
+void
+BM_VerifyModule(benchmark::State& state)
+{
+    auto module = CompiledLayerStep(state);
+    for (auto _ : state) {
+        Status status = VerifyModule(*module);
+        benchmark::DoNotOptimize(status);
+    }
+    state.counters["instructions"] =
+        static_cast<double>(module->entry()->instruction_count());
+}
+BENCHMARK(BM_VerifyModule)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void
+BM_CloneEntry(benchmark::State& state)
+{
+    auto module = CompiledLayerStep(state);
+    for (auto _ : state) {
+        auto clone = module->entry()->Clone();
+        benchmark::DoNotOptimize(clone);
+    }
+}
+BENCHMARK(BM_CloneEntry)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void
 BM_BottomUpScheduler(benchmark::State& state)

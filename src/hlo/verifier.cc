@@ -1,13 +1,72 @@
 #include "hlo/verifier.h"
 
-#include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "support/strings.h"
 
 namespace overlap {
 namespace {
+
+/// Meshes up to this many devices get dense mark arrays. A larger one
+/// only comes from a malformed module, and falls back to a hash set so
+/// that a declared mesh size cannot make the verifier allocate its size.
+constexpr int64_t kMaxDenseDevices = int64_t{1} << 16;
+
+/**
+ * A set of device ids, emptied before each device list it checks. With a
+ * mesh every id is range-checked before it is inserted, so the set is an
+ * epoch-stamped mark array over the mesh's devices: allocated once per
+ * verified computation, shared by all of its instructions, and emptied by
+ * bumping the epoch. Without a mesh the ids are unchecked (the parser
+ * accepts any int64), so they go into a hash set and nothing is sized by
+ * an id's value.
+ */
+class DeviceSet {
+  public:
+    explicit DeviceSet(int64_t num_devices)
+        : stamps_(num_devices > 0 && num_devices <= kMaxDenseDevices
+                      ? static_cast<size_t>(num_devices)
+                      : 0,
+                  0)
+    {
+    }
+
+    void Clear()
+    {
+        if (stamps_.empty()) {
+            sparse_.clear();
+        } else {
+            ++epoch_;  // 64 bits: never wraps within one computation
+        }
+    }
+
+    /** Adds `device`; false if the set already holds it. */
+    bool Insert(int64_t device)
+    {
+        if (stamps_.empty()) return sparse_.insert(device).second;
+        uint64_t& stamp = stamps_[static_cast<size_t>(device)];
+        if (stamp == epoch_) return false;
+        stamp = epoch_;
+        return true;
+    }
+
+  private:
+    std::vector<uint64_t> stamps_;
+    uint64_t epoch_ = 1;
+    std::unordered_set<int64_t> sparse_;
+};
+
+/** The device sets one VerifyComputation call lends its collectives. */
+struct DeviceSets {
+    explicit DeviceSets(int64_t num_devices)
+        : groups(num_devices), sources(num_devices), targets(num_devices)
+    {
+    }
+
+    DeviceSet groups;
+    DeviceSet sources;
+    DeviceSet targets;
+};
 
 Status
 VerifyShape(const HloInstruction* instr)
@@ -55,7 +114,8 @@ VerifyShape(const HloInstruction* instr)
 }
 
 Status
-VerifyCollective(const HloInstruction* instr, int64_t num_devices)
+VerifyCollective(const HloInstruction* instr, int64_t num_devices,
+                 DeviceSets* sets)
 {
     const InstrAttrs& attrs = instr->attrs();
     // all-to-all-start shares the blocking form's group layout, so it goes
@@ -66,7 +126,9 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices)
             return InvalidArgument(
                 StrCat("collective without groups at %", instr->name()));
         }
-        std::set<int64_t> seen;
+        DeviceSet& seen = sets->groups;
+        seen.Clear();
+        int64_t seen_count = 0;
         size_t group_size = attrs.groups[0].size();
         for (const auto& group : attrs.groups) {
             if (group.size() != group_size) {
@@ -80,16 +142,16 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices)
                         "device ", device, " out of range at %",
                         instr->name()));
                 }
-                if (!seen.insert(device).second) {
+                if (!seen.Insert(device)) {
                     return InvalidArgument(
                         StrCat("device ", device,
                                " appears twice in groups at %",
                                instr->name()));
                 }
+                ++seen_count;
             }
         }
-        if (num_devices > 0 &&
-            static_cast<int64_t>(seen.size()) != num_devices) {
+        if (num_devices > 0 && seen_count != num_devices) {
             return InvalidArgument(
                 StrCat("collective groups do not cover all ", num_devices,
                        " devices at %", instr->name()));
@@ -97,7 +159,8 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices)
     }
     if (instr->opcode() == HloOpcode::kCollectivePermute ||
         instr->opcode() == HloOpcode::kCollectivePermuteStart) {
-        std::set<int64_t> sources, targets;
+        sets->sources.Clear();
+        sets->targets.Clear();
         for (const auto& [src, dst] : attrs.source_target_pairs) {
             if (src < 0 || dst < 0 ||
                 (num_devices > 0 &&
@@ -105,11 +168,11 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices)
                 return InvalidArgument(StrCat(
                     "permute pair out of range at %", instr->name()));
             }
-            if (!sources.insert(src).second) {
+            if (!sets->sources.Insert(src)) {
                 return InvalidArgument(StrCat(
                     "duplicate permute source at %", instr->name()));
             }
-            if (!targets.insert(dst).second) {
+            if (!sets->targets.Insert(dst)) {
                 return InvalidArgument(StrCat(
                     "duplicate permute target at %", instr->name()));
             }
@@ -172,6 +235,7 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
     std::unordered_set<const HloInstruction*> defined;
     std::unordered_set<int64_t> param_numbers;
     int64_t param_count = 0;
+    DeviceSets device_sets(num_devices);
     for (const HloInstruction* instr : instrs) {
         for (const HloInstruction* operand : instr->operands()) {
             if (defined.count(operand) == 0) {
@@ -186,7 +250,8 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
             }
         }
         OVERLAP_RETURN_IF_ERROR(VerifyShape(instr));
-        OVERLAP_RETURN_IF_ERROR(VerifyCollective(instr, num_devices));
+        OVERLAP_RETURN_IF_ERROR(
+            VerifyCollective(instr, num_devices, &device_sets));
         if (instr->opcode() == HloOpcode::kParameter) {
             ++param_count;
             if (!param_numbers.insert(instr->attrs().parameter_number)
@@ -207,25 +272,30 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
     if (defined.count(computation.root()) == 0) {
         return InvalidArgument("root is not in the computation");
     }
+    return VerifySchedule(computation);
+}
 
-    if (computation.has_schedule()) {
-        const auto& schedule = computation.schedule();
-        if (schedule.size() != instrs.size()) {
-            return InvalidArgument("schedule length mismatch");
+Status
+VerifySchedule(const HloComputation& computation)
+{
+    if (!computation.has_schedule()) return Status::Ok();
+    const auto& schedule = computation.schedule();
+    if (static_cast<int64_t>(schedule.size()) !=
+        computation.instruction_count()) {
+        return InvalidArgument("schedule length mismatch");
+    }
+    std::unordered_set<const HloInstruction*> scheduled;
+    for (const HloInstruction* instr : schedule) {
+        for (const HloInstruction* operand : instr->operands()) {
+            if (scheduled.count(operand) == 0) {
+                return InvalidArgument(
+                    StrCat("schedule places %", instr->name(),
+                           " before its operand %", operand->name()));
+            }
         }
-        std::unordered_set<const HloInstruction*> scheduled;
-        for (const HloInstruction* instr : schedule) {
-            for (const HloInstruction* operand : instr->operands()) {
-                if (scheduled.count(operand) == 0) {
-                    return InvalidArgument(
-                        StrCat("schedule places %", instr->name(),
-                               " before its operand %", operand->name()));
-                }
-            }
-            if (!scheduled.insert(instr).second) {
-                return InvalidArgument(StrCat(
-                    "schedule repeats %", instr->name()));
-            }
+        if (!scheduled.insert(instr).second) {
+            return InvalidArgument(StrCat(
+                "schedule repeats %", instr->name()));
         }
     }
     return Status::Ok();

@@ -19,12 +19,27 @@ namespace overlap {
  *  - each CollectivePermuteStart has exactly one Done user;
  *  - an attached schedule is a permutation of the instruction list and a
  *    valid topological order.
+ *
+ * Cost is linear in the instructions and their device lists and does not
+ * grow with the mesh beyond one mark array per device list kind.
  */
 Status VerifyModule(const HloModule& module);
 
-/** Verifies one computation (without mesh-dependent collective checks). */
+/**
+ * Verifies one computation. Collectives are checked against a mesh of
+ * `num_devices` devices; with none (`num_devices <= 0`) the checks that
+ * need the device count (upper range bound, groups covering the mesh)
+ * are skipped.
+ */
 Status VerifyComputation(const HloComputation& computation,
                          int64_t num_devices = -1);
+
+/**
+ * Verifies only `computation`'s attached schedule, if any: it has one
+ * entry per instruction, repeats none, and places every instruction
+ * after its operands. The schedule-tail of VerifyComputation.
+ */
+Status VerifySchedule(const HloComputation& computation);
 
 }  // namespace overlap
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "hlo/verifier.h"
 #include "support/strings.h"
@@ -18,13 +16,30 @@ UnitOutputBytes(const SchedUnit* unit)
     return unit->members.back()->shape().byte_size();
 }
 
+/** Per-unit scheduler state, indexed by the dense SchedUnit::id. */
+template <typename T>
+class UnitMap {
+  public:
+    explicit UnitMap(const SchedGraph& graph) : values_(graph.units().size())
+    {
+    }
+
+    T& operator[](const SchedUnit* unit)
+    {
+        return values_[static_cast<size_t>(unit->id)];
+    }
+
+  private:
+    std::vector<T> values_;
+};
+
 }  // namespace
 
 std::vector<SchedUnit*>
 BaselineMemorySchedule(const SchedGraph& graph)
 {
-    std::unordered_map<const SchedUnit*, int64_t> missing;
-    std::unordered_map<const SchedUnit*, int64_t> remaining_users;
+    UnitMap<int64_t> missing(graph);
+    UnitMap<int64_t> remaining_users(graph);
     std::vector<SchedUnit*> ready;
     for (const auto& unit : graph.units()) {
         missing[unit.get()] = static_cast<int64_t>(unit->operands.size());
@@ -42,7 +57,7 @@ BaselineMemorySchedule(const SchedGraph& graph)
             const SchedUnit* u = ready[i];
             int64_t delta = UnitOutputBytes(u);
             for (const SchedUnit* operand : u->operands) {
-                if (remaining_users.at(operand) == 1) {
+                if (remaining_users[operand] == 1) {
                     delta -= UnitOutputBytes(operand);
                 }
             }
@@ -56,10 +71,10 @@ BaselineMemorySchedule(const SchedGraph& graph)
         ready.erase(ready.begin() + static_cast<int64_t>(best));
         order.push_back(unit);
         for (SchedUnit* operand : unit->operands) {
-            --remaining_users.at(operand);
+            --remaining_users[operand];
         }
         for (SchedUnit* user : unit->users) {
-            if (--missing.at(user) == 0) ready.push_back(user);
+            if (--missing[user] == 0) ready.push_back(user);
         }
     }
     OVERLAP_CHECK(order.size() == graph.units().size());
@@ -73,7 +88,7 @@ BottomUpSchedule(const SchedGraph& graph,
     // Algorithm 2: schedule in reverse from the dataflow roots so that
     // (after the final reversal) Dones land as late and Starts as early
     // as possible.
-    std::unordered_map<const SchedUnit*, int64_t> input_pos;
+    UnitMap<int64_t> input_pos(graph);
     for (size_t i = 0; i < input.size(); ++i) {
         input_pos[input[i]] = static_cast<int64_t>(i);
     }
@@ -87,14 +102,15 @@ BottomUpSchedule(const SchedGraph& graph,
         return u->IsAsyncDone() ? u->transfer_seconds : u->latency;
     };
 
-    std::unordered_map<const SchedUnit*, int64_t> unscheduled_users;
-    std::unordered_map<const SchedUnit*, double> ready_time;
+    UnitMap<int64_t> unscheduled_users(graph);
+    UnitMap<double> ready_time(graph);
     // Earliest reverse-clock time each Start may be scheduled: anchored
     // to the clock value at which its Done was scheduled (not to the
     // Done's ready_time), so that pending-queue jumps on one ring chain
     // do not let another chain's Start slip in right after its Done and
-    // serialize the transfers.
-    std::unordered_map<const SchedUnit*, double> start_allowed;
+    // serialize the transfers. Other units keep 0, which bounds nothing
+    // because ready times are never negative.
+    UnitMap<double> start_allowed(graph);
     std::vector<SchedUnit*> available;
     for (const auto& unit : graph.units()) {
         unscheduled_users[unit.get()] =
@@ -132,7 +148,7 @@ BottomUpSchedule(const SchedGraph& graph,
         bool candidate_ready = false;
         double candidate_rt = 0.0;
         for (SchedUnit* u : available) {
-            double rt = ready_time.at(u);
+            double rt = ready_time[u];
             bool is_ready = rt <= current_time;
             int64_t cls = priority_class(u);
             if (cls == 0 && in_flight >= max_in_flight) {
@@ -146,11 +162,11 @@ BottomUpSchedule(const SchedGraph& graph,
             } else if (is_ready) {
                 better = cls < candidate_class ||
                          (cls == candidate_class &&
-                          input_pos.at(u) > input_pos.at(candidate));
+                          input_pos[u] > input_pos[candidate]);
             } else {
                 better = rt < candidate_rt ||
                          (rt == candidate_rt &&
-                          input_pos.at(u) > input_pos.at(candidate));
+                          input_pos[u] > input_pos[candidate]);
             }
             if (better) {
                 candidate = u;
@@ -164,7 +180,7 @@ BottomUpSchedule(const SchedGraph& graph,
             std::find(available.begin(), available.end(), candidate));
         reversed.push_back(candidate);
         if (candidate->IsAsyncStart()) --in_flight;
-        current_time = std::max(current_time, ready_time.at(candidate)) +
+        current_time = std::max(current_time, ready_time[candidate]) +
                        candidate->latency;
         if (candidate->IsAsyncDone()) {
             ++in_flight;
@@ -172,17 +188,13 @@ BottomUpSchedule(const SchedGraph& graph,
                 current_time + candidate->transfer_seconds;
         }
         for (SchedUnit* operand : candidate->operands) {
-            if (--unscheduled_users.at(operand) == 0) {
+            if (--unscheduled_users[operand] == 0) {
                 double rt = 0.0;
                 for (const SchedUnit* user : operand->users) {
-                    rt = std::max(rt, ready_time.at(user) +
+                    rt = std::max(rt, ready_time[user] +
                                           spacing_latency(user));
                 }
-                auto allowed = start_allowed.find(operand);
-                if (allowed != start_allowed.end()) {
-                    rt = std::max(rt, allowed->second);
-                }
-                ready_time[operand] = rt;
+                ready_time[operand] = std::max(rt, start_allowed[operand]);
                 available.push_back(operand);
             }
         }
@@ -202,11 +214,11 @@ TopDownSchedule(const SchedGraph& graph,
     // (the cost-based rebalancing). Less precise than the bottom-up
     // scheduler's per-transfer spacing accounting, which is where it
     // gives up some overlap (§6.3).
-    std::unordered_map<const SchedUnit*, int64_t> input_pos;
+    UnitMap<int64_t> input_pos(graph);
     for (size_t i = 0; i < input.size(); ++i) {
         input_pos[input[i]] = static_cast<int64_t>(i);
     }
-    std::unordered_map<const SchedUnit*, int64_t> missing;
+    UnitMap<int64_t> missing(graph);
     std::vector<SchedUnit*> ready;
     for (const auto& unit : graph.units()) {
         missing[unit.get()] = static_cast<int64_t>(unit->operands.size());
@@ -222,7 +234,7 @@ TopDownSchedule(const SchedGraph& graph,
         if (unit->IsAsyncStart()) ++in_flight;
         if (unit->IsAsyncDone()) --in_flight;
         for (SchedUnit* user : unit->users) {
-            if (--missing.at(user) == 0) ready.push_back(user);
+            if (--missing[user] == 0) ready.push_back(user);
         }
     };
 
@@ -234,7 +246,7 @@ TopDownSchedule(const SchedGraph& graph,
     // hop's Start, which depends on it.
     const int64_t eager_window = std::min<int64_t>(max_in_flight, 6);
     double clock = 0.0;
-    std::unordered_map<const SchedUnit*, double> arrival;
+    UnitMap<double> arrival(graph);
     while (!ready.empty()) {
         // Rule 1: issue ready Starts as early as possible.
         SchedUnit* pick = nullptr;
@@ -242,7 +254,7 @@ TopDownSchedule(const SchedGraph& graph,
             if (!u->IsAsyncStart() || in_flight >= eager_window) {
                 continue;
             }
-            if (pick == nullptr || input_pos.at(u) < input_pos.at(pick)) {
+            if (pick == nullptr || input_pos[u] < input_pos[pick]) {
                 pick = u;
             }
         }
@@ -250,10 +262,10 @@ TopDownSchedule(const SchedGraph& graph,
         if (pick == nullptr) {
             for (SchedUnit* u : ready) {
                 if (!u->IsAsyncDone()) continue;
-                double arrived = arrival.at(u->operands.front());
+                double arrived = arrival[u->operands.front()];
                 if (arrived > clock) continue;
                 if (pick == nullptr ||
-                    arrived < arrival.at(pick->operands.front())) {
+                    arrived < arrival[pick->operands.front()]) {
                     pick = u;
                 }
             }
@@ -263,7 +275,7 @@ TopDownSchedule(const SchedGraph& graph,
             for (SchedUnit* u : ready) {
                 if (u->IsAsyncDone() || u->IsAsyncStart()) continue;
                 if (pick == nullptr ||
-                    input_pos.at(u) < input_pos.at(pick)) {
+                    input_pos[u] < input_pos[pick]) {
                     pick = u;
                 }
             }
@@ -273,8 +285,8 @@ TopDownSchedule(const SchedGraph& graph,
             for (SchedUnit* u : ready) {
                 if (!u->IsAsyncDone()) continue;
                 if (pick == nullptr ||
-                    arrival.at(u->operands.front()) <
-                        arrival.at(pick->operands.front())) {
+                    arrival[u->operands.front()] <
+                        arrival[pick->operands.front()]) {
                     pick = u;
                 }
             }
@@ -284,7 +296,7 @@ TopDownSchedule(const SchedGraph& graph,
             arrival[pick] = clock + pick->transfer_seconds;
         }
         if (pick->IsAsyncDone()) {
-            clock = std::max(clock, arrival.at(pick->operands.front()));
+            clock = std::max(clock, arrival[pick->operands.front()]);
         }
         clock += pick->latency;
         emit(pick);
@@ -316,7 +328,7 @@ ScheduleComputation(HloComputation* computation, const CostModel& cost,
     std::vector<HloInstruction*> schedule =
         SchedGraph::ExpandToInstructions(order);
     computation->set_schedule(std::move(schedule));
-    Status verified = VerifyComputation(*computation);
+    Status verified = VerifySchedule(*computation);
     if (!verified.ok()) {
         computation->clear_schedule();
         return Internal(StrCat("scheduler produced an invalid order: ",

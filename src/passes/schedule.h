@@ -56,8 +56,11 @@ std::vector<SchedUnit*> TopDownSchedule(const SchedGraph& graph,
 
 /**
  * Runs the requested scheduler over `computation` and attaches the
- * resulting instruction schedule. Verifies the schedule is a valid
- * topological order before attaching it.
+ * resulting instruction schedule. Checks only the schedule itself with
+ * VerifySchedule (one entry per instruction, none repeated, every
+ * instruction after its operands) and detaches it on failure. The rest
+ * of the computation is the caller's to verify: the guarded pipeline
+ * verifies the whole module once after this pass, as after every pass.
  */
 Status ScheduleComputation(HloComputation* computation,
                            const CostModel& cost, SchedulerKind kind);

@@ -18,6 +18,8 @@ namespace overlap {
  * paper's fusion heuristic manipulates.
  */
 struct SchedUnit {
+    /// Dense: a graph's units are numbered 0..units-1 in computation
+    /// order, so schedulers index per-unit state by it.
     int64_t id = 0;
     /// Members in computation order (singletons have exactly one).
     std::vector<HloInstruction*> members;

@@ -256,7 +256,11 @@ TEST(VerifierFuzz, DuplicatePermuteTargetsAreRejected)
     HloInstruction* start = nullptr;
     auto module = BuildPermuteModule(&start);
     start->mutable_attrs().source_target_pairs = {{0, 1}, {2, 1}};
-    EXPECT_FALSE(VerifyModule(*module).ok());
+    Status status = VerifyModule(*module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("duplicate permute target"),
+              std::string::npos)
+        << status.ToString();
 }
 
 TEST(VerifierFuzz, PermutePairOutOfMeshRangeIsRejected)
@@ -363,6 +367,18 @@ TEST(VerifierFuzz, AllToAllStartWithoutDoneIsRejected)
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.message().find("exactly one done"), std::string::npos)
+        << status.ToString();
+}
+
+TEST(VerifierFuzz, AllToAllStartWithDuplicateGroupDeviceIsRejected)
+{
+    HloInstruction* start = nullptr;
+    auto module = BuildAllToAllPairModule(&start);
+    start->mutable_attrs().groups = {{0, 1, 1, 3}};
+    Status status = VerifyModule(*module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("device 1 appears twice in groups"),
+              std::string::npos)
         << status.ToString();
 }
 

@@ -1,15 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <set>
+
+#include "core/overlap_compiler.h"
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
+#include "models/model_config.h"
+#include "models/step_builder.h"
 #include "passes/async.h"
 #include "passes/decompose.h"
 #include "passes/schedule.h"
 #include "sim/engine.h"
+#include "tensor/checksum.h"
 
 namespace overlap {
 namespace {
+
+const char* const kScheduleGoldenPath =
+    OVERLAP_TESTDATA_DIR "/paper_model_schedules.golden";
 
 /** Builds a decomposed, async AG-einsum loop over `n` devices. */
 std::unique_ptr<HloModule>
@@ -172,6 +186,85 @@ TEST(ScheduleTest, BaselineMemoryOrderIsDeterministic)
     ASSERT_EQ(o1.size(), o2.size());
     for (size_t i = 0; i < o1.size(); ++i) {
         EXPECT_EQ(o1[i]->id, o2[i]->id);
+    }
+}
+
+/**
+ * "<instructions> <FNV-1a of the newline-joined names>" of the schedule
+ * the full pipeline attaches to `config`'s layer step under `options`.
+ */
+std::string
+ScheduleFingerprint(const ModelConfig& config, const CompilerOptions& options)
+{
+    auto module = BuildLayerStepModule(config);
+    if (!module.ok()) return "build failed: " + module.status().ToString();
+    OverlapCompiler compiler(options);
+    auto report = compiler.Compile(module->get());
+    if (!report.ok()) return "compile failed: " + report.status().ToString();
+    std::string names;
+    const auto& schedule = (*module)->entry()->schedule();
+    for (const HloInstruction* instr : schedule) {
+        names += instr->name();
+        names += '\n';
+    }
+    char line[64];
+    std::snprintf(line, sizeof(line), "%zu %016" PRIx64, schedule.size(),
+                  BytesChecksum(reinterpret_cast<const uint8_t*>(names.data()),
+                                names.size()));
+    return line;
+}
+
+/**
+ * Every Table 1 / Table 2 model x {baseline, default overlap}, plus the
+ * top-down scheduler on a dense and an MoE model, must schedule exactly
+ * the instruction sequence in the committed golden: scheduler and
+ * verifier speed-ups must not move a single instruction. Regenerate with
+ * OVERLAP_REGEN_GOLDEN=1 only after an intentional change of schedule.
+ */
+TEST(ScheduleGoldenTest, PaperModelSchedulesMatchGolden)
+{
+    std::vector<ModelConfig> models = Table1Models();
+    std::set<std::string> seen;
+    for (const ModelConfig& m : models) seen.insert(m.name);
+    for (const ModelConfig& m : Table2GptModels()) {
+        if (seen.insert(m.name).second) models.push_back(m);
+    }
+    CompilerOptions top_down;
+    top_down.scheduler = SchedulerKind::kTopDown;
+    std::map<std::string, std::string> fingerprints;
+    for (const ModelConfig& m : models) {
+        fingerprints[m.name + "/baseline"] =
+            ScheduleFingerprint(m, CompilerOptions::Baseline());
+        fingerprints[m.name + "/overlap"] =
+            ScheduleFingerprint(m, CompilerOptions());
+        if (m.name == "GPT_32B" || m.name == "GLaM_1T") {
+            fingerprints[m.name + "/topdown"] =
+                ScheduleFingerprint(m, top_down);
+        }
+    }
+
+    if (std::getenv("OVERLAP_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(kScheduleGoldenPath);
+        ASSERT_TRUE(out.good()) << "cannot write " << kScheduleGoldenPath;
+        for (const auto& [label, fingerprint] : fingerprints) {
+            out << label << " " << fingerprint << "\n";
+        }
+        GTEST_SKIP() << "regenerated " << kScheduleGoldenPath;
+    }
+
+    std::ifstream in(kScheduleGoldenPath);
+    ASSERT_TRUE(in.good()) << "missing " << kScheduleGoldenPath;
+    std::map<std::string, std::string> golden;
+    std::string label;
+    std::string fingerprint;
+    while (in >> label && std::getline(in >> std::ws, fingerprint)) {
+        golden[label] = fingerprint;
+    }
+    EXPECT_EQ(golden.size(), fingerprints.size());
+    for (const auto& [name, value] : fingerprints) {
+        auto it = golden.find(name);
+        ASSERT_NE(it, golden.end()) << name << " missing from the golden";
+        EXPECT_EQ(value, it->second) << name << ": schedule moved";
     }
 }
 
