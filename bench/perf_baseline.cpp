@@ -5,17 +5,12 @@
  *   perf_baseline [--threads N] [--quick] [--out FILE] [--json]
  *
  * Measures, on this machine:
- *   - SpmdEvaluator throughput (cases/sec) on a decomposed-loop module,
- *     serial lock-step vs. concurrent per-device threads, with a
- *     bit-identical cross-check of the two modes' outputs;
+ *   - SpmdEvaluator throughput (cases/sec) on a decomposed-loop module;
  *   - simulator throughput (SimulateModelStep steps/sec);
  *   - wall time of a 64-case difftest slice at --threads 1 vs. the
  *     requested thread count, with a byte-identical summary check;
  *   - tensor heap-allocation counts for the same evaluation with the
  *     BufferPool disabled vs. enabled (the memory-reuse win);
- *   - channel wait/leader time of one concurrent evaluation from the
- *     DESIGN.md §13 metrics (the diagnosis for concurrent speedups < 1
- *     on hosts with fewer cores than devices);
  *   - a per-phase breakdown of the serial evaluation (einsum seconds,
  *     collective seconds, alloc seconds) from the evaluator's phase
  *     timers, so a regression names the layer that slowed down.
@@ -38,7 +33,6 @@
 #include "interp/evaluator.h"
 #include "passes/async.h"
 #include "passes/decompose.h"
-#include "support/metrics.h"
 #include "support/thread_pool.h"
 #include "tensor/buffer_pool.h"
 
@@ -94,17 +88,6 @@ BuildDecomposedScenario(bool quick)
     return scenario;
 }
 
-bool
-BitIdentical(const std::vector<Tensor>& a, const std::vector<Tensor>& b)
-{
-    if (a.size() != b.size()) return false;
-    for (size_t d = 0; d < a.size(); ++d) {
-        if (!(a[d].shape() == b[d].shape())) return false;
-        if (Tensor::MaxAbsDiff(a[d], b[d]) != 0.0f) return false;
-    }
-    return true;
-}
-
 std::string
 JsonBool(bool b)
 {
@@ -156,7 +139,7 @@ main(int argc, char** argv)
         }
     }
 
-    // ---- 1. Evaluator throughput: serial vs. concurrent devices. ----
+    // ---- 1. Evaluator throughput. ----
     auto scenario = BuildDecomposedScenario(quick);
     if (!scenario.ok()) {
         std::fprintf(stderr, "scenario: %s\n",
@@ -168,23 +151,14 @@ main(int argc, char** argv)
     const int64_t eval_iters = quick ? 10 : 60;
 
     SpmdEvaluator serial_eval(mesh);
-    EvalOptions concurrent_opts;
-    concurrent_opts.concurrent_devices = true;
-    SpmdEvaluator concurrent_eval(mesh, concurrent_opts);
 
-    // Warm both code paths (and the buffer pool) before timing.
+    // Warm the code path (and the buffer pool) before timing.
     auto serial_out = serial_eval.Evaluate(comp, scenario->params);
-    auto concurrent_out = concurrent_eval.Evaluate(comp, scenario->params);
-    if (!serial_out.ok() || !concurrent_out.ok()) {
+    if (!serial_out.ok()) {
         std::fprintf(stderr, "evaluation failed: %s\n",
-                     (serial_out.ok() ? concurrent_out.status()
-                                      : serial_out.status())
-                         .ToString()
-                         .c_str());
+                     serial_out.status().ToString().c_str());
         return 1;
     }
-    const bool eval_bit_identical =
-        BitIdentical(*serial_out, *concurrent_out);
 
     double t0 = Now();
     for (int64_t i = 0; i < eval_iters; ++i) {
@@ -192,58 +166,13 @@ main(int argc, char** argv)
         if (!r.ok()) return 1;
     }
     const double serial_eval_s = Now() - t0;
-    t0 = Now();
-    for (int64_t i = 0; i < eval_iters; ++i) {
-        auto r = concurrent_eval.Evaluate(comp, scenario->params);
-        if (!r.ok()) return 1;
-    }
-    const double concurrent_eval_s = Now() - t0;
     const double serial_cps = eval_iters / serial_eval_s;
-    const double concurrent_cps = eval_iters / concurrent_eval_s;
 
     if (!json_only) {
-        std::printf("evaluator: %.1f cases/s serial, %.1f cases/s "
-                    "concurrent-devices (%s)\n",
-                    serial_cps, concurrent_cps,
-                    eval_bit_identical ? "bit-identical"
-                                       : "OUTPUTS DIFFER");
+        std::printf("evaluator: %.1f cases/s serial\n", serial_cps);
     }
 
-    // ---- 1b. Channel diagnostics (DESIGN.md §13): where the
-    // concurrent mode's time goes. On a host with fewer cores than
-    // devices the wait histogram dominates the device-program time —
-    // the direct evidence behind a concurrent speedup < 1 above.
-    SetMetricsEnabled(true);
-    MetricsRegistry::Global().ResetAll();
-    {
-        auto r = concurrent_eval.Evaluate(comp, scenario->params);
-        if (!r.ok()) return 1;
-    }
-    Counter* channel_total = MetricsRegistry::Global().counter(
-        "evaluator.channel_total");
-    const Histogram::Snapshot channel_wait =
-        MetricsRegistry::Global()
-            .histogram("evaluator.channel_wait_seconds")
-            ->snapshot();
-    const Histogram::Snapshot channel_leader =
-        MetricsRegistry::Global()
-            .histogram("evaluator.channel_leader_seconds")
-            ->snapshot();
-    const int64_t channel_count = channel_total->value();
-    SetMetricsEnabled(false);
-    MetricsRegistry::Global().ResetAll();
-    if (!json_only) {
-        std::printf(
-            "channels: %lld per evaluation; wait mean %.1fus "
-            "p99 %.1fus sum %.1fms, leader mean %.1fus sum %.1fms\n",
-            static_cast<long long>(channel_count),
-            channel_wait.mean() * 1e6,
-            channel_wait.Quantile(0.99) * 1e6,
-            channel_wait.sum * 1e3, channel_leader.mean() * 1e6,
-            channel_leader.sum * 1e3);
-    }
-
-    // ---- 1c. Per-phase breakdown of the serial evaluation. The phase
+    // ---- 1b. Per-phase breakdown of the serial evaluation. The phase
     // timers read the clock inside the hot path, so this runs as its
     // own pass — the throughput numbers above stay untimed.
     SetEvalPhaseTimingEnabled(true);
@@ -367,8 +296,8 @@ main(int argc, char** argv)
     }
 
     // ---- JSON. ----
-    // A 1-core host can't run the concurrent modes in parallel: its
-    // "speedups" measure context switching. Mark the whole run so
+    // A 1-core host can't run the difftest slice in parallel: its
+    // "speedup" measures context switching. Mark the whole run so
     // perf_baseline.sh --check (and readers) skip the gate.
     const bool degenerate = DefaultThreadCount() == 1;
     std::string json = StrCat(
@@ -381,17 +310,7 @@ main(int argc, char** argv)
         ",\n  \"degenerate\": ", JsonBool(degenerate),
         ",\n  \"quick\": ", JsonBool(quick),
         ",\n  \"evaluator\": {\"iters\": ", eval_iters,
-        ", \"serial_cases_per_sec\": ", serial_cps,
-        ", \"concurrent_devices_cases_per_sec\": ", concurrent_cps,
-        ", \"speedup\": ", concurrent_cps / serial_cps,
-        ", \"bit_identical\": ", JsonBool(eval_bit_identical), "},");
-    json += StrCat(
-        "\n  \"channels\": {\"per_evaluation\": ", channel_count,
-        ", \"wait_mean_seconds\": ", channel_wait.mean(),
-        ", \"wait_p99_seconds\": ", channel_wait.Quantile(0.99),
-        ", \"wait_sum_seconds\": ", channel_wait.sum,
-        ", \"leader_mean_seconds\": ", channel_leader.mean(),
-        ", \"leader_sum_seconds\": ", channel_leader.sum, "},");
+        ", \"serial_cases_per_sec\": ", serial_cps, "},");
     json += StrCat(
         "\n  \"phases\": {\"evaluations\": ", eval_iters,
         ", \"einsum_seconds\": ", phases.einsum_seconds,
@@ -427,6 +346,5 @@ main(int argc, char** argv)
     if (!json_only) std::printf("\nwrote %s\n", out_file.c_str());
     std::printf("%s", json.c_str());
 
-    const bool healthy = eval_bit_identical && dt_byte_identical;
-    return healthy ? 0 : 1;
+    return dt_byte_identical ? 0 : 1;
 }

@@ -2,8 +2,8 @@
 # Builds the project with AddressSanitizer + UndefinedBehaviorSanitizer
 # in a separate build tree and runs the full test suite under them,
 # then builds a ThreadSanitizer tree and runs the concurrency tests
-# (thread pool, buffer pool, parallel evaluator/difftest, metrics
-# registry, trace recorder) under it.
+# (thread pool, buffer pool, case-level difftest/SDC fan-out, metrics
+# registry, service loop) under it.
 #
 # Usage: scripts/check_sanitize.sh [build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -64,15 +64,15 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
     --cases 512 > /dev/null
 
 # Quick perf baseline under ASan (numbers are meaningless when
-# sanitized, but the bit-identical / byte-identical cross-checks and
-# the allocation accounting must hold).
+# sanitized, but the byte-identical difftest cross-check and the
+# allocation accounting must hold).
 "${repo_root}/scripts/perf_baseline.sh" --quick \
     --build-dir "${build_dir}" --out "${build_dir}/BENCH_perf.json" \
     > /dev/null
 
 # Perf regression gate against the committed BENCH_perf.json: fails on
 # a >20% throughput drop, and unconditionally re-checks the
-# bit-identical / byte-identical flags. Uses the unsanitized
+# byte-identical difftest flag. Uses the unsanitized
 # RelWithDebInfo tree (sanitized timings are meaningless); the
 # throughput comparison auto-skips on degenerate single-core boxes.
 "${repo_root}/scripts/perf_baseline.sh" --quick --check
@@ -90,9 +90,10 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # re-fit, per-case prediction accuracy) also runs in the ASan ctest
 # pass above via the `calibration` label.
 
-# ThreadSanitizer pass over the concurrency layer: the SPSC channel
-# evaluator, the thread pool, the thread-local buffer pool and the
-# pooled difftest sweep must be race-free.
+# ThreadSanitizer pass over the concurrency layer: the thread pool, the
+# thread-local buffer pool, evaluations running concurrently as
+# case-level fan-out (pooled difftest and SDC sweeps) and the service
+# loop must be race-free.
 cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DOVERLAP_TSAN=ON

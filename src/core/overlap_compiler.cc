@@ -100,7 +100,7 @@ OverlapCompiler::Compile(HloModule* module) const
                                                        options_.scheduler);
                         }});
 
-    const double compile_start = TraceRecorder::NowSeconds();
+    const double compile_start = NowSeconds();
     Counter* passes_run =
         MetricsRegistry::Global().counter("compiler.passes_run");
     Histogram* pass_seconds =
@@ -114,10 +114,10 @@ OverlapCompiler::Compile(HloModule* module) const
         }
         PassTiming timing;
         timing.pass_name = pass.name;
-        timing.start_seconds = TraceRecorder::NowSeconds() - compile_start;
+        timing.start_seconds = NowSeconds() - compile_start;
         timing.instructions_before = module->entry()->instruction_count();
         Status status = pass.run();
-        timing.end_seconds = TraceRecorder::NowSeconds() - compile_start;
+        timing.end_seconds = NowSeconds() - compile_start;
         timing.instructions_after = module->entry()->instruction_count();
         report.pass_timings.push_back(timing);
         passes_run->Add();

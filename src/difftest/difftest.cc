@@ -537,7 +537,7 @@ TransformScenario(SiteScenario* scenario, const DecomposeVariant& variant,
 
 StatusOr<OutputComparison>
 RunSingleCase(const SiteSpec& spec, const DecomposeVariant& variant,
-              bool inject_shard_id_bug, const EvalOptions& eval)
+              bool inject_shard_id_bug)
 {
     auto reference = BuildSiteScenario(spec);
     if (!reference.ok()) return reference.status();
@@ -546,7 +546,7 @@ RunSingleCase(const SiteSpec& spec, const DecomposeVariant& variant,
     OVERLAP_RETURN_IF_ERROR(TransformScenario(
         &transformed.value(), variant, inject_shard_id_bug));
 
-    SpmdEvaluator evaluator(*reference->module->mesh(), eval);
+    SpmdEvaluator evaluator(*reference->module->mesh());
     auto outputs = evaluator.EvaluateBatch(
         {reference->module->entry(), transformed->module->entry()},
         reference->params);
@@ -608,13 +608,11 @@ SpecFor(const DiffTestConfig& config, int64_t index)
 CaseOutcome
 RunCase(const DiffTestConfig& config, const SiteSpec& spec)
 {
-    EvalOptions eval;
-    eval.concurrent_devices = config.concurrent_devices;
     CaseOutcome out;
     out.comparisons.reserve(AllDecomposeVariants().size());
     for (const DecomposeVariant& variant : AllDecomposeVariants()) {
         auto comparison = RunSingleCase(spec, variant,
-                                        config.inject_shard_id_bug, eval);
+                                        config.inject_shard_id_bug);
         if (!comparison.ok()) {
             out.error = comparison.status();
             break;
@@ -776,9 +774,7 @@ RunSdcCase(const SdcSweepConfig& config, int64_t index)
         return out;
     }
 
-    EvalOptions plain;
-    plain.concurrent_devices = config.concurrent_devices;
-    SpmdEvaluator baseline_eval(mesh, plain);
+    SpmdEvaluator baseline_eval(mesh);
     auto baseline = baseline_eval.Evaluate(comp, scenario->params);
     if (!baseline.ok()) {
         out.error = baseline.status();
@@ -800,7 +796,7 @@ RunSdcCase(const SdcSweepConfig& config, int64_t index)
         SdcEvalConfig clean;
         clean.detectors = detectors;
         SdcEvalSink sink;
-        EvalOptions eval = plain;
+        EvalOptions eval;
         eval.sdc = &clean;
         eval.sdc_sink = &sink;
         SpmdEvaluator evaluator(mesh, eval);
@@ -854,7 +850,7 @@ RunSdcCase(const SdcSweepConfig& config, int64_t index)
     injected.corruptions.push_back(c);
     injected.detectors = detectors;
     SdcEvalSink sink;
-    EvalOptions eval = plain;
+    EvalOptions eval;
     eval.sdc = &injected;
     eval.sdc_sink = &sink;
     SpmdEvaluator evaluator(mesh, eval);

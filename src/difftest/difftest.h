@@ -130,13 +130,10 @@ StatusOr<SiteScenario> BuildSiteScenario(const SiteSpec& spec);
  * through the SpmdEvaluator (decomposed also through the async split)
  * and compares per-device outputs under the dtype-aware tolerance.
  * `inject_shard_id_bug` forwards to DecomposeOptions::test_shard_id_bug.
- * `eval` selects the evaluator execution mode (serial per-device walk
- * by default); every mode yields bit-identical comparisons.
  */
 StatusOr<OutputComparison> RunSingleCase(const SiteSpec& spec,
                                          const DecomposeVariant& variant,
-                                         bool inject_shard_id_bug,
-                                         const EvalOptions& eval = {});
+                                         bool inject_shard_id_bug);
 
 struct DiffTestConfig {
     int64_t num_cases = 64;
@@ -153,9 +150,6 @@ struct DiffTestConfig {
     /// in case order, so the summary (counters, failure list, first
     /// harness error, failure-cap cut-off) is byte-identical to serial.
     int64_t threads = 1;
-    /// Additionally run each case's per-device programs on concurrent
-    /// threads with SPSC channel collectives (see EvalOptions).
-    bool concurrent_devices = false;
 };
 
 struct CaseFailure {
@@ -196,7 +190,6 @@ struct SdcSweepConfig {
     /// summary because each case's corruption derives from
     /// DeriveTaskSeed(seed, index), never from scheduling order.
     int64_t threads = 1;
-    bool concurrent_devices = false;
 };
 
 /** Outcome of the SDC sweep. The sweep passes iff Clean(). */

@@ -3,7 +3,7 @@
  *
  *   difftest_runner [--cases N] [--seed S] [--quick] [--inject-bug]
  *                   [--inject-sdc] [--only-case NAME] [--threads N]
- *                   [--concurrent-devices] [--out DIR] [--repro FILE]
+ *                   [--out DIR] [--repro FILE]
  *
  * Generates N seeded random overlap sites, compiles each one blocking
  * vs. decomposed under all six {unroll, bidirectional, forced-uni}
@@ -13,7 +13,9 @@
  * `--only-case a2a --cases 512` without paying for a 5x larger sweep.
  * `--threads N` fans cases across a worker pool (default: hardware
  * concurrency); the summary is byte-identical at every thread count,
- * and `--threads 1` runs the historical serial loop.
+ * and `--threads 1` runs the historical serial loop. `--cases`,
+ * `--threads` and `--seed` take whole decimal integers (cases and
+ * threads at least 1); anything else exits with status 2.
  * `--inject-sdc` runs the silent-data-corruption sweep instead: each
  * case arms the §16 detectors, proves the clean run is report-free and
  * bit-identical to detectors-off, then injects one seeded corruption
@@ -25,9 +27,11 @@
  * status 1. `--repro X` re-runs a previously written .spec file, or,
  * if X is not a readable file, X itself as a literal repro line.
  */
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "difftest/difftest.h"
@@ -36,10 +40,30 @@
 
 namespace {
 
-int64_t
-ParseInt(const char* s)
+/** Parses the whole of `s` as a decimal integer, or nothing. */
+template <typename T>
+std::optional<T>
+ParseWhole(const char* s)
 {
-    return std::strtoll(s, nullptr, 10);
+    T value{};
+    const char* end = s + std::strlen(s);
+    auto [ptr, ec] = std::from_chars(s, end, value);
+    if (ec != std::errc() || ptr != end || ptr == s) return std::nullopt;
+    return value;
+}
+
+/** Parses the value of `flag`, reporting a malformed one on stderr. */
+template <typename T>
+std::optional<T>
+ParseFlag(const std::string& flag, const char* s, T min_value)
+{
+    std::optional<T> value = ParseWhole<T>(s);
+    if (!value || *value < min_value) {
+        std::cerr << flag << " needs an integer >= " << min_value
+                  << ", got '" << s << "'\n";
+        return std::nullopt;
+    }
+    return value;
 }
 
 }  // namespace
@@ -61,10 +85,14 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--cases" && i + 1 < argc) {
-            config.num_cases = ParseInt(argv[++i]);
+            auto cases = ParseFlag<int64_t>(arg, argv[++i], 1);
+            if (!cases) return 2;
+            config.num_cases = *cases;
             explicit_cases = true;
         } else if (arg == "--seed" && i + 1 < argc) {
-            config.seed = static_cast<uint64_t>(ParseInt(argv[++i]));
+            auto seed = ParseFlag<uint64_t>(arg, argv[++i], 0);
+            if (!seed) return 2;
+            config.seed = *seed;
         } else if (arg == "--quick") {
             config.num_cases = 256;
             explicit_cases = true;
@@ -82,9 +110,9 @@ main(int argc, char** argv)
             }
             config.only_case = spec->site_case;
         } else if (arg == "--threads" && i + 1 < argc) {
-            config.threads = ParseInt(argv[++i]);
-        } else if (arg == "--concurrent-devices") {
-            config.concurrent_devices = true;
+            auto threads = ParseFlag<int64_t>(arg, argv[++i], 1);
+            if (!threads) return 2;
+            config.threads = *threads;
         } else if (arg == "--out" && i + 1 < argc) {
             out_dir = argv[++i];
         } else if (arg == "--repro" && i + 1 < argc) {
@@ -126,7 +154,6 @@ main(int argc, char** argv)
         sdc.num_cases = explicit_cases ? config.num_cases : 512;
         sdc.seed = config.seed;
         sdc.threads = config.threads;
-        sdc.concurrent_devices = config.concurrent_devices;
         auto sdc_summary = RunSdcSweep(sdc);
         if (!sdc_summary.ok()) {
             std::cerr << "harness error: "

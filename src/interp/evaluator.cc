@@ -3,20 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <exception>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "hlo/builder.h"
-#include "support/metrics.h"
 #include "support/strings.h"
-#include "support/tracing.h"
 #include "tensor/buffer_pool.h"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -206,37 +198,6 @@ struct FusedGroup {
 };
 
 /**
- * How the concurrent mode synchronizes one exchange instruction (see
- * DESIGN.md §17). Chosen statically at compile time.
- */
-struct ExchangePlan {
-    enum class Kind : uint8_t {
-        kNone,
-        /// Group-wise collective: each replica group has its own channel;
-        /// the group's first member is the leader.
-        kGroup,
-        /// CollectivePermute: one handoff slot per source-target pair;
-        /// senders never block.
-        kPermute,
-        /// SDC-instrumented evaluation: a single all-device channel led
-        /// by device 0, because checksums and injection target global
-        /// chip ids across the whole instruction.
-        kAllDevice,
-    };
-
-    Kind kind = Kind::kNone;
-    /// kGroup: per device, the replica group index / position within it
-    /// (-1: the device takes no part in the exchange).
-    std::vector<int32_t> group_of;
-    std::vector<int32_t> pos_of;
-    const std::vector<std::vector<int64_t>>* groups = nullptr;
-    /// kPermute: per device, the pair index it sends on / receives on
-    /// (-1: none).
-    std::vector<int32_t> send_pair;
-    std::vector<int32_t> recv_pair;
-};
-
-/**
  * One instruction of a compiled program: opcode class plus operand
  * value-slot indices, resolved once — the hot walk never touches a hash
  * map or re-derives shapes.
@@ -256,10 +217,8 @@ struct CompiledOp {
 };
 
 /**
- * The pre-resolved execution form of one computation, shared by the
- * serial and concurrent modes: operand slots, liveness, fused
- * elementwise groups, per-exchange channel plans, and static
- * validation results.
+ * The pre-resolved execution form of one computation: operand slots,
+ * liveness, fused elementwise groups, and static validation results.
  */
 struct CompiledProgram {
     std::vector<CompiledOp> ops;
@@ -267,7 +226,6 @@ struct CompiledProgram {
     /// values, "never" for the root).
     std::vector<int64_t> last_use;
     std::vector<FusedGroup> groups;
-    std::vector<ExchangePlan> plans;
     int64_t root = -1;
     int64_t num_einsums = 0;
     int64_t num_exchanges = 0;
@@ -331,54 +289,13 @@ ValidateExchangeStatic(const HloInstruction* instr, const Mesh& mesh)
     }
 }
 
-ExchangePlan
-BuildExchangePlan(const HloInstruction* instr, const Mesh& mesh,
-                  bool sdc_active)
-{
-    const size_t n = static_cast<size_t>(mesh.num_devices());
-    ExchangePlan plan;
-    if (sdc_active) {
-        plan.kind = ExchangePlan::Kind::kAllDevice;
-        return plan;
-    }
-    if (instr->opcode() == HloOpcode::kCollectivePermute ||
-        instr->opcode() == HloOpcode::kCollectivePermuteStart) {
-        plan.kind = ExchangePlan::Kind::kPermute;
-        plan.send_pair.assign(n, -1);
-        plan.recv_pair.assign(n, -1);
-        const auto& pairs = instr->attrs().source_target_pairs;
-        for (size_t i = 0; i < pairs.size(); ++i) {
-            plan.send_pair[static_cast<size_t>(pairs[i].first)] =
-                static_cast<int32_t>(i);
-            plan.recv_pair[static_cast<size_t>(pairs[i].second)] =
-                static_cast<int32_t>(i);
-        }
-        return plan;
-    }
-    plan.kind = ExchangePlan::Kind::kGroup;
-    plan.groups = &instr->attrs().groups;
-    plan.group_of.assign(n, -1);
-    plan.pos_of.assign(n, -1);
-    for (size_t g = 0; g < plan.groups->size(); ++g) {
-        const auto& group = (*plan.groups)[g];
-        for (size_t p = 0; p < group.size(); ++p) {
-            plan.group_of[static_cast<size_t>(group[p])] =
-                static_cast<int32_t>(g);
-            plan.pos_of[static_cast<size_t>(group[p])] =
-                static_cast<int32_t>(p);
-        }
-    }
-    return plan;
-}
-
 /**
  * Compiles `computation` into its pre-resolved execution form. The
  * only hash lookups of an evaluation happen here, once, instead of
  * per-instruction per-device in the hot walk.
  */
 CompiledProgram
-Compile(const HloComputation& computation, const Mesh& mesh,
-        bool sdc_active)
+Compile(const HloComputation& computation, const Mesh& mesh)
 {
     CompiledProgram prog;
     std::unordered_map<const HloInstruction*, int32_t> index_of;
@@ -433,16 +350,6 @@ Compile(const HloComputation& computation, const Mesh& mesh,
     prog.root = index_of.at(computation.root());
     prog.last_use[static_cast<size_t>(prog.root)] =
         std::numeric_limits<int64_t>::max();
-
-    // Channel plans (after liveness: plans don't depend on it, but the
-    // walk below reads last_use for fusion escapes).
-    prog.plans.resize(count);
-    for (size_t j = 0; j < count; ++j) {
-        if (prog.ops[j].kind == ExecKind::kExchange) {
-            prog.plans[j] =
-                BuildExchangePlan(prog.ops[j].instr, mesh, sdc_active);
-        }
-    }
 
     // Fusion: greedy maximal runs of consecutive fusable elementwise
     // ops whose operand shapes match their output shape (elementwise
@@ -852,10 +759,8 @@ ConcatParts(const std::vector<const Tensor*>& parts, int64_t dim)
 /**
  * Evaluates one replica group of a group-wise collective. `inputs` are
  * the members' operands in group order; the return holds one output per
- * member, same order. This is THE group arithmetic — the serial walk
- * and every concurrent group leader run this identical code, always
- * iterating members in ascending group position, which is what keeps
- * the two modes (and any thread interleaving) bitwise identical.
+ * member, same order. Members are always combined in ascending group
+ * position, so results are bitwise deterministic.
  */
 StatusOr<std::vector<Tensor>>
 EvalGroupCollective(const HloInstruction* instr,
@@ -948,8 +853,7 @@ EvalGroupCollective(const HloInstruction* instr,
  * Evaluates a collective for all devices at once: `inputs[d]` is the
  * operand value on device d, `out` receives every device's result.
  * Arithmetic always runs in fixed group/device order (through
- * EvalGroupCollective — the same code the concurrent group leaders
- * run), so results never depend on thread arrival order.
+ * EvalGroupCollective).
  */
 Status
 EvalCollective(const HloInstruction* instr, const Mesh& mesh,
@@ -1079,11 +983,7 @@ EvalCollectiveSdc(const HloInstruction* instr, const Mesh& mesh,
     return EvalCollective(instr, mesh, patched, out);
 }
 
-/**
- * Executes one non-exchange op for one device against its slots.
- * Shared verbatim between the serial walk and every concurrent device
- * thread.
- */
+/** Executes one non-exchange op for one device against its slots. */
 Status
 ExecLocalForDevice(const CompiledProgram& prog, size_t j,
                    Slots* slots, int64_t d, const Mesh& mesh,
@@ -1180,394 +1080,6 @@ TakeRoot(const CompiledProgram& prog, Slots* slots)
     return *slots->view[root];
 }
 
-// ---------------------------------------------------------------------
-// SPSC channel machinery for the concurrent mode (DESIGN.md §17).
-// ---------------------------------------------------------------------
-
-/**
- * A one-shot single-producer/single-consumer handoff: the producer
- * pushes exactly one (status, tensor), the consumer takes it exactly
- * once. The fast path is a release-store / acquire-load on `ready` —
- * no lock; the slow path parks on the slot's own condition variable,
- * so a Push wakes exactly its consumer (notify_one), never the other
- * devices parked at unrelated slots. Cancellation (CancelAll) walks
- * every slot and broadcasts, releasing whoever is parked anywhere.
- */
-class HandoffSlot {
-  public:
-    void Push(Status status, Tensor value)
-    {
-        status_ = std::move(status);
-        value_ = std::move(value);
-        {
-            // Empty-body critical section orders the store against a
-            // consumer that is deciding to park: it either sees ready
-            // before sleeping or sleeps before the notify.
-            std::lock_guard<std::mutex> lock(mu_);
-            ready_.store(true, std::memory_order_release);
-        }
-        cv_.notify_one();
-    }
-
-    /**
-     * Blocks until the slot is filled or the evaluation is cancelled.
-     * Returns false on cancellation with the slot still empty.
-     */
-    bool Wait(const std::atomic<bool>& cancelled, int spin)
-    {
-        for (int i = 0; i < spin; ++i) {
-            if (ready_.load(std::memory_order_acquire)) return true;
-            if (cancelled.load(std::memory_order_relaxed)) break;
-        }
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] {
-            return ready_.load(std::memory_order_relaxed) ||
-                   cancelled.load(std::memory_order_relaxed);
-        });
-        return ready_.load(std::memory_order_acquire);
-    }
-
-    /** Wakes a parked consumer after `cancelled` was set. */
-    void Cancel()
-    {
-        { std::lock_guard<std::mutex> lock(mu_); }
-        cv_.notify_all();
-    }
-
-    Status TakeStatus() { return std::move(status_); }
-    Tensor TakeValue() { return std::move(value_); }
-
-  private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::atomic<bool> ready_{false};
-    Status status_ = Status::Ok();
-    Tensor value_;
-};
-
-/**
- * The runtime channels of one exchange instruction, built from its
- * ExchangePlan. Deques because HandoffSlot is immovable.
- */
-struct ChannelSet {
-    struct GroupCh {
-        std::deque<HandoffSlot> to_leader;  ///< indexed by member pos
-        std::deque<HandoffSlot> results;    ///< indexed by member pos
-    };
-    /// kGroup: one per replica group. kAllDevice: groups[0], indexed by
-    /// device id, led by device 0.
-    std::deque<GroupCh> groups;
-    /// kPermute: one slot per source-target pair.
-    std::deque<HandoffSlot> pairs;
-};
-
-/** Shared state of one concurrent evaluation. */
-struct ConcurrentState {
-    std::atomic<bool> cancelled{false};
-    /// One channel set per exchange instruction (null elsewhere).
-    std::vector<std::unique_ptr<ChannelSet>> channels;
-    /// Per-device first error (instruction index, status) and any
-    /// escaped exception; merged after join into the serial-equivalent
-    /// first failure.
-    std::vector<int64_t> error_instr;
-    std::vector<Status> error_status;
-    std::vector<std::exception_ptr> exception;
-    SdcRuntime sdc;
-    /// Spin iterations before parking (0 on single-core hosts, where
-    /// spinning only steals cycles from the thread being waited on).
-    int spin = 0;
-
-    void CancelAll()
-    {
-        cancelled.store(true, std::memory_order_release);
-        for (auto& ch : channels) {
-            if (ch == nullptr) continue;
-            for (auto& group : ch->groups) {
-                for (auto& slot : group.to_leader) slot.Cancel();
-                for (auto& slot : group.results) slot.Cancel();
-            }
-            for (auto& slot : ch->pairs) slot.Cancel();
-        }
-    }
-};
-
-constexpr const char* kCancelled = "evaluation cancelled";
-
-/** Metrics + trace span for one device's stay at a channel. */
-void
-RecordChannel(int64_t d, const HloInstruction* instr,
-              const char* category, bool leader, double t0)
-{
-    const double t1 = TraceRecorder::NowSeconds();
-    if (PhaseTimingEnabled()) {
-        collective_phase_nanos.fetch_add(
-            static_cast<int64_t>((t1 - t0) * 1e9),
-            std::memory_order_relaxed);
-    }
-    if (MetricsEnabled()) {
-        // Resolved once; the registry hands out stable pointers.
-        static Counter* total =
-            MetricsRegistry::Global().counter("evaluator.channel_total");
-        static Histogram* wait_hist =
-            MetricsRegistry::Global().histogram(
-                "evaluator.channel_wait_seconds");
-        static Histogram* leader_hist =
-            MetricsRegistry::Global().histogram(
-                "evaluator.channel_leader_seconds");
-        total->Add();
-        (leader ? leader_hist : wait_hist)->Record(t1 - t0);
-    }
-    if (TracingEnabled()) {
-        TraceSpan span;
-        span.name = instr->name();
-        span.category = category;
-        span.lane = d;
-        span.start_seconds = t0;
-        span.end_seconds = t1;
-        TraceRecorder::Global().Record(std::move(span));
-    }
-}
-
-/**
- * Runs one exchange instruction for one device through its channels.
- * A returned error with message `kCancelled` means "a peer failed, stay
- * quiet"; any other error is this device's own and must be reported.
- *
- * Synchronization is *per channel*: a group collective only meets the
- * devices of that replica group, a permute only its pair endpoints —
- * never the whole mesh. Determinism is preserved because each group
- * leader evaluates its group's arithmetic in fixed member order
- * (EvalGroupCollective), regardless of push arrival order.
- */
-StatusOr<Tensor>
-ExchangeViaChannels(const CompiledProgram& prog, size_t j, int64_t d,
-                    Tensor input, const Mesh& mesh,
-                    ConcurrentState* state)
-{
-    const CompiledOp& op = prog.ops[j];
-    const HloInstruction* instr = op.instr;
-    const ExchangePlan& plan = prog.plans[j];
-    ChannelSet& ch = *state->channels[j];
-    const bool observe = MetricsEnabled() || TracingEnabled() ||
-                         PhaseTimingEnabled();
-    const double t0 = observe ? TraceRecorder::NowSeconds() : 0.0;
-
-    auto finish = [&](const char* category, bool leader) {
-        if (observe) RecordChannel(d, instr, category, leader, t0);
-    };
-
-    switch (plan.kind) {
-      case ExchangePlan::Kind::kAllDevice: {
-          ChannelSet::GroupCh& all = ch.groups[0];
-          const int64_t n = mesh.num_devices();
-          if (d != 0) {
-              all.to_leader[static_cast<size_t>(d)].Push(
-                  Status::Ok(), std::move(input));
-              HandoffSlot& slot = all.results[static_cast<size_t>(d)];
-              if (!slot.Wait(state->cancelled, state->spin)) {
-                  finish("channel_wait", false);
-                  return FailedPrecondition(kCancelled);
-              }
-              Status status = slot.TakeStatus();
-              finish("channel_wait", false);
-              if (!status.ok()) return status;
-              return slot.TakeValue();
-          }
-          std::vector<Tensor> inputs(static_cast<size_t>(n));
-          inputs[0] = std::move(input);
-          for (int64_t e = 1; e < n; ++e) {
-              HandoffSlot& slot = all.to_leader[static_cast<size_t>(e)];
-              if (!slot.Wait(state->cancelled, state->spin)) {
-                  finish("channel_leader", true);
-                  return FailedPrecondition(kCancelled);
-              }
-              inputs[static_cast<size_t>(e)] = slot.TakeValue();
-          }
-          std::vector<const Tensor*> ptrs;
-          ptrs.reserve(inputs.size());
-          for (const Tensor& t : inputs) ptrs.push_back(&t);
-          std::vector<Tensor> outs(static_cast<size_t>(n));
-          Status status = EvalCollectiveSdc(
-              instr, mesh, ptrs, &outs, state->sdc,
-              op.exchange_ordinal, static_cast<int64_t>(j));
-          for (int64_t e = 1; e < n; ++e) {
-              all.results[static_cast<size_t>(e)].Push(
-                  status,
-                  status.ok() ? std::move(outs[static_cast<size_t>(e)])
-                              : Tensor());
-          }
-          finish("channel_leader", true);
-          if (!status.ok()) return status;
-          return std::move(outs[0]);
-      }
-
-      case ExchangePlan::Kind::kGroup: {
-          int32_t g = plan.group_of[static_cast<size_t>(d)];
-          if (g < 0) {
-              // Not in any replica group: the exchange is a local no-op
-              // producing the empty tensor, exactly like the serial
-              // walk's untouched output slot.
-              finish("channel_send", false);
-              return Tensor();
-          }
-          ChannelSet::GroupCh& gc = ch.groups[static_cast<size_t>(g)];
-          const auto& group = (*plan.groups)[static_cast<size_t>(g)];
-          const size_t k = group.size();
-          int32_t pos = plan.pos_of[static_cast<size_t>(d)];
-          if (pos != 0) {
-              gc.to_leader[static_cast<size_t>(pos)].Push(
-                  Status::Ok(), std::move(input));
-              HandoffSlot& slot = gc.results[static_cast<size_t>(pos)];
-              if (!slot.Wait(state->cancelled, state->spin)) {
-                  finish("channel_wait", false);
-                  return FailedPrecondition(kCancelled);
-              }
-              Status status = slot.TakeStatus();
-              finish("channel_wait", false);
-              if (!status.ok()) return status;
-              return slot.TakeValue();
-          }
-          // Leader (first group member): collect inputs in ascending
-          // member order, run the group arithmetic, scatter results.
-          std::vector<Tensor> inputs(k);
-          inputs[0] = std::move(input);
-          for (size_t p = 1; p < k; ++p) {
-              HandoffSlot& slot = gc.to_leader[p];
-              if (!slot.Wait(state->cancelled, state->spin)) {
-                  finish("channel_leader", true);
-                  return FailedPrecondition(kCancelled);
-              }
-              inputs[p] = slot.TakeValue();
-          }
-          std::vector<const Tensor*> ptrs;
-          ptrs.reserve(k);
-          for (const Tensor& t : inputs) ptrs.push_back(&t);
-          auto outs = EvalGroupCollective(instr, ptrs);
-          Status status =
-              outs.ok() ? Status::Ok() : outs.status();
-          for (size_t p = 1; p < k; ++p) {
-              gc.results[p].Push(
-                  status,
-                  status.ok() ? std::move((*outs)[p]) : Tensor());
-          }
-          finish("channel_leader", true);
-          if (!status.ok()) return status;
-          return std::move((*outs)[0]);
-      }
-
-      case ExchangePlan::Kind::kPermute: {
-          // Pure data movement: the sender deposits and moves on (it
-          // never blocks on its target); only receivers wait, and only
-          // on their own pair's slot.
-          int32_t send = plan.send_pair[static_cast<size_t>(d)];
-          int32_t recv = plan.recv_pair[static_cast<size_t>(d)];
-          if (send >= 0) {
-              ch.pairs[static_cast<size_t>(send)].Push(
-                  Status::Ok(), std::move(input));
-          }
-          if (recv < 0) {
-              finish("channel_send", false);
-              return Tensor(instr->shape());
-          }
-          HandoffSlot& slot = ch.pairs[static_cast<size_t>(recv)];
-          if (!slot.Wait(state->cancelled, state->spin)) {
-              finish("channel_wait", false);
-              return FailedPrecondition(kCancelled);
-          }
-          finish("channel_wait", false);
-          return slot.TakeValue();
-      }
-
-      default: break;
-    }
-    return Internal("exchange without a channel plan");
-}
-
-/** One device's full program walk in the concurrent mode. */
-void
-RunDeviceProgram(int64_t d, const CompiledProgram& prog, const Mesh& mesh,
-                 const std::vector<std::vector<Tensor>>& params,
-                 ConcurrentState* state, Tensor* root_out)
-{
-    ScopedTraceSpan program_span(StrCat("device", d), "device_program",
-                                 d,
-                                 static_cast<int64_t>(prog.ops.size()));
-    try {
-        Slots slots(prog.ops.size());
-        auto fail = [&](size_t j, Status status) {
-            state->error_instr[static_cast<size_t>(d)] =
-                static_cast<int64_t>(j);
-            state->error_status[static_cast<size_t>(d)] =
-                std::move(status);
-            state->CancelAll();
-        };
-        for (size_t j = 0; j < prog.ops.size(); ++j) {
-            if (state->cancelled.load(std::memory_order_relaxed)) {
-                return;
-            }
-            const CompiledOp& op = prog.ops[j];
-            switch (op.kind) {
-              case ExecKind::kFusedInterior: continue;
-
-              case ExecKind::kFused: {
-                  const FusedGroup& group =
-                      prog.groups[static_cast<size_t>(op.fused_group)];
-                  Status status = ExecFusedGroup(prog, group, &slots);
-                  if (!status.ok()) {
-                      fail(j, std::move(status));
-                      return;
-                  }
-                  for (int64_t jj = group.begin; jj < group.end; ++jj) {
-                      RecycleDead(prog, static_cast<size_t>(jj),
-                                  &slots);
-                  }
-                  break;
-              }
-
-              case ExecKind::kExchange: {
-                  size_t s = static_cast<size_t>(op.operands[0]);
-                  // The channel consumes the operand; move it only if
-                  // it is owned and dies here.
-                  Tensor input =
-                      slots.IsOwned(s) &&
-                              prog.last_use[s] == static_cast<int64_t>(j)
-                          ? std::move(slots.owned[s])
-                          : Tensor(*slots.view[s]);
-                  auto result = ExchangeViaChannels(
-                      prog, j, d, std::move(input), mesh, state);
-                  if (!result.ok()) {
-                      // Cancelled waits are not errors of this device;
-                      // the failing device owns the real error.
-                      if (result.status().message() != kCancelled) {
-                          fail(j, result.status());
-                      }
-                      return;
-                  }
-                  slots.SetOwned(j, std::move(result).value());
-                  RecycleDead(prog, j, &slots);
-                  break;
-              }
-
-              default: {
-                  Status status = ExecLocalForDevice(
-                      prog, j, &slots, d, mesh, params, state->sdc);
-                  if (!status.ok()) {
-                      fail(j, std::move(status));
-                      return;
-                  }
-                  RecycleDead(prog, j, &slots);
-                  break;
-              }
-            }
-        }
-        *root_out = TakeRoot(prog, &slots);
-    } catch (...) {
-        state->exception[static_cast<size_t>(d)] =
-            std::current_exception();
-        state->CancelAll();
-    }
-}
-
 }  // namespace
 
 void
@@ -1618,20 +1130,9 @@ StatusOr<std::vector<Tensor>>
 SpmdEvaluator::Evaluate(const HloComputation& computation,
                         const std::vector<std::vector<Tensor>>& params) const
 {
-    if (options_.concurrent_devices && mesh_.num_devices() > 1) {
-        return EvaluateConcurrent(computation, params);
-    }
-    return EvaluateSerial(computation, params);
-}
-
-StatusOr<std::vector<Tensor>>
-SpmdEvaluator::EvaluateSerial(
-    const HloComputation& computation,
-    const std::vector<std::vector<Tensor>>& params) const
-{
     const int64_t n = mesh_.num_devices();
     SdcRuntime sdc{options_.sdc, options_.sdc_sink};
-    CompiledProgram prog = Compile(computation, mesh_, sdc.active());
+    CompiledProgram prog = Compile(computation, mesh_);
 
     std::vector<Slots> devices;
     devices.reserve(static_cast<size_t>(n));
@@ -1708,136 +1209,11 @@ SpmdEvaluator::EvaluateSerial(
     return roots;
 }
 
-StatusOr<std::vector<Tensor>>
-SpmdEvaluator::EvaluateConcurrent(
-    const HloComputation& computation,
-    const std::vector<std::vector<Tensor>>& params) const
-{
-    const int64_t n = mesh_.num_devices();
-    SdcRuntime sdc{options_.sdc, options_.sdc_sink};
-    CompiledProgram prog = Compile(computation, mesh_, sdc.active());
-
-    ConcurrentState state;
-    state.sdc = sdc;
-    state.spin =
-        std::thread::hardware_concurrency() > 1 ? 1024 : 0;
-    state.channels.resize(prog.ops.size());
-    for (size_t j = 0; j < prog.ops.size(); ++j) {
-        if (prog.ops[j].kind != ExecKind::kExchange) continue;
-        const ExchangePlan& plan = prog.plans[j];
-        auto ch = std::make_unique<ChannelSet>();
-        switch (plan.kind) {
-          case ExchangePlan::Kind::kAllDevice: {
-              ch->groups.emplace_back();
-              for (int64_t d = 0; d < n; ++d) {
-                  ch->groups[0].to_leader.emplace_back();
-                  ch->groups[0].results.emplace_back();
-              }
-              break;
-          }
-          case ExchangePlan::Kind::kGroup: {
-              for (const auto& group : *plan.groups) {
-                  ch->groups.emplace_back();
-                  for (size_t p = 0; p < group.size(); ++p) {
-                      ch->groups.back().to_leader.emplace_back();
-                      ch->groups.back().results.emplace_back();
-                  }
-              }
-              break;
-          }
-          case ExchangePlan::Kind::kPermute: {
-              const auto& pairs =
-                  prog.ops[j].instr->attrs().source_target_pairs;
-              for (size_t i = 0; i < pairs.size(); ++i) {
-                  ch->pairs.emplace_back();
-              }
-              break;
-          }
-          default: break;
-        }
-        state.channels[j] = std::move(ch);
-    }
-    state.error_instr.assign(static_cast<size_t>(n), -1);
-    state.error_status.assign(static_cast<size_t>(n), Status::Ok());
-    state.exception.assign(static_cast<size_t>(n), nullptr);
-
-    // One dedicated thread per device (device 0 runs on the caller).
-    // Devices block on each other at channels, so they must all be
-    // runnable at once — a bounded shared pool could park a peer
-    // forever and deadlock the exchange.
-    std::vector<Tensor> roots(static_cast<size_t>(n));
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n) - 1);
-    for (int64_t d = 1; d < n; ++d) {
-        threads.emplace_back([&, d]() {
-            RunDeviceProgram(d, prog, mesh_, params, &state,
-                             &roots[static_cast<size_t>(d)]);
-        });
-    }
-    RunDeviceProgram(0, prog, mesh_, params, &state, &roots[0]);
-    for (std::thread& t : threads) t.join();
-
-    for (int64_t d = 0; d < n; ++d) {
-        if (state.exception[static_cast<size_t>(d)]) {
-            std::rethrow_exception(state.exception[static_cast<size_t>(d)]);
-        }
-    }
-    // First failure in program order, ties broken by device id —
-    // exactly the error the serial walk would have returned.
-    int64_t best_device = -1;
-    for (int64_t d = 0; d < n; ++d) {
-        if (state.error_instr[static_cast<size_t>(d)] < 0) continue;
-        if (best_device < 0 ||
-            state.error_instr[static_cast<size_t>(d)] <
-                state.error_instr[static_cast<size_t>(best_device)]) {
-            best_device = d;
-        }
-    }
-    if (best_device >= 0) {
-        return state.error_status[static_cast<size_t>(best_device)];
-    }
-    return roots;
-}
-
 StatusOr<std::vector<std::vector<Tensor>>>
 SpmdEvaluator::EvaluateBatch(
     const std::vector<const HloComputation*>& computations,
     const std::vector<std::vector<Tensor>>& params) const
 {
-    if (options_.batch_pool != nullptr && computations.size() > 1) {
-        std::vector<std::future<StatusOr<std::vector<Tensor>>>> futures;
-        futures.reserve(computations.size());
-        for (const HloComputation* computation : computations) {
-            futures.push_back(options_.batch_pool->Submit(
-                [this, computation, &params]() {
-                    return Evaluate(*computation, params);
-                }));
-        }
-        // Every future must be drained before returning (the tasks
-        // borrow `params`), so errors are collected, not fail-fast.
-        std::vector<StatusOr<std::vector<Tensor>>> results;
-        results.reserve(computations.size());
-        std::exception_ptr first_exception;
-        for (auto& future : futures) {
-            try {
-                results.push_back(future.get());
-            } catch (...) {
-                if (!first_exception) {
-                    first_exception = std::current_exception();
-                }
-                results.push_back(Internal("evaluation threw"));
-            }
-        }
-        if (first_exception) std::rethrow_exception(first_exception);
-        std::vector<std::vector<Tensor>> outputs;
-        outputs.reserve(results.size());
-        for (auto& result : results) {
-            if (!result.ok()) return result.status();
-            outputs.push_back(std::move(result).value());
-        }
-        return outputs;
-    }
-
     std::vector<std::vector<Tensor>> outputs;
     outputs.reserve(computations.size());
     for (const HloComputation* computation : computations) {

@@ -7,7 +7,6 @@
 
 #include "hlo/module.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 #include "tensor/checksum.h"
 #include "tensor/mesh.h"
 #include "tensor/tensor.h"
@@ -20,8 +19,7 @@ namespace overlap {
  * `step` — only entries whose step matches are applied (earlier
  * corruptions that escaped detection already live in the caller's state).
  * Instruction targets are per-kind ordinals in program order: the i-th
- * einsum / the i-th data-exchange collective of the entry computation,
- * identical across serial and concurrent execution.
+ * einsum / the i-th data-exchange collective of the entry computation.
  */
 struct SdcEvalConfig {
     std::vector<SilentCorruption> corruptions;
@@ -30,11 +28,11 @@ struct SdcEvalConfig {
 };
 
 /**
- * Thread-safe sink for detection events raised during one evaluation.
- * In concurrent mode devices that raced ahead may contribute extra
- * reports, so the full list is mode-dependent; Primary() — the earliest
- * report in (program index, device) order, exactly the one the serial
- * walk stops at — is deterministic across modes.
+ * Thread-safe sink for detection events raised during one evaluation
+ * (one sink may be shared by evaluations running on several threads).
+ * The walk stops at the first detection, so an evaluation deposits at
+ * most one report; Primary() is the earliest in (program index, device)
+ * order.
  */
 class SdcEvalSink {
   public:
@@ -49,30 +47,8 @@ class SdcEvalSink {
     std::vector<CorruptionReport> reports_;
 };
 
-/** Execution knobs for the SPMD evaluator. The default is fully serial. */
+/** Execution knobs for the SPMD evaluator. */
 struct EvalOptions {
-    /**
-     * Run the per-device programs on concurrent threads (one dedicated
-     * thread per device), with collectives implemented as per-channel
-     * SPSC handoffs: each replica group (or permute pair) has its own
-     * channel, members push their operands to the group's leader, the
-     * leader computes the exchange for its group in fixed member order
-     * and pushes results back. Only the devices of a channel ever
-     * synchronize — a permute pair never waits for the rest of the
-     * mesh. Results are bit-identical to the serial lock-step walk
-     * because the group arithmetic runs once, over inputs indexed by
-     * group position — never in arrival order.
-     */
-    bool concurrent_devices = false;
-
-    /**
-     * When set, EvaluateBatch fans whole computations across this pool
-     * (stable result order; first error by computation order). Device
-     * concurrency and batch fan-out compose: each pooled evaluation may
-     * itself spawn its per-device threads.
-     */
-    ThreadPool* batch_pool = nullptr;
-
     /**
      * When set, seeded corruptions are injected during evaluation and
      * the configured detectors (transfer checksums, einsum ABFT) run in
@@ -98,16 +74,15 @@ struct EvalOptions {
  * simulator. Source-target pairs with a duplicate source or target, or
  * with a device id outside the mesh, are rejected as invalid.
  *
- * Two execution modes produce identical outputs (see EvalOptions):
- * a serial lock-step walk (one instruction at a time across all
- * devices) and a concurrent mode where each device runs its own program
- * on a dedicated thread and meets its peers at per-channel SPSC
- * handoffs for collectives. Both modes execute a *compiled* form of the
- * program — operand slots, liveness and fused elementwise groups
- * resolved once up front (DESIGN.md §17) — and recycle dead
- * intermediate buffers through the thread-local BufferPool, so a
- * decomposed loop's partial einsums and DynamicUpdateSlice chain reuse
- * allocations across iterations.
+ * Execution is a serial lock-step walk — one instruction at a time
+ * across all devices — over a *compiled* form of the program: operand
+ * slots, liveness and fused elementwise groups resolved once up front
+ * (DESIGN.md §17). Dead intermediate buffers are recycled through the
+ * thread-local BufferPool, so a decomposed loop's partial einsums and
+ * DynamicUpdateSlice chain reuse allocations across iterations. One
+ * evaluator may be used from several threads at once; parallelism is
+ * per evaluation (whole difftest cases on a ThreadPool), never within
+ * one.
  *
  * This interpreter is the semantic ground truth the test suite uses to
  * prove that the Looped CollectiveEinsum decomposition (in every variant)
@@ -134,8 +109,7 @@ class SpmdEvaluator {
      * Evaluates several computations against the *same* parameter
      * bindings — the shape of a differential test (one reference, many
      * transformed variants). Returns one per-device output vector per
-     * computation, in order; fails fast on the first evaluation error
-     * (by computation order, also under batch_pool fan-out).
+     * computation, in order; fails fast on the first evaluation error.
      */
     StatusOr<std::vector<std::vector<Tensor>>> EvaluateBatch(
         const std::vector<const HloComputation*>& computations,
@@ -145,13 +119,6 @@ class SpmdEvaluator {
     const EvalOptions& options() const { return options_; }
 
   private:
-    StatusOr<std::vector<Tensor>> EvaluateSerial(
-        const HloComputation& computation,
-        const std::vector<std::vector<Tensor>>& params) const;
-    StatusOr<std::vector<Tensor>> EvaluateConcurrent(
-        const HloComputation& computation,
-        const std::vector<std::vector<Tensor>>& params) const;
-
     Mesh mesh_;
     EvalOptions options_;
 };
@@ -171,9 +138,7 @@ StatusOr<Tensor> EvaluateGlobal(const HloComputation& computation,
 struct EvalPhaseSeconds {
     /// Time inside einsum kernel evaluation (all devices summed).
     double einsum_seconds = 0;
-    /// Time in collective exchanges: serial collective evaluation, or —
-    /// concurrently — each device's full stay at a channel (wait +
-    /// leader compute), all devices summed.
+    /// Time in collective exchanges (all devices at once).
     double collective_seconds = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "sim/trace_export.h"
 
-#include <algorithm>
-
 #include "support/strings.h"
 
 namespace overlap {
@@ -125,7 +123,6 @@ UnifiedTraceToChromeJson(const UnifiedTrace& trace)
 {
     constexpr int kCompilerPid = 0;
     constexpr int kSimulatorPid = 1;
-    constexpr int kEvaluatorPid = 2;
 
     EventWriter writer;
     if (!trace.passes.empty()) {
@@ -152,25 +149,6 @@ UnifiedTraceToChromeJson(const UnifiedTrace& trace)
         writer.NameThread(kSimulatorPid, 2, "wait");
         writer.NameThread(kSimulatorPid, 3, "transfer");
         WriteSimEvents(&writer, kSimulatorPid, *trace.sim);
-    }
-    if (!trace.evaluator_spans.empty()) {
-        writer.NameProcess(kEvaluatorPid, "spmd_evaluator");
-        double base = trace.evaluator_spans.front().start_seconds;
-        int64_t max_lane = 0;
-        for (const TraceSpan& span : trace.evaluator_spans) {
-            base = std::min(base, span.start_seconds);
-            max_lane = std::max(max_lane, span.lane);
-        }
-        for (int64_t lane = 0; lane <= max_lane; ++lane) {
-            writer.NameThread(kEvaluatorPid, lane,
-                              StrCat("device", lane));
-        }
-        for (const TraceSpan& span : trace.evaluator_spans) {
-            writer.Complete(kEvaluatorPid, span.lane, span.name,
-                            span.category, span.start_seconds - base,
-                            span.end_seconds - base,
-                            StrCat("{\"arg\":", span.arg, "}"));
-        }
     }
     return StrCat("{\"traceEvents\":[\n", writer.str(),
                   "\n],\"displayTimeUnit\":\"ms\"}\n");

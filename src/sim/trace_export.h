@@ -21,8 +21,8 @@ std::string TraceToChromeJson(const SimResult& result,
 
 /**
  * The unified cross-layer trace (DESIGN.md §13): one Chrome-trace
- * document spanning the compiler, the pod simulator and the concurrent
- * SpmdEvaluator. Each subsystem renders as its own process:
+ * document spanning the compiler and the pod simulator. Each subsystem
+ * renders as its own process:
  *
  *   pid 0 "compiler"        — one X event per pipeline pass, with the
  *                             entry computation's instruction delta in
@@ -33,24 +33,16 @@ std::string TraceToChromeJson(const SimResult& result,
  *                             transfers in flight (Start..arrival).
  *                             Events carry the decomposition site's
  *                             loop group in their args when they belong
- *                             to an emitted loop;
- *   pid 2 "spmd_evaluator"  — one thread lane per device: the device
- *                             program span plus channel wait/leader/send
- *                             spans recorded by the concurrent mode.
+ *                             to an emitted loop.
  *
- * Every section is optional — pass an empty vector / nullptr for the
- * layers that did not run. Evaluator spans are rebased so the earliest
- * one starts at t=0 (they are recorded against the process-local
- * steady clock).
+ * Both sections are optional — pass an empty vector / nullptr for the
+ * layers that did not run.
  */
 struct UnifiedTrace {
     /// Compiler lane (CompileReport::pass_timings).
     std::vector<PassTiming> passes;
     /// Simulator lanes (a traced PodSimulator::Run result).
     const SimResult* sim = nullptr;
-    /// Evaluator spans (TraceRecorder::Global().Drain() after a traced
-    /// evaluation).
-    std::vector<TraceSpan> evaluator_spans;
     std::string device_name = "device0";
 };
 

@@ -16,9 +16,9 @@ namespace overlap {
  * Process-wide switch for metrics collection (DESIGN.md §13).
  *
  * Disabled (the default), every instrument degrades to a single relaxed
- * atomic load and no clock is ever read — cheap enough for the
- * evaluator's per-channel hot path. Tests and tools that want
- * numbers flip it on around the region of interest.
+ * atomic load and no clock is ever read — cheap enough for hot paths.
+ * Tests and tools that want numbers flip it on around the region of
+ * interest.
  */
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
@@ -132,7 +132,7 @@ class Histogram {
  * instruments once and then touch only the instrument itself.
  *
  * Naming convention: dotted paths grouped by subsystem, e.g.
- * "evaluator.channel_wait_seconds", "compiler.pass_seconds".
+ * "compiler.passes_run", "compiler.pass_seconds".
  */
 class MetricsRegistry {
   public:
@@ -152,8 +152,8 @@ class MetricsRegistry {
 
     /**
      * One JSON object keyed by instrument name, e.g.
-     * {"evaluator.channel_total": 12,
-     *  "evaluator.channel_wait_seconds":
+     * {"compiler.passes_run": 12,
+     *  "compiler.pass_seconds":
      *      {"count":12,"sum":3e-4,"min":...,"max":...,"mean":...,
      *       "p50":...,"p99":...,"p999":...}}.
      * Gauges render as bare numbers, counters as integers; histogram

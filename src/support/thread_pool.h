@@ -37,11 +37,9 @@ uint64_t DeriveTaskSeed(uint64_t base_seed, uint64_t task_index);
  * and rethrown at get() — a throwing task never takes down a worker.
  *
  * The pool is intended for *case-level* fan-out (independent difftest
- * cases, sweep points, batch evaluations). It must not be used for
- * work items that block on each other: with fewer threads than
- * mutually-waiting tasks the pool deadlocks. The SpmdEvaluator's
- * channel-based device concurrency therefore runs on dedicated
- * threads (one per device), not on a shared pool.
+ * cases, sweep points) — the only threading tier of the oracle. It
+ * must not be used for work items that block on each other: with
+ * fewer threads than mutually-waiting tasks the pool deadlocks.
  */
 class ThreadPool {
   public:

@@ -1,59 +1,11 @@
 #include "support/tracing.h"
 
-#include <atomic>
 #include <chrono>
 
 namespace overlap {
-namespace {
-
-std::atomic<bool> tracing_enabled{false};
-
-}  // namespace
-
-bool
-TracingEnabled()
-{
-    return tracing_enabled.load(std::memory_order_relaxed);
-}
-
-void
-SetTracingEnabled(bool enabled)
-{
-    tracing_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-TraceRecorder&
-TraceRecorder::Global()
-{
-    static TraceRecorder* recorder = new TraceRecorder();
-    return *recorder;
-}
-
-void
-TraceRecorder::Record(TraceSpan span)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    spans_.push_back(std::move(span));
-}
-
-std::vector<TraceSpan>
-TraceRecorder::Drain()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<TraceSpan> out = std::move(spans_);
-    spans_.clear();
-    return out;
-}
-
-void
-TraceRecorder::Clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    spans_.clear();
-}
 
 double
-TraceRecorder::NowSeconds()
+NowSeconds()
 {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())

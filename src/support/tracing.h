@@ -2,36 +2,15 @@
 #define OVERLAP_SUPPORT_TRACING_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace overlap {
-
-/**
- * One complete-span event for the unified Chrome trace (DESIGN.md §13).
- * Spans from every subsystem meet in sim/trace_export, which assigns
- * Chrome pids/tids per lane; here a span only says *what* ran *where*.
- */
-struct TraceSpan {
-    std::string name;
-    /// Chrome "cat" field: "pass", "channel_wait", "device_program", ...
-    std::string category;
-    /// Lane within the subsystem (device id for evaluator spans,
-    /// always 0 for compiler passes).
-    int64_t lane = 0;
-    double start_seconds = 0.0;
-    double end_seconds = 0.0;
-    /// Optional integer annotation rendered into the event's "args"
-    /// (instruction delta for passes, instruction index for waits).
-    int64_t arg = 0;
-};
 
 /**
  * Per-pass record the compiler writes into its CompileReport: wall time
  * plus the entry computation's instruction-count delta. Offsets are
  * relative to the start of Compile() so the pass lane of the unified
- * trace nests naturally.
+ * trace (DESIGN.md §13) nests naturally.
  */
 struct PassTiming {
     std::string pass_name;
@@ -48,81 +27,10 @@ struct PassTiming {
 };
 
 /**
- * Process-wide switch for span recording, mirroring the metrics switch:
- * disabled (the default), instrumented code performs one relaxed atomic
- * load and never reads the clock.
+ * Seconds since an arbitrary process-local epoch (steady clock); the
+ * time base of every PassTiming.
  */
-bool TracingEnabled();
-void SetTracingEnabled(bool enabled);
-
-/**
- * Thread-safe sink for spans recorded on concurrent threads (the
- * evaluator's per-device programs). Recording is mutex-guarded, which
- * is fine because instrumented sites (channel waits, whole device
- * programs) already serialize on locks of their own; do not put it on
- * per-element paths.
- */
-class TraceRecorder {
-  public:
-    /** The process-wide recorder the instrumented subsystems feed. */
-    static TraceRecorder& Global();
-
-    TraceRecorder() = default;
-    TraceRecorder(const TraceRecorder&) = delete;
-    TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-    void Record(TraceSpan span);
-
-    /** Returns all recorded spans and clears the buffer. */
-    std::vector<TraceSpan> Drain();
-
-    void Clear();
-
-    /**
-     * Seconds since an arbitrary process-local epoch (steady clock);
-     * the time base every recorded span uses.
-     */
-    static double NowSeconds();
-
-  private:
-    std::mutex mu_;
-    std::vector<TraceSpan> spans_;
-};
-
-/**
- * Records a span covering the enclosing scope into the global recorder.
- * No-op (no clock read) when tracing is disabled at construction.
- */
-class ScopedTraceSpan {
-  public:
-    ScopedTraceSpan(std::string name, std::string category,
-                    int64_t lane = 0, int64_t arg = 0)
-    {
-        if (TracingEnabled()) {
-            armed_ = true;
-            span_.name = std::move(name);
-            span_.category = std::move(category);
-            span_.lane = lane;
-            span_.arg = arg;
-            span_.start_seconds = TraceRecorder::NowSeconds();
-        }
-    }
-
-    ~ScopedTraceSpan()
-    {
-        if (armed_) {
-            span_.end_seconds = TraceRecorder::NowSeconds();
-            TraceRecorder::Global().Record(std::move(span_));
-        }
-    }
-
-    ScopedTraceSpan(const ScopedTraceSpan&) = delete;
-    ScopedTraceSpan& operator=(const ScopedTraceSpan&) = delete;
-
-  private:
-    TraceSpan span_;
-    bool armed_ = false;
-};
+double NowSeconds();
 
 }  // namespace overlap
 

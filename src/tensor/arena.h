@@ -14,10 +14,10 @@ namespace overlap {
  * allocator behind Tensor storage (DESIGN.md §17).
  *
  * The per-thread BufferPool wrappers are fast (no locking) but their
- * lifetime is the thread's — and the concurrent-device evaluator spawns
- * fresh device threads for every evaluation. Without a shared tier,
- * every buffer a device thread recycled died with the thread, and the
- * next evaluation's threads started cold on the heap. The arena is the
+ * lifetime is the thread's — and every difftest / SDC sweep spawns a
+ * fresh ThreadPool. Without a shared tier, every buffer a worker
+ * recycled died with the thread, and the next sweep's workers started
+ * cold on the heap. The arena is the
  * rendezvous for those buffers: thread-local pools flush here when they
  * exit (or overflow), and new threads refill from here before touching
  * the heap.

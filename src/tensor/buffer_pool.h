@@ -32,9 +32,9 @@ class BufferArena;
  * thread-local pools are *wrappers* over the shared BufferArena: an
  * Acquire that misses locally refills from the arena before falling
  * through to the heap, and a pool flushes its buffers to the arena
- * when its thread exits — so the short-lived device threads of the
- * concurrent evaluator inherit each other's warm buffers instead of
- * starting cold on every evaluation.
+ * when its thread exits — so the workers of each sweep's short-lived
+ * ThreadPool inherit the previous workers' warm buffers instead of
+ * starting cold.
  */
 class BufferPool {
   public:

@@ -20,7 +20,7 @@ namespace overlap {
  * three layers agree on the same ordinal scheme: instruction targets are
  * named by their per-kind ordinal in program order (the i-th einsum, the
  * i-th data-exchange collective of the entry computation), which is stable
- * across serial and concurrent evaluation and across evaluator/simulator.
+ * across evaluator and simulator.
  */
 
 /** Where a corruption strikes. */

@@ -2,8 +2,7 @@
  * Golden suite for the einsum kernels: the vectorized dispatch path
  * (EinsumSpec::Evaluate) must be *bitwise* identical to the scalar
  * reference kernel (EinsumSpec::EvaluateReference) for every spec and
- * shape — the difftest oracle and the evaluator's bit-identical
- * concurrent mode both rest on this invariant.
+ * shape — the difftest oracle rests on this invariant.
  *
  * The cases deliberately stress the kernel's blocking seams: run
  * extents that are not multiples of the SIMD width or register tile,

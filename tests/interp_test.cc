@@ -173,13 +173,16 @@ TEST(EvaluatorTest, CollectivePermuteRejectsDuplicateTarget)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1}));
     // Two sources feeding device 2: order-dependent, must be rejected.
-    comp->set_root(b.CollectivePermute(p, {{0, 2}, {1, 2}}));
+    auto* permute = b.CollectivePermute(p, {{0, 2}, {1, 2}});
+    comp->set_root(permute);
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs(3, Tensor(Shape({1}), {1}));
     auto result = eval.Evaluate(*comp, {inputs});
     ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.status().message().find("duplicate target"),
-              std::string::npos);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(),
+              permute->name() +
+                  ": duplicate target 2 in source-target pairs");
 }
 
 TEST(EvaluatorTest, CollectivePermuteRejectsDuplicateSource)
@@ -227,6 +230,41 @@ TEST(EvaluatorTest, AsyncStartValidatesPairsLikeSyncOp)
     EXPECT_FALSE(eval.Evaluate(*comp, {inputs}).ok());
 }
 
+TEST(EvaluatorTest, OneDeviceParameterShapeMismatchFailsTheEvaluation)
+{
+    // Only device 2's binding has the wrong shape; the evaluation fails
+    // with that binding's error before any collective runs, whether the
+    // collective is a group reduction or a point-to-point permute.
+    Mesh mesh(3);
+    HloModule module("m");
+    HloComputation* reduce = module.AddEntryComputation("reduce");
+    {
+        HloBuilder b(reduce);
+        reduce->set_root(
+            b.AllReduce(b.Parameter(0, Shape({4})), mesh.Groups(0)));
+    }
+    HloModule permute_module("p");
+    HloComputation* permute =
+        permute_module.AddEntryComputation("permute");
+    {
+        HloBuilder b(permute);
+        permute->set_root(b.CollectivePermute(
+            b.Parameter(0, Shape({4})), {{2, 0}}));
+    }
+    std::vector<Tensor> inputs = {Tensor(Shape({4}), {1, 2, 3, 4}),
+                                  Tensor(Shape({4}), {5, 6, 7, 8}),
+                                  Tensor(Shape({5}), {9, 10, 11, 12, 13})};
+    SpmdEvaluator eval(mesh);
+    for (const HloComputation* comp : {reduce, permute}) {
+        auto result = eval.Evaluate(*comp, {inputs});
+        ASSERT_FALSE(result.ok()) << comp->name();
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(result.status().message(),
+                  "parameter 0 shape " + Shape({5}).ToString() +
+                      " != declared " + Shape({4}).ToString());
+    }
+}
+
 TEST(EvaluatorTest, EvaluateBatchSharesParams)
 {
     Mesh mesh(2);
@@ -253,6 +291,21 @@ TEST(EvaluatorTest, EvaluateBatchSharesParams)
     EXPECT_FLOAT_EQ((*outputs)[0][1].at({0}), 8.0f);
     EXPECT_FLOAT_EQ((*outputs)[1][0].at({0}), -3.0f);
     EXPECT_FLOAT_EQ((*outputs)[1][1].at({0}), -4.0f);
+
+    // A failing computation fails the batch with its own Status.
+    HloModule bad_module("bad");
+    HloComputation* bad_comp = bad_module.AddEntryComputation("main");
+    {
+        HloBuilder b(bad_comp);
+        bad_comp->set_root(b.Parameter(0, Shape({2})));
+    }
+    auto failed =
+        eval.EvaluateBatch({add_comp, bad_comp, neg_comp}, {inputs});
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(failed.status().message(),
+              "parameter 0 shape " + Shape({1}).ToString() +
+                  " != declared " + Shape({2}).ToString());
 }
 
 TEST(ComparisonTest, ToleranceScalesWithDtypeAndReduction)

@@ -2,8 +2,7 @@
  * @file
  * Silent-data-corruption detection, localization and containment
  * (DESIGN.md §16): checksum/ABFT primitives, evaluator-level injection
- * and detection (identical across serial and concurrent modes), the
- * simulator's detector accounting, the elastic containment loop
+ * and detection, the simulator's detector accounting, the elastic containment loop
  * (rollback to a bit-identical state, repeat-offender quarantine) and
  * the service's rejected-never-emitted path.
  */
@@ -14,7 +13,9 @@
 #include "core/pod_runner.h"
 #include "core/recovery/step_program.h"
 #include "core/service/pod_service.h"
+#include "hlo/builder.h"
 #include "interp/comparison.h"
+#include "interp/evaluator.h"
 #include "models/fault_presets.h"
 #include "sim/engine.h"
 #include "tensor/checksum.h"
@@ -169,8 +170,7 @@ struct EvalRun {
  * `run` in place (the sink owns a mutex, so EvalRun is not movable).
  */
 void
-AdvanceWithSdc(const SilentCorruption* corruption, bool concurrent,
-               EvalRun* run)
+AdvanceWithSdc(const SilentCorruption* corruption, EvalRun* run)
 {
     auto program =
         BuildElasticProgram(SmallSpec(), Mesh(4), ForcedOverlapOptions(),
@@ -183,7 +183,6 @@ AdvanceWithSdc(const SilentCorruption* corruption, bool concurrent,
     sdc.step = 0;
     if (corruption != nullptr) sdc.corruptions.push_back(*corruption);
     EvalOptions options;
-    options.concurrent_devices = concurrent;
     options.sdc = &sdc;
     options.sdc_sink = &run->sink;
     run->status = AdvanceElasticState(&program.value(), options);
@@ -198,7 +197,7 @@ TEST(EvaluatorSdcTest, AbftDetectsAndLocalizesEinsumCorruption)
     c.instruction = 0;
     c.target = CorruptionTarget::kEinsumOutput;
     EvalRun run;
-    AdvanceWithSdc(&c, /*concurrent=*/false, &run);
+    AdvanceWithSdc(&c, &run);
 
     ASSERT_FALSE(run.status.ok());
     EXPECT_EQ(run.status.code(), StatusCode::kFailedPrecondition);
@@ -225,7 +224,7 @@ TEST(EvaluatorSdcTest, TransferChecksumCatchesPayloadCorruption)
     c.instruction = 0;
     c.target = CorruptionTarget::kTransferPayload;
     EvalRun run;
-    AdvanceWithSdc(&c, /*concurrent=*/false, &run);
+    AdvanceWithSdc(&c, &run);
 
     ASSERT_FALSE(run.status.ok());
     auto primary = run.sink.Primary();
@@ -234,7 +233,7 @@ TEST(EvaluatorSdcTest, TransferChecksumCatchesPayloadCorruption)
     EXPECT_EQ(primary->chip, 2);
 }
 
-TEST(EvaluatorSdcTest, PrimaryReportIsModeIndependent)
+TEST(EvaluatorSdcTest, PrimaryReportNamesTheCorruptedSite)
 {
     SilentCorruption c;
     c.step = 0;
@@ -243,29 +242,78 @@ TEST(EvaluatorSdcTest, PrimaryReportIsModeIndependent)
     for (auto target : {CorruptionTarget::kEinsumOutput,
                         CorruptionTarget::kTransferPayload}) {
         c.target = target;
-        EvalRun serial;
-        EvalRun threaded;
-        AdvanceWithSdc(&c, /*concurrent=*/false, &serial);
-        AdvanceWithSdc(&c, /*concurrent=*/true, &threaded);
-        ASSERT_FALSE(serial.status.ok());
-        ASSERT_FALSE(threaded.status.ok());
-        auto a = serial.sink.Primary();
-        auto b = threaded.sink.Primary();
-        ASSERT_TRUE(a.has_value());
-        ASSERT_TRUE(b.has_value());
-        // The earliest report in (program index, device) order is the
-        // deterministic cross-mode contract.
-        EXPECT_EQ(a->chip, b->chip);
-        EXPECT_EQ(a->instruction, b->instruction);
-        EXPECT_EQ(a->detector, b->detector);
-        EXPECT_EQ(a->program_index, b->program_index);
+        EvalRun run;
+        AdvanceWithSdc(&c, &run);
+        ASSERT_FALSE(run.status.ok());
+        EXPECT_EQ(run.status.code(), StatusCode::kFailedPrecondition);
+        // The walk stops at the first detection: one report, and it is
+        // the primary one.
+        ASSERT_EQ(run.sink.reports().size(), 1u);
+        auto primary = run.sink.Primary();
+        ASSERT_TRUE(primary.has_value());
+        EXPECT_EQ(primary->chip, 3);
+        EXPECT_EQ(primary->instruction, 0);
+        EXPECT_EQ(primary->step, 0);
+        EXPECT_EQ(primary->detector,
+                  target == CorruptionTarget::kEinsumOutput
+                      ? CorruptionDetector::kEinsumAbft
+                      : CorruptionDetector::kTransferChecksum);
+        EXPECT_GE(primary->program_index, 0);
+        EXPECT_EQ(run.status.message(),
+                  "silent data corruption detected: " +
+                      primary->ToString());
     }
+}
+
+TEST(EvaluatorSdcTest, TransferChecksumFailsTheWholeCollective)
+{
+    // A corrupted AllReduce payload is caught before the reduction
+    // runs: the evaluation fails with FailedPrecondition for every
+    // member and the report names the source chip and program index.
+    Mesh mesh(4);
+    HloModule module("m");
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* p = b.Parameter(0, Shape({8}));
+    comp->set_root(b.AllReduce(p, mesh.Groups(0)));
+    std::vector<std::vector<Tensor>> params(1);
+    for (int64_t d = 0; d < 4; ++d) {
+        params[0].push_back(Tensor::Random(
+            Shape({8}), static_cast<uint64_t>(d) + 11));
+    }
+
+    SdcEvalConfig sdc;
+    SilentCorruption corruption;
+    corruption.step = 0;
+    corruption.chip = 2;
+    corruption.instruction = 0;
+    corruption.target = CorruptionTarget::kTransferPayload;
+    sdc.corruptions = {corruption};
+    sdc.detectors.enabled = true;
+    sdc.detectors.verify_transfers = true;
+    sdc.detectors.verify_einsums = false;
+
+    SdcEvalSink sink;
+    EvalOptions options;
+    options.sdc = &sdc;
+    options.sdc_sink = &sink;
+    auto result = SpmdEvaluator(mesh, options).Evaluate(*comp, params);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+    auto primary = sink.Primary();
+    ASSERT_TRUE(primary.has_value());
+    EXPECT_EQ(primary->detector, CorruptionDetector::kTransferChecksum);
+    EXPECT_EQ(primary->chip, 2);
+    EXPECT_EQ(primary->instruction, 0);
+    EXPECT_EQ(primary->program_index, 1);  // parameter, then all-reduce
+    EXPECT_EQ(result.status().message(),
+              "silent data corruption detected: " + primary->ToString());
 }
 
 TEST(EvaluatorSdcTest, CleanRunWithDetectorsOnIsBitIdenticalAndSilent)
 {
     EvalRun checked;
-    AdvanceWithSdc(nullptr, /*concurrent=*/false, &checked);
+    AdvanceWithSdc(nullptr, &checked);
     ASSERT_TRUE(checked.status.ok()) << checked.status.ToString();
     EXPECT_FALSE(checked.sink.detected());  // zero false positives
     EXPECT_TRUE(checked.sink.reports().empty());

@@ -1,12 +1,12 @@
 /**
  * @file
  * Golden-trace schema tests (DESIGN.md §13): a tiny fixed model goes
- * through the full pipeline with metrics + tracing on, and the unified
- * trace must keep its shape — the compiler lane lists the pipeline
- * passes in order, simulator events pair every async Start with its
- * Done-wait inside the in-flight window, evaluator channel spans
- * nest inside their device-program span, and the set of simulator
- * event names matches the golden list committed under tests/golden/.
+ * through the full pipeline with tracing on, and the unified trace must
+ * keep its shape — the compiler lane lists the pipeline passes in
+ * order, simulator events pair every async Start with its Done-wait
+ * inside the in-flight window, the export names exactly the compiler
+ * and simulator processes, and the set of simulator event names
+ * matches the golden list committed under tests/golden/.
  *
  * The golden check pins *names and kinds*, never timestamps; regenerate
  * with OVERLAP_REGEN_GOLDEN=1 after an intentional schema change.
@@ -15,42 +15,29 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/overlap_compiler.h"
-#include "interp/evaluator.h"
 #include "sim/engine.h"
 #include "sim/trace_export.h"
 #include "spmd/spmd_builder.h"
-#include "support/metrics.h"
-#include "support/tracing.h"
-#include "test_util.h"
 
 namespace overlap {
 namespace {
-
-using testing_util::ShardTensor;
 
 const char* const kGoldenPath =
     OVERLAP_TESTDATA_DIR "/trace_events.golden";
 
 /** The fixed two-layer MLP every golden assertion runs against. */
-struct TraceFixture {
-    std::unique_ptr<HloModule> module;
-    std::vector<std::vector<Tensor>> params;
-};
-
-TraceFixture
+std::unique_ptr<HloModule>
 BuildFixture(const Mesh& mesh)
 {
-    TraceFixture f;
-    f.module = std::make_unique<HloModule>("mlp");
-    f.module->set_mesh(mesh);
-    HloComputation* comp = f.module->AddEntryComputation("main");
+    auto module = std::make_unique<HloModule>("mlp");
+    module->set_mesh(mesh);
+    HloComputation* comp = module->AddEntryComputation("main");
     SpmdBuilder spmd(comp, mesh);
 
     const int64_t kB = 8, kF = 8, kH = 16;
@@ -64,14 +51,7 @@ BuildFixture(const Mesh& mesh)
                          TensorSharding::OnDims(2, 0, 1, 1, 0));
     auto y = spmd.Einsum(*h, *w2, "bh,hf->bf", act_sh);
     comp->set_root(y->local);
-
-    Tensor gx = Tensor::Random(Shape({kB, kF}), 21);
-    Tensor gw1 = Tensor::Random(Shape({kF, kH}), 22);
-    Tensor gw2 = Tensor::Random(Shape({kH, kF}), 23);
-    f.params = {ShardTensor(gx, act_sh, mesh),
-                ShardTensor(gw1, w1_sh, mesh),
-                ShardTensor(gw2, w2_sh, mesh)};
-    return f;
+    return module;
 }
 
 const char*
@@ -89,7 +69,7 @@ KindName(TraceKind kind)
 /** Compiles the fixture (every site decomposed) and simulates it with
  * tracing; also returns the compile report for the pass lane. */
 struct TracedRun {
-    TraceFixture fixture;
+    std::unique_ptr<HloModule> module;
     CompileReport compile;
     SimResult sim;
 };
@@ -98,16 +78,16 @@ TracedRun
 RunTraced()
 {
     TracedRun run;
-    run.fixture = BuildFixture(Mesh(2, 4));
+    run.module = BuildFixture(Mesh(2, 4));
     CompilerOptions options;
     options.decompose.use_cost_model = false;  // deterministic rewrites
     OverlapCompiler compiler(options);
-    auto compile = compiler.Compile(run.fixture.module.get());
+    auto compile = compiler.Compile(run.module.get());
     EXPECT_TRUE(compile.ok()) << compile.status().ToString();
     run.compile = std::move(compile).value();
 
-    PodSimulator simulator(*run.fixture.module->mesh(), options.hardware);
-    auto sim = simulator.Run(*run.fixture.module, /*collect_trace=*/true);
+    PodSimulator simulator(*run.module->mesh(), options.hardware);
+    auto sim = simulator.Run(*run.module, /*collect_trace=*/true);
     EXPECT_TRUE(sim.ok()) << sim.status().ToString();
     run.sim = std::move(sim).value();
     return run;
@@ -241,86 +221,19 @@ TEST(TraceGoldenTest, SimulatorEventNamesMatchGoldenList)
     }
 }
 
-TEST(TraceGoldenTest, ChannelSpansNestInsideDevicePrograms)
+TEST(TraceGoldenTest, UnifiedExportNamesCompilerAndSimulatorProcesses)
 {
     TracedRun run = RunTraced();
-    const Mesh& mesh = *run.fixture.module->mesh();
-
-    TraceRecorder::Global().Clear();
-    SetTracingEnabled(true);
-    SetMetricsEnabled(true);
-    MetricsRegistry::Global().ResetAll();
-    EvalOptions concurrent;
-    concurrent.concurrent_devices = true;
-    SpmdEvaluator eval(mesh, concurrent);
-    auto result =
-        eval.Evaluate(*run.fixture.module->entry(), run.fixture.params);
-    SetTracingEnabled(false);
-    SetMetricsEnabled(false);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::vector<TraceSpan> spans = TraceRecorder::Global().Drain();
-
-    // One program span per device, bounding that device's channel
-    // spans.
-    std::map<int64_t, TraceSpan> programs;
-    for (const TraceSpan& span : spans) {
-        if (span.category == "device_program") {
-            EXPECT_EQ(programs.count(span.lane), 0u);
-            programs[span.lane] = span;
-        }
-    }
-    EXPECT_EQ(static_cast<int64_t>(programs.size()), mesh.num_devices());
-
-    // Every exchange instruction appears once per device, with at least
-    // one leader (a group's first member computes), the other group
-    // members waiting, and any device outside every channel recorded as
-    // a pure send.
-    std::map<std::string, int64_t> per_name;
-    std::map<std::string, int64_t> leaders;
-    std::map<std::string, std::set<int64_t>> lanes;
-    for (const TraceSpan& span : spans) {
-        const bool leader = span.category == "channel_leader";
-        if (!leader && span.category != "channel_wait" &&
-            span.category != "channel_send") {
-            continue;
-        }
-        ++per_name[span.name];
-        if (leader) ++leaders[span.name];
-        EXPECT_TRUE(lanes[span.name].insert(span.lane).second)
-            << span.name << " recorded twice on device " << span.lane;
-        ASSERT_EQ(programs.count(span.lane), 1u);
-        const TraceSpan& program = programs[span.lane];
-        EXPECT_GE(span.start_seconds, program.start_seconds)
-            << span.name;
-        EXPECT_LE(span.end_seconds, program.end_seconds) << span.name;
-    }
-    ASSERT_FALSE(per_name.empty());
-    for (const auto& [name, count] : per_name) {
-        EXPECT_EQ(count, mesh.num_devices()) << name;
-        // Group collectives elect a leader per replica group; permutes
-        // are pure point-to-point sends with no leader at all.
-        if (name.find("permute") == std::string::npos) {
-            EXPECT_GE(leaders[name], 1) << name;
-        } else {
-            EXPECT_EQ(leaders[name], 0) << name;
-        }
-    }
-
-    // The channel metrics moved in lock-step with the spans.
-    std::string metrics = MetricsRegistry::Global().SnapshotJson();
-    EXPECT_NE(metrics.find("evaluator.channel_total"),
-              std::string::npos)
-        << metrics;
-
-    // And the unified export names all three processes.
     UnifiedTrace unified;
     unified.passes = run.compile.pass_timings;
     unified.sim = &run.sim;
-    unified.evaluator_spans = std::move(spans);
     std::string json = UnifiedTraceToChromeJson(unified);
     EXPECT_NE(json.find("\"compiler\""), std::string::npos);
     EXPECT_NE(json.find("\"simulator:"), std::string::npos);
-    EXPECT_NE(json.find("\"spmd_evaluator\""), std::string::npos);
+    // Exactly the two processes: compiler (pid 0) and simulator (pid 1).
+    EXPECT_NE(json.find("\"pid\":0"), std::string::npos);
+    EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
+    EXPECT_EQ(json.find("\"pid\":2"), std::string::npos);
 }
 
 }  // namespace
