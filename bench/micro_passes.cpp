@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the compiler passes themselves:
  * decomposition, async conversion, fusion, the two schedulers, and the
- * guarded pipeline's verify and snapshot clone. These
+ * guarded pipeline's verify, input clone and rollback replay. These
  * measure *compile time* of the technique (the paper's optimization runs
  * automatically during compilation), not simulated device time.
  */
@@ -16,6 +16,7 @@
 #include "passes/decompose.h"
 #include "passes/fusion.h"
 #include "passes/schedule.h"
+#include "support/logging.h"
 
 namespace overlap {
 namespace {
@@ -83,8 +84,10 @@ CompiledLayerStep(benchmark::State& state)
     return module;
 }
 
-// The guarded pipeline's per-pass costs: one verify after every pass and
-// one snapshot clone before it.
+// The guarded pipeline's costs: one verify after every pass, and one
+// clone of the (pre-decompose, much smaller) input per compile plus one
+// more per rollback. BM_CloneEntry clones the compiled layer, the
+// largest entry any caller clones.
 void
 BM_VerifyModule(benchmark::State& state)
 {
@@ -108,6 +111,42 @@ BM_CloneEntry(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CloneEntry)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The failure path: a pass that emits invalid HLO just before fusion, so
+// the guard restores the input and replays decompose, async creation and
+// the rewrites before it can fuse and schedule. Compare with
+// BM_FullPipelineOnLayerStep for the price of one rollback.
+void
+BM_CompileWithRollback(benchmark::State& state)
+{
+    const ModelConfig* config = FindModel(
+        state.range(0) == 0 ? "GPT_32B" : "GPT_1T");
+    CompilerOptions options;
+    options.extra_passes.push_back(
+        {"corrupt-shapes", [](HloModule* module) -> Status {
+             HloComputation* comp = module->entry();
+             comp->set_root(comp->AddInstruction(
+                 HloOpcode::kNegate, Shape({3, 3}), {comp->root()}));
+             return Status::Ok();
+         }});
+    OverlapCompiler compiler(options);
+    // One rollback warning per iteration would flood the output.
+    const LogLevel level = GetLogLevel();
+    SetLogLevel(LogLevel::kError);
+    for (auto _ : state) {
+        auto module = BuildLayerStepModule(*config);
+        auto report = compiler.Compile(module->get());
+        if (!report.ok() || report->pass_diagnostics.size() != 1) {
+            state.SkipWithError("the corrupting pass was not rolled back");
+            break;
+        }
+        benchmark::DoNotOptimize(report);
+    }
+    SetLogLevel(level);
+    state.SetLabel(config->name);
+}
+BENCHMARK(BM_CompileWithRollback)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_BottomUpScheduler(benchmark::State& state)

@@ -36,6 +36,10 @@ OverlapCompiler::Compile(HloModule* module) const
             "compile needs a per-device module with a mesh");
     }
     OVERLAP_RETURN_IF_ERROR(VerifyModule(*module));
+    // The verified input, kept only to replay the pipeline from after a
+    // pass fails (see InjectedPass for the determinism this relies on).
+    std::unique_ptr<HloComputation> input;
+    if (options_.guard_passes) input = module->entry()->Clone();
     CostModel cost(options_.hardware);
     FaultModel fault(options_.fault);
     CompileReport report;
@@ -105,13 +109,16 @@ OverlapCompiler::Compile(HloModule* module) const
         MetricsRegistry::Global().counter("compiler.passes_run");
     Histogram* pass_seconds =
         MetricsRegistry::Global().histogram("compiler.pass_seconds");
-    for (const PipelinePass& pass : pipeline) {
-        std::unique_ptr<HloComputation> snapshot;
-        CompileReport report_snapshot;
-        if (options_.guard_passes) {
-            snapshot = module->entry()->Clone();
-            report_snapshot = report;
-        }
+    // Unlike the report, these survive a rollback: every pass execution
+    // (replays included) and every diagnostic, in order.
+    std::vector<PassTiming> timings;
+    std::vector<PassDiagnostic> diagnostics;
+    std::vector<bool> disabled(pipeline.size(), false);
+    size_t next = 0;
+    while (next < pipeline.size()) {
+        const size_t i = next++;
+        if (disabled[i]) continue;
+        const PipelinePass& pass = pipeline[i];
         PassTiming timing;
         timing.pass_name = pass.name;
         timing.start_seconds = NowSeconds() - compile_start;
@@ -119,21 +126,16 @@ OverlapCompiler::Compile(HloModule* module) const
         Status status = pass.run();
         timing.end_seconds = NowSeconds() - compile_start;
         timing.instructions_after = module->entry()->instruction_count();
-        report.pass_timings.push_back(timing);
+        timings.push_back(std::move(timing));
         passes_run->Add();
-        if (MetricsEnabled()) pass_seconds->Record(timing.seconds());
+        if (MetricsEnabled()) pass_seconds->Record(timings.back().seconds());
         if (status.ok()) status = VerifyModule(*module);
         if (status.ok()) continue;
         if (!options_.guard_passes) return status;
-        // The pass errored or emitted invalid HLO: restore the pre-pass
-        // snapshot (module and report), disable the pass for this
-        // module, and surface a structured diagnostic instead of a
-        // broken module.
-        module->ReplaceEntry(std::move(snapshot));
-        report = std::move(report_snapshot);
-        // The report rolled back to its pre-pass state; keep the failed
-        // pass's timing so the trace still shows where time went.
-        report.pass_timings.push_back(std::move(timing));
+        // The pass errored or emitted invalid HLO: restore the verified
+        // input, disable the pass for this module and replay the
+        // pipeline from the top without it, surfacing a structured
+        // diagnostic instead of a broken module.
         PassDiagnostic diagnostic;
         diagnostic.pass_name = pass.name;
         diagnostic.code = status.code();
@@ -141,11 +143,16 @@ OverlapCompiler::Compile(HloModule* module) const
         diagnostic.rolled_back = true;
         OVERLAP_LOG(kWarning)
             << "guarded pipeline: " << diagnostic.ToString();
-        report.pass_diagnostics.push_back(std::move(diagnostic));
+        diagnostics.push_back(std::move(diagnostic));
+        disabled[i] = true;
+        module->ReplaceEntry(input->Clone());
+        report = CompileReport();
+        next = 0;
     }
+    report.pass_timings = std::move(timings);
+    report.pass_diagnostics = std::move(diagnostics);
     // The module needs no closing verify: the input was verified on
-    // entry, and each pass's output was either verified or rolled back
-    // to a verified snapshot.
+    // entry, and the last run of every enabled pass was verified.
     return report;
 }
 

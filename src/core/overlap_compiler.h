@@ -20,6 +20,14 @@ namespace overlap {
  * fusion. Used by tests (fault/rollback injection) and as an extension
  * point; injected passes run under the same post-pass verification and
  * rollback guard as the built-in ones.
+ *
+ * Contract: like every pipeline pass, `run` must be a deterministic
+ * function of the module it is given (and of the CompilerOptions it was
+ * built from). The guard rolls a failed pass back by replaying the
+ * pipeline from the compile's input, so a pass ahead of a failing one
+ * runs again and must produce the same module and report fields the
+ * second time. It may keep side effects outside the module (counters,
+ * logs), which then see one call per execution.
  */
 struct InjectedPass {
     std::string name;
@@ -66,10 +74,11 @@ struct CompilerOptions {
 
     /**
      * Guarded pipeline: verify the module after every pass and, on
-     * failure, roll back to the pre-pass snapshot, skip the offending
-     * pass and record a structured diagnostic instead of propagating a
-     * broken module. When false a failing pass aborts compilation with
-     * its Status (the pre-guard behavior).
+     * failure, record a structured diagnostic, restore the compile's
+     * verified input (cloned once, on entry) and replay the pipeline
+     * without the offending pass instead of propagating a broken
+     * module. When false a failing pass aborts compilation with its
+     * Status (the pre-guard behavior) and nothing is cloned.
      */
     bool guard_passes = true;
 
@@ -89,7 +98,7 @@ struct CompilerOptions {
 /**
  * One guarded-pipeline incident: the named pass either returned an
  * error or produced a module the verifier rejected, and the module was
- * rolled back to its pre-pass state.
+ * rolled back by replaying the pipeline without it.
  */
 struct PassDiagnostic {
     std::string pass_name;
@@ -111,10 +120,11 @@ struct CompileReport {
     int64_t concat_rewrites = 0;
     /// Guarded-pipeline incidents (empty on a clean compile).
     std::vector<PassDiagnostic> pass_diagnostics;
-    /// Per-pass wall time and instruction delta, in pipeline order with
-    /// offsets relative to the start of Compile() — the compiler lane
-    /// of the unified Chrome trace (DESIGN.md §13). Always populated;
-    /// the cost is one clock read per pass.
+    /// Per-pass wall time and instruction delta, in execution order
+    /// with offsets relative to the start of Compile() — the compiler
+    /// lane of the unified Chrome trace (DESIGN.md §13). After a
+    /// rollback it lists the failed run and every replayed one too.
+    /// Always populated; the cost is one clock read per pass.
     std::vector<PassTiming> pass_timings;
 };
 

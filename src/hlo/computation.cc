@@ -1,6 +1,7 @@
 #include "hlo/computation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,29 +32,48 @@ std::unique_ptr<HloComputation>
 HloComputation::Clone() const
 {
     auto clone = std::make_unique<HloComputation>(name_);
-    std::unordered_map<const HloInstruction*, HloInstruction*> map;
+    // Old -> new by instruction id: every id is below next_id_, because
+    // builders, the parser and Clone itself all allocate through it.
+    std::vector<HloInstruction*> map(static_cast<size_t>(next_id_), nullptr);
+    auto mapped = [&map](const HloInstruction* instr) {
+        return map[static_cast<size_t>(instr->id())];
+    };
+    clone->instructions_.reserve(instructions_.size());
     for (const auto& instr : instructions_) {
+        OVERLAP_CHECK(instr->id() < next_id_);
         std::vector<HloInstruction*> operands;
         operands.reserve(instr->operands().size());
         for (const HloInstruction* operand : instr->operands()) {
-            operands.push_back(map.at(operand));
+            operands.push_back(mapped(operand));
+            OVERLAP_CHECK(operands.back() != nullptr);  // topological
         }
-        HloInstruction* copy = clone->AddInstruction(
-            instr->opcode(), instr->shape(), std::move(operands),
-            instr->attrs());
-        copy->id_ = instr->id();
-        copy->set_name(instr->name());
-        copy->set_fusion_group(instr->fusion_group());
-        copy->set_loop_group(instr->loop_group());
-        if (instr->sharding().has_value()) {
-            copy->set_sharding(*instr->sharding());
-        }
-        map[instr.get()] = copy;
+        auto copy = std::make_unique<HloInstruction>(
+            instr->id(), instr->opcode(), instr->shape(),
+            std::move(operands), instr->attrs(), instr->name());
+        copy->fusion_group_ = instr->fusion_group_;
+        copy->loop_group_ = instr->loop_group_;
+        copy->sharding_ = instr->sharding_;
+        copy->parsed_einsum_ = std::atomic_load_explicit(
+            &instr->parsed_einsum_, std::memory_order_acquire);
+        map[static_cast<size_t>(instr->id())] = copy.get();
+        clone->instructions_.push_back(std::move(copy));
     }
-    clone->root_ = root_ != nullptr ? map.at(root_) : nullptr;
+    // Users are copied in the original's order (not rebuilt from the
+    // operand edges), so a pass that walks users sees the same sequence
+    // on the clone as on the original.
+    for (size_t i = 0; i < instructions_.size(); ++i) {
+        const std::vector<HloInstruction*>& users = instructions_[i]->users_;
+        std::vector<HloInstruction*>& copy_users =
+            clone->instructions_[i]->users_;
+        copy_users.reserve(users.size());
+        for (const HloInstruction* user : users) {
+            copy_users.push_back(mapped(user));
+        }
+    }
+    clone->root_ = root_ != nullptr ? mapped(root_) : nullptr;
     clone->schedule_.reserve(schedule_.size());
     for (const HloInstruction* instr : schedule_) {
-        clone->schedule_.push_back(map.at(instr));
+        clone->schedule_.push_back(mapped(instr));
     }
     clone->next_id_ = next_id_;
     clone->next_loop_group_ = next_loop_group_;

@@ -29,10 +29,12 @@ class HloComputation {
 
     /**
      * Deep copy: clones every instruction (preserving ids, names,
-     * fusion/loop groups and shardings), the root, an attached schedule
-     * and the group-id counters. Used by the guarded pass pipeline to
-     * snapshot a module before a pass and roll back if the pass emits
-     * an invalid graph.
+     * fusion/loop groups, shardings and the order of each user list),
+     * the root, an attached schedule and the id counters, so a pass
+     * run on the clone produces the same module as on the original.
+     * The instruction list must be in topological order (as
+     * VerifyModule requires). The guarded pass pipeline clones its
+     * verified input once per compile and once more per rollback.
      */
     std::unique_ptr<HloComputation> Clone() const;
 

@@ -10,10 +10,12 @@ namespace overlap {
 namespace {
 
 /**
- * Serializes the one-time einsum-spec parse. Concurrent device threads
- * evaluate the same instruction, so the lazy cache fill must be
- * thread-safe; a single process-wide mutex suffices because each
- * instruction parses at most once.
+ * Serializes the one-time einsum-spec parse. Parallelism is case-level
+ * (each difftest or SDC case builds and evaluates its own modules), so
+ * no instruction is read from two threads today; the fill stays
+ * thread-safe anyway because it happens behind a const accessor, and
+ * Clone shares the filled cache. A single process-wide mutex suffices
+ * because each instruction parses at most once.
  */
 std::mutex einsum_parse_mutex;
 
@@ -42,12 +44,21 @@ CheckOperandCount(HloOpcode opcode,
 HloInstruction::HloInstruction(int64_t id, HloOpcode opcode, Shape shape,
                                std::vector<HloInstruction*> operands,
                                InstrAttrs attrs)
+    : HloInstruction(id, opcode, std::move(shape), std::move(operands),
+                     std::move(attrs),
+                     StrCat(HloOpcodeName(opcode), ".", id))
+{
+}
+
+HloInstruction::HloInstruction(int64_t id, HloOpcode opcode, Shape shape,
+                               std::vector<HloInstruction*> operands,
+                               InstrAttrs attrs, std::string name)
     : id_(id),
       opcode_(opcode),
       shape_(std::move(shape)),
       operands_(std::move(operands)),
       attrs_(std::move(attrs)),
-      name_(StrCat(HloOpcodeName(opcode), ".", id))
+      name_(std::move(name))
 {
 }
 

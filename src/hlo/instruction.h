@@ -82,6 +82,11 @@ class HloInstruction {
     HloInstruction(int64_t id, HloOpcode opcode, Shape shape,
                    std::vector<HloInstruction*> operands, InstrAttrs attrs);
 
+    /** Same, with an explicit name instead of "opcode.id". */
+    HloInstruction(int64_t id, HloOpcode opcode, Shape shape,
+                   std::vector<HloInstruction*> operands, InstrAttrs attrs,
+                   std::string name);
+
     int64_t id() const { return id_; }
     HloOpcode opcode() const { return opcode_; }
     const Shape& shape() const { return shape_; }
@@ -159,7 +164,8 @@ class HloInstruction {
     int64_t fusion_group_ = -1;
     int64_t loop_group_ = -1;
     std::string name_;
-    // Cached parse of attrs_.einsum_spec; set lazily by einsum().
+    // Cached parse of attrs_.einsum_spec; set lazily by einsum() and
+    // shared (it is immutable once set) with clones.
     mutable std::shared_ptr<const EinsumSpec> parsed_einsum_;
 };
 

@@ -30,8 +30,9 @@ class HloModule {
 
     /**
      * Swaps in a replacement entry computation and returns it; used by
-     * the guarded pass pipeline to roll back to a pre-pass snapshot.
-     * Every HloInstruction* into the old entry is invalidated.
+     * the guarded pass pipeline to restore its verified input before it
+     * replays the pipeline without a failed pass. Every HloInstruction*
+     * into the old entry is invalidated.
      */
     HloComputation* ReplaceEntry(std::unique_ptr<HloComputation> entry);
 

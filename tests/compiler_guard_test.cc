@@ -1,19 +1,24 @@
 /**
  * @file
  * Guarded pass pipeline: a pass that emits invalid HLO or returns an
- * error Status is rolled back to the pre-pass snapshot, disabled, and
- * reported as a structured PassDiagnostic -- compilation proceeds and
- * the final module is exactly what the healthy pipeline produces.
+ * error Status is disabled and reported as a structured PassDiagnostic,
+ * and the pipeline is replayed without it from the verified input --
+ * compilation proceeds and the final module is exactly what the healthy
+ * pipeline produces.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/overlap_compiler.h"
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
 #include "models/fault_presets.h"
+#include "models/model_config.h"
+#include "models/step_builder.h"
 #include "sim/engine.h"
 #include "sim/fault_model.h"
 
@@ -167,7 +172,7 @@ TEST(CompilerGuardTest, ValidInjectedPassRunsThroughTheGuard)
 TEST(CompilerGuardTest, RollbackPreservesEarlierPassResults)
 {
     // The decompose stats gathered before the broken pass must survive
-    // its rollback (the report snapshot restores, then keeps, them).
+    // its rollback (the replay recomputes them).
     auto module = BuildModule();
     CompilerOptions options;
     options.decompose.use_cost_model = false;
@@ -177,6 +182,129 @@ TEST(CompilerGuardTest, RollbackPreservesEarlierPassResults)
     EXPECT_EQ(report->decompose.total_decomposed(), 1);
     EXPECT_GT(report->async_permutes, 0);
     ASSERT_EQ(report->pass_diagnostics.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Replay contract: a rollback restores the verified input and reruns the
+// pipeline without the failed pass, so the result must equal a clean
+// compile on a real layer, passes ahead of the failure run twice, and
+// the timings show every execution.
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<HloModule>
+Gpt32bLayer()
+{
+    return std::move(BuildLayerStepModule(*FindModel("GPT_32B"))).value();
+}
+
+void
+ExpectSameDecompose(const DecomposeStats& a, const DecomposeStats& b)
+{
+    EXPECT_EQ(a.allgather_sites, b.allgather_sites);
+    EXPECT_EQ(a.reduce_scatter_sites, b.reduce_scatter_sites);
+    EXPECT_EQ(a.all_to_all_sites, b.all_to_all_sites);
+    EXPECT_EQ(a.rejected_by_cost_model, b.rejected_by_cost_model);
+    EXPECT_EQ(a.skipped_unsupported, b.skipped_unsupported);
+    EXPECT_EQ(a.fault_fallbacks, b.fault_fallbacks);
+    EXPECT_EQ(a.fault_lowered, b.fault_lowered);
+    ASSERT_EQ(a.decisions.size(), b.decisions.size());
+    for (size_t i = 0; i < a.decisions.size(); ++i) {
+        const SiteDecision& x = a.decisions[i];
+        const SiteDecision& y = b.decisions[i];
+        EXPECT_EQ(x.collective, y.collective);
+        EXPECT_EQ(x.einsum, y.einsum);
+        EXPECT_EQ(x.decomposed, y.decomposed);
+        EXPECT_EQ(x.reason, y.reason);
+        EXPECT_EQ(x.benefit_derated, y.benefit_derated);
+        EXPECT_EQ(x.loop_group, y.loop_group);
+    }
+}
+
+/** A valid pass that only counts how often it ran. */
+InjectedPass
+CountingPass(int* runs)
+{
+    return {"count", [runs](HloModule*) -> Status {
+                ++*runs;
+                return Status::Ok();
+            }};
+}
+
+TEST(CompilerGuardTest, RollbackOnALayerMatchesACleanCompile)
+{
+    auto reference = Gpt32bLayer();
+    auto guarded = Gpt32bLayer();
+    auto clean = OverlapCompiler(CompilerOptions{}).Compile(reference.get());
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+    CompilerOptions broken;
+    broken.extra_passes.push_back(CorruptingPass());
+    auto report = OverlapCompiler(broken).Compile(guarded.get());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->pass_diagnostics.size(), 1u);
+    EXPECT_EQ(report->pass_diagnostics[0].pass_name, "corrupt-shapes");
+
+    EXPECT_EQ(guarded->ToString(), reference->ToString());
+    ExpectSameDecompose(report->decompose, clean->decompose);
+    EXPECT_GT(report->decompose.total_decomposed(), 0);
+    EXPECT_EQ(report->async_permutes, clean->async_permutes);
+    EXPECT_EQ(report->concat_rewrites, clean->concat_rewrites);
+    EXPECT_EQ(report->fusion_groups, clean->fusion_groups);
+}
+
+TEST(CompilerGuardTest, PassesAheadOfAFailureAreReplayed)
+{
+    int runs = 0;
+    auto module = BuildModule();
+    CompilerOptions options;
+    options.extra_passes.push_back(CountingPass(&runs));
+    options.extra_passes.push_back(CorruptingPass());
+    auto report = OverlapCompiler(options).Compile(module.get());
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report->pass_diagnostics.size(), 1u);
+    // Once before the failure, once in the replay without it.
+    EXPECT_EQ(runs, 2);
+
+    // A pass behind the failure is not replayed.
+    int after = 0;
+    auto again = BuildModule();
+    CompilerOptions behind;
+    behind.extra_passes.push_back(CorruptingPass());
+    behind.extra_passes.push_back(CountingPass(&after));
+    ASSERT_TRUE(OverlapCompiler(behind).Compile(again.get()).ok());
+    EXPECT_EQ(after, 1);
+}
+
+TEST(CompilerGuardTest, RollbackTimingsListEveryExecutionInOrder)
+{
+    int runs = 0;
+    auto module = BuildModule();
+    CompilerOptions options;
+    options.extra_passes.push_back(CountingPass(&runs));
+    options.extra_passes.push_back(CorruptingPass());
+    auto report = OverlapCompiler(options).Compile(module.get());
+    ASSERT_TRUE(report.ok());
+
+    const std::vector<std::string> expected = {
+        "decompose", "async-permute-creation", "concat-fusion-rewrites",
+        "count", "corrupt-shapes",
+        // The replay, without the disabled pass.
+        "decompose", "async-permute-creation", "concat-fusion-rewrites",
+        "count", "fusion", "schedule"};
+    ASSERT_EQ(report->pass_timings.size(), expected.size());
+    double previous_end = 0.0;
+    for (size_t i = 0; i < expected.size(); ++i) {
+        const PassTiming& timing = report->pass_timings[i];
+        EXPECT_EQ(timing.pass_name, expected[i]);
+        EXPECT_GE(timing.start_seconds, previous_end) << timing.pass_name;
+        EXPECT_GE(timing.seconds(), 0.0) << timing.pass_name;
+        previous_end = timing.end_seconds;
+    }
+    // The replay starts from the input again, not from the broken graph.
+    EXPECT_EQ(report->pass_timings[5].instructions_before,
+              report->pass_timings[0].instructions_before);
+    EXPECT_EQ(report->pass_timings[4].instructions_after,
+              report->pass_timings[4].instructions_before + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "core/overlap_compiler.h"
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
+#include "models/model_config.h"
+#include "models/step_builder.h"
+#include "passes/schedule.h"
 #include "support/strings.h"
 
 namespace overlap {
@@ -276,6 +283,102 @@ TEST(PrinterTest, DumpsReadableText)
     EXPECT_NE(text.find("activations"), std::string::npos);
     EXPECT_NE(text.find("spec=mk,kn->mn"), std::string::npos);
     EXPECT_NE(text.find("ROOT"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Clone: the guarded pipeline restores its input from a clone and replays
+// the passes on it, so a clone must be indistinguishable from the
+// original to every pass -- ids, names, groups, user order, schedule,
+// root and counters.
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<HloModule>
+Gpt32bLayer()
+{
+    return std::move(BuildLayerStepModule(*FindModel("GPT_32B"))).value();
+}
+
+std::unique_ptr<HloModule>
+CompiledGpt32bLayer()
+{
+    auto module = Gpt32bLayer();
+    auto report = OverlapCompiler(CompilerOptions()).Compile(module.get());
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return module;
+}
+
+std::vector<int64_t>
+Ids(const std::vector<HloInstruction*>& instrs)
+{
+    std::vector<int64_t> ids;
+    ids.reserve(instrs.size());
+    for (const HloInstruction* instr : instrs) ids.push_back(instr->id());
+    return ids;
+}
+
+TEST(CloneTest, CompiledLayerClonesExactly)
+{
+    auto module = CompiledGpt32bLayer();
+    const HloComputation& original = *module->entry();
+    ASSERT_TRUE(original.has_schedule());
+    std::unique_ptr<HloComputation> clone = original.Clone();
+
+    EXPECT_EQ(clone->ToString(), original.ToString());
+    const std::vector<HloInstruction*> before = original.instructions();
+    const std::vector<HloInstruction*> after = clone->instructions();
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < before.size(); ++i) {
+        ASSERT_NE(after[i], before[i]);
+        EXPECT_EQ(after[i]->id(), before[i]->id());
+        EXPECT_EQ(Ids(after[i]->operands()), Ids(before[i]->operands()))
+            << before[i]->name();
+        // User lists keep the original's order, not just its contents.
+        EXPECT_EQ(Ids(after[i]->users()), Ids(before[i]->users()))
+            << before[i]->name();
+    }
+    EXPECT_EQ(Ids(clone->schedule()), Ids(original.schedule()));
+    EXPECT_EQ(clone->root()->id(), original.root()->id());
+    EXPECT_TRUE(VerifyComputation(*clone).ok());
+}
+
+TEST(CloneTest, CloneContinuesTheOriginalsCounters)
+{
+    auto module = CompiledGpt32bLayer();
+    HloComputation* original = module->entry();
+    std::unique_ptr<HloComputation> clone = original->Clone();
+    EXPECT_EQ(clone->NextLoopGroupId(), original->NextLoopGroupId());
+    EXPECT_EQ(clone->NextFusionGroupId(), original->NextFusionGroupId());
+    EXPECT_EQ(clone->NextChannelId(), original->NextChannelId());
+    // Fresh instructions get the same id on both sides.
+    HloInstruction* root = original->root();
+    HloInstruction* clone_root = clone->root();
+    EXPECT_EQ(HloBuilder(clone.get()).Negate(clone_root)->id(),
+              HloBuilder(original).Negate(root)->id());
+}
+
+TEST(CloneTest, PassesOnACloneMatchTheOriginal)
+{
+    // The full pipeline on a clone of the input (what a guarded rollback
+    // replays) gives the module a compile of the input itself gives.
+    auto input = Gpt32bLayer();
+    auto replica = input->Clone();
+    ASSERT_TRUE(OverlapCompiler(CompilerOptions()).Compile(input.get()).ok());
+    ASSERT_TRUE(
+        OverlapCompiler(CompilerOptions()).Compile(replica.get()).ok());
+    EXPECT_EQ(replica->ToString(), input->ToString());
+
+    // And a user-walking pass on a clone of the compiled layer, whose
+    // user lists were reordered by the rewrites, matches it too.
+    std::unique_ptr<HloComputation> clone = input->entry()->Clone();
+    CostModel cost{HardwareSpec()};
+    ASSERT_TRUE(ScheduleComputation(input->entry(), cost,
+                                    SchedulerKind::kTopDown)
+                    .ok());
+    ASSERT_TRUE(
+        ScheduleComputation(clone.get(), cost, SchedulerKind::kTopDown)
+            .ok());
+    EXPECT_EQ(Ids(clone->schedule()), Ids(input->entry()->schedule()));
+    EXPECT_EQ(clone->ToString(), input->entry()->ToString());
 }
 
 }  // namespace
