@@ -33,16 +33,16 @@ struct SweepPoint {
 std::string
 PointJson(const SweepPoint& point)
 {
-    const RecoveryStats& r = point.report.recovery;
+    const RecoveryEvent& r = point.report.recoveries.front();
     return StrCat(
         "    {\"checkpoint_interval\": ", point.checkpoint_interval,
         ", \"fail_step\": ", point.fail_step,
-        ", \"recovered\": ", r.recovered ? "true" : "false",
+        ", \"recovered\": true",
         ", \"detection_s\": ", r.detection_seconds,
         ", \"restore_s\": ", r.restore_seconds,
         ", \"replan_s\": ", r.replan_seconds,
         ", \"replay_s\": ", r.replay_seconds,
-        ", \"recovery_latency_s\": ", r.RecoveryLatencySeconds(),
+        ", \"recovery_latency_s\": ", r.LatencySeconds(),
         ", \"replayed_steps\": ", r.replayed_steps,
         ", \"checkpoint_bytes\": ", r.checkpoint_bytes,
         ", \"total_s\": ", point.report.total_seconds,
@@ -119,8 +119,9 @@ main(int argc, char** argv)
             return point;
         }
         point.report = std::move(report).value();
-        if (!point.report.recovery.recovered) {
-            point.error = "did not recover";
+        if (point.report.recoveries.size() != 1) {
+            point.error = StrCat("expected one recovery, got ",
+                                 point.report.recoveries.size());
         }
         return point;
     };
@@ -144,14 +145,14 @@ main(int argc, char** argv)
             return 1;
         }
         if (!json_only) {
-            const RecoveryStats& r = point.report.recovery;
+            const RecoveryEvent& r = point.report.recoveries.front();
             std::printf("%-9lld %-6lld  %10s %10s %10s %10s   %6lld\n",
                         static_cast<long long>(point.checkpoint_interval),
                         static_cast<long long>(point.fail_step),
                         HumanTime(r.detection_seconds).c_str(),
                         HumanTime(r.restore_seconds).c_str(),
                         HumanTime(r.replay_seconds).c_str(),
-                        HumanTime(r.RecoveryLatencySeconds()).c_str(),
+                        HumanTime(r.LatencySeconds()).c_str(),
                         static_cast<long long>(r.replayed_steps));
         }
     }

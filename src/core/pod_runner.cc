@@ -1,9 +1,7 @@
 #include "core/pod_runner.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "core/recovery/checkpoint.h"
 #include "models/step_builder.h"
 #include "sim/trace_export.h"
 #include "support/strings.h"
@@ -112,20 +110,6 @@ AnalyzeModelOverlap(const ModelConfig& config,
 }
 
 std::string
-RecoveryStats::ToString() const
-{
-    if (!failed) return "no failure";
-    return StrCat(recovered ? "recovered" : "unrecovered",
-                  ": detection=", HumanTime(detection_seconds),
-                  " restore=", HumanTime(restore_seconds),
-                  " replan=", HumanTime(replan_seconds),
-                  " replay=", HumanTime(replay_seconds), " (",
-                  replayed_steps, " steps from checkpoint ",
-                  checkpoint_step, ") total=",
-                  HumanTime(RecoveryLatencySeconds()));
-}
-
-std::string
 SdcStats::ToString() const
 {
     if (detected == 0 && escaped == 0) return "no corruption";
@@ -147,7 +131,7 @@ StepTrialReport::ToString() const
                " p99=", HumanTime(p99_step_seconds),
                " retries=", trials.total_retries, " over ",
                trials.num_trials, " trials");
-    if (recovery.failed) {
+    for (const RecoveryEvent& recovery : recoveries) {
         out += StrCat("; recovery: ", recovery.ToString());
     }
     return out;
@@ -189,7 +173,7 @@ ElasticRunReport::AsStepTrialReport() const
     report.trials = steps;
     report.p50_step_seconds = steps.p50_step_seconds;
     report.p99_step_seconds = steps.p99_step_seconds;
-    report.recovery = recovery;
+    report.recoveries = recoveries;
     return report;
 }
 
@@ -200,8 +184,11 @@ ElasticRunReport::ToString() const
         StrCat("elastic run: ", num_steps, " steps on ",
                final_mesh.ToString(), " total=",
                HumanTime(total_seconds),
-               " p50_step=", HumanTime(steps.p50_step_seconds), "; ",
-               recovery.ToString());
+               " p50_step=", HumanTime(steps.p50_step_seconds));
+    if (recoveries.empty()) out += "; no failure";
+    for (const RecoveryEvent& recovery : recoveries) {
+        out += StrCat("; ", recovery.ToString());
+    }
     if (sdc.detected > 0 || sdc.escaped > 0) {
         out += StrCat("; ", sdc.ToString());
     }
@@ -214,245 +201,112 @@ RunElasticTraining(const Mesh& mesh, const ElasticRunOptions& options)
     if (options.num_steps < 1) {
         return InvalidArgument("elastic run needs at least one step");
     }
-    if (options.checkpoint_interval < 1) {
-        return InvalidArgument("checkpoint interval must be >= 1");
-    }
-    if (options.restore_bandwidth_bytes_per_second <= 0.0) {
-        return InvalidArgument("restore bandwidth must be positive");
-    }
+    auto session = ElasticSession::Create(
+        mesh, {.training = options.program,
+               .inference = std::nullopt,
+               .compiler = options.compiler,
+               .checkpoint_interval = options.checkpoint_interval,
+               .restore_bandwidth_bytes_per_second =
+                   options.restore_bandwidth_bytes_per_second,
+               .replan_latency_seconds = options.replan_latency_seconds,
+               .sdc_strike_limit = options.sdc_strike_limit});
+    if (!session.ok()) return session.status();
 
     ElasticRunReport report;
     report.num_steps = options.num_steps;
-    report.checkpoint_interval = options.checkpoint_interval;
-
-    auto program = BuildElasticProgram(options.program, mesh,
-                                       options.compiler,
-                                       InitialElasticState(options.program));
-    if (!program.ok()) return program.status();
-    report.initial_compile = program->compile;
-
-    CheckpointStore store(options.checkpoint_interval);
-    {
-        auto state = LogicalElasticState(*program);
-        if (!state.ok()) return state.status();
-        store.Save(0, state.value());
-    }
-
-    Mesh current_mesh = mesh;
-    FaultSpec current_fault = options.compiler.fault;
-    PodSimulator simulator(current_mesh, options.compiler.hardware,
-                           FaultModel(current_fault));
+    report.initial_compile = session->training().compile;
 
     std::vector<double> committed_step_times;
     int64_t step = 0;
-    // Steps below this index were already committed before the failure;
+    // Steps below this index were already committed before a failure;
     // re-running them on the survivor mesh is replay, not progress.
     int64_t replay_until = 0;
     // Same marker for steps re-run after an SDC rollback.
     int64_t sdc_replay_until = 0;
-    // Detections localized per chip (current-mesh ids); hitting the
-    // strike limit quarantines the chip via a survivor-mesh replan.
-    std::unordered_map<int64_t, int64_t> sdc_strikes;
     while (step < options.num_steps) {
-        auto outcome = simulator.RunStep(*program->module, step);
+        auto outcome =
+            session->simulator().RunStep(*session->training().module, step);
         if (!outcome.ok()) return outcome.status();
         if (outcome->failed) {
-            const FailureReport& failure = outcome->failure;
-            if (report.recovery.failed) {
-                return FailedPrecondition(StrCat(
-                    "second permanent failure on the survivor mesh: ",
-                    failure.ToString()));
-            }
-            report.recovery.failed = true;
-            report.recovery.failure_summary = failure.ToString();
-            report.recovery.failed_step = step;
-            report.recovery.detection_seconds =
-                failure.detected_at_seconds;
-            report.total_seconds += failure.detected_at_seconds;
-
-            auto plan = RecoveryPlanner::PlanSurvivorMesh(
-                current_mesh, current_fault, failure);
-            if (!plan.ok()) return plan.status();
-            report.recovery.survivor_plan = plan->ToString();
-
-            auto restored = store.Restore();
-            if (!restored.ok()) return restored.status();
-            report.recovery.checkpoint_step = store.latest_step();
-            report.recovery.checkpoint_bytes = store.stored_bytes();
-            report.recovery.restore_seconds =
-                static_cast<double>(store.stored_bytes()) /
-                options.restore_bandwidth_bytes_per_second;
-            report.total_seconds += report.recovery.restore_seconds;
-
-            CompilerOptions survivor_options = options.compiler;
-            survivor_options.fault = plan->fault;
-            auto survivor = BuildElasticProgram(
-                options.program, plan->mesh, survivor_options,
-                restored.value());
-            if (!survivor.ok()) return survivor.status();
-            report.survivor_compile = survivor->compile;
-            report.recovery.replan_seconds =
-                options.replan_latency_seconds;
-            report.total_seconds += options.replan_latency_seconds;
-
-            program = std::move(survivor);
-            current_mesh = plan->mesh;
-            current_fault = plan->fault;
-            simulator = PodSimulator(current_mesh,
-                                     options.compiler.hardware,
-                                     FaultModel(current_fault));
-            report.recovery.replayed_steps = step - store.latest_step();
-            replay_until = step;
-            step = store.latest_step();
-            report.recovery.recovered = true;
+            auto recovery = session->Recover(outcome->failure, step);
+            if (!recovery.ok()) return recovery.status();
+            report.total_seconds += recovery->detection_seconds;
+            report.total_seconds += recovery->restore_seconds;
+            report.total_seconds += recovery->replan_seconds;
+            replay_until = std::max(replay_until, step);
+            recovery->replayed_steps =
+                replay_until - recovery->checkpoint_step;
+            step = recovery->checkpoint_step;
+            report.recoveries.push_back(std::move(recovery).value());
             continue;
         }
 
-        // ---- Data-model advance, with SDC containment (§16) ---------
-        //
-        // The evaluator injects the live corruptions into real tensor
-        // data and runs the detectors in line. A detection aborts the
-        // advance (state stays clean), rolls back to the newest
-        // checkpoint at or before the injection step, consumes the
-        // detected injection from the fault spec, and replays; the
-        // culprit chip collects a strike and is quarantined — evicted
-        // like a dead chip, §5.5 gate re-run on the survivor mesh — at
-        // the strike limit. Corrupted state is never committed.
-        const bool sdc_active =
-            !current_fault.silent_corruptions.empty() ||
-            current_fault.sdc.active();
-        if (sdc_active) {
-            SdcEvalConfig eval_sdc;
-            eval_sdc.corruptions = current_fault.silent_corruptions;
-            eval_sdc.detectors = current_fault.sdc;
-            eval_sdc.step = step;
-            SdcEvalSink sink;
-            EvalOptions eval_options;
-            eval_options.sdc = &eval_sdc;
-            eval_options.sdc_sink = &sink;
-            Status advanced =
-                AdvanceElasticState(&program.value(), eval_options);
-            if (!advanced.ok() && sink.detected()) {
-                const CorruptionReport primary = *sink.Primary();
-                ++report.sdc.detected;
-                ++report.sdc.rollbacks;
-                report.sdc.last_report = primary.ToString();
-                ++sdc_strikes[primary.chip];
-                // Charge the aborted step up to the (modeled) moment the
-                // detector fired.
-                if (outcome->corrupted) {
-                    report.sdc.detection_latency_seconds +=
-                        outcome->corruption_detected_at_seconds;
-                    report.total_seconds +=
-                        outcome->corruption_detected_at_seconds;
-                } else {
-                    report.total_seconds += outcome->result.step_seconds;
-                }
-
-                // Consume the detected injection so the replay is clean.
-                auto& injections = current_fault.silent_corruptions;
-                injections.erase(
-                    std::remove_if(
-                        injections.begin(), injections.end(),
-                        [&primary](const SilentCorruption& c) {
-                            return c.step == primary.injected_step &&
-                                   c.chip == primary.chip;
-                        }),
-                    injections.end());
-
-                const int64_t clean_step =
-                    store.StepAtOrBefore(primary.injected_step);
-                if (clean_step < 0) {
-                    return FailedPrecondition(StrCat(
-                        "no clean checkpoint at or before corrupted "
-                        "step ",
-                        primary.injected_step, ": ", primary.ToString()));
-                }
-                auto restored =
-                    store.RestoreAtOrBefore(primary.injected_step);
-                if (!restored.ok()) return restored.status();
-                const double restore_time =
-                    static_cast<double>(store.stored_bytes()) /
-                    options.restore_bandwidth_bytes_per_second;
-                report.sdc.rollback_seconds += restore_time;
-                report.total_seconds += restore_time;
-
-                Mesh next_mesh = current_mesh;
-                FaultSpec next_fault = current_fault;
-                const bool quarantine =
-                    sdc_strikes[primary.chip] >= options.sdc_strike_limit;
-                if (quarantine) {
-                    FailureReport quarantine_report;
-                    quarantine_report.cause =
-                        FailureCause::kSilentCorruption;
-                    quarantine_report.dead_chip = primary.chip;
-                    quarantine_report.failed_step = step;
-                    quarantine_report.last_completed_step = step - 1;
-                    auto plan = RecoveryPlanner::PlanSurvivorMesh(
-                        current_mesh, current_fault, quarantine_report);
-                    if (!plan.ok()) return plan.status();
-                    report.sdc.quarantined = true;
-                    report.sdc.quarantined_chip = primary.chip;
-                    report.recovery.survivor_plan = plan->ToString();
-                    next_mesh = plan->mesh;
-                    next_fault = plan->fault;
-                    // Strike ledger is keyed by device id; ids remap on
-                    // the survivor mesh.
-                    sdc_strikes.clear();
-                    report.sdc.rollback_seconds +=
-                        options.replan_latency_seconds;
-                    report.total_seconds += options.replan_latency_seconds;
-                }
-
-                CompilerOptions rebuild_options = options.compiler;
-                rebuild_options.fault = next_fault;
-                auto rebuilt = BuildElasticProgram(
-                    options.program, next_mesh, rebuild_options,
-                    restored.value());
-                if (!rebuilt.ok()) return rebuilt.status();
-                if (quarantine) {
-                    report.survivor_compile = rebuilt->compile;
-                }
-                program = std::move(rebuilt);
-                current_mesh = next_mesh;
-                current_fault = next_fault;
-                simulator = PodSimulator(current_mesh,
-                                         options.compiler.hardware,
-                                         FaultModel(current_fault));
-                report.sdc.replayed_steps += step - clean_step;
-                sdc_replay_until = std::max(sdc_replay_until, step);
-                step = clean_step;
-                continue;
+        // Data-model advance with SDC containment (§16): a detection
+        // aborts the advance (state stays clean), consumes the injection
+        // and rolls back to the newest checkpoint at or before the
+        // injection step to replay; at the strike limit the culprit chip
+        // is quarantined instead, like a dead chip. Corrupted state is
+        // never committed.
+        auto detected = session->AdvanceTraining(step);
+        if (!detected.ok()) return detected.status();
+        if (detected->has_value()) {
+            const CorruptionReport primary = **detected;
+            ++report.sdc.detected;
+            ++report.sdc.rollbacks;
+            report.sdc.last_report = primary.ToString();
+            // Charge the aborted step up to the (modeled) moment the
+            // detector fired.
+            if (outcome->corrupted) {
+                report.sdc.detection_latency_seconds +=
+                    outcome->corruption_detected_at_seconds;
+                report.total_seconds +=
+                    outcome->corruption_detected_at_seconds;
+            } else {
+                report.total_seconds += outcome->result.step_seconds;
             }
-            if (!advanced.ok()) return advanced;
-            // Fresh injections nothing caught this step: the poisoned
-            // state has just been committed into the X shards.
-            for (const SilentCorruption& c :
-                 current_fault.silent_corruptions) {
-                if (c.step == step) ++report.sdc.escaped;
+
+            session->ConsumeInjection(primary);
+            const auto quarantine = session->Strike(primary.chip, step);
+            auto rollback =
+                quarantine
+                    ? session->Recover(*quarantine, primary.injected_step)
+                    : session->Rollback(primary.injected_step);
+            if (!rollback.ok()) return rollback.status();
+            report.sdc.rollback_seconds += rollback->restore_seconds;
+            report.total_seconds += rollback->restore_seconds;
+            if (quarantine) {
+                report.sdc.quarantined = true;
+                report.sdc.quarantined_chip = primary.chip;
+                report.sdc.rollback_seconds += rollback->replan_seconds;
+                report.total_seconds += rollback->replan_seconds;
             }
-        } else {
-            auto status = AdvanceElasticState(&program.value());
-            if (!status.ok()) return status;
+            report.sdc.replayed_steps += step - rollback->checkpoint_step;
+            sdc_replay_until = std::max(sdc_replay_until, step);
+            step = rollback->checkpoint_step;
+            continue;
         }
+        // Fresh injections nothing caught this step: the poisoned state
+        // has just been committed into the X shards.
+        for (const SilentCorruption& c : session->fault().silent_corruptions) {
+            if (c.step == step) ++report.sdc.escaped;
+        }
+
         double step_time = outcome->result.step_seconds;
         report.total_seconds += step_time;
         if (step < sdc_replay_until) {
             report.sdc.rollback_seconds += step_time;
         } else if (step < replay_until) {
-            report.recovery.replay_seconds += step_time;
+            report.recoveries.back().replay_seconds += step_time;
         } else {
             committed_step_times.push_back(step_time);
         }
         ++step;
-        auto state = LogicalElasticState(*program);
-        if (!state.ok()) return state.status();
-        store.MaybeSave(step, state.value());
+        OVERLAP_RETURN_IF_ERROR(session->Commit(step));
     }
 
-    report.final_mesh = current_mesh;
+    report.final_mesh = session->mesh();
     report.steps = TrialStats::FromSamples(std::move(committed_step_times));
-    auto final_state = LogicalElasticState(*program);
+    auto final_state = LogicalElasticState(session->training());
     if (!final_state.ok()) return final_state.status();
     report.final_state = std::move(final_state).value();
     return report;

@@ -2,10 +2,11 @@
 #define OVERLAP_CORE_POD_RUNNER_H_
 
 #include <string>
+#include <vector>
 
 #include "core/overlap_compiler.h"
 #include "core/overlap_report.h"
-#include "core/recovery/recovery_planner.h"
+#include "core/recovery/elastic_session.h"
 #include "core/recovery/step_program.h"
 #include "models/model_config.h"
 #include "support/status.h"
@@ -71,46 +72,6 @@ struct ModelOverlapAnalysis {
 StatusOr<ModelOverlapAnalysis> AnalyzeModelOverlap(
     const ModelConfig& config, const CompilerOptions& options);
 
-/**
- * What one elastic recovery cost (DESIGN.md §11): the watchdog's
- * detection delay, the checkpoint restore, the survivor-mesh replan and
- * the replay of steps lost since the last checkpoint. All zeros when no
- * permanent failure manifested.
- */
-struct RecoveryStats {
-    /// A permanent failure manifested...
-    bool failed = false;
-    /// ...and the run completed on the survivor mesh.
-    bool recovered = false;
-    /// FailureReport::ToString() of the watchdog report.
-    std::string failure_summary;
-    /// SurvivorPlan::ToString() of the replan.
-    std::string survivor_plan;
-    int64_t failed_step = -1;
-    /// The checkpoint the run resumed from, and the steps between it and
-    /// the failure that had to be re-run on the survivor mesh.
-    int64_t checkpoint_step = -1;
-    int64_t replayed_steps = 0;
-    int64_t checkpoint_bytes = 0;
-    /// Time from the start of the failed step until the watchdog
-    /// declared the failure (lost in-step progress + no-progress window).
-    double detection_seconds = 0.0;
-    /// Checkpoint bytes / restore bandwidth.
-    double restore_seconds = 0.0;
-    /// Modeled survivor-mesh recompile latency.
-    double replan_seconds = 0.0;
-    /// Simulated time of the replayed steps.
-    double replay_seconds = 0.0;
-
-    double RecoveryLatencySeconds() const
-    {
-        return detection_seconds + restore_seconds + replan_seconds +
-               replay_seconds;
-    }
-
-    std::string ToString() const;
-};
-
 /** Step-time distribution of one model over seeded fault trials. */
 struct StepTrialReport {
     ModelConfig config;
@@ -119,9 +80,9 @@ struct StepTrialReport {
     /// Whole-step percentiles: layer percentiles x layer count.
     double p50_step_seconds = 0.0;
     double p99_step_seconds = 0.0;
-    /// Elastic runs only: what the mid-run failure cost (zeros for the
+    /// Elastic runs only: what each mid-run failure cost (empty for the
     /// single-compile trial workflows).
-    RecoveryStats recovery;
+    std::vector<RecoveryEvent> recoveries;
 
     std::string ToString() const;
 };
@@ -184,7 +145,6 @@ struct SdcStats {
 /** Outcome of an elastic multi-step run. */
 struct ElasticRunReport {
     int64_t num_steps = 0;
-    int64_t checkpoint_interval = 0;
     /// The mesh the run finished on (the original one when no failure
     /// manifested).
     Mesh final_mesh{1};
@@ -193,14 +153,12 @@ struct ElasticRunReport {
     double total_seconds = 0.0;
     /// Distribution of the committed (non-replay) step times.
     TrialStats steps;
-    RecoveryStats recovery;
+    /// One event per permanent failure, in order.
+    std::vector<RecoveryEvent> recoveries;
     /// The final *logical* state (mesh-independent; comparable across
     /// recovered and never-failed runs with CompareOutputs).
     Tensor final_state;
     CompileReport initial_compile;
-    /// Compile report of the survivor-mesh recompile (empty when no
-    /// recovery happened).
-    CompileReport survivor_compile;
     /// SDC detections, rollbacks and quarantine over the run.
     SdcStats sdc;
 
@@ -211,14 +169,14 @@ struct ElasticRunReport {
 };
 
 /**
- * Drives the full elastic loop on the step program of `options.program`:
- * run, fail (when `options.compiler.fault` injects a permanent fault),
- * detect via the watchdog, restore the latest checkpoint, replan onto
- * the survivor mesh through the guarded pipeline, and resume — replaying
- * the steps since the checkpoint. The functional state advances through
- * the SPMD interpreter every committed step, so the final state is a
- * real computed value, not a timing artifact. At most one permanent
- * failure per run is supported; a second one fails the run.
+ * Drives the full elastic loop on the step program of `options.program`
+ * through an ElasticSession: run, fail (when `options.compiler.fault`
+ * injects a permanent fault), detect via the watchdog, restore the
+ * latest checkpoint, replan onto the survivor mesh through the guarded
+ * pipeline, and resume — replaying the steps since the checkpoint. Every
+ * further failure shrinks the mesh again. The functional state advances
+ * through the SPMD interpreter every committed step, so the final state
+ * is a real computed value, not a timing artifact.
  */
 StatusOr<ElasticRunReport> RunElasticTraining(const Mesh& mesh,
                                               const ElasticRunOptions& options);

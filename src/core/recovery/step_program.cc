@@ -115,12 +115,6 @@ BuildElasticProgram(const ElasticProgramSpec& spec, const Mesh& mesh,
 }
 
 Status
-AdvanceElasticState(ElasticProgram* program)
-{
-    return AdvanceElasticState(program, EvalOptions());
-}
-
-Status
 AdvanceElasticState(ElasticProgram* program, const EvalOptions& options)
 {
     std::vector<std::vector<Tensor>> params = {program->w_shards,

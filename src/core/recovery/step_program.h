@@ -77,18 +77,13 @@ StatusOr<ElasticProgram> BuildElasticProgram(const ElasticProgramSpec& spec,
 /**
  * Advances the functional state one step: evaluates the compiled module
  * with the SPMD interpreter and replaces the X shards with the outputs.
- */
-Status AdvanceElasticState(ElasticProgram* program);
-
-/**
- * Like above, but under explicit EvalOptions — the SDC containment loop
- * passes `options.sdc` / `options.sdc_sink` so seeded corruptions are
- * injected and detected during the advance. On a detection the evaluator
- * aborts and the X shards are left untouched: corrupted state never
+ * With `options.sdc` / `options.sdc_sink` set, seeded corruptions are
+ * injected and detected during the advance; on a detection the evaluator
+ * aborts and the X shards are left untouched, so corrupted state never
  * replaces clean state.
  */
 Status AdvanceElasticState(ElasticProgram* program,
-                           const EvalOptions& options);
+                           const EvalOptions& options = EvalOptions());
 
 /**
  * The current *logical* state: X shards stitched back into the global

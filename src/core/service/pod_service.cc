@@ -1,13 +1,10 @@
 #include "core/service/pod_service.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/recovery/checkpoint.h"
-#include "core/recovery/recovery_planner.h"
-#include "sim/engine.h"
 #include "support/metrics.h"
 #include "support/strings.h"
 
@@ -28,42 +25,6 @@ class ScopedMetricsEnable {
   private:
     bool was_enabled_;
 };
-
-/** The compiled §7.1 serving program on one mesh. */
-struct CompiledTower {
-    std::unique_ptr<HloModule> module;
-    CompileReport compile;
-};
-
-StatusOr<CompiledTower>
-CompileTower(const Mesh& mesh, const InferenceTowerSpec& spec,
-             const CompilerOptions& options)
-{
-    auto module = BuildInferenceTowerModule(mesh, spec);
-    if (!module.ok()) return module.status();
-    OverlapCompiler compiler(options);
-    auto compile = compiler.Compile(module->get());
-    if (!compile.ok()) return compile.status();
-    CompiledTower tower;
-    tower.module = std::move(module).value();
-    tower.compile = std::move(compile).value();
-    return tower;
-}
-
-/**
- * The §5.5 gate verdict on a survivor recompile: any guarded-pipeline
- * rollback, or a compile where every decomposition candidate was
- * rejected, means the replanned mesh gets no overlap — the service then
- * degrades to the blocking baseline instead of trusting a compile that
- * the gate already distrusts.
- */
-bool
-GateFailed(const CompileReport& report)
-{
-    if (!report.pass_diagnostics.empty()) return true;
-    const DecomposeStats& d = report.decompose;
-    return !d.decisions.empty() && d.total_decomposed() == 0;
-}
 
 /**
  * Trial salt for a request's fault-model draw. Re-queued requests get a
@@ -115,25 +76,11 @@ ClassStats::ToJson() const
 }
 
 std::string
-ServiceRecovery::ToJson() const
-{
-    return StrCat("{\"at_s\": ", at_seconds,
-                  ", \"detection_s\": ", detection_seconds,
-                  ", \"restore_s\": ", restore_seconds,
-                  ", \"replan_s\": ", replan_seconds,
-                  ", \"replay_s\": ", replay_seconds,
-                  ", \"recovery_latency_s\": ", LatencySeconds(),
-                  ", \"replayed_steps\": ", replayed_steps,
-                  ", \"degraded_blocking\": ",
-                  degraded_blocking ? "true" : "false", "}");
-}
-
-std::string
 ServiceReport::ToJson() const
 {
     std::vector<std::string> recovery_json;
     recovery_json.reserve(recoveries.size());
-    for (const ServiceRecovery& r : recoveries) {
+    for (const RecoveryEvent& r : recoveries) {
         recovery_json.push_back(r.ToJson());
     }
     return StrCat(
@@ -188,20 +135,11 @@ PodService::Run()
     if (options_.shed_watermark < 0.0 || options_.shed_watermark > 1.0) {
         return InvalidArgument("shed watermark must be in [0, 1]");
     }
-    if (options_.checkpoint_interval < 1) {
-        return InvalidArgument("checkpoint interval must be >= 1");
-    }
-    if (options_.restore_bandwidth_bytes_per_second <= 0.0) {
-        return InvalidArgument("restore bandwidth must be positive");
-    }
     if (options_.arrivals.duration_seconds <= 0.0) {
         return InvalidArgument("service duration must be positive");
     }
     if (options_.max_runtime_factor < 1.0) {
         return InvalidArgument("max runtime factor must be >= 1");
-    }
-    if (options_.sdc_strike_limit < 1) {
-        return InvalidArgument("sdc strike limit must be >= 1");
     }
 
     ScopedMetricsEnable metrics_on;
@@ -214,6 +152,18 @@ PodService::Run()
         registry.histogram("service.recovery.latency_seconds");
     Gauge* peak_depth_gauge = registry.gauge("service.queue.peak_depth");
 
+    // The two compiled workloads on the current (possibly survivor) mesh.
+    auto session = ElasticSession::Create(
+        mesh_, {.training = options_.training,
+                .inference = options_.inference,
+                .compiler = options_.compiler,
+                .checkpoint_interval = options_.checkpoint_interval,
+                .restore_bandwidth_bytes_per_second =
+                    options_.restore_bandwidth_bytes_per_second,
+                .replan_latency_seconds = options_.replan_latency_seconds,
+                .sdc_strike_limit = options_.sdc_strike_limit});
+    if (!session.ok()) return session.status();
+
     ServiceReport report;
     const std::vector<ServiceRequest> arrivals =
         GenerateArrivals(options_.arrivals);
@@ -221,27 +171,6 @@ PodService::Run()
     const int64_t watermark_depth = static_cast<int64_t>(
         options_.shed_watermark *
         static_cast<double>(options_.max_queue_depth));
-
-    // The two compiled workloads on the current (possibly survivor) mesh.
-    auto program =
-        BuildElasticProgram(options_.training, mesh_, options_.compiler,
-                            InitialElasticState(options_.training));
-    if (!program.ok()) return program.status();
-    auto tower =
-        CompileTower(mesh_, options_.inference, options_.compiler);
-    if (!tower.ok()) return tower.status();
-
-    CheckpointStore store(options_.checkpoint_interval);
-    {
-        auto state = LogicalElasticState(*program);
-        if (!state.ok()) return state.status();
-        store.Save(0, state.value());
-    }
-
-    Mesh current_mesh = mesh_;
-    FaultSpec current_fault = options_.compiler.fault;
-    PodSimulator simulator(current_mesh, options_.compiler.hardware,
-                           FaultModel(current_fault));
 
     ClassStats* stats[2] = {nullptr, nullptr};
     stats[static_cast<int>(JobClass::kTraining)] = &report.training;
@@ -264,42 +193,21 @@ PodService::Run()
     // request id (bit 40 set), so a replayed step never re-runs the
     // exact transient draws that just failed.
     int64_t replay_trial = int64_t{1} << 40;
-    bool has_failure = false;
-    FailureReport failure;
-    bool has_inflight = false;
-    ServiceRequest inflight;
+    std::optional<FailureReport> failure;
+    std::optional<ServiceRequest> inflight;
 
-    // SDC containment state (§16): detections localized per chip
-    // (current-mesh ids). Consuming a detected injection keeps the
-    // retry clean; hitting the strike limit quarantines the chip
-    // through the regular recovery path with a synthesized
-    // kSilentCorruption report (restore + survivor replan).
-    std::unordered_map<int64_t, int64_t> sdc_strikes;
-    auto consume_injection = [&](const CorruptionReport& rep) {
-        auto& injections = current_fault.silent_corruptions;
-        injections.erase(
-            std::remove_if(injections.begin(), injections.end(),
-                           [&rep](const SilentCorruption& c) {
-                               return c.step == rep.injected_step &&
-                                      c.chip == rep.chip;
-                           }),
-            injections.end());
-        simulator = PodSimulator(current_mesh, options_.compiler.hardware,
-                                 FaultModel(current_fault));
-    };
-    auto strike = [&](int64_t chip, int64_t at_step) {
-        if (++sdc_strikes[chip] < options_.sdc_strike_limit) return;
-        failure = FailureReport();
-        failure.cause = FailureCause::kSilentCorruption;
-        failure.dead_chip = chip;
-        failure.failed_step = at_step;
-        failure.last_completed_step = at_step - 1;
-        // Detection time was already charged when the detector fired.
-        failure.detected_at_seconds = 0.0;
-        has_failure = true;
+    // SDC containment (§16): a detected corruption is consumed so the
+    // retry is clean, and its chip takes a strike; at the strike limit
+    // the chip is quarantined through the regular recovery path.
+    auto contain = [&](const CorruptionReport& corruption,
+                       int64_t at_step) {
+        ++report.corruption_detections;
+        session->ConsumeInjection(corruption);
+        auto quarantine = session->Strike(corruption.chip, at_step);
+        if (!quarantine) return;
+        failure = quarantine;
         report.sdc_quarantined = true;
-        report.sdc_quarantined_chip = chip;
-        sdc_strikes.clear();
+        report.sdc_quarantined_chip = corruption.chip;
     };
 
     auto admit_up_to = [&](double time) {
@@ -332,86 +240,34 @@ PodService::Run()
     while (true) {
         admit_up_to(now);
 
-        if (has_failure) {
-            // Elastic recovery under load: detect, restore, replan onto
-            // the survivor mesh, re-queue the in-flight request, and
-            // take on the replay debt. Re-entrant — a failure during
-            // replay lands back here and shrinks the mesh again.
-            ServiceRecovery recovery;
-            recovery.failure_summary = failure.ToString();
-            recovery.detection_seconds = failure.detected_at_seconds;
-            now += failure.detected_at_seconds;
-            recovery.at_seconds = now;
+        if (failure) {
+            // Elastic recovery under load: the session restores and
+            // replans onto the survivor mesh; the service re-queues the
+            // in-flight request and takes on the replay debt. A failure
+            // during replay lands back here and shrinks the mesh again.
+            auto recovery = session->Recover(*failure, committed);
+            if (!recovery.ok()) return recovery.status();
+            now += recovery->detection_seconds;
+            recovery->at_seconds = now;
+            now += recovery->restore_seconds;
+            now += recovery->replan_seconds;
+            if (recovery->degraded_blocking) report.degraded_blocking = true;
 
-            auto plan = RecoveryPlanner::PlanSurvivorMesh(
-                current_mesh, current_fault, failure);
-            if (!plan.ok()) return plan.status();
-            recovery.survivor_plan = plan->ToString();
-
-            auto restored = store.Restore();
-            if (!restored.ok()) return restored.status();
-            recovery.restore_seconds =
-                static_cast<double>(store.stored_bytes()) /
-                options_.restore_bandwidth_bytes_per_second;
-            now += recovery.restore_seconds;
-
-            CompilerOptions survivor_options = options_.compiler;
-            survivor_options.fault = plan->fault;
-            auto survivor =
-                BuildElasticProgram(options_.training, plan->mesh,
-                                    survivor_options, restored.value());
-            if (!survivor.ok()) return survivor.status();
-            auto survivor_tower = CompileTower(
-                plan->mesh, options_.inference, survivor_options);
-            if (!survivor_tower.ok()) return survivor_tower.status();
-
-            if (GateFailed(survivor->compile) ||
-                GateFailed(survivor_tower->compile)) {
-                // Graceful degradation: the gate distrusts the
-                // replanned overlap, so serve on blocking lowering —
-                // slower steps, but the queue keeps draining.
-                CompilerOptions blocking = CompilerOptions::Baseline();
-                blocking.hardware = options_.compiler.hardware;
-                blocking.fault = plan->fault;
-                survivor =
-                    BuildElasticProgram(options_.training, plan->mesh,
-                                        blocking, restored.value());
-                if (!survivor.ok()) return survivor.status();
-                survivor_tower = CompileTower(plan->mesh,
-                                              options_.inference,
-                                              blocking);
-                if (!survivor_tower.ok()) {
-                    return survivor_tower.status();
-                }
-                recovery.degraded_blocking = true;
-                report.degraded_blocking = true;
-            }
-            recovery.replan_seconds = options_.replan_latency_seconds;
-            now += options_.replan_latency_seconds;
-
-            program = std::move(survivor);
-            tower = std::move(survivor_tower);
-            current_mesh = plan->mesh;
-            current_fault = plan->fault;
-            simulator =
-                PodSimulator(current_mesh, options_.compiler.hardware,
-                             FaultModel(current_fault));
-
-            if (has_inflight) {
-                ++inflight.attempts;
-                queue.Requeue(inflight);
+            if (inflight) {
+                ++inflight->attempts;
+                queue.Requeue(*inflight);
                 report.peak_queue_depth =
                     std::max(report.peak_queue_depth, queue.depth());
-                has_inflight = false;
+                inflight.reset();
             }
-            committed = store.latest_step();
+            committed = recovery->checkpoint_step;
             replay_pending = max_committed - committed;
-            recovery.replayed_steps = replay_pending;
-            report.recoveries.push_back(recovery);
+            recovery->replayed_steps = replay_pending;
             if (replay_pending == 0) {
-                recovery_latency->Record(recovery.LatencySeconds());
+                recovery_latency->Record(recovery->LatencySeconds());
             }
-            has_failure = false;
+            report.recoveries.push_back(std::move(recovery).value());
+            failure.reset();
             continue;
         }
 
@@ -437,36 +293,35 @@ PodService::Run()
             // Replay debt outranks new work: the training state must
             // catch back up to the last committed step before the
             // service resumes taking requests.
-            auto outcome = simulator.RunStep(*program->module,
-                                             report.pod_steps,
-                                             /*collect_trace=*/false,
-                                             replay_trial++);
+            const int64_t step_index = report.pod_steps;
+            auto outcome = session->simulator().RunStep(
+                *session->training().module, step_index,
+                /*collect_trace=*/false, replay_trial++);
             if (!outcome.ok()) return outcome.status();
             if (outcome->failed) {
-                has_failure = true;
                 failure = outcome->failure;
                 continue;
             }
             if (outcome->corrupted) {
-                // Corruption detected mid-replay: consume the injection
-                // and retry the same replay step on a clean draw.
-                ++report.corruption_detections;
+                // Corruption detected mid-replay: retry the same replay
+                // step on a clean draw.
                 now += outcome->corruption_detected_at_seconds;
-                consume_injection(outcome->corruption);
-                strike(outcome->corruption.chip, report.pod_steps);
+                contain(outcome->corruption, step_index);
                 continue;
             }
             ++report.pod_steps;
             now += outcome->result.step_seconds;
             report.recoveries.back().replay_seconds +=
                 outcome->result.step_seconds;
-            auto status = AdvanceElasticState(&program.value());
-            if (!status.ok()) return status;
+            auto detected = session->AdvanceTraining(step_index);
+            if (!detected.ok()) return detected.status();
+            if (detected->has_value()) {
+                contain(**detected, step_index);
+                continue;
+            }
             ++committed;
             --replay_pending;
-            auto state = LogicalElasticState(*program);
-            if (!state.ok()) return state.status();
-            store.MaybeSave(committed, state.value());
+            OVERLAP_RETURN_IF_ERROR(session->Commit(committed));
             if (replay_pending == 0) {
                 recovery_latency->Record(
                     report.recoveries.back().LatencySeconds());
@@ -488,18 +343,15 @@ PodService::Run()
         ServiceRequest request;
         queue.Pop(&request);
         const HloModule& module = request.job == JobClass::kTraining
-                                      ? *program->module
-                                      : *tower->module;
+                                      ? *session->training().module
+                                      : session->inference_module();
         const int64_t step_index = report.pod_steps;
-        auto outcome =
-            simulator.RunStep(module, step_index,
-                              /*collect_trace=*/false,
-                              RequestTrial(request));
+        auto outcome = session->simulator().RunStep(
+            module, step_index, /*collect_trace=*/false,
+            RequestTrial(request));
         if (!outcome.ok()) return outcome.status();
         if (outcome->failed) {
-            has_failure = true;
             failure = outcome->failure;
-            has_inflight = true;
             inflight = request;
             continue;
         }
@@ -508,50 +360,26 @@ PodService::Run()
             // the pod — the response is rejected, never emitted, and
             // the request lands in its own terminal bucket.
             ++stats_of(request.job).corrupted_rejected;
-            ++report.corruption_detections;
             now += outcome->corruption_detected_at_seconds;
-            consume_injection(outcome->corruption);
-            strike(outcome->corruption.chip, step_index);
+            contain(outcome->corruption, step_index);
             continue;
         }
         ++report.pod_steps;
         now += outcome->result.step_seconds;
         if (request.job == JobClass::kTraining) {
-            const bool sdc_active =
-                !current_fault.silent_corruptions.empty() ||
-                current_fault.sdc.active();
-            if (sdc_active) {
-                // Inject + detect at the data level too: the evaluator
-                // aborts on detection, so corrupted shards never
-                // replace clean training state.
-                SdcEvalConfig eval_sdc;
-                eval_sdc.corruptions = current_fault.silent_corruptions;
-                eval_sdc.detectors = current_fault.sdc;
-                eval_sdc.step = step_index;
-                SdcEvalSink sink;
-                EvalOptions eval_options;
-                eval_options.sdc = &eval_sdc;
-                eval_options.sdc_sink = &sink;
-                Status advanced =
-                    AdvanceElasticState(&program.value(), eval_options);
-                if (!advanced.ok() && sink.detected()) {
-                    const CorruptionReport primary = *sink.Primary();
-                    ++stats_of(request.job).corrupted_rejected;
-                    ++report.corruption_detections;
-                    consume_injection(primary);
-                    strike(primary.chip, step_index);
-                    continue;
-                }
-                if (!advanced.ok()) return advanced;
-            } else {
-                auto status = AdvanceElasticState(&program.value());
-                if (!status.ok()) return status;
+            // Inject + detect at the data level too: the evaluator
+            // aborts on detection, so corrupted shards never replace
+            // clean training state.
+            auto detected = session->AdvanceTraining(step_index);
+            if (!detected.ok()) return detected.status();
+            if (detected->has_value()) {
+                ++stats_of(request.job).corrupted_rejected;
+                contain(**detected, step_index);
+                continue;
             }
             ++committed;
             max_committed = committed;
-            auto state = LogicalElasticState(*program);
-            if (!state.ok()) return state.status();
-            store.MaybeSave(committed, state.value());
+            OVERLAP_RETURN_IF_ERROR(session->Commit(committed));
         }
         ClassStats& s = stats_of(request.job);
         ++s.completed;
@@ -567,7 +395,7 @@ PodService::Run()
     }
 
     report.end_seconds = now;
-    report.final_mesh = current_mesh;
+    report.final_mesh = session->mesh();
     {
         Histogram::Snapshot snap = inference_latency->snapshot();
         report.inference.p50_latency_seconds = snap.p50();

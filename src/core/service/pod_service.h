@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/overlap_compiler.h"
+#include "core/recovery/elastic_session.h"
 #include "core/recovery/step_program.h"
 #include "core/service/request_queue.h"
 #include "models/step_builder.h"
@@ -41,13 +42,9 @@ struct ServiceOptions {
     /// model (transients, permanent faults, watchdog window).
     CompilerOptions compiler;
 
-    /// Recovery cost model (as ElasticRunOptions).
+    /// Recovery cost model and SDC strike limit (as ElasticRunOptions).
     double restore_bandwidth_bytes_per_second = 25e9;
     double replan_latency_seconds = 2e-3;
-
-    /// SDC containment (DESIGN.md §16): quarantine a chip — evicted via
-    /// the survivor-mesh replan, like a dead chip — once this many
-    /// detected corruptions localize to it.
     int64_t sdc_strike_limit = 2;
 
     /// Hard stop: the service gives up (shedding everything left and
@@ -101,33 +98,6 @@ struct ClassStats {
     std::string ToJson() const;
 };
 
-/** What one recovery episode under load cost the service. */
-struct ServiceRecovery {
-    /// FailureReport::ToString() of the watchdog report.
-    std::string failure_summary;
-    /// SurvivorPlan::ToString() of the replan.
-    std::string survivor_plan;
-    /// Simulated service time at which the failure was detected.
-    double at_seconds = 0.0;
-    double detection_seconds = 0.0;
-    double restore_seconds = 0.0;
-    double replan_seconds = 0.0;
-    double replay_seconds = 0.0;
-    int64_t replayed_steps = 0;
-    /// The survivor recompile failed the §5.5 gate and the service fell
-    /// back to blocking lowering (graceful degradation: slower steps,
-    /// but the queue keeps draining).
-    bool degraded_blocking = false;
-
-    double LatencySeconds() const
-    {
-        return detection_seconds + restore_seconds + replan_seconds +
-               replay_seconds;
-    }
-
-    std::string ToJson() const;
-};
-
 /** Outcome of a continuous-operation service run. */
 struct ServiceReport {
     ClassStats inference;
@@ -142,7 +112,8 @@ struct ServiceReport {
     bool overloaded = false;
     /// Any recovery left the service on blocking lowering.
     bool degraded_blocking = false;
-    std::vector<ServiceRecovery> recoveries;
+    /// One event per recovery episode (at_seconds on the service clock).
+    std::vector<RecoveryEvent> recoveries;
     /// SDC containment under load (§16): detector firings (each one a
     /// rejected-never-emitted response) and whether a chip hit the
     /// strike limit and was quarantined off the mesh.
@@ -165,11 +136,8 @@ struct ServiceReport {
  * priority-EDF scheduling, and elastic fault recovery. Time is fully
  * simulated — arrivals, queueing, step execution, watchdog detection
  * and recovery all advance one deterministic clock, so a given
- * (options, mesh) pair always produces the identical report.
- *
- * Unlike RunElasticTraining, the service survives *multiple* recovery
- * episodes: each failure replans onto the current survivor mesh, and a
- * failure during replay re-enters the same recovery path.
+ * (options, mesh) pair always produces the identical report. Recovery
+ * runs through the same ElasticSession as RunElasticTraining.
  */
 class PodService {
   public:

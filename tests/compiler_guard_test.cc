@@ -21,9 +21,12 @@
 #include "models/step_builder.h"
 #include "sim/engine.h"
 #include "sim/fault_model.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace {
+
+using testing_util::CorruptingPass;
 
 std::unique_ptr<HloModule>
 BuildModule()
@@ -38,18 +41,6 @@ BuildModule()
     auto* ag = b.AllGather(p, 0, mesh.Groups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     return module;
-}
-
-/** A pass that corrupts the graph: declares a wrong result shape. */
-InjectedPass
-CorruptingPass()
-{
-    return {"corrupt-shapes", [](HloModule* module) -> Status {
-                HloComputation* comp = module->entry();
-                comp->set_root(comp->AddInstruction(
-                    HloOpcode::kNegate, Shape({3, 3}), {comp->root()}));
-                return Status::Ok();  // the verifier must catch it
-            }};
 }
 
 /** A pass that mutates the graph and then reports failure itself. */

@@ -11,6 +11,7 @@
 
 #include "core/service/pod_service.h"
 #include "models/fault_presets.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace {
@@ -238,7 +239,7 @@ TEST(PodServiceTest, ChipDeathUnderLoadRecoversOnSurvivorMesh)
     ASSERT_TRUE(report.ok()) << report.status().ToString();
 
     ASSERT_EQ(report->recoveries.size(), 1u);
-    const ServiceRecovery& recovery = report->recoveries[0];
+    const RecoveryEvent& recovery = report->recoveries[0];
     EXPECT_GT(recovery.detection_seconds, 0.0);
     EXPECT_GT(recovery.restore_seconds, 0.0);
     EXPECT_GT(recovery.replan_seconds, 0.0);
@@ -257,6 +258,34 @@ TEST(PodServiceTest, ChipDeathUnderLoadRecoversOnSurvivorMesh)
     EXPECT_GT(report->inference.slo_violations +
                   report->inference.shed_expired,
               0);
+    EXPECT_FALSE(report->overloaded);
+}
+
+/**
+ * A survivor compile the guard had to roll back fails the §5.5 gate:
+ * the service serves on blocking lowering instead of trusting it.
+ */
+TEST(PodServiceTest, DistrustedSurvivorCompileDegradesToBlocking)
+{
+    ServiceOptions options;
+    options.arrivals = LightArrivals();
+    options.checkpoint_interval = 3;
+    options.compiler.extra_passes.push_back(testing_util::CorruptingPass());
+    options.compiler.fault = ChipDeath(/*chip=*/1, /*fail_step=*/5).spec;
+    auto report = PodService(Mesh(4), options).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    ASSERT_EQ(report->recoveries.size(), 1u);
+    const RecoveryEvent& recovery = report->recoveries[0];
+    EXPECT_TRUE(recovery.degraded_blocking);
+    EXPECT_TRUE(recovery.compile.decompose.decisions.empty());
+    EXPECT_TRUE(report->degraded_blocking);
+    EXPECT_NE(report->ToJson().find("\"degraded_blocking\": true"),
+              std::string::npos);
+    EXPECT_EQ(report->final_mesh.num_devices(), 3);
+    EXPECT_TRUE(report->inference.Consistent());
+    EXPECT_TRUE(report->training.Consistent());
+    EXPECT_GT(report->training.completed, 0);
     EXPECT_FALSE(report->overloaded);
 }
 
@@ -313,6 +342,11 @@ TEST(PodServiceTest, RejectsNonsenseConfiguration)
     options = ServiceOptions();
     options.arrivals = LightArrivals();
     options.arrivals.duration_seconds = 0.0;
+    EXPECT_FALSE(PodService(Mesh(4), options).Run().ok());
+
+    options = ServiceOptions();
+    options.arrivals = LightArrivals();
+    options.replan_latency_seconds = -1e-3;
     EXPECT_FALSE(PodService(Mesh(4), options).Run().ok());
 }
 

@@ -3,6 +3,8 @@
 
 #include <vector>
 
+#include "core/overlap_compiler.h"
+#include "hlo/module.h"
 #include "tensor/mesh.h"
 #include "tensor/sharding.h"
 #include "tensor/tensor.h"
@@ -38,6 +40,18 @@ UnshardTensor(const std::vector<Tensor>& shards, const Shape& global_shape,
             sharding.ShardOffsets(global_shape, mesh, d));
     }
     return global;
+}
+
+/** A pass that corrupts the graph: declares a wrong result shape. */
+inline InjectedPass
+CorruptingPass()
+{
+    return {"corrupt-shapes", [](HloModule* module) -> Status {
+                HloComputation* comp = module->entry();
+                comp->set_root(comp->AddInstruction(
+                    HloOpcode::kNegate, Shape({3, 3}), {comp->root()}));
+                return Status::Ok();  // the verifier must catch it
+            }};
 }
 
 }  // namespace testing_util
