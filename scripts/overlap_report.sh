@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds (if needed) and runs the overlap-efficiency report
 # (DESIGN.md §13): the §5.5 cost-model predictions vs. the simulated
-# timeline for all four decomposition cases, plus a whole-model
+# timeline for all four decomposition cases and the two AllToAll
+# sites, plus a whole-model
 # analysis, written as BENCH_overlap_report.json at the repo root
 # (or --out).
 #
@@ -9,7 +10,7 @@
 #                                  [--model NAME] [--build-dir DIR]
 #                                  [--out FILE] [--trace FILE]
 #
-# --quick   skips the whole-model section (the four sites still run);
+# --quick   skips the whole-model section (the six sites still run);
 # --force   disables the cost gate (every site decomposed) — the
 #           ablation view;
 # --check   fails (nonzero exit) when the mean hidden-fraction

@@ -29,8 +29,9 @@ namespace difftest {
  */
 
 /**
- * The four gate-profitable bench sites of the overlap-efficiency
- * report (one per §5.1 decomposition case) — shared by
+ * The six gate-profitable bench sites of the overlap-efficiency
+ * report (one per §5.1 decomposition case, plus MoE dispatch and
+ * combine) — shared by
  * bench/overlap_report, the calibration fit and the regression tests
  * so "the overlap-report site space" means one thing everywhere.
  */
