@@ -133,7 +133,6 @@ std::optional<FailureReport>
 ElasticSession::Strike(int64_t chip, int64_t step)
 {
     if (++strikes_[chip] < options_.sdc_strike_limit) return std::nullopt;
-    strikes_.clear();
     FailureReport failure;
     failure.cause = FailureCause::kSilentCorruption;
     failure.dead_chip = chip;
@@ -171,6 +170,7 @@ ElasticSession::Recover(const FailureReport& failure, int64_t restore_at)
     event.compile = workloads->program.compile;
 
     mesh_ = plan->mesh;
+    strikes_.clear();  // keyed by the old mesh's ids
     current_ = std::move(options);
     workloads_ = std::move(workloads).value();
     ResetSimulator();

@@ -106,7 +106,6 @@ class ElasticSession {
 
     /**
      * Charges a detected corruption to `chip`. At the strike limit the
-     * ledger is cleared (ids remap on the survivor mesh) and the
      * kSilentCorruption report that quarantines the chip through Recover
      * is returned, with zero detection time: the caller charged that
      * when the detector fired.
@@ -117,7 +116,8 @@ class ElasticSession {
      * Plans the survivor mesh, restores the newest checkpoint at or
      * before `restore_at`, recompiles every workload — on blocking
      * lowering when the §5.5 gate distrusts the survivor compile — and
-     * resets the simulator.
+     * resets the simulator. Clears the strike ledger, whose ids the
+     * survivor mesh reassigns.
      */
     StatusOr<RecoveryEvent> Recover(const FailureReport& failure,
                                     int64_t restore_at);

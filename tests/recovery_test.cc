@@ -12,6 +12,7 @@
 
 #include "core/pod_runner.h"
 #include "core/recovery/checkpoint.h"
+#include "core/recovery/elastic_session.h"
 #include "core/recovery/recovery_planner.h"
 #include "core/recovery/step_program.h"
 #include "interp/comparison.h"
@@ -485,6 +486,36 @@ TEST(RecoveryTest, DistrustedSurvivorCompileFallsBackToBlocking)
     OutputComparison cmp = CompareOutputs({survivor->final_state},
                                           {report->final_state}, tolerance);
     EXPECT_TRUE(cmp.equal) << cmp.ToString();
+}
+
+/**
+ * The strike ledger is keyed by current-mesh ids, so a replan clears it:
+ * a strike charged to chip 1 before chip 0 dies must not land on the
+ * survivor that becomes chip 1 on the 3-chip mesh (the old chip 2).
+ */
+TEST(RecoveryTest, ChipDeathReplanClearsTheStrikeLedger)
+{
+    ElasticSessionOptions options;
+    options.training = SmallSpec();
+    options.compiler = ForcedOverlapOptions();
+    options.sdc_strike_limit = 2;
+    auto session = ElasticSession::Create(Mesh(4), options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_FALSE(session->Strike(/*chip=*/1, /*step=*/1).has_value());
+
+    FailureReport death;
+    death.cause = FailureCause::kChipDeath;
+    death.dead_chip = 0;
+    death.failed_step = 2;
+    death.last_completed_step = 1;
+    auto recovery = session->Recover(death, /*restore_at=*/1);
+    ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+    ASSERT_EQ(session->mesh().num_devices(), 3);
+
+    // The survivor's first strike stays below the limit; its second
+    // quarantines it.
+    EXPECT_FALSE(session->Strike(/*chip=*/1, /*step=*/3).has_value());
+    EXPECT_TRUE(session->Strike(/*chip=*/1, /*step=*/4).has_value());
 }
 
 TEST(RecoveryTest, RejectsZeroSdcStrikeLimit)
