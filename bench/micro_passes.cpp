@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the compiler passes themselves:
- * decomposition, async conversion, fusion, the two schedulers, and the
- * guarded pipeline's verify, input clone and rollback replay. These
+ * decomposition, async conversion, fusion, the schedulers, the
+ * topological sort, and the guarded pipeline's verify, input clone and
+ * rollback replay. These
  * measure *compile time* of the technique (the paper's optimization runs
  * automatically during compilation), not simulated device time.
  */
@@ -21,38 +22,50 @@
 namespace overlap {
 namespace {
 
+/** AllGather-einsum over the last axis of `mesh` (a ring of n). */
 std::unique_ptr<HloModule>
-BuildAgEinsum(int64_t n)
+BuildAgEinsum(const Mesh& mesh)
 {
     auto module = std::make_unique<HloModule>("m");
-    Mesh mesh(n);
     module->set_mesh(mesh);
+    const int64_t axis = mesh.num_axes() - 1;
+    const int64_t n = mesh.axis_size(axis);
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {8192 / n, 4096}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.Groups(axis));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     return module;
 }
 
+std::unique_ptr<HloModule>
+BuildAgEinsum(int64_t n)
+{
+    return BuildAgEinsum(Mesh(n));
+}
+
+/** Args: {rows, partitions}: the ring runs along a `rows` x
+ *  `partitions` mesh, so rows scales the device count, not the loop. */
 void
 BM_DecomposeLoop(benchmark::State& state)
 {
-    int64_t n = state.range(0);
+    const Mesh mesh(state.range(0), state.range(1));
     HardwareSpec spec;
     CostModel cost(spec);
     DecomposeOptions options;
     options.use_cost_model = false;
     for (auto _ : state) {
-        auto module = BuildAgEinsum(n);
-        CollectiveEinsumDecomposer decomposer(Mesh(n), &cost, options);
+        auto module = BuildAgEinsum(mesh);
+        CollectiveEinsumDecomposer decomposer(mesh, &cost, options);
         auto stats = decomposer.Run(module->entry());
         benchmark::DoNotOptimize(stats);
     }
-    state.SetLabel("partitions=" + std::to_string(n));
+    state.SetLabel("mesh=" + mesh.ToString());
 }
-BENCHMARK(BM_DecomposeLoop)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_DecomposeLoop)
+    ->Args({1, 4})->Args({1, 16})->Args({1, 64})->Args({1, 128})
+    ->Args({16, 128});
 
 void
 BM_FullPipelineOnLayerStep(benchmark::State& state)
@@ -112,6 +125,39 @@ BM_CloneEntry(benchmark::State& state)
 }
 BENCHMARK(BM_CloneEntry)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+// Decompose and both async passes end with a topological sort of the
+// whole entry; here the compiled layer is already in order, so every
+// iteration does the same work.
+void
+BM_SortTopologically(benchmark::State& state)
+{
+    auto module = CompiledLayerStep(state);
+    for (auto _ : state) {
+        module->entry()->SortTopologically();
+        benchmark::DoNotOptimize(module->entry()->root());
+    }
+    state.counters["instructions"] =
+        static_cast<double>(module->entry()->instruction_count());
+}
+BENCHMARK(BM_SortTopologically)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// The memory-minimizing input order every scheduler starts from.
+void
+BM_BaselineMemorySchedule(benchmark::State& state)
+{
+    auto module = CompiledLayerStep(state);
+    CostModel cost{HardwareSpec{}};
+    SchedGraph graph(*module->entry(), cost);
+    for (auto _ : state) {
+        auto order = BaselineMemorySchedule(graph);
+        benchmark::DoNotOptimize(order);
+    }
+    state.counters["units"] = static_cast<double>(graph.units().size());
+}
+BENCHMARK(BM_BaselineMemorySchedule)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
 // The failure path: a pass that emits invalid HLO just before fusion, so
 // the guard restores the input and replays decompose, async creation and
 // the rewrites before it can fuse and schedule. Compare with
@@ -167,7 +213,7 @@ BM_BottomUpScheduler(benchmark::State& state)
     }
     state.SetLabel("partitions=" + std::to_string(n));
 }
-BENCHMARK(BM_BottomUpScheduler)->Arg(8)->Arg(32);
+BENCHMARK(BM_BottomUpScheduler)->Arg(8)->Arg(32)->Arg(128);
 
 void
 BM_TopDownScheduler(benchmark::State& state)
