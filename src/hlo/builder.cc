@@ -290,7 +290,7 @@ HloBuilder::AllToAllDone(HloInstruction* start)
 
 HloInstruction*
 HloBuilder::CollectivePermute(HloInstruction* operand,
-                              std::vector<std::pair<int64_t, int64_t>> pairs)
+                              SourceTargetPairs pairs)
 {
     InstrAttrs attrs;
     attrs.source_target_pairs = std::move(pairs);
@@ -299,8 +299,8 @@ HloBuilder::CollectivePermute(HloInstruction* operand,
 }
 
 HloInstruction*
-HloBuilder::CollectivePermuteStart(
-    HloInstruction* operand, std::vector<std::pair<int64_t, int64_t>> pairs)
+HloBuilder::CollectivePermuteStart(HloInstruction* operand,
+                                   SourceTargetPairs pairs)
 {
     InstrAttrs attrs;
     attrs.source_target_pairs = std::move(pairs);

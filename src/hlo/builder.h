@@ -111,12 +111,10 @@ class HloBuilder {
     HloInstruction* AllToAllStart(HloInstruction* operand, int64_t dim,
                                   std::vector<std::vector<int64_t>> groups);
     HloInstruction* AllToAllDone(HloInstruction* start);
-    HloInstruction* CollectivePermute(
-        HloInstruction* operand,
-        std::vector<std::pair<int64_t, int64_t>> pairs);
-    HloInstruction* CollectivePermuteStart(
-        HloInstruction* operand,
-        std::vector<std::pair<int64_t, int64_t>> pairs);
+    HloInstruction* CollectivePermute(HloInstruction* operand,
+                                      SourceTargetPairs pairs);
+    HloInstruction* CollectivePermuteStart(HloInstruction* operand,
+                                           SourceTargetPairs pairs);
     HloInstruction* CollectivePermuteDone(HloInstruction* start);
 
     /** Scalar node depending on all `values` (keeps them live). */

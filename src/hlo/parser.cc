@@ -329,12 +329,15 @@ class Parser {
         } else if (key == "pairs") {
             auto groups = ParseGroupList(value);
             if (!groups.ok()) return groups.status();
+            SourceTargetPairs::List pairs(attrs->source_target_pairs.begin(),
+                                          attrs->source_target_pairs.end());
             for (const auto& pair : groups.value()) {
                 if (pair.size() != 2) {
                     return InvalidArgument("bad source-target pair");
                 }
-                attrs->source_target_pairs.emplace_back(pair[0], pair[1]);
+                pairs.emplace_back(pair[0], pair[1]);
             }
+            attrs->source_target_pairs = std::move(pairs);
         } else if (key == "value") {
             if (opcode == HloOpcode::kPad) {
                 attrs->pad_value =

@@ -56,7 +56,12 @@ class DeviceSet {
     std::unordered_set<int64_t> sparse_;
 };
 
-/** The device sets one VerifyComputation call lends its collectives. */
+/**
+ * The device sets one VerifyComputation call lends its collectives, and
+ * the pair lists it has already checked. A list is immutable and shared
+ * by every permute of one ring shift, so its checks (which depend only
+ * on the list and the mesh) run once, at the first permute carrying it.
+ */
 struct DeviceSets {
     explicit DeviceSets(int64_t num_devices)
         : groups(num_devices), sources(num_devices), targets(num_devices)
@@ -66,6 +71,7 @@ struct DeviceSets {
     DeviceSet groups;
     DeviceSet sources;
     DeviceSet targets;
+    std::unordered_set<const SourceTargetPairs::List*> checked_pairs;
 };
 
 Status
@@ -157,8 +163,10 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
                        " devices at %", instr->name()));
         }
     }
-    if (instr->opcode() == HloOpcode::kCollectivePermute ||
-        instr->opcode() == HloOpcode::kCollectivePermuteStart) {
+    if ((instr->opcode() == HloOpcode::kCollectivePermute ||
+         instr->opcode() == HloOpcode::kCollectivePermuteStart) &&
+        sets->checked_pairs.insert(attrs.source_target_pairs.get())
+            .second) {
         sets->sources.Clear();
         sets->targets.Clear();
         for (const auto& [src, dst] : attrs.source_target_pairs) {

@@ -20,8 +20,10 @@ namespace overlap {
  *  - an attached schedule is a permutation of the instruction list and a
  *    valid topological order.
  *
- * Cost is linear in the instructions and their device lists and does not
- * grow with the mesh beyond one mark array per device list kind.
+ * Cost is linear in the instructions, their groups and the distinct
+ * permute pair lists (a list shared by many permutes is checked once),
+ * and does not grow with the mesh beyond one mark array per device list
+ * kind.
  */
 Status VerifyModule(const HloModule& module);
 

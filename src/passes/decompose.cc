@@ -1,6 +1,7 @@
 #include "passes/decompose.h"
 
 #include <algorithm>
+#include <map>
 
 #include "hlo/builder.h"
 #include "support/logging.h"
@@ -334,16 +335,39 @@ SideDimOf(const EinsumSpec& spec, int64_t side, char label)
 }
 
 /**
+ * The ring-shift pair lists of one Run: the list of each (axis, step
+ * mod N) is built once and shared by every permute shifting by it, so
+ * the per-device data is paid per distinct shift, not per permute.
+ */
+class RingShifts {
+  public:
+    explicit RingShifts(const Mesh& mesh) : mesh_(mesh) {}
+
+    const SourceTargetPairs& Get(int64_t axis, int64_t step)
+    {
+        const int64_t n = mesh_.axis_size(axis);
+        const int64_t normalized = ((step % n) + n) % n;
+        SourceTargetPairs& pairs = lists_[{axis, normalized}];
+        if (pairs.empty()) pairs = RingShiftPairs(mesh_, axis, normalized);
+        return pairs;
+    }
+
+  private:
+    const Mesh& mesh_;
+    std::map<std::pair<int64_t, int64_t>, SourceTargetPairs> lists_;
+};
+
+/**
  * Emits the unrolled Looped CollectiveEinsum for one site. Every
  * instruction added is tagged with a fresh loop group.
  */
 class LoopEmitter {
   public:
-    LoopEmitter(HloComputation* computation, const Mesh& mesh,
+    LoopEmitter(HloComputation* computation, RingShifts* ring_shifts,
                 const DecomposeOptions& options, const Site& site)
         : computation_(computation),
           builder_(computation),
-          mesh_(mesh),
+          ring_shifts_(ring_shifts),
           options_(options),
           site_(site),
           n_(site.group_size)
@@ -441,7 +465,7 @@ class LoopEmitter {
     {
         if (((step % n_) + n_) % n_ == 0) return value;  // identity
         return builder_.CollectivePermute(
-            MaybeCopy(value), RingShiftPairs(mesh_, site_.mesh_axis, step));
+            MaybeCopy(value), ring_shifts_->Get(site_.mesh_axis, step));
     }
 
     /**
@@ -455,7 +479,7 @@ class LoopEmitter {
     {
         if (((k % n_) + n_) % n_ == 0) return value;
         HloInstruction* permute = builder_.CollectivePermute(
-            MaybeCopy(value), RingShiftPairs(mesh_, site_.mesh_axis, k));
+            MaybeCopy(value), ring_shifts_->Get(site_.mesh_axis, k));
         permute->mutable_attrs().a2a_chunk = k;
         return permute;
     }
@@ -777,7 +801,7 @@ class LoopEmitter {
     int64_t emitted_group_ = -1;
     HloComputation* computation_;
     HloBuilder builder_;
-    const Mesh& mesh_;
+    RingShifts* ring_shifts_;
     const DecomposeOptions& options_;
     const Site& site_;
     int64_t n_;
@@ -1071,12 +1095,13 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         chosen.push_back(best);
     }
 
+    RingShifts ring_shifts(mesh_);
     for (const Site& site : chosen) {
         DecomposeOptions site_options = options_;
         if (site.force_unidirectional || options_.force_unidirectional) {
             site_options.bidirectional = false;
         }
-        LoopEmitter emitter(computation, mesh_, site_options, site);
+        LoopEmitter emitter(computation, &ring_shifts, site_options, site);
         HloInstruction* replacement = emitter.Emit();
         // Join key for the overlap-efficiency report: the decision of
         // this site learns the loop group its instructions now carry.

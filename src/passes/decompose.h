@@ -307,7 +307,9 @@ class CollectiveEinsumDecomposer {
  * data `step` positions *down* along every ring of `axis` (data on ring
  * position j arrives at position j - step, wrapping). Negative `step`
  * moves data up (clockwise). `step` must not be a multiple of the ring
- * size (that permute would be the identity).
+ * size (that permute would be the identity). Returns a fresh list; the
+ * pass itself builds each (axis, step mod N) list once per Run and
+ * shares it between all the permutes that shift by it.
  */
 std::vector<std::pair<int64_t, int64_t>> RingShiftPairs(const Mesh& mesh,
                                                         int64_t axis,

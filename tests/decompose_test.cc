@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <tuple>
 
 #include "hlo/builder.h"
@@ -525,6 +526,61 @@ TEST(RingShiftPairsTest, TorusSubgroupPairsStayInGroup)
     for (const auto& [src, dst] : pairs) {
         EXPECT_EQ(src / 4, dst / 4) << "pair crossed its ring";
     }
+}
+
+/** The distinct pair lists of `comp`'s permutes (sync or Start). */
+std::set<const SourceTargetPairs::List*>
+PairLists(const HloComputation& comp)
+{
+    std::set<const SourceTargetPairs::List*> lists;
+    for (const HloInstruction* instr : comp.instructions()) {
+        if (instr->opcode() == HloOpcode::kCollectivePermute ||
+            instr->opcode() == HloOpcode::kCollectivePermuteStart) {
+            lists.insert(instr->attrs().source_target_pairs.get());
+        }
+    }
+    return lists;
+}
+
+/**
+ * The pass builds one pair list per (axis, step mod N) and every permute
+ * shifting by that step points at it; Clone and the async pass copy the
+ * pointer, not the list.
+ */
+TEST(RingShiftPairsTest, PermutesOfOneShiftShareOneList)
+{
+    Scenario s = BuildAllGatherScenario(Mesh(2, 8), /*axis=*/1,
+                                        EinsumDimKind::kLhsFree,
+                                        /*gathered_side=*/0);
+    HloComputation* comp = s.module->entry();
+    CostModel cost{HardwareSpec{}};
+    DecomposeOptions options;
+    options.use_cost_model = false;
+    CollectiveEinsumDecomposer decomposer(Mesh(2, 8), &cost, options);
+    ASSERT_TRUE(decomposer.Run(comp).ok());
+
+    // Bidirectional loop on a ring of 8: several permutes, each shifting
+    // by +1 or -1 (7 mod 8), so exactly two lists.
+    EXPECT_GT(CountOps(*comp, HloOpcode::kCollectivePermute), 2);
+    const std::set<const SourceTargetPairs::List*> lists = PairLists(*comp);
+    ASSERT_EQ(lists.size(), 2u);
+    const Mesh mesh(2, 8);
+    for (const HloInstruction* instr : comp->instructions()) {
+        if (instr->opcode() != HloOpcode::kCollectivePermute) continue;
+        const SourceTargetPairs::List& list =
+            *instr->attrs().source_target_pairs.get();
+        EXPECT_TRUE(list == RingShiftPairs(mesh, 1, 1) ||
+                    list == RingShiftPairs(mesh, 1, -1))
+            << instr->ToString();
+    }
+
+    std::unique_ptr<HloComputation> clone = comp->Clone();
+    EXPECT_EQ(PairLists(*clone), lists);
+
+    ASSERT_TRUE(CreateAsyncCollectivePermutes(comp).ok());
+    EXPECT_EQ(CountOps(*comp, HloOpcode::kCollectivePermute), 0);
+    EXPECT_EQ(PairLists(*comp), lists);
+    EXPECT_TRUE(VerifyModule(*s.module).ok());
 }
 
 TEST(DecomposeTest, SkipsAllGatherWithMultipleUsers)
