@@ -36,7 +36,7 @@ CountLoop(const HloComputation& comp, const Mesh& mesh)
               break;
           case HloOpcode::kCollectivePermute: {
               ++c.permutes;
-              auto [src, dst] = instr->attrs().source_target_pairs[0];
+              auto [src, dst] = instr->attrs().source_target_pairs.front();
               int64_t axis = 0;
               for (; axis < mesh.num_axes(); ++axis) {
                   if (mesh.Coords(src)[static_cast<size_t>(axis)] !=
