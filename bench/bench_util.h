@@ -48,6 +48,36 @@ CompareModel(const ModelConfig& config,
     return row;
 }
 
+/** `value` as a JSON number that round-trips exactly (%.17g). */
+inline std::string
+Json17(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
+/**
+ * The per-model JSON fields of a comparison row: step seconds, MFU and
+ * exposed-communication share of both arms, plus the speedup. The
+ * paper-figure benches emit these under --json, and their committed
+ * BENCH_fig*.json gate the figures byte for byte.
+ */
+inline std::string
+ComparisonJsonFields(const ComparisonRow& row)
+{
+    return StrCat("\"baseline_step_s\": ", Json17(row.baseline.step_seconds),
+                  ", \"overlapped_step_s\": ",
+                  Json17(row.overlapped.step_seconds),
+                  ", \"baseline_mfu\": ", Json17(row.baseline.mfu),
+                  ", \"overlapped_mfu\": ", Json17(row.overlapped.mfu),
+                  ", \"baseline_comm_frac\": ",
+                  Json17(row.baseline.comm_fraction),
+                  ", \"overlapped_comm_frac\": ",
+                  Json17(row.overlapped.comm_fraction),
+                  ", \"speedup\": ", Json17(row.speedup()));
+}
+
 /** ASCII bar of `value` out of `full_scale`. */
 inline std::string
 Bar(double value, double full_scale, int width = 40)

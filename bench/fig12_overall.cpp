@@ -3,42 +3,73 @@
  * Reproduces Figure 12: achieved throughput of the six Table 1 models as
  * a fraction of peak FLOPS (MFU), baseline vs overlapped, plus the
  * speedup the decomposition technique delivers.
+ *
+ *   fig12_overall [--json]
+ *
+ * --json prints only the per-model numbers as JSON (BENCH_fig12.json,
+ * written by scripts/paper_figures.sh and gated byte for byte by
+ * `ctest -L sweep`); it exits nonzero if any model fails.
  */
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "bench_util.h"
 
 using namespace overlap;
 
 int
-main()
+main(int argc, char** argv)
 {
-    bench::Banner(
-        "Overall performance: baseline vs overlapped (peak-FLOPS fraction)",
-        "Figure 12 of the paper");
-    std::printf("%-12s  %8s %8s  %8s %8s  %7s\n", "model", "base-MFU",
-                "over-MFU", "base-comm", "over-comm", "speedup");
+    bool json_only = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--json") == 0) {
+            json_only = true;
+        } else {
+            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+            return 2;
+        }
+    }
+    if (!json_only) {
+        bench::Banner("Overall performance: baseline vs overlapped "
+                      "(peak-FLOPS fraction)",
+                      "Figure 12 of the paper");
+        std::printf("%-12s  %8s %8s  %8s %8s  %7s\n", "model", "base-MFU",
+                    "over-MFU", "base-comm", "over-comm", "speedup");
+    }
     double speedup_product = 1.0;
     double best_speedup = 0.0;
     int count = 0;
+    bool failed = false;
+    std::vector<std::string> rows;
     for (const ModelConfig& config : Table1Models()) {
         auto row = bench::CompareModel(config);
         if (!row.ok()) {
-            std::printf("%-12s FAILED: %s\n", config.name.c_str(),
-                        row.status().ToString().c_str());
+            std::fprintf(json_only ? stderr : stdout, "%-12s FAILED: %s\n",
+                         config.name.c_str(),
+                         row.status().ToString().c_str());
+            failed = true;
             continue;
         }
-        std::printf("%-12s  %7.1f%% %7.1f%%  %7.1f%% %8.1f%%  %6.2fx\n",
-                    config.name.c_str(), row->baseline.mfu * 100.0,
-                    row->overlapped.mfu * 100.0,
-                    row->baseline.comm_fraction * 100.0,
-                    row->overlapped.comm_fraction * 100.0,
-                    row->speedup());
+        rows.push_back(StrCat("    {\"model\": \"", config.name, "\", ",
+                              bench::ComparisonJsonFields(*row), "}"));
+        if (!json_only) {
+            std::printf("%-12s  %7.1f%% %7.1f%%  %7.1f%% %8.1f%%  %6.2fx\n",
+                        config.name.c_str(), row->baseline.mfu * 100.0,
+                        row->overlapped.mfu * 100.0,
+                        row->baseline.comm_fraction * 100.0,
+                        row->overlapped.comm_fraction * 100.0,
+                        row->speedup());
+        }
         speedup_product *= row->speedup();
         best_speedup = std::max(best_speedup, row->speedup());
         ++count;
+    }
+    if (json_only) {
+        std::printf("{\n  \"models\": [\n%s\n  ]\n}\n",
+                    StrJoin(rows, ",\n").c_str());
+        return failed ? 1 : 0;
     }
     if (count > 0) {
         std::printf("\ngeometric-mean speedup: %.2fx   best: %.2fx\n",
