@@ -1,5 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +13,7 @@
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "sim/cost_model.h"
+#include "sim/loop_timeline.h"
 
 namespace overlap {
 namespace {
@@ -281,6 +286,140 @@ TEST(CostModelSiteTest, OddExtentSitesLowerToUnidirectionalAndPredict)
                 << spec.ToString() << ": odd extent emitted "
                 << LoopStructureName(structure);
         }
+    }
+}
+
+/** Whether the decomposer can emit `structure` on a ring of `ring`. */
+bool
+RingEmittable(LoopStructure structure, int64_t ring)
+{
+    switch (structure) {
+      case LoopStructure::kAllGatherTwoWay:
+          return ring == 2;
+      case LoopStructure::kAllGatherBidirectional:
+      case LoopStructure::kReduceScatterBidirectional:
+          return ring >= 4 && ring % 2 == 0;
+      case LoopStructure::kReduceScatterTwoChain:
+          return ring % 2 == 0;
+      default:
+          return true;
+    }
+}
+
+/**
+ * Per-unit cost mixes for the golden replay: comm-bound, compute-bound,
+ * and one built from powers of two with zero latency, overhead and
+ * fill costs, so arrivals land exactly on the device clock and on each
+ * other and every tie-break of the walk decides the result.
+ */
+LoopShape
+GoldenMix(int mix)
+{
+    LoopShape shape;
+    switch (mix) {
+      case 0:
+          shape.wire_seconds = 4e-3;
+          shape.hop_latency_seconds = 2e-6;
+          shape.partial_seconds = 1e-3;
+          shape.combine_seconds = 2e-4;
+          shape.slice_seconds = 1e-4;
+          shape.slices_per_partial = 1;
+          shape.zeros_seconds = 5e-5;
+          shape.copy_seconds = 3e-4;
+          shape.op_overhead_seconds = 1e-5;
+          shape.send_slice_seconds = 1.5e-4;
+          break;
+      case 1:
+          shape.wire_seconds = 5e-4;
+          shape.hop_latency_seconds = 1e-6;
+          shape.partial_seconds = 6e-3;
+          shape.combine_seconds = 3e-4;
+          shape.zeros_seconds = 1e-4;
+          shape.copy_seconds = 1e-4;
+          shape.op_overhead_seconds = 2e-5;
+          shape.send_slice_seconds = 5e-5;
+          shape.combine_is_full_add = true;
+          break;
+      default:
+          shape.wire_seconds = std::ldexp(1.0, -10);
+          shape.partial_seconds = std::ldexp(1.0, -10);
+          shape.combine_seconds = std::ldexp(1.0, -12);
+          shape.slice_seconds = std::ldexp(1.0, -12);
+          shape.slices_per_partial = 1;
+          shape.copy_seconds = std::ldexp(1.0, -11);
+          break;
+    }
+    return shape;
+}
+
+const char* const kLoopTimelineGoldenPath =
+    OVERLAP_TESTDATA_DIR "/loop_timeline.golden";
+
+/**
+ * The §5.5 replay's exact output — span, compute, wire and exposed time
+ * as hex floats — for every loop structure at every ring it can be
+ * emitted at, with and without aliasing copies, in-flight budgets 1, 2
+ * and 32, three cost mixes and both calibrations, must match the
+ * committed golden bit for bit: a faster replay must not move a single
+ * gate decision. Regenerate with OVERLAP_REGEN_GOLDEN=1 only after an
+ * intentional change of the replay's semantics.
+ */
+TEST(LoopTimelineGoldenTest, PredictionsMatchGolden)
+{
+    const int64_t rings[] = {2, 3, 4, 8, 16, 31, 64, 128};
+    const int64_t budgets[] = {1, 2, 32};
+    const std::pair<const char*, CalibrationFit> fits[] = {
+        {"identity", CalibrationFit::Identity()},
+        {"fitted", CalibrationFit::Fitted()}};
+    std::vector<std::string> lines;
+    for (int s = 0; s < kNumLoopStructures; ++s) {
+        auto structure = static_cast<LoopStructure>(s);
+        for (int64_t ring : rings) {
+            if (!RingEmittable(structure, ring)) continue;
+            for (bool copies : {false, true}) {
+                for (int64_t budget : budgets) {
+                    for (int mix = 0; mix < 3; ++mix) {
+                        LoopShape shape = GoldenMix(mix);
+                        shape.structure = structure;
+                        shape.ring = ring;
+                        shape.has_copies = copies;
+                        shape.max_in_flight = budget;
+                        for (const auto& [fit_name, fit] : fits) {
+                            LoopTimeline t =
+                                CalibratedCostModel(fit).Predict(shape);
+                            char buf[256];
+                            std::snprintf(
+                                buf, sizeof(buf),
+                                "%s %lld %d %lld %d %s %a %a %a %a",
+                                LoopStructureName(structure),
+                                static_cast<long long>(ring),
+                                copies ? 1 : 0,
+                                static_cast<long long>(budget), mix,
+                                fit_name, t.span_seconds,
+                                t.compute_seconds, t.wire_seconds,
+                                t.exposed_seconds);
+                            lines.push_back(buf);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    if (std::getenv("OVERLAP_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(kLoopTimelineGoldenPath);
+        ASSERT_TRUE(out.good()) << "cannot write " << kLoopTimelineGoldenPath;
+        for (const std::string& line : lines) out << line << "\n";
+        GTEST_SKIP() << "regenerated " << kLoopTimelineGoldenPath;
+    }
+
+    std::ifstream in(kLoopTimelineGoldenPath);
+    ASSERT_TRUE(in.good()) << "missing " << kLoopTimelineGoldenPath;
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);) golden.push_back(line);
+    ASSERT_EQ(golden.size(), lines.size());
+    for (size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(lines[i], golden[i]) << "replay moved";
     }
 }
 
