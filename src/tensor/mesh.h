@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace overlap {
@@ -22,6 +23,9 @@ class Mesh {
 
     /** 2-D mesh (torus) of shape [m, n]. */
     Mesh(int64_t m, int64_t n) : dims_{m, n} {}
+
+    /** A mesh of any rank; the model configs use the two above. */
+    explicit Mesh(std::vector<int64_t> dims) : dims_(std::move(dims)) {}
 
     int64_t num_axes() const { return static_cast<int64_t>(dims_.size()); }
     int64_t axis_size(int64_t axis) const { return dims_.at(axis); }

@@ -16,6 +16,7 @@
 #include "hlo/builder.h"
 #include "hlo/verifier.h"
 #include "interp/evaluator.h"
+#include "support/strings.h"
 #include "test_util.h"
 
 namespace overlap {
@@ -292,6 +293,83 @@ TEST(VerifierFuzz, DanglingOperandFromForeignComputationIsRejected)
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.message().find("not defined before"), std::string::npos)
         << status.ToString();
+}
+
+/**
+ * A module whose entry holds `%p = parameter(0)` and `%n = negate(%p)`
+ * (ids 0 and 1), plus a foreign computation holding `%q =
+ * parameter(0)` and `%m = negate(%q)` under the same two ids: the
+ * verifier tracks instructions by id, and an id alone must never pass a
+ * foreign instruction off as a local one.
+ */
+struct ForeignIdFixture {
+    std::unique_ptr<HloModule> module =
+        std::make_unique<HloModule>("verifier_fuzz");
+    HloComputation foreign{"foreign"};
+    HloInstruction* p = nullptr;
+    HloInstruction* n = nullptr;
+    HloInstruction* q = nullptr;
+    HloInstruction* m = nullptr;
+
+    ForeignIdFixture()
+    {
+        HloComputation* comp = module->AddEntryComputation("main");
+        HloBuilder b(comp);
+        p = b.Parameter(0, Shape({8, 8}));
+        n = b.Negate(p);
+        comp->set_root(n);
+        HloBuilder fb(&foreign);
+        q = fb.Parameter(0, Shape({8, 8}));
+        m = fb.Negate(q);
+    }
+};
+
+TEST(VerifierFuzz, ForeignOperandSharingALocalIdIsRejected)
+{
+    ForeignIdFixture f;
+    ASSERT_EQ(f.q->id(), f.p->id());
+    HloComputation* comp = f.module->entry();
+    auto* neg = comp->AddInstruction(HloOpcode::kNegate, Shape({8, 8}),
+                                     {f.q});
+    comp->set_root(neg);
+    Status status = VerifyModule(*f.module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              StrCat("operand %", f.q->name(), " not defined before %",
+                     neg->name()));
+}
+
+TEST(VerifierFuzz, ForeignRootSharingALocalIdIsRejected)
+{
+    ForeignIdFixture f;
+    ASSERT_EQ(f.m->id(), f.n->id());
+    f.module->entry()->set_root(f.m);
+    Status status = VerifyModule(*f.module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.message(), "root is not in the computation");
+}
+
+TEST(VerifierFuzz, ForeignScheduleEntrySharingALocalIdIsRejected)
+{
+    // The foreign parameter takes the local parameter's slot: the local
+    // negate then finds its operand unscheduled.
+    ForeignIdFixture f;
+    HloComputation* comp = f.module->entry();
+    comp->set_schedule({f.q, f.n});
+    Status status = VerifyModule(*f.module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              StrCat("schedule places %", f.n->name(),
+                     " before its operand %", f.p->name()));
+
+    // A foreign negate in the local negate's slot reads a foreign
+    // operand that the local parameter's slot does not hold.
+    comp->set_schedule({f.p, f.m});
+    status = VerifySchedule(*comp);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              StrCat("schedule places %", f.m->name(),
+                     " before its operand %", f.q->name()));
 }
 
 TEST(VerifierFuzz, NonTopologicalScheduleIsRejected)

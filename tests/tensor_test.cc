@@ -225,6 +225,84 @@ TEST(MeshTest, InferGroupsAxis)
     EXPECT_EQ(mesh.InferGroupsAxis({{0, 1, 2, 3, 4, 5, 6, 7}}), -1);
 }
 
+/** The first axis whose Groups() equal `groups`, or -1. */
+int64_t
+ReferenceGroupsAxis(const Mesh& mesh,
+                    const std::vector<std::vector<int64_t>>& groups)
+{
+    for (int64_t axis = 0; axis < mesh.num_axes(); ++axis) {
+        if (mesh.Groups(axis) == groups) return axis;
+    }
+    return -1;
+}
+
+TEST(MeshTest, InferGroupsAxisMatchesGroupsOnEveryMeshShape)
+{
+    // InferGroupsAxis checks each axis's layout arithmetically; it must
+    // answer exactly what comparing against Groups(axis) answers, on
+    // every axis of 1-, 2- and 3-axis meshes (size-1 axes included) and
+    // on every corruption of those group lists.
+    const std::vector<Mesh> meshes = {
+        Mesh(1),          Mesh(6),          Mesh(2, 3),
+        Mesh(4, 1),       Mesh(1, 4),       Mesh(4, 4),
+        Mesh({2, 3, 4}),  Mesh({3, 1, 2}),  Mesh({2, 2, 2}),
+        Mesh({1, 5, 1})};
+    for (const Mesh& mesh : meshes) {
+        std::vector<std::vector<std::vector<int64_t>>> cases;
+        for (int64_t axis = 0; axis < mesh.num_axes(); ++axis) {
+            auto groups = mesh.Groups(axis);
+            cases.push_back(groups);
+            auto permuted = groups;  // two devices of one group swapped
+            if (permuted[0].size() > 1) {
+                std::swap(permuted[0][0], permuted[0][1]);
+                cases.push_back(permuted);
+            }
+            auto reordered = groups;  // two groups swapped
+            if (reordered.size() > 1) {
+                std::swap(reordered[0], reordered.back());
+                cases.push_back(reordered);
+            }
+            auto ragged = groups;  // one device short
+            ragged.back().pop_back();
+            cases.push_back(ragged);
+            auto padded = groups;  // one device too many
+            padded.back().push_back(mesh.num_devices());
+            cases.push_back(padded);
+            auto missing = groups;  // one group too few
+            missing.pop_back();
+            cases.push_back(missing);
+            auto extra = groups;  // one group too many
+            extra.push_back(groups.back());
+            cases.push_back(extra);
+            auto shifted = groups;  // right layout, wrong base
+            for (auto& group : shifted) {
+                for (int64_t& device : group) ++device;
+            }
+            cases.push_back(shifted);
+        }
+        for (const auto& groups : cases) {
+            EXPECT_EQ(mesh.InferGroupsAxis(groups),
+                      ReferenceGroupsAxis(mesh, groups))
+                << mesh.ToString();
+        }
+    }
+
+    Mesh cube({2, 3, 4});
+    EXPECT_EQ(cube.InferGroupsAxis(cube.Groups(0)), 0);
+    EXPECT_EQ(cube.InferGroupsAxis(cube.Groups(1)), 1);
+    EXPECT_EQ(cube.InferGroupsAxis(cube.Groups(2)), 2);
+    auto permuted = cube.Groups(1);
+    std::swap(permuted[2][0], permuted[2][2]);
+    EXPECT_EQ(cube.InferGroupsAxis(permuted), -1);
+    auto ragged = cube.Groups(2);
+    ragged[1].pop_back();
+    EXPECT_EQ(cube.InferGroupsAxis(ragged), -1);
+    auto wrong_count = cube.Groups(0);
+    wrong_count.pop_back();
+    EXPECT_EQ(cube.InferGroupsAxis(wrong_count), -1);
+    EXPECT_EQ(cube.InferGroupsAxis({}), -1);
+}
+
 TEST(ShardingTest, ShardShapeAndOffsets)
 {
     Mesh mesh(2, 4);
