@@ -53,6 +53,13 @@ class HloComputation {
         return static_cast<int64_t>(instructions_.size());
     }
 
+    /**
+     * One past the largest instruction id: ids are dense (AddInstruction
+     * allocates them in order and Clone keeps them), so per-instruction
+     * state can live in a vector of this size indexed by id.
+     */
+    int64_t instruction_id_bound() const { return next_id_; }
+
     /** Parameters ordered by parameter_number. */
     std::vector<HloInstruction*> parameters() const;
 

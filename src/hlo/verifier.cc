@@ -231,6 +231,41 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
     return Status::Ok();
 }
 
+/**
+ * A set of one computation's instructions, held as a slot per id. A
+ * slot stores the instruction's pointer rather than a flag, so an
+ * instruction of another computation that reuses a local id (or carries
+ * an id past the local bound) is never taken for a member: its slot
+ * holds the local instruction, or nothing.
+ */
+class InstructionSlots {
+  public:
+    explicit InstructionSlots(const HloComputation& computation)
+        : slots_(static_cast<size_t>(computation.instruction_id_bound()),
+                 nullptr)
+    {
+    }
+
+    bool Contains(const HloInstruction* instr) const
+    {
+        return instr->id() >= 0 &&
+               instr->id() < static_cast<int64_t>(slots_.size()) &&
+               slots_[static_cast<size_t>(instr->id())] == instr;
+    }
+
+    /** Takes `instr`'s slot; an id past the bound has none. */
+    void Insert(const HloInstruction* instr)
+    {
+        if (instr->id() >= 0 &&
+            instr->id() < static_cast<int64_t>(slots_.size())) {
+            slots_[static_cast<size_t>(instr->id())] = instr;
+        }
+    }
+
+  private:
+    std::vector<const HloInstruction*> slots_;
+};
+
 }  // namespace
 
 Status
@@ -240,13 +275,13 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
         return InvalidArgument("computation has no root");
     }
     std::vector<HloInstruction*> instrs = computation.instructions();
-    std::unordered_set<const HloInstruction*> defined;
+    InstructionSlots defined(computation);
     std::unordered_set<int64_t> param_numbers;
     int64_t param_count = 0;
     DeviceSets device_sets(num_devices);
     for (const HloInstruction* instr : instrs) {
         for (const HloInstruction* operand : instr->operands()) {
-            if (defined.count(operand) == 0) {
+            if (!defined.Contains(operand)) {
                 return InvalidArgument(
                     StrCat("operand %", operand->name(),
                            " not defined before %", instr->name()));
@@ -269,7 +304,7 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
                            instr->name()));
             }
         }
-        defined.insert(instr);
+        defined.Insert(instr);
     }
     for (int64_t p = 0; p < param_count; ++p) {
         if (param_numbers.count(p) == 0) {
@@ -277,7 +312,7 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
                 StrCat("parameter numbers not dense: missing ", p));
         }
     }
-    if (defined.count(computation.root()) == 0) {
+    if (!defined.Contains(computation.root())) {
         return InvalidArgument("root is not in the computation");
     }
     return VerifySchedule(computation);
@@ -292,19 +327,20 @@ VerifySchedule(const HloComputation& computation)
         computation.instruction_count()) {
         return InvalidArgument("schedule length mismatch");
     }
-    std::unordered_set<const HloInstruction*> scheduled;
+    InstructionSlots scheduled(computation);
     for (const HloInstruction* instr : schedule) {
         for (const HloInstruction* operand : instr->operands()) {
-            if (scheduled.count(operand) == 0) {
+            if (!scheduled.Contains(operand)) {
                 return InvalidArgument(
                     StrCat("schedule places %", instr->name(),
                            " before its operand %", operand->name()));
             }
         }
-        if (!scheduled.insert(instr).second) {
+        if (scheduled.Contains(instr)) {
             return InvalidArgument(StrCat(
                 "schedule repeats %", instr->name()));
         }
+        scheduled.Insert(instr);
     }
     return Status::Ok();
 }

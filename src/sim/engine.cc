@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "support/strings.h"
 
@@ -97,6 +96,13 @@ GroupsInvolveChip(const std::vector<std::vector<int64_t>>& groups,
     return false;
 }
 
+/** Index of `unit`'s entry in per-unit state vectors. */
+size_t
+Slot(const SchedUnit* unit)
+{
+    return static_cast<size_t>(unit->id);
+}
+
 /**
  * No-progress pre-check over the executed order (the silent-hang class:
  * a real runtime would spin forever on these schedules, the simulator
@@ -111,10 +117,10 @@ GroupsInvolveChip(const std::vector<std::vector<int64_t>>& groups,
  *    later (the device can never reach the Done that would free one).
  */
 Status
-CheckNoDeadlock(const std::vector<SchedUnit*>& order,
+CheckNoDeadlock(const std::vector<SchedUnit*>& order, size_t num_units,
                 int64_t max_in_flight)
 {
-    std::unordered_set<const SchedUnit*> started;
+    std::vector<bool> started(num_units, false);
     std::vector<const SchedUnit*> outstanding;
     for (const SchedUnit* unit : order) {
         if (unit->IsAsyncStart()) {
@@ -133,7 +139,7 @@ CheckNoDeadlock(const std::vector<SchedUnit*>& order,
                     "later: ",
                     StrJoin(holders, ", ")));
             }
-            started.insert(unit);
+            started[Slot(unit)] = true;
             outstanding.push_back(unit);
         } else if (unit->IsAsyncDone()) {
             if (unit->operands.empty()) {
@@ -143,7 +149,7 @@ CheckNoDeadlock(const std::vector<SchedUnit*>& order,
                     "' has no Start operand"));
             }
             const SchedUnit* start = unit->operands.front();
-            if (started.count(start) == 0) {
+            if (!started[Slot(start)]) {
                 return FailedPrecondition(StrCat(
                     "no progress possible: async Done '",
                     unit->members.front()->name(),
@@ -284,33 +290,36 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
     std::vector<SchedUnit*> order =
         graph.UnitOrderOf(computation.sequence());
     OVERLAP_RETURN_IF_ERROR(
-        CheckNoDeadlock(order, spec_.max_in_flight_async));
+        CheckNoDeadlock(order, graph.units().size(),
+                        spec_.max_in_flight_async));
 
-    // One link channel per (axis, direction); value = busy-until time.
-    std::vector<double> channel_free(
-        static_cast<size_t>(mesh_.num_axes()) * 2, 0.0);
-    auto channel = [this, &channel_free](int64_t axis,
-                                         int64_t dir) -> double& {
-        return channel_free[static_cast<size_t>(axis * 2 + dir)];
+    // One link channel per (axis, direction): its busy-until time and
+    // its effective rates under the fault model. A ring step completes
+    // lockstep when its slowest link does, so each channel takes the min
+    // bandwidth factor (and max latency multiplier) over the directed
+    // links of its axis+direction. Lockstep at each sync point likewise
+    // pins compute throughput to the slowest chip. A fault-free model
+    // yields factors of exactly 1.0, keeping results bit-identical to a
+    // simulation without one.
+    struct LinkChannel {
+        double free_at = 0.0;
+        double bw_factor = 1.0;
+        double lat_factor = 1.0;
     };
-
-    // Effective per-channel rates under the fault model: a ring step
-    // completes lockstep when its slowest link does, so each channel
-    // takes the min bandwidth factor (and max latency multiplier) over
-    // the directed links of its axis+direction. Lockstep at each sync
-    // point likewise pins compute throughput to the slowest chip. A
-    // fault-free model yields factors of exactly 1.0, keeping results
-    // bit-identical to a simulation without one.
-    std::vector<double> channel_bw_factor(channel_free.size(), 1.0);
-    std::vector<double> channel_lat_factor(channel_free.size(), 1.0);
+    std::vector<LinkChannel> channels(
+        static_cast<size_t>(mesh_.num_axes()) * 2);
+    auto channel = [&channels](int64_t axis, int64_t dir) -> double& {
+        return channels[static_cast<size_t>(axis * 2 + dir)].free_at;
+    };
     double compute_factor = 1.0;
     if (!fault_.fault_free()) {
         for (int64_t axis = 0; axis < mesh_.num_axes(); ++axis) {
             for (int64_t dir = 0; dir < 2; ++dir) {
-                size_t c = static_cast<size_t>(axis * 2 + dir);
-                channel_bw_factor[c] =
+                LinkChannel& c =
+                    channels[static_cast<size_t>(axis * 2 + dir)];
+                c.bw_factor =
                     fault_.SlowestLinkFactor(mesh_, axis, dir, trial);
-                channel_lat_factor[c] =
+                c.lat_factor =
                     fault_.WorstLinkLatencyFactor(mesh_, axis, dir);
             }
         }
@@ -428,8 +437,12 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
 
     int64_t transfer_index = 0;
 
-    std::unordered_map<const SchedUnit*, double> arrival;
-    std::unordered_map<const SchedUnit*, double> receiver_check;
+    // Per-unit state by SchedUnit::id: a Start's arrival time and its
+    // receiver-side checksum cost. Transfers killed by a fault are rare
+    // and stay in a map.
+    const size_t num_units = graph.units().size();
+    std::vector<double> arrival(num_units, 0.0);
+    std::vector<double> receiver_check(num_units, 0.0);
     std::unordered_map<const SchedUnit*, KilledTransfer> killed;
     std::vector<const SchedUnit*> outstanding_starts;
     StepOutcome outcome;
@@ -477,9 +490,10 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
 
     // Liveness accounting over the executed order: a unit's result buffer
     // is allocated when it runs and freed once its last reader has run.
-    std::unordered_map<const SchedUnit*, int64_t> remaining_readers;
+    std::vector<int64_t> remaining_readers(num_units, 0);
     for (const SchedUnit* unit : order) {
-        remaining_readers[unit] = static_cast<int64_t>(unit->users.size());
+        remaining_readers[Slot(unit)] =
+            static_cast<int64_t>(unit->users.size());
     }
     int64_t live_bytes = 0;
     auto output_bytes = [](const SchedUnit* unit) {
@@ -490,7 +504,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         result.peak_memory_bytes =
             std::max(result.peak_memory_bytes, live_bytes);
         for (const SchedUnit* operand : unit->operands) {
-            if (--remaining_readers.at(operand) == 0) {
+            if (--remaining_readers[Slot(operand)] == 0) {
                 live_bytes -= output_bytes(operand);
             }
         }
@@ -521,7 +535,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             size_t ch = static_cast<size_t>(route->axis * 2 + direction);
             double wire =
                 static_cast<double>(route->hops) * bytes /
-                (spec_.link_bandwidth * channel_bw_factor[ch]);
+                (spec_.link_bandwidth * channels[ch].bw_factor);
             TransferOutcome retries =
                 fault_.TransferOutcomeOf(transfer_index++, trial);
             double retry_delay =
@@ -537,7 +551,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
-                receiver_check[unit] = chk;
+                receiver_check[Slot(unit)] = chk;
             }
             double& free_at = channel(route->axis, direction);
             double begin = std::max(time, free_at);
@@ -554,7 +568,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 info.dead_link_dst = ld;
                 info.fail_time_seconds = begin;
                 killed[unit] = info;
-                arrival[unit] =
+                arrival[Slot(unit)] =
                     std::numeric_limits<double>::infinity();
             } else if (permute_involves_dead(head, route->axis,
                                              direction) &&
@@ -567,14 +581,14 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 info.dead_link_dst = permanent->link_dst;
                 info.fail_time_seconds = dead_from;
                 killed[unit] = info;
-                arrival[unit] =
+                arrival[Slot(unit)] =
                     std::numeric_limits<double>::infinity();
             } else {
                 free_at = begin + retry_delay + wire;
-                arrival[unit] = free_at +
+                arrival[Slot(unit)] = free_at +
                                 static_cast<double>(route->hops) *
                                     spec_.link_latency *
-                                    channel_lat_factor[ch];
+                                    channels[ch].lat_factor;
                 // In-flight interval on the transfer lane: queueing
                 // behind earlier traffic in the same direction, retries,
                 // wire time and per-hop latency, Start issue to arrival.
@@ -583,7 +597,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 // in-flight interval, which the overlap report's
                 // hidden+exposed==total accounting relies on.
                 record(head->name(), TraceKind::kTransferInFlight, time,
-                       arrival.at(unit), unit->loop_group);
+                       arrival[Slot(unit)], unit->loop_group);
             }
             result.transferred_bytes +=
                 bytes * static_cast<double>(1 + retries.failures);
@@ -604,7 +618,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                         {start->members.front()->name()});
                 return outcome;
             }
-            double arrived = arrival.at(start);
+            double arrived = arrival[Slot(start)];
             if (arrived > time) {
                 record(head->name(), TraceKind::kTransferWait, time,
                        arrived, unit->loop_group);
@@ -612,7 +626,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time = arrived;
             }
             if (transfer_checks) {
-                double chk = receiver_check.at(start);
+                double chk = receiver_check[Slot(start)];
                 record(StrCat("sdc_checksum:", head->name()),
                        TraceKind::kCompute, time, time + chk,
                        unit->loop_group);
@@ -648,7 +662,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
-                receiver_check[unit] = chk;
+                receiver_check[Slot(unit)] = chk;
             }
             double begin = time;
             bool exchange_killed = false;
@@ -656,9 +670,9 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 int64_t axis = mesh_.InferGroupsAxis(groups);
                 size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)
                                          : 0;
-                size_t last = axis >= 0 ? first + 2 : channel_free.size();
+                size_t last = axis >= 0 ? first + 2 : channels.size();
                 for (size_t c = first; c < last; ++c) {
-                    begin = std::max(begin, channel_free[c]);
+                    begin = std::max(begin, channels[c].free_at);
                 }
                 if (collective_involves_dead(groups, axis) &&
                     begin + duration > dead_from) {
@@ -670,24 +684,24 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                     info.dead_link_dst = permanent->link_dst;
                     info.fail_time_seconds = dead_from;
                     killed[unit] = info;
-                    arrival[unit] =
+                    arrival[Slot(unit)] =
                         std::numeric_limits<double>::infinity();
                     exchange_killed = true;
                 } else {
                     for (size_t c = first; c < last; ++c) {
-                        channel_free[c] = begin + duration;
+                        channels[c].free_at = begin + duration;
                     }
-                    arrival[unit] = begin + duration;
+                    arrival[Slot(unit)] = begin + duration;
                 }
             } else {
-                arrival[unit] = begin + duration;
+                arrival[Slot(unit)] = begin + duration;
             }
             if (!exchange_killed) {
                 // In-flight interval from the issue time so every
                 // Done-wait interval stays a subset of its exchange's
                 // in-flight interval (see the permute Start above).
                 record(head->name(), TraceKind::kTransferInFlight, time,
-                       arrival.at(unit), unit->loop_group);
+                       arrival[Slot(unit)], unit->loop_group);
                 result.transferred_bytes += bytes;
             }
             ++result.num_async_transfers;
@@ -703,7 +717,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                         {start->members.front()->name()});
                 return outcome;
             }
-            double arrived = arrival.at(start);
+            double arrived = arrival[Slot(start)];
             if (arrived > time) {
                 record(head->name(), TraceKind::kTransferWait, time,
                        arrived, unit->loop_group);
@@ -711,7 +725,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time = arrived;
             }
             if (transfer_checks) {
-                double chk = receiver_check.at(start);
+                double chk = receiver_check[Slot(start)];
                 record(StrCat("sdc_checksum:", head->name()),
                        TraceKind::kCompute, time, time + chk,
                        unit->loop_group);
@@ -741,7 +755,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             size_t ch = static_cast<size_t>(route->axis * 2 + direction);
             double wire =
                 static_cast<double>(route->hops) * bytes /
-                (spec_.link_bandwidth * channel_bw_factor[ch]);
+                (spec_.link_bandwidth * channels[ch].bw_factor);
             TransferOutcome retries =
                 fault_.TransferOutcomeOf(transfer_index++, trial);
             double retry_delay =
@@ -752,7 +766,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             double end = begin + retry_delay + wire +
                          static_cast<double>(route->hops) *
                              spec_.link_latency *
-                             channel_lat_factor[ch];
+                             channels[ch].lat_factor;
             if (retries.exhausted) {
                 KilledTransfer info;
                 info.cause = FailureCause::kRetryExhaustion;
@@ -812,9 +826,9 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 // groups span several axes occupies every channel.
                 size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)
                                          : 0;
-                size_t last = axis >= 0 ? first + 2 : channel_free.size();
+                size_t last = axis >= 0 ? first + 2 : channels.size();
                 for (size_t c = first; c < last; ++c) {
-                    begin = std::max(begin, channel_free[c]);
+                    begin = std::max(begin, channels[c].free_at);
                 }
                 if (collective_involves_dead(groups, axis) &&
                     begin + duration > dead_from) {
@@ -829,7 +843,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                     return outcome;
                 }
                 for (size_t c = first; c < last; ++c) {
-                    channel_free[c] = begin + duration;
+                    channels[c].free_at = begin + duration;
                 }
             }
             double end = begin + duration;

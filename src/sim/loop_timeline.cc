@@ -1,6 +1,8 @@
 #include "sim/loop_timeline.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -621,33 +623,94 @@ CalibratedCostModel::Predict(const LoopShape& shape) const
 {
     OVERLAP_CHECK(shape.ring >= 2);
     std::vector<Unit> units = UnitBuilder(shape, fit_).Build();
-    size_t count = units.size();
-    std::vector<bool> finished(count, false);
-    std::vector<double> arrival(count, 0.0);
+    const int count = static_cast<int>(units.size());
+
+    // Dependents in CSR form and a pending-dependency count per unit. A
+    // dependency listed twice (A2A dispatch at N = 4 gates chunk 1's
+    // permute on the send slice it also carries) counts once.
+    std::vector<int> pending(static_cast<size_t>(count), 0);
+    std::vector<int> first_dependent(static_cast<size_t>(count) + 1, 0);
+    for (Unit& unit : units) {
+        std::sort(unit.deps.begin(), unit.deps.end());
+        unit.deps.erase(std::unique(unit.deps.begin(), unit.deps.end()),
+                        unit.deps.end());
+        for (int dep : unit.deps) {
+            ++first_dependent[static_cast<size_t>(dep) + 1];
+        }
+    }
+    for (int i = 0; i < count; ++i) {
+        first_dependent[static_cast<size_t>(i) + 1] +=
+            first_dependent[static_cast<size_t>(i)];
+    }
+    std::vector<int> dependents(
+        static_cast<size_t>(first_dependent.back()));
+    std::vector<int> next_slot(first_dependent.begin(),
+                               first_dependent.end() - 1);
+    for (int i = 0; i < count; ++i) {
+        const Unit& unit = units[static_cast<size_t>(i)];
+        pending[static_cast<size_t>(i)] = static_cast<int>(unit.deps.size());
+        for (int dep : unit.deps) {
+            dependents[static_cast<size_t>(
+                next_slot[static_cast<size_t>(dep)]++)] = i;
+        }
+    }
+
+    // Ready units by tier: Starts and computes by index, Dones by
+    // (arrival, index) — a Done becomes ready with its Start, so its
+    // arrival is known by then.
+    using IndexHeap =
+        std::priority_queue<int, std::vector<int>, std::greater<int>>;
+    using ArrivalHeap =
+        std::priority_queue<std::pair<double, int>,
+                            std::vector<std::pair<double, int>>,
+                            std::greater<std::pair<double, int>>>;
+    IndexHeap starts;
+    IndexHeap computes;
+    ArrivalHeap dones;
+    std::vector<double> arrival(static_cast<size_t>(count), 0.0);
+    auto release = [&](int i) {
+        const Unit& unit = units[static_cast<size_t>(i)];
+        switch (unit.kind) {
+          case Unit::kStart:
+              starts.push(i);
+              break;
+          case Unit::kCompute:
+              computes.push(i);
+              break;
+          case Unit::kDone:
+              dones.push({arrival[static_cast<size_t>(unit.start)], i});
+              break;
+        }
+    };
+    int completed = 0;
+    auto finish = [&](int i) {
+        ++completed;
+        for (int k = first_dependent[static_cast<size_t>(i)];
+             k < first_dependent[static_cast<size_t>(i) + 1]; ++k) {
+            int user = dependents[static_cast<size_t>(k)];
+            if (--pending[static_cast<size_t>(user)] == 0) release(user);
+        }
+    };
+    for (int i = 0; i < count; ++i) {
+        if (pending[static_cast<size_t>(i)] == 0) release(i);
+    }
+
     std::vector<Interval> in_flight;
     std::vector<Interval> exposed;
     double t = 0.0;
     double channel[2] = {0.0, 0.0};
     int64_t outstanding = 0;
     double compute_sum = 0.0;
-    size_t completed = 0;
 
-    auto ready = [&](size_t i) {
-        if (finished[i]) return false;
-        for (int dep : units[i].deps) {
-            if (!finished[static_cast<size_t>(dep)]) return false;
-        }
-        return true;
-    };
-
-    // Greedy forward walk of the unit graph under the engine's channel
-    // semantics. Priorities mirror the bottom-up scheduler's classes:
-    // Starts issue as soon as their data exists (and the in-flight
-    // budget allows), ready compute runs while transfers fly, and the
-    // device stalls on a Done only when nothing else can make progress
-    // — retiring the earliest arrival first, as the engine does.
+    // Event-driven forward walk of the unit graph under the engine's
+    // channel semantics. Priorities mirror the bottom-up scheduler's
+    // classes: Starts issue as soon as their data exists (and the
+    // in-flight budget allows), ready compute runs while transfers fly,
+    // and the device stalls on a Done only when nothing else can make
+    // progress — retiring the earliest arrival first, as the engine
+    // does. Each step is one heap operation, so the walk is
+    // O(units log units).
     while (completed < count) {
-        bool progressed = false;
         // Retire every Done whose transfer has already arrived — in
         // the engine a Done past its arrival costs nothing, and its
         // consumers become schedulable immediately. Without this the
@@ -655,61 +718,51 @@ CalibratedCostModel::Predict(const LoopShape& shape) const
         // which delays the transfers they feed and fabricates an
         // exposed tail (the rs-bidirectional epilogue was the worst
         // case: ~40% span over-prediction).
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kDone || !ready(i)) continue;
-            if (arrival[static_cast<size_t>(units[i].start)] > t) continue;
-            finished[i] = true;
-            ++completed;
-            --outstanding;
-            progressed = true;
-        }
-        if (progressed) continue;
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kStart || !ready(i)) continue;
-            if (outstanding >= shape.max_in_flight) break;
-            int direction = units[i].direction;
-            if (direction < 0) {
-                direction = channel[0] <= channel[1] ? 0 : 1;
+        if (!dones.empty() && dones.top().first <= t) {
+            while (!dones.empty() && dones.top().first <= t) {
+                int i = dones.top().second;
+                dones.pop();
+                --outstanding;
+                finish(i);
             }
-            double begin = std::max(t, channel[direction]);
-            channel[direction] = begin + units[i].wire;
-            arrival[i] = channel[direction] + units[i].latency;
-            in_flight.push_back({t, arrival[i]});
-            finished[i] = true;
-            ++completed;
-            ++outstanding;
-            progressed = true;
+            continue;
         }
-        if (progressed) continue;
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kCompute || !ready(i)) continue;
-            t += units[i].seconds;
-            compute_sum += units[i].seconds;
-            finished[i] = true;
-            ++completed;
-            progressed = true;
-            break;
-        }
-        if (progressed) continue;
-        size_t best = count;
-        double best_arrival = 0.0;
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kDone || !ready(i)) continue;
-            double when = arrival[static_cast<size_t>(units[i].start)];
-            if (best == count || when < best_arrival) {
-                best = i;
-                best_arrival = when;
+        if (!starts.empty() && outstanding < shape.max_in_flight) {
+            while (!starts.empty() && outstanding < shape.max_in_flight) {
+                int i = starts.top();
+                starts.pop();
+                Unit& unit = units[static_cast<size_t>(i)];
+                int direction = unit.direction;
+                if (direction < 0) {
+                    direction = channel[0] <= channel[1] ? 0 : 1;
+                }
+                double begin = std::max(t, channel[direction]);
+                channel[direction] = begin + unit.wire;
+                arrival[static_cast<size_t>(i)] =
+                    channel[direction] + unit.latency;
+                in_flight.push_back({t, arrival[static_cast<size_t>(i)]});
+                ++outstanding;
+                finish(i);
             }
+            continue;
         }
-        OVERLAP_CHECK(best < count);  // graph acyclic by construction
-        double when = best_arrival;
+        if (!computes.empty()) {
+            int i = computes.top();
+            computes.pop();
+            t += units[static_cast<size_t>(i)].seconds;
+            compute_sum += units[static_cast<size_t>(i)].seconds;
+            finish(i);
+            continue;
+        }
+        OVERLAP_CHECK(!dones.empty());  // graph acyclic by construction
+        auto [when, i] = dones.top();
+        dones.pop();
         if (when > t) {
             exposed.push_back({t, when});
             t = when;
         }
-        finished[best] = true;
-        ++completed;
         --outstanding;
+        finish(i);
     }
 
     LoopTimeline timeline;

@@ -13,6 +13,8 @@ SchedGraph::SchedGraph(const HloComputation& computation,
     // Map fusion groups to units; singletons get their own.
     std::map<int64_t, SchedUnit*> group_units;
     int64_t next_id = 0;
+    unit_of_.assign(static_cast<size_t>(computation.instruction_id_bound()),
+                    nullptr);
     for (HloInstruction* instr : computation.instructions()) {
         SchedUnit* unit = nullptr;
         int64_t group = instr->fusion_group();
@@ -30,7 +32,7 @@ SchedGraph::SchedGraph(const HloComputation& computation,
         }
         unit->members.push_back(instr);
         if (instr->loop_group() >= 0) unit->loop_group = instr->loop_group();
-        unit_of_[instr] = unit;
+        unit_of_[static_cast<size_t>(instr->id())] = unit;
     }
 
     // Latencies: fused element-wise members are discounted.
@@ -66,7 +68,7 @@ SchedGraph::SchedGraph(const HloComputation& computation,
     for (const auto& unit : units_) {
         for (const HloInstruction* instr : unit->members) {
             for (HloInstruction* operand : instr->operands()) {
-                SchedUnit* producer = unit_of_.at(operand);
+                SchedUnit* producer = unit_of(operand);
                 if (producer == unit.get()) continue;
                 if (std::find(unit->operands.begin(), unit->operands.end(),
                               producer) == unit->operands.end()) {
@@ -76,6 +78,20 @@ SchedGraph::SchedGraph(const HloComputation& computation,
             }
         }
     }
+}
+
+SchedUnit*
+SchedGraph::unit_of(const HloInstruction* instr) const
+{
+    OVERLAP_CHECK(instr->id() >= 0 &&
+                  instr->id() < static_cast<int64_t>(unit_of_.size()));
+    SchedUnit* unit = unit_of_[static_cast<size_t>(instr->id())];
+    // An id alone does not make an instruction local: a foreign one
+    // sharing the id is not among the unit's members.
+    OVERLAP_CHECK(unit != nullptr &&
+                  std::find(unit->members.begin(), unit->members.end(),
+                            instr) != unit->members.end());
+    return unit;
 }
 
 std::vector<HloInstruction*>
@@ -93,12 +109,12 @@ std::vector<SchedUnit*>
 SchedGraph::UnitOrderOf(const std::vector<HloInstruction*>& sequence) const
 {
     std::vector<SchedUnit*> order;
-    order.reserve(sequence.size());
-    std::unordered_map<const SchedUnit*, bool> seen;
+    order.reserve(units_.size());
+    std::vector<bool> seen(units_.size(), false);
     for (const HloInstruction* instr : sequence) {
-        SchedUnit* unit = unit_of_.at(instr);
-        if (!seen[unit]) {
-            seen[unit] = true;
+        SchedUnit* unit = unit_of(instr);
+        if (!seen[static_cast<size_t>(unit->id)]) {
+            seen[static_cast<size_t>(unit->id)] = true;
             order.push_back(unit);
         }
     }

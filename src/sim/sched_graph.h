@@ -2,7 +2,6 @@
 #define OVERLAP_SIM_SCHED_GRAPH_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "hlo/computation.h"
@@ -86,10 +85,8 @@ class SchedGraph {
     {
         return units_;
     }
-    SchedUnit* unit_of(const HloInstruction* instr) const
-    {
-        return unit_of_.at(instr);
-    }
+    /** The unit holding `instr`, which must belong to the computation. */
+    SchedUnit* unit_of(const HloInstruction* instr) const;
 
     /**
      * Expands a unit order into an instruction schedule (members of each
@@ -108,7 +105,8 @@ class SchedGraph {
 
   private:
     std::vector<std::unique_ptr<SchedUnit>> units_;
-    std::unordered_map<const HloInstruction*, SchedUnit*> unit_of_;
+    /// By instruction id; null for ids of dead-code-removed instructions.
+    std::vector<SchedUnit*> unit_of_;
 };
 
 }  // namespace overlap

@@ -94,8 +94,33 @@ Mesh::ToString() const
 int64_t
 Mesh::InferGroupsAxis(const std::vector<std::vector<int64_t>>& groups) const
 {
+    // Checks each axis's Groups() layout without building it: group g
+    // holds base(g) + i * stride for i < size, where stride is the
+    // product of the later axes' sizes and base(g) enumerates the other
+    // axes' coordinates row-major.
+    const int64_t devices = num_devices();
+    auto laid_out_along = [&groups, devices](int64_t size, int64_t stride) {
+        if (static_cast<int64_t>(groups.size()) != devices / size) {
+            return false;
+        }
+        for (size_t g = 0; g < groups.size(); ++g) {
+            if (static_cast<int64_t>(groups[g].size()) != size) return false;
+            const int64_t index = static_cast<int64_t>(g);
+            const int64_t base =
+                index / stride * stride * size + index % stride;
+            for (int64_t i = 0; i < size; ++i) {
+                if (groups[g][static_cast<size_t>(i)] != base + i * stride) {
+                    return false;
+                }
+            }
+        }
+        return true;
+    };
+    int64_t stride = devices;
     for (int64_t axis = 0; axis < num_axes(); ++axis) {
-        if (Groups(axis) == groups) return axis;
+        const int64_t size = dims_[static_cast<size_t>(axis)];
+        stride /= size;
+        if (laid_out_along(size, stride)) return axis;
     }
     return -1;
 }
