@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the compiler passes themselves:
- * decomposition, async conversion, fusion, the schedulers, the
- * topological sort, and the guarded pipeline's verify, input clone and
- * rollback replay. These
+ * decomposition and its §5.5 loop-timeline replay, async conversion,
+ * fusion, the schedulers and their unit graph, the topological sort,
+ * and the guarded pipeline's verify, input clone and rollback replay.
+ * These
  * measure *compile time* of the technique (the paper's optimization runs
  * automatically during compilation), not simulated device time.
  */
@@ -17,6 +18,8 @@
 #include "passes/decompose.h"
 #include "passes/fusion.h"
 #include "passes/schedule.h"
+#include "sim/loop_timeline.h"
+#include "sim/sched_graph.h"
 #include "support/logging.h"
 
 namespace overlap {
@@ -66,6 +69,35 @@ BM_DecomposeLoop(benchmark::State& state)
 BENCHMARK(BM_DecomposeLoop)
     ->Args({1, 4})->Args({1, 16})->Args({1, 64})->Args({1, 128})
     ->Args({16, 128});
+
+// The §5.5 gate's replay of one bidirectional AllGather loop (the
+// structure the dense models' ring-128 sites get), comm-bound so that
+// every tier of the walk runs. Args: {ring, in-flight budget}.
+void
+BM_LoopTimelinePredict(benchmark::State& state)
+{
+    LoopShape shape;
+    shape.structure = LoopStructure::kAllGatherBidirectional;
+    shape.ring = state.range(0);
+    shape.max_in_flight = state.range(1);
+    shape.wire_seconds = 4e-3;
+    shape.hop_latency_seconds = 2e-6;
+    shape.partial_seconds = 1e-3;
+    shape.combine_seconds = 2e-4;
+    shape.slice_seconds = 1e-4;
+    shape.slices_per_partial = 1;
+    shape.zeros_seconds = 5e-5;
+    shape.op_overhead_seconds = 1e-5;
+    CalibratedCostModel model;
+    for (auto _ : state) {
+        LoopTimeline timeline = model.Predict(shape);
+        benchmark::DoNotOptimize(timeline);
+    }
+}
+BENCHMARK(BM_LoopTimelinePredict)
+    ->Args({8, 32})->Args({32, 32})->Args({128, 32})
+    ->Args({8, 2})->Args({32, 2})->Args({128, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_FullPipelineOnLayerStep(benchmark::State& state)
@@ -157,6 +189,22 @@ BM_BaselineMemorySchedule(benchmark::State& state)
 }
 BENCHMARK(BM_BaselineMemorySchedule)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+// The unit graph every scheduler and the simulator build over the
+// compiled layer.
+void
+BM_SchedGraph(benchmark::State& state)
+{
+    auto module = CompiledLayerStep(state);
+    CostModel cost{HardwareSpec{}};
+    for (auto _ : state) {
+        SchedGraph graph(*module->entry(), cost);
+        benchmark::DoNotOptimize(graph.units().data());
+    }
+    state.counters["instructions"] =
+        static_cast<double>(module->entry()->instruction_count());
+}
+BENCHMARK(BM_SchedGraph)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // The failure path: a pass that emits invalid HLO just before fusion, so
 // the guard restores the input and replays decompose, async creation and
