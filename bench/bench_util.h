@@ -2,6 +2,7 @@
 #define OVERLAP_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,42 @@ ComparisonJsonFields(const ComparisonRow& row)
                   ", \"overlapped_comm_frac\": ",
                   Json17(row.overlapped.comm_fraction),
                   ", \"speedup\": ", Json17(row.speedup()));
+}
+
+/**
+ * Parses the paper-figure benches' one flag: `--json` sets *json_only.
+ * Reports any other argument on stderr and returns false; the bench
+ * then exits 2.
+ */
+inline bool
+ParseJsonFlag(int argc, char** argv, bool* json_only)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--json") != 0) {
+            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+            return false;
+        }
+        *json_only = true;
+    }
+    return true;
+}
+
+/** One model's row of a paper-figure JSON document. */
+inline std::string
+ModelJsonRow(const ModelConfig& config, const std::string& fields)
+{
+    return StrCat("    {\"model\": \"", config.name, "\", ", fields, "}");
+}
+
+/**
+ * The --json document of a paper-figure bench: `{"models": [rows]}`,
+ * the shape every committed BENCH_fig*.json has.
+ */
+inline void
+PrintModelsJson(const std::vector<std::string>& rows)
+{
+    std::printf("{\n  \"models\": [\n%s\n  ]\n}\n",
+                StrJoin(rows, ",\n").c_str());
 }
 
 /** ASCII bar of `value` out of `full_scale`. */

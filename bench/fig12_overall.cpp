@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.h"
 
@@ -23,14 +22,7 @@ int
 main(int argc, char** argv)
 {
     bool json_only = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json_only = true;
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-            return 2;
-        }
-    }
+    if (!bench::ParseJsonFlag(argc, argv, &json_only)) return 2;
     if (!json_only) {
         bench::Banner("Overall performance: baseline vs overlapped "
                       "(peak-FLOPS fraction)",
@@ -52,8 +44,8 @@ main(int argc, char** argv)
             failed = true;
             continue;
         }
-        rows.push_back(StrCat("    {\"model\": \"", config.name, "\", ",
-                              bench::ComparisonJsonFields(*row), "}"));
+        rows.push_back(
+            bench::ModelJsonRow(config, bench::ComparisonJsonFields(*row)));
         if (!json_only) {
             std::printf("%-12s  %7.1f%% %7.1f%%  %7.1f%% %8.1f%%  %6.2fx\n",
                         config.name.c_str(), row->baseline.mfu * 100.0,
@@ -67,8 +59,7 @@ main(int argc, char** argv)
         ++count;
     }
     if (json_only) {
-        std::printf("{\n  \"models\": [\n%s\n  ]\n}\n",
-                    StrJoin(rows, ",\n").c_str());
+        bench::PrintModelsJson(rows);
         return failed ? 1 : 0;
     }
     if (count > 0) {

@@ -11,7 +11,6 @@
  * `ctest -L sweep`); it exits nonzero if any model fails.
  */
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.h"
 
@@ -21,14 +20,7 @@ int
 main(int argc, char** argv)
 {
     bool json_only = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json_only = true;
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-            return 2;
-        }
-    }
+    if (!bench::ParseJsonFlag(argc, argv, &json_only)) return 2;
     if (!json_only) {
         bench::Banner("Weak scaling: GPT 32B to 1T",
                       "Figure 13 and Table 2 of the paper");
@@ -47,11 +39,11 @@ main(int argc, char** argv)
             failed = true;
             continue;
         }
-        rows.push_back(StrCat("    {\"model\": \"", config.name,
-                              "\", \"chips\": ", config.num_chips,
-                              ", \"mesh\": \"", config.mesh_x, "x",
-                              config.mesh_y, "\", ",
-                              bench::ComparisonJsonFields(*row), "}"));
+        rows.push_back(bench::ModelJsonRow(
+            config, StrCat("\"chips\": ", config.num_chips,
+                           ", \"mesh\": \"", config.mesh_x, "x",
+                           config.mesh_y, "\", ",
+                           bench::ComparisonJsonFields(*row))));
         if (json_only) continue;
         std::printf("%-9s %6lld %3lldx%-3lld  %10s %10s  %6.2fx  %7.1f%%\n",
                     config.name.c_str(),
@@ -63,8 +55,7 @@ main(int argc, char** argv)
                     row->speedup(), row->overlapped.mfu * 100.0);
     }
     if (json_only) {
-        std::printf("{\n  \"models\": [\n%s\n  ]\n}\n",
-                    StrJoin(rows, ",\n").c_str());
+        bench::PrintModelsJson(rows);
         return failed ? 1 : 0;
     }
     std::printf("\nTable 2 configurations:\n");

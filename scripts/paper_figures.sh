@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Builds and runs the paper-figure benches whose per-model numbers are
-# gated (bench/fig12_overall, bench/fig13_weak_scaling) with --json, and
-# writes the committed BENCH_fig12.json and BENCH_fig13.json at the repo
-# root (or into --out-dir). `ctest -L sweep` fails when either file no
+# gated (bench/fig01_breakdown, fig12_overall, fig13_weak_scaling,
+# fig14_unrolling, fig15_bidirectional, fig16_scheduling) with --json,
+# and writes the committed BENCH_fig01.json ... BENCH_fig16.json at the
+# repo root (or into --out-dir). `ctest -L sweep` fails when any file no
 # longer matches its bench byte for byte; rerun this script when a change
-# moves the simulated numbers on purpose, then refresh the fig12/fig13
-# tables in EXPERIMENTS.md from the new files.
+# moves the simulated numbers on purpose, then refresh the matching
+# figure sections of EXPERIMENTS.md from the new files.
 #
 # Usage: scripts/paper_figures.sh [--out-dir DIR] [build-dir]
 set -euo pipefail
@@ -21,9 +22,14 @@ while [[ $# -gt 0 ]]; do
 done
 
 cmake -B "${build_dir}" -S "${repo_root}" >/dev/null
-cmake --build "${build_dir}" -j "$(nproc)" \
-    --target fig12_overall fig13_weak_scaling
+figures=(01:fig01_breakdown 12:fig12_overall 13:fig13_weak_scaling
+         14:fig14_unrolling 15:fig15_bidirectional 16:fig16_scheduling)
+targets=()
+for figure in "${figures[@]}"; do targets+=("${figure#*:}"); done
+cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
-"${build_dir}/bench/fig12_overall" --json > "${out_dir}/BENCH_fig12.json"
-"${build_dir}/bench/fig13_weak_scaling" --json > "${out_dir}/BENCH_fig13.json"
-echo "paper figures written to ${out_dir}/BENCH_fig1{2,3}.json"
+for figure in "${figures[@]}"; do
+    "${build_dir}/bench/${figure#*:}" --json \
+        > "${out_dir}/BENCH_fig${figure%%:*}.json"
+done
+echo "paper figures written to ${out_dir}/BENCH_fig{01,12,13,14,15,16}.json"
