@@ -88,9 +88,8 @@ BM_LoopTimelinePredict(benchmark::State& state)
     shape.slices_per_partial = 1;
     shape.zeros_seconds = 5e-5;
     shape.op_overhead_seconds = 1e-5;
-    CalibratedCostModel model;
     for (auto _ : state) {
-        LoopTimeline timeline = model.Predict(shape);
+        LoopTimeline timeline = PredictLoopTimeline(shape);
         benchmark::DoNotOptimize(timeline);
     }
 }

@@ -133,8 +133,8 @@ RunPoint(int64_t mesh_y, int64_t experts, int64_t micro_batches)
     point.ring_sites = decomposed->compile.decompose.all_to_all_sites;
     for (const SiteDecision& d :
          decomposed->compile.decompose.decisions) {
-        if (d.loop_shape.structure == LoopStructure::kAllToAllDispatch ||
-            d.loop_shape.structure == LoopStructure::kAllToAllCombine) {
+        if (d.cost.shape.structure == LoopStructure::kAllToAllDispatch ||
+            d.cost.shape.structure == LoopStructure::kAllToAllCombine) {
             if (!d.decomposed) ++point.rejected_sites;
         }
     }

@@ -8,7 +8,7 @@
  *
  * Part 1 drives the shared overlap-report site space
  * (difftest::OverlapReportSiteSpace(): one site per §5.1 decomposition
- * case) through the full pipeline with the calibrated §5.5 gate,
+ * case) through the full pipeline with the §5.5 gate,
  * simulates each compiled module with tracing, and emits one JSON
  * record per site: the gate's cost inputs (comp_t, comm_t, comm_t_ring,
  * extra_t), the predicted hidden-comm fraction and speedup, the
@@ -28,9 +28,11 @@
  * ablation knob as DecomposeOptions::use_cost_model=false.
  *
  * --check is the CI regression gate (DESIGN.md §15): exit nonzero when
- * the mean absolute hidden-fraction prediction error exceeds 0.15, or
+ * the mean absolute hidden-fraction prediction error exceeds 0.15, when
  * any gate-accepted site (or the model run) simulates an actual
- * speedup below 1 − 0.02.
+ * speedup below 1 − kGateDecisionMargin, or when any gate-rejected
+ * site's forced run simulates a speedup of 1 + kGateDecisionMargin or
+ * more (a win the gate should have taken).
  */
 #include <cstdio>
 #include <cstring>
@@ -40,7 +42,6 @@
 
 #include "bench_util.h"
 #include "core/overlap_report.h"
-#include "difftest/calibration.h"
 #include "difftest/difftest.h"
 #include "sim/trace_export.h"
 
@@ -119,6 +120,18 @@ GradedError(const SiteRun& run, double* error)
     return false;
 }
 
+/**
+ * False when the gate rejected a site whose forced-decomposed run
+ * simulates a speedup outside the gate's decision margin — a win the
+ * gate should have taken. True when the site was not rejected.
+ */
+bool
+RejectionJustified(const SiteRun& run)
+{
+    return !run.has_forced ||
+           run.forced_report.actual_speedup < 1.0 + kGateDecisionMargin;
+}
+
 std::string
 SiteRunJson(const SiteRun& run)
 {
@@ -139,8 +152,8 @@ PrintSiteRun(const SiteRun& run)
         std::printf(
             "  %s: predicted hidden %.1f%% speedup %.3fx | simulated "
             "hidden %.1f%% actual %.3fx\n",
-            site.reason.c_str(), site.predicted_hidden_fraction * 100.0,
-            site.predicted_speedup, site.sim_hidden_fraction * 100.0,
+            site.reason.c_str(), site.PredictedHiddenFraction() * 100.0,
+            site.PredictedSpeedup(), site.sim_hidden_fraction * 100.0,
             run.report.actual_speedup);
     }
     if (run.report.sites.empty()) std::printf("  (no matched sites)\n");
@@ -150,8 +163,7 @@ PrintSiteRun(const SiteRun& run)
             "actual %.3fx (gate rejection %s)\n",
             run.forced_report.hidden_fraction * 100.0,
             run.forced_report.actual_speedup,
-            run.forced_report.actual_speedup < 1.0 ? "justified"
-                                                   : "questionable");
+            RejectionJustified(run) ? "justified" : "questionable");
     }
     double err = 0.0;
     if (GradedError(run, &err)) {
@@ -193,7 +205,7 @@ main(int argc, char** argv)
 
     // DESIGN.md §15 gate thresholds.
     const double kMaxMeanHiddenFractionError = 0.15;
-    const double kSpeedupTolerance = 0.02;
+    const double kSpeedupTolerance = kGateDecisionMargin;
 
     if (!json_only) {
         bench::Banner("Overlap-efficiency report",
@@ -241,6 +253,14 @@ main(int argc, char** argv)
                     " decomposed but simulated actual speedup ",
                     run->report.actual_speedup, " < ",
                     1.0 - kSpeedupTolerance));
+            }
+            if (!site.decomposed && !RejectionJustified(run.value())) {
+                gate_failures.push_back(StrCat(
+                    "site ", SiteCaseName(spec.site_case),
+                    " rejected but its forced decomposition simulates "
+                    "actual speedup ",
+                    run->forced_report.actual_speedup, " >= ",
+                    1.0 + kSpeedupTolerance));
             }
         }
         if (!json_only) PrintSiteRun(run.value());

@@ -86,9 +86,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 "${build_dir}/bench/overlap_report" --quick --check --json \
     --out "${build_dir}/BENCH_overlap_report.json" > /dev/null
 
-# The calibration regression suite (committed fit coefficients vs. a
-# re-fit, per-case prediction accuracy) also runs in the ASan ctest
-# pass above via the `calibration` label.
+# The replay-accuracy suite (span residual bounds over the replay
+# sample space, per-case prediction accuracy, gate outcomes) also runs
+# in the ASan ctest pass above via the `calibration` label.
 
 # ThreadSanitizer pass over the concurrency layer: the thread pool, the
 # thread-local buffer pool, evaluations running concurrently as

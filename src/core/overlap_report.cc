@@ -167,13 +167,13 @@ SiteOverlapReport::ToJson() const
         ",\"lowered_to_unidirectional\":",
         JsonBool(lowered_to_unidirectional), ",\"reason\":\"",
         JsonEscape(reason), "\",\"loop_group\":", loop_group,
-        ",\"predicted\":{\"comp_t\":", Num(comp_t), ",\"comm_t\":",
-        Num(comm_t), ",\"comm_t_ring\":", Num(comm_t_ring),
-        ",\"extra_t\":", Num(extra_t),
-        ",\"original_seconds\":", Num(predicted_original_seconds),
-        ",\"overlapped_seconds\":", Num(predicted_overlapped_seconds),
-        ",\"speedup\":", Num(predicted_speedup),
-        ",\"hidden_fraction\":", Num(predicted_hidden_fraction),
+        ",\"predicted\":{\"comp_t\":", Num(cost.comp_t), ",\"comm_t\":",
+        Num(cost.comm_t), ",\"comm_t_ring\":", Num(cost.comm_t_ring),
+        ",\"extra_t\":", Num(cost.extra_t),
+        ",\"original_seconds\":", Num(cost.OriginalSeconds()),
+        ",\"overlapped_seconds\":", Num(cost.OverlappedSeconds()),
+        ",\"speedup\":", Num(PredictedSpeedup()),
+        ",\"hidden_fraction\":", Num(PredictedHiddenFraction()),
         "},\"simulated\":{\"total_comm_seconds\":",
         Num(sim_total_comm_seconds),
         ",\"exposed_comm_seconds\":", Num(sim_exposed_comm_seconds),
@@ -220,8 +220,8 @@ OverlapReport::ToString() const
     for (const SiteOverlapReport& site : sites) {
         out += StrCat("  site ", site.collective, " + ", site.einsum, " [",
                       site.reason, "]: predicted speedup ",
-                      site.predicted_speedup, "x / hidden ",
-                      site.predicted_hidden_fraction * 100.0,
+                      site.PredictedSpeedup(), "x / hidden ",
+                      site.PredictedHiddenFraction() * 100.0,
                       "%, simulated hidden ",
                       site.sim_hidden_fraction * 100.0, "%");
         if (site.has_prediction_error) {
@@ -270,24 +270,7 @@ BuildOverlapReport(const CompileReport& compile, const SimResult& sim)
             decision.lowered_to_unidirectional;
         site.reason = decision.reason;
         site.loop_group = decision.loop_group;
-        site.comp_t = decision.comp_t;
-        site.comm_t = decision.comm_t;
-        site.comm_t_ring = decision.comm_t_ring;
-        site.extra_t = decision.extra_t;
-        site.predicted_original_seconds = decision.comp_t + decision.comm_t;
-        site.predicted_overlapped_seconds =
-            std::max(decision.comp_t, decision.comm_t_ring) +
-            decision.extra_t;
-        site.predicted_speedup =
-            site.predicted_overlapped_seconds > 0.0
-                ? site.predicted_original_seconds /
-                      site.predicted_overlapped_seconds
-                : 1.0;
-        // The gate's own prediction, from the calibrated replay — not
-        // the min(comp_t, ring)/ring closed form, whose optimism is
-        // exactly what the error gate below exists to catch.
-        site.predicted_hidden_fraction =
-            std::clamp(decision.predicted_hidden_fraction, 0.0, 1.0);
+        site.cost = decision.cost;
 
         // Attribute trace events: decomposed sites by the loop group the
         // emitter stamped on every loop instruction, blocking sites by
@@ -310,7 +293,7 @@ BuildOverlapReport(const CompileReport& compile, const SimResult& sim)
         // re-compiles them with the gate forced open.)
         if (site.decomposed && site.sim_total_comm_seconds > 0.0) {
             site.hidden_fraction_error =
-                site.predicted_hidden_fraction - site.sim_hidden_fraction;
+                site.PredictedHiddenFraction() - site.sim_hidden_fraction;
             site.has_prediction_error = true;
             report.mean_abs_hidden_fraction_error +=
                 std::fabs(site.hidden_fraction_error);
@@ -318,8 +301,8 @@ BuildOverlapReport(const CompileReport& compile, const SimResult& sim)
         }
 
         if (site.decomposed) {
-            predicted_benefit += site.predicted_original_seconds -
-                                 site.predicted_overlapped_seconds;
+            predicted_benefit +=
+                site.cost.OriginalSeconds() - site.cost.OverlappedSeconds();
         }
         report.sites.push_back(std::move(site));
     }

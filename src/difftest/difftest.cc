@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
+#include <utility>
 
+#include "core/overlap_compiler.h"
 #include "hlo/builder.h"
 #include "hlo/verifier.h"
 #include "interp/evaluator.h"
 #include "passes/async.h"
 #include "passes/decompose.h"
+#include "sim/engine.h"
 #include "support/strings.h"
 #include "support/thread_pool.h"
 #include "tensor/sharding.h"
@@ -952,6 +956,188 @@ RunSdcSweep(const SdcSweepConfig& config)
         if (!out.note.empty()) summary.failures.push_back(out.note);
     }
     return summary;
+}
+
+std::vector<SiteSpec>
+OverlapReportSiteSpace()
+{
+    // One gate-profitable site per §5.1 decomposition case, on default
+    // TPU-v4 numbers. Each case needs its own proportions: the gate
+    // wins when the partial einsums are big enough to hide the ring
+    // steps while the loop's combine/slice traffic stays below the
+    // wire time the decomposition saves, and those terms scale with
+    // different extents per case.
+    std::vector<SiteSpec> specs;
+    {
+        // einsum (4e x c) . (c x f1): activation gather. The saved
+        // wire time grows with c while the combine traffic only
+        // tracks the output, so a fat contracting dim wins.
+        SiteSpec spec;
+        spec.site_case = SiteCase::kAllGatherFree;
+        spec.mesh_dims = {4};
+        spec.data_seed = 7;
+        spec.shard_extent = 64;
+        spec.contract = 8192;
+        spec.free1 = 4096;
+        spec.free0 = 1;
+        specs.push_back(spec);
+    }
+    {
+        // einsum (f0 x 4e) . (4e x f1): weight gather over the
+        // contracting label; the loop re-accumulates the full (f0 x
+        // f1) output every iteration.
+        SiteSpec spec;
+        spec.site_case = SiteCase::kAllGatherContracting;
+        spec.mesh_dims = {4};
+        spec.data_seed = 7;
+        spec.shard_extent = 2048;
+        spec.free0 = 4096;
+        spec.free1 = 2048;
+        spec.contract = 1;
+        specs.push_back(spec);
+    }
+    {
+        // einsum (4e x f0 x c) . (4e x c x f1), batch label gathered.
+        SiteSpec spec;
+        spec.site_case = SiteCase::kAllGatherBatch;
+        spec.mesh_dims = {4};
+        spec.data_seed = 7;
+        spec.shard_extent = 8;
+        spec.free0 = 8192;
+        spec.contract = 8192;
+        spec.free1 = 2048;
+        specs.push_back(spec);
+    }
+    {
+        // einsum (4e x 4c) . (4c x f1), output scattered over rows.
+        SiteSpec spec;
+        spec.site_case = SiteCase::kReduceScatter;
+        spec.mesh_dims = {4};
+        spec.data_seed = 7;
+        spec.shard_extent = 256;
+        spec.contract = 8192;
+        spec.free1 = 8192;
+        spec.free0 = 1;
+        specs.push_back(spec);
+    }
+    {
+        // MoE dispatch (§18): AllToAll (16e x c) feeding einsum
+        // (16e x c) . (c x f1). The decomposed form serializes 3B/4
+        // per ring direction where the torus-routed blocking A2A moves
+        // B/2, so it only wins where the partial einsums hide the
+        // chunk permutes outright (f1 above ~7000 on v4 numbers) while
+        // the per-chunk DUS traffic stays below the saved exchange
+        // (f1 below 4c).
+        SiteSpec spec;
+        spec.site_case = SiteCase::kAllToAll;
+        spec.mesh_dims = {4};
+        spec.data_seed = 7;
+        spec.side = 0;
+        spec.shard_extent = 512;  // per-device tokens = 4 * 512
+        spec.contract = 8192;
+        spec.free1 = 8192;
+        spec.free0 = 1;
+        specs.push_back(spec);
+    }
+    {
+        // MoE combine (§18): einsum (16e x c) . (c x f1) feeding the
+        // AllToAll on its output rows; same proportions as dispatch.
+        SiteSpec spec;
+        spec.site_case = SiteCase::kAllToAll;
+        spec.mesh_dims = {4};
+        spec.data_seed = 7;
+        spec.side = 1;
+        spec.shard_extent = 512;
+        spec.contract = 8192;
+        spec.free1 = 8192;
+        spec.free0 = 1;
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+std::vector<SiteSpec>
+ReplaySiteSpace(uint64_t seed, int64_t generated)
+{
+    std::vector<SiteSpec> specs = OverlapReportSiteSpace();
+    for (int64_t i = 0; i < generated; ++i) {
+        specs.push_back(GenerateSiteSpec(seed, i));
+    }
+    return specs;
+}
+
+namespace {
+
+/** The variants whose emitted structures tile every LoopStructure. */
+const char* const kReplayVariants[] = {"uni", "uni_unroll", "bidi",
+                                       "bidi_unroll"};
+
+/** Key identifying the emitted structure of a sample for dedup. */
+std::pair<int, bool>
+StructureKey(const LoopShape& shape)
+{
+    return {static_cast<int>(shape.structure), shape.has_copies};
+}
+
+}  // namespace
+
+StatusOr<std::vector<ReplaySample>>
+CollectReplaySamples(const std::vector<SiteSpec>& specs,
+                     const HardwareSpec& hardware)
+{
+    std::vector<ReplaySample> samples;
+    for (const SiteSpec& spec : specs) {
+        // Blocking baseline once per site.
+        auto blocking = BuildSiteModule(spec);
+        if (!blocking.ok()) return blocking.status();
+        CompilerOptions baseline_options = CompilerOptions::Baseline();
+        baseline_options.hardware = hardware;
+        auto baseline_compile =
+            OverlapCompiler(baseline_options).Compile(blocking->get());
+        if (!baseline_compile.ok()) return baseline_compile.status();
+        PodSimulator simulator(spec.mesh(), hardware);
+        auto baseline_sim = simulator.Run(**blocking);
+        if (!baseline_sim.ok()) return baseline_sim.status();
+
+        std::set<std::pair<int, bool>> seen;
+        for (const char* variant_name : kReplayVariants) {
+            auto variant = FindVariant(variant_name);
+            if (!variant.ok()) return variant.status();
+            auto module = BuildSiteModule(spec);
+            if (!module.ok()) return module.status();
+            CompilerOptions options;
+            options.hardware = hardware;
+            options.decompose.use_cost_model = false;
+            options.decompose.unroll = variant->unroll;
+            options.decompose.bidirectional = variant->bidirectional;
+            options.decompose.force_unidirectional =
+                variant->force_unidirectional;
+            auto compile =
+                OverlapCompiler(options).Compile(module->get());
+            if (!compile.ok()) return compile.status();
+            const SiteDecision* decision = nullptr;
+            for (const SiteDecision& d : compile->decompose.decisions) {
+                if (d.decomposed) decision = &d;
+            }
+            // A site the matcher skipped under this lowering (no
+            // decomposed decision) contributes nothing.
+            if (decision == nullptr) continue;
+            if (!seen.insert(StructureKey(decision->cost.shape)).second) {
+                continue;
+            }
+            auto sim = simulator.Run(**module);
+            if (!sim.ok()) return sim.status();
+
+            ReplaySample sample;
+            sample.spec = spec;
+            sample.variant = variant_name;
+            sample.cost = decision->cost;
+            sample.simulated_span_seconds = sim->step_seconds;
+            sample.blocking_span_seconds = baseline_sim->step_seconds;
+            samples.push_back(std::move(sample));
+        }
+    }
+    return samples;
 }
 
 }  // namespace difftest

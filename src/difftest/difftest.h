@@ -10,6 +10,8 @@
 #include "hlo/module.h"
 #include "interp/comparison.h"
 #include "interp/evaluator.h"
+#include "passes/decompose.h"
+#include "sim/hardware.h"
 #include "support/status.h"
 #include "tensor/mesh.h"
 #include "tensor/tensor.h"
@@ -224,6 +226,73 @@ struct SdcSweepSummary {
 
 /** Runs the SDC sweep; errors only on harness bugs, not detections. */
 StatusOr<SdcSweepSummary> RunSdcSweep(const SdcSweepConfig& config);
+
+/*
+ * Replay-vs-engine samples (DESIGN.md §15). The §5.5 gate predicts a
+ * decomposed loop's span with the loop-timeline replay
+ * (sim/loop_timeline.h); these helpers compile sites with the gate
+ * forced open and simulate them, so tests and benches can grade that
+ * prediction against the engine.
+ */
+
+/**
+ * The six gate-profitable bench sites of the overlap-efficiency
+ * report (one per §5.1 decomposition case, plus MoE dispatch and
+ * combine) — shared by bench/overlap_report and the replay-accuracy
+ * tests so "the overlap-report site space" means one thing everywhere.
+ */
+std::vector<SiteSpec> OverlapReportSiteSpace();
+
+/**
+ * The replay-vs-engine sample space: the overlap-report sites plus
+ * `generated` difftest-generator sites under `seed` (stratified over
+ * the four §5.1 cases and both shard-extent parities, so small
+ * latency-dominated loops and odd-extent unidirectional fallbacks are
+ * represented alongside the big bench shapes).
+ */
+std::vector<SiteSpec> ReplaySiteSpace(uint64_t seed, int64_t generated);
+
+/** One (site, lowering variant) replay-vs-engine measurement. */
+struct ReplaySample {
+    SiteSpec spec;
+    std::string variant;  ///< DecomposeVariant name, e.g. "bidi_unroll"
+    /// The gate's cost terms for this site under the variant's options;
+    /// cost.shape.structure names the emitted loop structure.
+    GateCost cost;
+    /// Traced-simulator step of the forced-decomposed module.
+    double simulated_span_seconds = 0.0;
+    /// Simulator step of the blocking (baseline-compiled) module.
+    double blocking_span_seconds = 0.0;
+
+    /// Simulated end-to-end speedup of decomposing this site.
+    double SimulatedSpeedup() const
+    {
+        return simulated_span_seconds > 0.0
+                   ? blocking_span_seconds / simulated_span_seconds
+                   : 1.0;
+    }
+
+    /** The replay's signed relative span error against the engine:
+     * (predicted - simulated) / simulated. */
+    double RelativeSpanError() const
+    {
+        if (simulated_span_seconds <= 0.0) return 0.0;
+        return (cost.OverlappedSeconds() - simulated_span_seconds) /
+               simulated_span_seconds;
+    }
+};
+
+/**
+ * Compiles every (spec, variant) with the cost gate forced open,
+ * simulates the decomposed and blocking modules, and returns one
+ * sample per distinct emitted structure per site. Variants that lower
+ * to a structure already sampled for the same site (e.g. an
+ * odd-extent site where "bidi" falls back to the unidirectional loop)
+ * are deduplicated.
+ */
+StatusOr<std::vector<ReplaySample>>
+CollectReplaySamples(const std::vector<SiteSpec>& specs,
+                     const HardwareSpec& hardware);
 
 }  // namespace difftest
 }  // namespace overlap

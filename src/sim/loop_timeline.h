@@ -1,9 +1,7 @@
 #ifndef OVERLAP_SIM_LOOP_TIMELINE_H_
 #define OVERLAP_SIM_LOOP_TIMELINE_H_
 
-#include <array>
 #include <cstdint>
-#include <string>
 
 namespace overlap {
 
@@ -97,7 +95,7 @@ struct LoopShape {
 /**
  * What the replay predicts for the loop: the overlapped wall span, the
  * serialized wire time (union of in-flight transfer intervals across
- * both ring channels — the calibrated comm_t_ring), and how much of it
+ * both ring channels — the gate's comm_t_ring), and how much of it
  * the device actually sat idle for.
  */
 struct LoopTimeline {
@@ -115,61 +113,14 @@ struct LoopTimeline {
 };
 
 /**
- * Calibration of the replay against traced simulation (DESIGN.md §15).
- * The replay executes the loop's dependency graph greedily —
- * compute-as-early-as-data-allows — while the real bottom-up scheduler
- * quantizes compute into blocks between Done waits, which costs a
- * structure-dependent extra fraction of each serialized wire step. The
- * per-structure `wire_scale` absorbs that bias; `compute_scale` and
- * `elementwise_scale` exist for completeness and calibrate the kernel
- * mirrors (measured exact, so the fit leaves them at 1.0).
- *
- * `Fitted()` returns the coefficients produced by the calibration
- * driver (difftest/calibration.cc) over the difftest site space; the
- * overlap-report error gate fails CI when they drift stale.
- */
-struct CalibrationFit {
-    std::array<double, kNumLoopStructures> wire_scale{
-        {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}};
-    double compute_scale = 1.0;
-    double elementwise_scale = 1.0;
-
-    /** Uncalibrated replay (all coefficients 1.0). */
-    static CalibrationFit Identity();
-    /** Coefficients fitted by `calibration_fit` (see DESIGN.md §15). */
-    static CalibrationFit Fitted();
-
-    double WireScale(LoopStructure structure) const
-    {
-        return wire_scale[static_cast<size_t>(structure)];
-    }
-
-    std::string ToJson() const;
-};
-
-/**
- * The calibrated §5.5 cost model: replays a LoopShape's dependency
- * graph against the engine's channel semantics — ring-step
+ * The §5.5 gate's cost model (DESIGN.md §15): replays a LoopShape's
+ * dependency graph against the engine's channel semantics — ring-step
  * serialization per direction, prologue contention, fused-kernel
- * granularity, in-flight-budget stalls, per-step launch overhead —
- * with the calibration coefficients applied, and returns the predicted
- * overlapped timeline the decomposition gate consumes.
+ * granularity, in-flight-budget stalls, per-step launch overhead — and
+ * returns the predicted overlapped timeline the decomposition gate
+ * consumes.
  */
-class CalibratedCostModel {
-  public:
-    explicit CalibratedCostModel(
-        CalibrationFit fit = CalibrationFit::Fitted())
-        : fit_(fit)
-    {
-    }
-
-    const CalibrationFit& fit() const { return fit_; }
-
-    LoopTimeline Predict(const LoopShape& shape) const;
-
-  private:
-    CalibrationFit fit_;
-};
+LoopTimeline PredictLoopTimeline(const LoopShape& shape);
 
 }  // namespace overlap
 
