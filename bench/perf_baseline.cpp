@@ -19,7 +19,9 @@
  * stdout. Results depend on the host; hardware_concurrency is recorded,
  * and a 1-core box marks the whole run `"degenerate": true` — its
  * parallel "speedups" measure scheduling, not parallelism, and
- * perf_baseline.sh --check refuses to gate on them.
+ * perf_baseline.sh --check refuses to gate on them. `--threads` takes
+ * a whole integer >= 1; an unknown argument or a malformed value exits
+ * with status 2 and the usage line.
  */
 #include <chrono>
 #include <cstdio>
@@ -108,6 +110,8 @@ main(int argc, char** argv)
     // oversubscription experiments.
     int64_t threads = DefaultThreadCount();
     std::string out_file = "BENCH_perf.json";
+    const char* usage = "usage: perf_baseline [--quick] [--json] "
+                        "[--threads N] [--out FILE]\n";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
@@ -115,15 +119,20 @@ main(int argc, char** argv)
         } else if (arg == "--json") {
             json_only = true;
         } else if (arg == "--threads" && i + 1 < argc) {
-            threads = std::strtoll(argv[++i], nullptr, 10);
+            auto parsed = ParseFlag<int64_t>(arg, argv[++i], 1);
+            if (!parsed) {
+                std::fputs(usage, stderr);
+                return 2;
+            }
+            threads = *parsed;
         } else if (arg == "--out" && i + 1 < argc) {
             out_file = argv[++i];
         } else {
-            std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+            std::fprintf(stderr, "unknown argument: %s\n%s", arg.c_str(),
+                         usage);
             return 2;
         }
     }
-    if (threads < 1) threads = 1;
 
     if (!json_only) {
         bench::Banner(

@@ -7,7 +7,9 @@
  * last snapshot. Emits the sweep as JSON (--json for machine-readable
  * output only, --quick for the sanitize-suite subset, --threads N to
  * fan the independent sweep points across a worker pool — output order
- * and contents are identical at every thread count).
+ * and contents are identical at every thread count). `--threads` takes
+ * a whole integer >= 1; an unknown argument or a malformed value exits
+ * with status 2 and the usage line.
  */
 #include <cstdio>
 #include <cstring>
@@ -57,14 +59,26 @@ main(int argc, char** argv)
     bool json_only = false;
     bool quick = false;
     int64_t threads = DefaultThreadCount();
+    const char* usage =
+        "usage: recovery_sweep [--json] [--quick] [--threads N]\n";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) json_only = true;
-        if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = std::strtoll(argv[++i], nullptr, 10);
+        if (std::strcmp(argv[i], "--json") == 0) {
+            json_only = true;
+        } else if (std::strcmp(argv[i], "--quick") == 0) {
+            quick = true;
+        } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+            auto parsed = ParseFlag<int64_t>(argv[i], argv[i + 1], 1);
+            if (!parsed) {
+                std::fputs(usage, stderr);
+                return 2;
+            }
+            threads = *parsed;
+            ++i;
+        } else {
+            std::fprintf(stderr, "unknown argument: %s\n%s", argv[i], usage);
+            return 2;
         }
     }
-    if (threads < 1) threads = 1;
 
     const Mesh mesh(4);
     const int64_t kNumSteps = quick ? 8 : 16;

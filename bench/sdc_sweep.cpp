@@ -21,6 +21,8 @@
  *    mesh.
  *
  * Any violated invariant prints to stderr and fails the bench (exit 1).
+ * `--threads` takes a whole integer >= 1; an unknown argument or a
+ * malformed value exits with status 2 and the usage line.
  * Emits JSON (--json for machine-readable output only, --quick for the
  * sanitize-suite subset, --out FILE to also write the JSON to FILE).
  */
@@ -121,21 +123,28 @@ main(int argc, char** argv)
     bool quick = false;
     std::string out_path;
     int64_t threads = DefaultThreadCount();
+    const char* usage =
+        "usage: sdc_sweep [--json] [--quick] [--threads N] [--out FILE]\n";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) json_only = true;
-        else if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-        else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+        if (std::strcmp(argv[i], "--json") == 0) {
+            json_only = true;
+        } else if (std::strcmp(argv[i], "--quick") == 0) {
+            quick = true;
+        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threads = std::strtoll(argv[++i], nullptr, 10);
-        else {
-            std::fprintf(stderr,
-                         "usage: sdc_sweep [--json] [--quick] "
-                         "[--threads N] [--out FILE]\n");
+        } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+            auto parsed = ParseFlag<int64_t>(argv[i], argv[i + 1], 1);
+            if (!parsed) {
+                std::fputs(usage, stderr);
+                return 2;
+            }
+            threads = *parsed;
+            ++i;
+        } else {
+            std::fprintf(stderr, "unknown argument: %s\n%s", argv[i], usage);
             return 2;
         }
     }
-    if (threads < 1) threads = 1;
     bool failed = false;
 
     if (!json_only) {

@@ -15,7 +15,8 @@
  * concurrency); the summary is byte-identical at every thread count,
  * and `--threads 1` runs the historical serial loop. `--cases`,
  * `--threads` and `--seed` take whole decimal integers (cases and
- * threads at least 1); anything else exits with status 2.
+ * threads at least 1); anything else, or an unknown argument, exits
+ * with status 2 and the usage line.
  * `--inject-sdc` runs the silent-data-corruption sweep instead: each
  * case arms the §16 detectors, proves the clean run is report-free and
  * bit-identical to detectors-off, then injects one seeded corruption
@@ -27,46 +28,14 @@
  * status 1. `--repro X` re-runs a previously written .spec file, or,
  * if X is not a readable file, X itself as a literal repro line.
  */
-#include <charconv>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "difftest/difftest.h"
 #include "difftest/minimizer.h"
+#include "support/strings.h"
 #include "support/thread_pool.h"
-
-namespace {
-
-/** Parses the whole of `s` as a decimal integer, or nothing. */
-template <typename T>
-std::optional<T>
-ParseWhole(const char* s)
-{
-    T value{};
-    const char* end = s + std::strlen(s);
-    auto [ptr, ec] = std::from_chars(s, end, value);
-    if (ec != std::errc() || ptr != end || ptr == s) return std::nullopt;
-    return value;
-}
-
-/** Parses the value of `flag`, reporting a malformed one on stderr. */
-template <typename T>
-std::optional<T>
-ParseFlag(const std::string& flag, const char* s, T min_value)
-{
-    std::optional<T> value = ParseWhole<T>(s);
-    if (!value || *value < min_value) {
-        std::cerr << flag << " needs an integer >= " << min_value
-                  << ", got '" << s << "'\n";
-        return std::nullopt;
-    }
-    return value;
-}
-
-}  // namespace
 
 int
 main(int argc, char** argv)
@@ -82,16 +51,24 @@ main(int argc, char** argv)
     bool explicit_cases = false;
     std::string out_dir = "difftest_repros";
     std::string repro_file;
+    const char* usage =
+        "usage: difftest_runner [--cases N] [--seed S] [--quick] "
+        "[--inject-bug] [--inject-sdc] [--only-case NAME] [--threads N] "
+        "[--out DIR] [--repro FILE]\n";
+    auto bad_flag = [usage] {
+        std::cerr << usage;
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--cases" && i + 1 < argc) {
             auto cases = ParseFlag<int64_t>(arg, argv[++i], 1);
-            if (!cases) return 2;
+            if (!cases) return bad_flag();
             config.num_cases = *cases;
             explicit_cases = true;
         } else if (arg == "--seed" && i + 1 < argc) {
             auto seed = ParseFlag<uint64_t>(arg, argv[++i], 0);
-            if (!seed) return 2;
+            if (!seed) return bad_flag();
             config.seed = *seed;
         } else if (arg == "--quick") {
             config.num_cases = 256;
@@ -106,12 +83,12 @@ main(int argc, char** argv)
                 std::string("case=") + argv[++i]);
             if (!spec.ok()) {
                 std::cerr << spec.status().message() << "\n";
-                return 2;
+                return bad_flag();
             }
             config.only_case = spec->site_case;
         } else if (arg == "--threads" && i + 1 < argc) {
             auto threads = ParseFlag<int64_t>(arg, argv[++i], 1);
-            if (!threads) return 2;
+            if (!threads) return bad_flag();
             config.threads = *threads;
         } else if (arg == "--out" && i + 1 < argc) {
             out_dir = argv[++i];
@@ -119,7 +96,7 @@ main(int argc, char** argv)
             repro_file = argv[++i];
         } else {
             std::cerr << "unknown argument: " << arg << "\n";
-            return 2;
+            return bad_flag();
         }
     }
 

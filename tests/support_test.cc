@@ -111,6 +111,25 @@ TEST(StringsTest, HumanFormats)
     EXPECT_EQ(HumanFlops(2.4e12), "2.40 TFLOP");
 }
 
+TEST(StringsTest, ParseWholeAcceptsOnlyWholeIntegers)
+{
+    EXPECT_EQ(ParseWhole<int64_t>("42"), 42);
+    EXPECT_EQ(ParseWhole<int64_t>("-3"), -3);
+    EXPECT_EQ(ParseWhole<int64_t>("4x"), std::nullopt);
+    EXPECT_EQ(ParseWhole<int64_t>("abc"), std::nullopt);
+    EXPECT_EQ(ParseWhole<int64_t>(""), std::nullopt);
+    EXPECT_EQ(ParseWhole<int64_t>(" 4"), std::nullopt);
+    EXPECT_EQ(ParseWhole<uint64_t>("-1"), std::nullopt);
+}
+
+TEST(StringsTest, ParseFlagEnforcesTheMinimum)
+{
+    EXPECT_EQ(ParseFlag<int64_t>("--threads", "4", 1), 4);
+    EXPECT_EQ(ParseFlag<int64_t>("--threads", "1", 1), 1);
+    EXPECT_EQ(ParseFlag<int64_t>("--threads", "0", 1), std::nullopt);
+    EXPECT_EQ(ParseFlag<int64_t>("--threads", "4x", 1), std::nullopt);
+}
+
 TEST(LoggingTest, LevelGatesOutput)
 {
     LogLevel old = GetLogLevel();
