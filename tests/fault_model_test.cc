@@ -205,7 +205,7 @@ TEST(FaultModelTest, VarianceAwareGateFallsBackOnSevereDegradation)
     ASSERT_EQ(healthy_report->decompose.decisions.size(), 1u);
     EXPECT_EQ(healthy_report->decompose.decisions[0].reason, "decomposed");
     EXPECT_EQ(healthy_report->decompose.decisions[0].benefit_nominal,
-              healthy_report->decompose.decisions[0].benefit_derated);
+              healthy_report->decompose.decisions[0].cost.Benefit());
 
     // Severely degraded ring link: the decomposed loop serializes on it
     // while the blocking collective does not -> fall back.
@@ -221,7 +221,7 @@ TEST(FaultModelTest, VarianceAwareGateFallsBackOnSevereDegradation)
     EXPECT_EQ(decision.reason, "fault_fallback_blocking");
     EXPECT_FALSE(decision.decomposed);
     EXPECT_GT(decision.benefit_nominal, 0.0);
-    EXPECT_LT(decision.benefit_derated, 0.0);
+    EXPECT_LT(decision.cost.Benefit(), 0.0);
 
     // The fallback module must still compile to something simulable and
     // keep the blocking collective's fault-immunity.
