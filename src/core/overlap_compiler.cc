@@ -6,7 +6,6 @@
 #include "passes/async.h"
 #include "passes/fusion_rewrites.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/strings.h"
 
 namespace overlap {
@@ -23,8 +22,7 @@ struct PipelinePass {
 std::string
 PassDiagnostic::ToString() const
 {
-    return StrCat("pass '", pass_name, "' ",
-                  rolled_back ? "rolled back" : "failed", ": ",
+    return StrCat("pass '", pass_name, "' rolled back: ",
                   StatusCodeName(code), ": ", error);
 }
 
@@ -38,8 +36,7 @@ OverlapCompiler::Compile(HloModule* module) const
     OVERLAP_RETURN_IF_ERROR(VerifyModule(*module));
     // The verified input, kept only to replay the pipeline from after a
     // pass fails (see InjectedPass for the determinism this relies on).
-    std::unique_ptr<HloComputation> input;
-    if (options_.guard_passes) input = module->entry()->Clone();
+    std::unique_ptr<HloComputation> input = module->entry()->Clone();
     CostModel cost(options_.hardware);
     FaultModel fault(options_.fault);
     CompileReport report;
@@ -105,10 +102,6 @@ OverlapCompiler::Compile(HloModule* module) const
                         }});
 
     const double compile_start = NowSeconds();
-    Counter* passes_run =
-        MetricsRegistry::Global().counter("compiler.passes_run");
-    Histogram* pass_seconds =
-        MetricsRegistry::Global().histogram("compiler.pass_seconds");
     // Unlike the report, these survive a rollback: every pass execution
     // (replays included) and every diagnostic, in order.
     std::vector<PassTiming> timings;
@@ -127,11 +120,8 @@ OverlapCompiler::Compile(HloModule* module) const
         timing.end_seconds = NowSeconds() - compile_start;
         timing.instructions_after = module->entry()->instruction_count();
         timings.push_back(std::move(timing));
-        passes_run->Add();
-        if (MetricsEnabled()) pass_seconds->Record(timings.back().seconds());
         if (status.ok()) status = VerifyModule(*module);
         if (status.ok()) continue;
-        if (!options_.guard_passes) return status;
         // The pass errored or emitted invalid HLO: restore the verified
         // input, disable the pass for this module and replay the
         // pipeline from the top without it, surfacing a structured
@@ -140,7 +130,6 @@ OverlapCompiler::Compile(HloModule* module) const
         diagnostic.pass_name = pass.name;
         diagnostic.code = status.code();
         diagnostic.error = status.message();
-        diagnostic.rolled_back = true;
         OVERLAP_LOG(kWarning)
             << "guarded pipeline: " << diagnostic.ToString();
         diagnostics.push_back(std::move(diagnostic));

@@ -72,16 +72,6 @@ struct CompilerOptions {
      */
     FaultSpec fault;
 
-    /**
-     * Guarded pipeline: verify the module after every pass and, on
-     * failure, record a structured diagnostic, restore the compile's
-     * verified input (cloned once, on entry) and replay the pipeline
-     * without the offending pass instead of propagating a broken
-     * module. When false a failing pass aborts compilation with its
-     * Status (the pre-guard behavior) and nothing is cloned.
-     */
-    bool guard_passes = true;
-
     /** Extra passes run (guarded) after the overlap rewrites. */
     std::vector<InjectedPass> extra_passes;
 
@@ -104,7 +94,6 @@ struct PassDiagnostic {
     std::string pass_name;
     StatusCode code = StatusCode::kOk;
     std::string error;
-    bool rolled_back = false;
 
     std::string ToString() const;
 };
@@ -135,10 +124,12 @@ struct CompileReport {
  * schedule; the module stays functionally equivalent throughout (the
  * property the test suite checks with the SPMD interpreter).
  *
- * Every pass runs under a verification guard (see
- * CompilerOptions::guard_passes): a pass that emits invalid HLO is
- * rolled back and reported in CompileReport::pass_diagnostics rather
- * than poisoning downstream passes or the simulator.
+ * Every pass runs under a verification guard: the module is verified
+ * after each pass, and a pass that errors or emits invalid HLO is
+ * rolled back (the verified input, cloned once on entry, is restored
+ * and the pipeline replayed without it) and reported in
+ * CompileReport::pass_diagnostics rather than poisoning downstream
+ * passes or the simulator.
  */
 class OverlapCompiler {
   public:

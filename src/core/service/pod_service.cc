@@ -11,21 +11,6 @@
 namespace overlap {
 namespace {
 
-/** Flips metrics on for the run and restores the caller's setting. */
-class ScopedMetricsEnable {
-  public:
-    ScopedMetricsEnable() : was_enabled_(MetricsEnabled())
-    {
-        SetMetricsEnabled(true);
-    }
-    ~ScopedMetricsEnable() { SetMetricsEnabled(was_enabled_); }
-    ScopedMetricsEnable(const ScopedMetricsEnable&) = delete;
-    ScopedMetricsEnable& operator=(const ScopedMetricsEnable&) = delete;
-
-  private:
-    bool was_enabled_;
-};
-
 /**
  * Trial salt for a request's fault-model draw. Re-queued requests get a
  * fresh stream per attempt: a transfer whose transient draws exhausted
@@ -142,7 +127,6 @@ PodService::Run()
         return InvalidArgument("max runtime factor must be >= 1");
     }
 
-    ScopedMetricsEnable metrics_on;
     MetricsRegistry registry;
     Histogram* inference_latency =
         registry.histogram("service.inference.latency_seconds");

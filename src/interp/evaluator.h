@@ -131,9 +131,9 @@ StatusOr<Tensor> EvaluateGlobal(const HloComputation& computation,
                                 const std::vector<Tensor>& params);
 
 /**
- * Wall-clock seconds an evaluation spent in its two hot phases, for the
- * perf baseline's breakdown (allocation time is accounted separately by
- * the buffer pool; see SetAllocTimingEnabled).
+ * Wall-clock seconds an evaluation spent in its two hot phases, for
+ * perfbench's per-phase breakdown (allocation time is accounted
+ * separately by the buffer pool; see SetAllocTimingEnabled).
  */
 struct EvalPhaseSeconds {
     /// Time inside einsum kernel evaluation (all devices summed).
@@ -144,8 +144,8 @@ struct EvalPhaseSeconds {
 
 /**
  * Turns per-phase wall-clock accounting on. Off by default: the timers
- * read the clock in the evaluator hot path, so only the perf baseline
- * enables them.
+ * read the clock in the evaluator hot path, so only perfbench's traced
+ * run enables them (`interp.einsum_s`, `interp.collective_s`).
  */
 void SetEvalPhaseTimingEnabled(bool enabled);
 

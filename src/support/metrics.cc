@@ -8,8 +8,6 @@
 namespace overlap {
 namespace {
 
-std::atomic<bool> metrics_enabled{false};
-
 /** Log2 bucket of a positive sample; clamped to the table. */
 int
 BucketFor(double sample)
@@ -22,22 +20,9 @@ BucketFor(double sample)
 
 }  // namespace
 
-bool
-MetricsEnabled()
-{
-    return metrics_enabled.load(std::memory_order_relaxed);
-}
-
-void
-SetMetricsEnabled(bool enabled)
-{
-    metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 void
 Histogram::Record(double sample)
 {
-    if (!MetricsEnabled()) return;
     std::lock_guard<std::mutex> lock(mu_);
     if (count_ == 0) {
         min_ = sample;
@@ -99,13 +84,6 @@ Histogram::Snapshot::Quantile(double q) const
         return std::clamp(lower + frac * (upper - lower), min, max);
     }
     return max;
-}
-
-MetricsRegistry&
-MetricsRegistry::Global()
-{
-    static MetricsRegistry* registry = new MetricsRegistry();
-    return *registry;
 }
 
 Counter*

@@ -2,7 +2,6 @@
 #define OVERLAP_SUPPORT_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,23 +11,11 @@
 
 namespace overlap {
 
-/**
- * Process-wide switch for metrics collection (DESIGN.md §13).
- *
- * Disabled (the default), every instrument degrades to a single relaxed
- * atomic load and no clock is ever read — cheap enough for hot paths.
- * Tests and tools that want numbers flip it on around the region of
- * interest.
- */
-bool MetricsEnabled();
-void SetMetricsEnabled(bool enabled);
-
 /** Monotonically increasing event count. */
 class Counter {
   public:
     void Add(int64_t delta = 1)
     {
-        if (!MetricsEnabled()) return;
         value_.fetch_add(delta, std::memory_order_relaxed);
     }
 
@@ -43,12 +30,11 @@ class Counter {
     std::atomic<int64_t> value_{0};
 };
 
-/** Last-written instantaneous value (e.g. a pool's retained bytes). */
+/** Last-written instantaneous value (e.g. a queue's peak depth). */
 class Gauge {
   public:
     void Set(double value)
     {
-        if (!MetricsEnabled()) return;
         std::lock_guard<std::mutex> lock(mu_);
         value_ = value;
     }
@@ -127,18 +113,18 @@ class Histogram {
 };
 
 /**
- * Thread-safe registry of named instruments. Lookup interns the name on
- * first use and returns a stable pointer, so hot paths resolve their
- * instruments once and then touch only the instrument itself.
+ * Thread-safe registry of named instruments (DESIGN.md §13). Lookup
+ * interns the name on first use and returns a stable pointer, so hot
+ * paths resolve their instruments once and then touch only the
+ * instrument itself. There is no process-wide registry: each owner
+ * (PodService::Run) records into its own, so concurrent owners never
+ * see each other's samples.
  *
  * Naming convention: dotted paths grouped by subsystem, e.g.
- * "compiler.passes_run", "compiler.pass_seconds".
+ * "service.inference.latency_seconds".
  */
 class MetricsRegistry {
   public:
-    /** The process-wide registry every subsystem records into. */
-    static MetricsRegistry& Global();
-
     MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -152,9 +138,9 @@ class MetricsRegistry {
 
     /**
      * One JSON object keyed by instrument name, e.g.
-     * {"compiler.passes_run": 12,
-     *  "compiler.pass_seconds":
-     *      {"count":12,"sum":3e-4,"min":...,"max":...,"mean":...,
+     * {"service.recoveries_total": 2,
+     *  "service.recovery.latency_seconds":
+     *      {"count":2,"sum":3e-2,"min":...,"max":...,"mean":...,
      *       "p50":...,"p99":...,"p999":...}}.
      * Gauges render as bare numbers, counters as integers; histogram
      * buckets are summarized, not dumped.
@@ -166,40 +152,6 @@ class MetricsRegistry {
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-/**
- * Records the wall time of a scope into a histogram (seconds). Reads
- * the clock only when metrics are enabled at construction; a scope
- * spanning an enable/disable flip records nothing.
- */
-class ScopedTimer {
-  public:
-    explicit ScopedTimer(Histogram* histogram) : histogram_(histogram)
-    {
-        if (histogram_ != nullptr && MetricsEnabled()) {
-            start_ = std::chrono::steady_clock::now();
-            armed_ = true;
-        }
-    }
-
-    ~ScopedTimer()
-    {
-        if (armed_ && MetricsEnabled()) {
-            histogram_->Record(
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count());
-        }
-    }
-
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  private:
-    Histogram* histogram_;
-    std::chrono::steady_clock::time_point start_;
-    bool armed_ = false;
 };
 
 }  // namespace overlap

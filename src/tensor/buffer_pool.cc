@@ -109,7 +109,7 @@ std::vector<float>
 BufferPool::Acquire(size_t n)
 {
     AllocTimer timer;
-    if (enabled_ && n > 0) {
+    if (n > 0) {
         // Any vector in bucket >= BucketFor(n) has capacity >= n; take
         // from the smallest non-empty one to keep big buffers for big
         // requests.
@@ -136,7 +136,7 @@ BufferPool::Acquire(size_t n)
     }
     ++stats_.misses;
     internal::CountTensorHeapAlloc();
-    if (!enabled_ || n == 0) return std::vector<float>(n);
+    if (n == 0) return std::vector<float>();
     // Round the fresh allocation up to its bucket's guarantee: a vector
     // with capacity exactly n (non-power-of-two) would be demoted to
     // bucket BucketFor(n)-1 on Release and never serve a same-size
@@ -152,7 +152,7 @@ BufferPool::Release(std::vector<float>&& buffer)
 {
     int64_t bytes =
         static_cast<int64_t>(buffer.capacity() * sizeof(float));
-    if (!enabled_ || buffer.capacity() == 0) {
+    if (buffer.capacity() == 0) {
         ++stats_.dropped;
         return;  // buffer frees on scope exit
     }

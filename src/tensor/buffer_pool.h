@@ -47,8 +47,8 @@ class BufferPool {
         int64_t arena_hits = 0;
         /// Release() calls that pooled the buffer locally.
         int64_t pooled = 0;
-        /// Release() calls dropped (pool disabled, tiny, or over cap
-        /// with no arena to flush to).
+        /// Release() calls dropped (empty, or over cap with no arena
+        /// to flush to).
         int64_t dropped = 0;
         /// Buffers flushed up to the arena (over-cap or thread exit).
         int64_t flushed = 0;
@@ -78,15 +78,6 @@ class BufferPool {
     /** Hands a dead buffer back for reuse. */
     void Release(std::vector<float>&& buffer);
 
-    /**
-     * Enables/disables pooling. Disabled, Acquire always heap-allocates
-     * (never touching the arena) and Release frees — the knob the perf
-     * baseline uses to measure the allocation count with and without
-     * reuse.
-     */
-    void set_enabled(bool enabled) { enabled_ = enabled; }
-    bool enabled() const { return enabled_; }
-
     const Stats& stats() const { return stats_; }
     void ResetStats() { stats_ = Stats(); }
 
@@ -104,7 +95,6 @@ class BufferPool {
 
     static int BucketFor(size_t n);
 
-    bool enabled_ = true;
     int64_t max_retained_bytes_;
     BufferArena* arena_ = nullptr;
     int64_t retained_bytes_ = 0;
@@ -119,16 +109,16 @@ BufferPool& ThreadLocalBufferPool();
 /**
  * Process-wide count of float-buffer heap allocations made on behalf of
  * Tensors (fresh allocations only; pooled and arena hits don't count).
- * The perf baseline reports the delta across a decomposed-loop
- * evaluation with pooling on vs. off.
+ * perfbench's traced run reports the delta across its evaluations as
+ * `tensor.heap_allocs`.
  */
 int64_t TensorHeapAllocCount();
 
 /**
  * Turns on wall-clock accounting of BufferPool::Acquire (covers local
- * hits, arena refills, and heap misses). Off by default — the perf
- * baseline enables it to report the allocation phase's share of an
- * evaluation.
+ * hits, arena refills, and heap misses). Off by default — perfbench's
+ * traced run enables it to report the allocation phase's share of an
+ * evaluation as `tensor.alloc_s`.
  */
 void SetAllocTimingEnabled(bool enabled);
 

@@ -2,7 +2,7 @@
  * @file
  * BufferPool contract tests: buffer reuse (hit accounting), no aliasing
  * between live tensors, explicit zero-fill after recycling a dirty
- * buffer, the retained-bytes cap, and the disabled mode.
+ * buffer, the retained-bytes cap, and a pool that retains nothing.
  */
 #include "tensor/buffer_pool.h"
 
@@ -88,15 +88,15 @@ TEST(BufferPoolTest, RetainedBytesAreCapped)
     EXPECT_GE(pool.stats().dropped, 1);
 }
 
-TEST(BufferPoolTest, DisabledPoolAlwaysMissesAndDrops)
+TEST(BufferPoolTest, ZeroCapacityPoolAlwaysMissesAndDrops)
 {
-    BufferPool pool;
-    pool.set_enabled(false);
+    BufferPool pool(/*max_retained_bytes=*/0);
     pool.Release(pool.Acquire(100));
     std::vector<float> buffer = pool.Acquire(100);
     EXPECT_EQ(pool.stats().hits, 0);
     EXPECT_EQ(pool.stats().misses, 2);
     EXPECT_EQ(pool.stats().pooled, 0);
+    EXPECT_EQ(pool.stats().dropped, 1);
 }
 
 TEST(BufferPoolTest, HeapAllocCountGrowsOnlyOnMisses)

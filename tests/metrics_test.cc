@@ -1,8 +1,8 @@
 /**
  * @file
- * The metrics registry (DESIGN.md §13): instrument semantics, the
- * disabled-by-default no-op contract, registry interning, snapshot
- * shape, and thread safety of concurrent recording.
+ * The metrics registry (DESIGN.md §13): instrument semantics,
+ * registry interning, snapshot shape, and thread safety of concurrent
+ * recording.
  */
 #include <gtest/gtest.h>
 
@@ -14,22 +14,7 @@
 namespace overlap {
 namespace {
 
-/** Flips metrics on for one test and restores the default after. */
-class MetricsTest : public ::testing::Test {
-  protected:
-    void SetUp() override
-    {
-        SetMetricsEnabled(true);
-        MetricsRegistry::Global().ResetAll();
-    }
-    void TearDown() override
-    {
-        MetricsRegistry::Global().ResetAll();
-        SetMetricsEnabled(false);
-    }
-};
-
-TEST_F(MetricsTest, CounterCountsAndResets)
+TEST(MetricsTest, CounterCountsAndResets)
 {
     Counter c;
     c.Add();
@@ -39,7 +24,7 @@ TEST_F(MetricsTest, CounterCountsAndResets)
     EXPECT_EQ(c.value(), 0);
 }
 
-TEST_F(MetricsTest, GaugeKeepsLastValue)
+TEST(MetricsTest, GaugeKeepsLastValue)
 {
     Gauge g;
     g.Set(3.0);
@@ -49,7 +34,7 @@ TEST_F(MetricsTest, GaugeKeepsLastValue)
     EXPECT_EQ(g.value(), 0.0);
 }
 
-TEST_F(MetricsTest, HistogramSummarizesSamples)
+TEST(MetricsTest, HistogramSummarizesSamples)
 {
     Histogram h;
     h.Record(1.0);
@@ -70,7 +55,7 @@ TEST_F(MetricsTest, HistogramSummarizesSamples)
     EXPECT_EQ(h.snapshot().count, 0);
 }
 
-TEST_F(MetricsTest, QuantileInterpolatesWithinBucket)
+TEST(MetricsTest, QuantileInterpolatesWithinBucket)
 {
     // 8 samples spread across one bucket [4, 8): interpolation must
     // land strictly inside the bucket, not pin to the upper edge.
@@ -88,7 +73,7 @@ TEST_F(MetricsTest, QuantileInterpolatesWithinBucket)
     EXPECT_LE(snap.p999(), snap.max);
 }
 
-TEST_F(MetricsTest, QuantilesAreMonotoneAndClamped)
+TEST(MetricsTest, QuantilesAreMonotoneAndClamped)
 {
     Histogram h;
     for (int i = 1; i <= 1000; ++i) {
@@ -105,7 +90,7 @@ TEST_F(MetricsTest, QuantilesAreMonotoneAndClamped)
     EXPECT_GE(snap.p999(), 0.5 * 0.999);
 }
 
-TEST_F(MetricsTest, QuantileOfSingleSampleIsThatSample)
+TEST(MetricsTest, QuantileOfSingleSampleIsThatSample)
 {
     Histogram h;
     h.Record(3.0);
@@ -116,49 +101,7 @@ TEST_F(MetricsTest, QuantileOfSingleSampleIsThatSample)
     EXPECT_DOUBLE_EQ(h.snapshot().Quantile(0.0), 3.0);
 }
 
-TEST_F(MetricsTest, DisabledInstrumentsRecordNothing)
-{
-    SetMetricsEnabled(false);
-    Counter c;
-    Gauge g;
-    Histogram h;
-    c.Add(5);
-    g.Set(1.0);
-    h.Record(1.0);
-    {
-        ScopedTimer timer(&h);
-    }
-    EXPECT_EQ(c.value(), 0);
-    EXPECT_EQ(g.value(), 0.0);
-    EXPECT_EQ(h.snapshot().count, 0);
-}
-
-TEST_F(MetricsTest, ScopedTimerRecordsSeconds)
-{
-    Histogram h;
-    {
-        ScopedTimer timer(&h);
-    }
-    Histogram::Snapshot snap = h.snapshot();
-    EXPECT_EQ(snap.count, 1);
-    EXPECT_GE(snap.sum, 0.0);
-    EXPECT_LT(snap.sum, 10.0);  // an empty scope is not ten seconds
-    // A null histogram is an allowed no-op target.
-    ScopedTimer null_timer(nullptr);
-}
-
-TEST_F(MetricsTest, ScopedTimerSpanningDisableRecordsNothing)
-{
-    Histogram h;
-    {
-        ScopedTimer timer(&h);
-        SetMetricsEnabled(false);
-    }
-    EXPECT_EQ(h.snapshot().count, 0);
-    SetMetricsEnabled(true);
-}
-
-TEST_F(MetricsTest, RegistryInternsStablePointers)
+TEST(MetricsTest, RegistryInternsStablePointers)
 {
     MetricsRegistry registry;
     Counter* c1 = registry.counter("a.count");
@@ -171,7 +114,7 @@ TEST_F(MetricsTest, RegistryInternsStablePointers)
     EXPECT_EQ(g1, registry.gauge("a.bytes"));
 }
 
-TEST_F(MetricsTest, ResetAllZeroesButKeepsRegistrations)
+TEST(MetricsTest, ResetAllZeroesButKeepsRegistrations)
 {
     MetricsRegistry registry;
     Counter* c = registry.counter("x");
@@ -184,7 +127,7 @@ TEST_F(MetricsTest, ResetAllZeroesButKeepsRegistrations)
     EXPECT_EQ(registry.counter("x"), c);  // same instrument, zeroed
 }
 
-TEST_F(MetricsTest, SnapshotJsonNamesEveryInstrument)
+TEST(MetricsTest, SnapshotJsonNamesEveryInstrument)
 {
     MetricsRegistry registry;
     registry.counter("sub.count")->Add(2);
@@ -197,7 +140,7 @@ TEST_F(MetricsTest, SnapshotJsonNamesEveryInstrument)
     EXPECT_NE(json.find("\"count\":1"), std::string::npos) << json;
 }
 
-TEST_F(MetricsTest, ConcurrentRecordingLosesNothing)
+TEST(MetricsTest, ConcurrentRecordingLosesNothing)
 {
     MetricsRegistry registry;
     Counter* c = registry.counter("threads.count");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "core/service/pod_service.h"
 #include "models/fault_presets.h"
@@ -196,6 +197,38 @@ TEST(PodServiceTest, RunIsDeterministic)
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->ToJson(), b->ToJson());
+}
+
+TEST(PodServiceTest, OverlappingRunsReportTheirSoloResults)
+{
+    // Two services on two threads, the shorter started first: each one
+    // records into its own registry, so neither run's report may depend
+    // on when the other one starts or exits.
+    ServiceOptions shorter;
+    shorter.arrivals = LightArrivals();
+    shorter.arrivals.duration_seconds = 0.5;
+    ServiceOptions longer;
+    longer.arrivals = LightArrivals();
+    longer.arrivals.seed = 22;
+    longer.arrivals.duration_seconds = 3.0;
+
+    auto shorter_solo = PodService(Mesh(4), shorter).Run();
+    auto longer_solo = PodService(Mesh(4), longer).Run();
+    ASSERT_TRUE(shorter_solo.ok()) << shorter_solo.status().ToString();
+    ASSERT_TRUE(longer_solo.ok()) << longer_solo.status().ToString();
+
+    StatusOr<ServiceReport> shorter_run = Internal("not run");
+    StatusOr<ServiceReport> longer_run = Internal("not run");
+    std::thread first(
+        [&]() { shorter_run = PodService(Mesh(4), shorter).Run(); });
+    std::thread second(
+        [&]() { longer_run = PodService(Mesh(4), longer).Run(); });
+    first.join();
+    second.join();
+    ASSERT_TRUE(shorter_run.ok()) << shorter_run.status().ToString();
+    ASSERT_TRUE(longer_run.ok()) << longer_run.status().ToString();
+    EXPECT_EQ(shorter_run->ToJson(), shorter_solo->ToJson());
+    EXPECT_EQ(longer_run->ToJson(), longer_solo->ToJson());
 }
 
 TEST(PodServiceTest, OverloadShedsCountedNeverSilent)
