@@ -7,7 +7,7 @@
  *   fig12_overall [--json]
  *
  * --json prints only the per-model numbers as JSON (BENCH_fig12.json,
- * written by scripts/paper_figures.sh and gated byte for byte by
+ * written by scripts/refresh_baselines.sh and gated byte for byte by
  * `ctest -L sweep`); it exits nonzero if any model fails.
  */
 #include <algorithm>

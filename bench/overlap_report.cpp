@@ -24,6 +24,9 @@
  * AnalyzeModelOverlap; --trace additionally writes that run's unified
  * Chrome trace (compiler + simulator lanes) for chrome://tracing.
  *
+ * The JSON report goes to stdout with --json; --out FILE also writes it
+ * to FILE. Without --out nothing is written to disk.
+ *
  * --force disables the cost gate (every site decomposed) — the same
  * ablation knob as DecomposeOptions::use_cost_model=false.
  *
@@ -180,7 +183,7 @@ main(int argc, char** argv)
     bool json_only = false;
     bool force = false;
     bool check = false;
-    std::string out_path = "BENCH_overlap_report.json";
+    std::string out_path;
     std::string trace_path;
     std::string model_name = "GPT_32B";
     for (int i = 1; i < argc; ++i) {
@@ -327,14 +330,18 @@ main(int argc, char** argv)
         ",\"pass\":", gate_failures.empty() ? "true" : "false",
         "},\"model\":", model_json, "}\n");
     if (json_only) std::printf("%s", doc.c_str());
-    std::ofstream out(out_path);
-    out << doc;
+    if (!out_path.empty()) {
+        std::ofstream out(out_path);
+        out << doc;
+    }
     if (!json_only) {
         std::printf("\nmean |hidden-fraction error| %.3f over %lld "
                     "graded sites (gate %.2f)\n",
                     mean_error, static_cast<long long>(error_count),
                     kMaxMeanHiddenFractionError);
-        std::printf("report written to %s\n", out_path.c_str());
+        if (!out_path.empty()) {
+            std::printf("report written to %s\n", out_path.c_str());
+        }
     }
     if (check && !gate_failures.empty()) {
         for (const std::string& failure : gate_failures) {

@@ -15,5 +15,6 @@ execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
 if(NOT differs EQUAL 0)
     message(FATAL_ERROR
         "${OUT} differs from the committed ${EXPECTED}; if the change "
-        "is intended, regenerate the baseline with its scripts/*.sh")
+        "is intended, regenerate the baselines with "
+        "scripts/refresh_baselines.sh")
 endif()
