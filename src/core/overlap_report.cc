@@ -127,18 +127,6 @@ FillSimColumns(SiteEvents events, SiteOverlapReport* site)
     site->sim_span_seconds = events.any ? events.last - events.first : 0.0;
 }
 
-std::string
-JsonEscape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 /** Doubles at enough digits that hidden + exposed == total survives a
  * round-trip through the JSON (the default 6 significant digits do
  * not). */

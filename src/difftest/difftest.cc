@@ -703,26 +703,6 @@ RunDiffTest(const DiffTestConfig& config)
 
 namespace {
 
-/**
- * Mirror of the evaluator's exchange-op classification (the per-kind
- * ordinal scheme SilentCorruption targets use): the ops the interpreter
- * evaluates as a cross-device exchange.
- */
-bool
-IsSdcExchangeOp(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart:
-      case HloOpcode::kAllToAllStart: return true;
-      default: return false;
-    }
-}
-
 /** One SDC case's verdict, detached for pool workers. */
 struct SdcCaseOutcome {
     CorruptionDetector detector = CorruptionDetector::kNone;
@@ -771,7 +751,7 @@ RunSdcCase(const SdcSweepConfig& config, int64_t index)
     int64_t num_exchanges = 0;
     for (const HloInstruction* instr : comp.instructions()) {
         if (instr->opcode() == HloOpcode::kEinsum) ++num_einsums;
-        if (IsSdcExchangeOp(instr->opcode())) ++num_exchanges;
+        if (IsExchangeOp(instr->opcode())) ++num_exchanges;
     }
     if (num_einsums == 0) {
         out.error = Internal("SDC case has no einsum to target");

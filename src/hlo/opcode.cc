@@ -81,6 +81,12 @@ IsCollective(HloOpcode opcode)
 }
 
 bool
+IsExchangeOp(HloOpcode opcode)
+{
+    return IsCollective(opcode) && !IsAsyncDone(opcode);
+}
+
+bool
 IsBlockingCollective(HloOpcode opcode)
 {
     switch (opcode) {

@@ -78,6 +78,15 @@ bool IsElementwiseBinary(HloOpcode opcode);
 /** True for any cross-device communication opcode. */
 bool IsCollective(HloOpcode opcode);
 
+/**
+ * True for the collectives that move data between devices: all but
+ * the Done half of an async pair, which only waits for what its Start
+ * moved. The evaluator runs exactly these as a cross-device exchange,
+ * and a SilentCorruption's exchange ordinal counts exactly these, in
+ * program order, in both the simulator and the evaluator.
+ */
+bool IsExchangeOp(HloOpcode opcode);
+
 /** True for the blocking (non-decomposed) collectives AG/RS/AR/A2A. */
 bool IsBlockingCollective(HloOpcode opcode);
 

@@ -117,26 +117,6 @@ GatherStarts(const std::vector<const Tensor*>& operands,
     return starts;
 }
 
-/**
- * True for ops the interpreter evaluates as a cross-device exchange.
- * Narrower than hlo's IsCollective: a CollectivePermuteDone is the
- * local identity here (the Start already moved the data).
- */
-bool
-IsExchangeOp(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart:
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: return true;
-      default: return false;
-    }
-}
-
 /** Elementwise opcodes the evaluator fuses into single-pass groups. */
 bool
 IsFusableElementwise(HloOpcode opcode)

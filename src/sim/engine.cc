@@ -175,27 +175,6 @@ CheckNoDeadlock(const std::vector<SchedUnit*>& order, size_t num_units,
     return Status::Ok();
 }
 
-/**
- * Ops the SDC layer counts as a data exchange when assigning transfer
- * ordinals. Must mirror the evaluator's IsExchangeOp so a
- * SilentCorruption's `instruction` names the same collective in both the
- * simulator's timing model and the evaluator's data model.
- */
-bool
-IsSdcExchangeOp(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart:
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: return true;
-      default: return false;
-    }
-}
-
 /** Why an async transfer can never arrive. */
 struct KilledTransfer {
     FailureCause cause = FailureCause::kChipDeath;
@@ -398,7 +377,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         for (const HloInstruction* instr : computation.instructions()) {
             if (instr->opcode() == HloOpcode::kEinsum) {
                 einsum_ordinals[instr] = num_einsums++;
-            } else if (IsSdcExchangeOp(instr->opcode())) {
+            } else if (IsExchangeOp(instr->opcode())) {
                 exchange_ordinals[instr] =
                     static_cast<int64_t>(exchange_ordinals.size());
             }

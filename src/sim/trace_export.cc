@@ -5,19 +5,6 @@
 namespace overlap {
 namespace {
 
-/** Escapes the few characters that can appear in instruction names. */
-std::string
-JsonEscape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 /** Accumulates trace events; keeps the comma bookkeeping in one place. */
 class EventWriter {
   public:

@@ -42,6 +42,18 @@ StrSplit(const std::string& text, char sep)
 }
 
 std::string
+JsonEscape(const std::string& text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text) {
+        if (c == '"' || c == '\\') out.push_back('\\');
+        out.push_back(c);
+    }
+    return out;
+}
+
+std::string
 HumanBytes(double bytes)
 {
     static const char* kSuffixes[] = {"", "K", "M", "G", "T", "P"};

@@ -73,6 +73,13 @@ ParseFlag(const std::string& flag, const char* text, T min_value)
     return value;
 }
 
+/**
+ * Backslash-escapes the quotes and backslashes in `text` for a JSON
+ * string literal (enough for the instruction, pass and device names the
+ * reports and traces emit).
+ */
+std::string JsonEscape(const std::string& text);
+
 /** Formats a byte count with an SI suffix, e.g. "1.50 GB". */
 std::string HumanBytes(double bytes);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/overlap_compiler.h"
@@ -56,6 +57,21 @@ TEST(BuilderTest, DynamicSliceHelpers)
     EXPECT_EQ(updated->shape().dims(), p->shape().dims());
     module.entry()->set_root(updated);
     EXPECT_TRUE(VerifyModule(module).ok());
+}
+
+TEST(OpcodeTest, ExchangeOpsAreTheDataMovingCollectives)
+{
+    const std::set<HloOpcode> exchanges = {
+        HloOpcode::kAllGather,         HloOpcode::kReduceScatter,
+        HloOpcode::kAllReduce,         HloOpcode::kAllToAll,
+        HloOpcode::kCollectivePermute, HloOpcode::kCollectivePermuteStart,
+        HloOpcode::kAllToAllStart,
+    };
+    for (int op = 0; op <= static_cast<int>(HloOpcode::kTuple); ++op) {
+        HloOpcode opcode = static_cast<HloOpcode>(op);
+        EXPECT_EQ(IsExchangeOp(opcode), exchanges.count(opcode) == 1)
+            << HloOpcodeName(opcode);
+    }
 }
 
 TEST(ComputationTest, UsersTracked)

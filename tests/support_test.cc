@@ -102,6 +102,12 @@ TEST(StringsTest, StrSplitKeepsEmptyFields)
     EXPECT_EQ(StrSplit("", ',').size(), 1u);
 }
 
+TEST(StringsTest, JsonEscapeEscapesQuotesAndBackslashes)
+{
+    EXPECT_EQ(JsonEscape("all-gather.3"), "all-gather.3");
+    EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+}
+
 TEST(StringsTest, HumanFormats)
 {
     EXPECT_EQ(HumanBytes(1536.0), "1.50 KB");
