@@ -15,6 +15,7 @@
 #include "interp/evaluator.h"
 #include "spmd/spmd_builder.h"
 #include "support/strings.h"
+#include "tensor/sharding.h"
 
 using namespace overlap;
 
@@ -26,21 +27,6 @@ struct Mlp {
     Tensor expected;
     TensorSharding out_sharding;
 };
-
-/** Shards a global tensor into one piece per device. */
-std::vector<Tensor>
-ShardTensor(const Tensor& global, const TensorSharding& sharding,
-            const Mesh& mesh)
-{
-    std::vector<Tensor> shards;
-    Shape shard_shape = sharding.ShardShape(global.shape(), mesh);
-    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
-        shards.push_back(global.Slice(
-            sharding.ShardOffsets(global.shape(), mesh, d),
-            shard_shape.dims()));
-    }
-    return shards;
-}
 
 Mlp
 BuildMlp(const Mesh& mesh)

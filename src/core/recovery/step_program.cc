@@ -8,22 +8,6 @@
 namespace overlap {
 namespace {
 
-/** Splits a global tensor into one shard per device of `mesh`. */
-std::vector<Tensor>
-ShardTensor(const Tensor& global, const TensorSharding& sharding,
-            const Mesh& mesh)
-{
-    std::vector<Tensor> shards;
-    shards.reserve(static_cast<size_t>(mesh.num_devices()));
-    Shape shard_shape = sharding.ShardShape(global.shape(), mesh);
-    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
-        shards.push_back(
-            global.Slice(sharding.ShardOffsets(global.shape(), mesh, d),
-                         shard_shape.dims()));
-    }
-    return shards;
-}
-
 /** Zero-pads dim-0 (and for W also dim-1) up to `padded` rows. */
 Tensor
 PadRows(const Tensor& logical, int64_t padded, bool pad_cols_too)

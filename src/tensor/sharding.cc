@@ -128,4 +128,19 @@ TensorSharding::ToString() const
     return out;
 }
 
+std::vector<Tensor>
+ShardTensor(const Tensor& global, const TensorSharding& sharding,
+            const Mesh& mesh)
+{
+    std::vector<Tensor> shards;
+    shards.reserve(static_cast<size_t>(mesh.num_devices()));
+    Shape shard_shape = sharding.ShardShape(global.shape(), mesh);
+    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+        shards.push_back(
+            global.Slice(sharding.ShardOffsets(global.shape(), mesh, d),
+                         shard_shape.dims()));
+    }
+    return shards;
+}
+
 }  // namespace overlap

@@ -8,6 +8,7 @@
 #include "support/status.h"
 #include "tensor/mesh.h"
 #include "tensor/shape.h"
+#include "tensor/tensor.h"
 
 namespace overlap {
 
@@ -77,6 +78,11 @@ class TensorSharding {
     // means dim d is not partitioned.
     std::vector<int64_t> dim_to_axis_;
 };
+
+/** Splits a global tensor into one shard per device of `mesh`. */
+std::vector<Tensor> ShardTensor(const Tensor& global,
+                                const TensorSharding& sharding,
+                                const Mesh& mesh);
 
 }  // namespace overlap
 

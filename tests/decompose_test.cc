@@ -16,7 +16,6 @@
 namespace overlap {
 namespace {
 
-using testing_util::ShardTensor;
 
 /** A ready-to-evaluate SPMD scenario with its expected per-device output. */
 struct Scenario {

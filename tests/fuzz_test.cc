@@ -22,8 +22,6 @@
 namespace overlap {
 namespace {
 
-using testing_util::ShardTensor;
-
 /** Deterministic pseudo-random stream. */
 class Rng {
   public:

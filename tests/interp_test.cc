@@ -9,8 +9,6 @@
 namespace overlap {
 namespace {
 
-using testing_util::ShardTensor;
-
 TEST(EvaluatorTest, GlobalEinsum)
 {
     HloModule module("m");

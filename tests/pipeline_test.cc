@@ -11,7 +11,6 @@
 namespace overlap {
 namespace {
 
-using testing_util::ShardTensor;
 using testing_util::UnshardTensor;
 
 /**

@@ -8,7 +8,6 @@
 namespace overlap {
 namespace {
 
-using testing_util::ShardTensor;
 using testing_util::UnshardTensor;
 
 int64_t

@@ -12,22 +12,6 @@
 namespace overlap {
 namespace testing_util {
 
-/** Splits a global tensor into one shard per device of `mesh`. */
-inline std::vector<Tensor>
-ShardTensor(const Tensor& global, const TensorSharding& sharding,
-            const Mesh& mesh)
-{
-    std::vector<Tensor> shards;
-    shards.reserve(static_cast<size_t>(mesh.num_devices()));
-    Shape shard_shape = sharding.ShardShape(global.shape(), mesh);
-    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
-        std::vector<int64_t> offsets =
-            sharding.ShardOffsets(global.shape(), mesh, d);
-        shards.push_back(global.Slice(offsets, shard_shape.dims()));
-    }
-    return shards;
-}
-
 /** Reassembles per-device shards into the global tensor. */
 inline Tensor
 UnshardTensor(const std::vector<Tensor>& shards, const Shape& global_shape,
