@@ -206,12 +206,10 @@ AllDecomposeVariants()
 {
     static const std::vector<DecomposeVariant>* variants =
         new std::vector<DecomposeVariant>{
-            {"uni", false, false, false},
-            {"uni_unroll", true, false, false},
-            {"forced_uni", false, true, true},
-            {"forced_uni_unroll", true, true, true},
-            {"bidi", false, true, false},
-            {"bidi_unroll", true, true, false},
+            {"uni", false, false},
+            {"uni_unroll", true, false},
+            {"bidi", false, true},
+            {"bidi_unroll", true, true},
         };
     return *variants;
 }
@@ -491,21 +489,19 @@ BuildSiteScenario(const SiteSpec& spec)
 
 namespace {
 
-/** Decomposes + async-splits the scenario module under `variant`. */
+/** Decomposes + async-splits a site module under `variant`; the site
+ * must be rewritten and no blocking AG/RS/A2A may survive. */
 Status
-TransformScenario(SiteScenario* scenario, const DecomposeVariant& variant,
-                  bool inject_shard_id_bug)
+TransformSiteModule(HloModule* module, const DecomposeVariant& variant,
+                    bool inject_shard_id_bug)
 {
     DecomposeOptions options;
-    options.unroll = variant.unroll;
-    options.bidirectional = variant.bidirectional;
-    options.force_unidirectional = variant.force_unidirectional;
+    variant.ApplyTo(&options);
     options.test_shard_id_bug = inject_shard_id_bug;
     options.use_cost_model = false;  // the oracle checks every site
-    const Mesh& mesh = *scenario->module->mesh();
     CostModel cost((HardwareSpec()));
-    CollectiveEinsumDecomposer decomposer(mesh, &cost, options);
-    HloComputation* comp = scenario->module->entry();
+    CollectiveEinsumDecomposer decomposer(*module->mesh(), &cost, options);
+    HloComputation* comp = module->entry();
     auto stats = decomposer.Run(comp);
     if (!stats.ok()) return stats.status();
     if (stats->total_decomposed() != 1) {
@@ -515,29 +511,43 @@ TransformScenario(SiteScenario* scenario, const DecomposeVariant& variant,
     if (!stats->BucketsConsistent()) {
         return Internal("decompose stats buckets inconsistent");
     }
-    OVERLAP_RETURN_IF_ERROR(VerifyModule(*scenario->module));
+    for (const HloInstruction* instr : comp->instructions()) {
+        const HloOpcode op = instr->opcode();
+        if (op == HloOpcode::kAllGather || op == HloOpcode::kReduceScatter ||
+            op == HloOpcode::kAllToAll) {
+            return Internal(StrCat("blocking ", HloOpcodeName(op),
+                                   " survived decomposition"));
+        }
+    }
+    OVERLAP_RETURN_IF_ERROR(VerifyModule(*module));
     auto converted = CreateAsyncCollectivePermutes(comp);
     if (!converted.ok()) return converted.status();
-    return VerifyModule(*scenario->module);
+    return VerifyModule(*module);
 }
 
 }  // namespace
 
-StatusOr<OutputComparison>
-RunSingleCase(const SiteSpec& spec, const DecomposeVariant& variant,
-              bool inject_shard_id_bug)
+StatusOr<std::vector<OutputComparison>>
+RunCaseVariants(const SiteSpec& spec,
+                const std::vector<DecomposeVariant>& variants,
+                bool inject_shard_id_bug)
 {
     auto reference = BuildSiteScenario(spec);
     if (!reference.ok()) return reference.status();
-    auto transformed = BuildSiteScenario(spec);
-    if (!transformed.ok()) return transformed.status();
-    OVERLAP_RETURN_IF_ERROR(TransformScenario(
-        &transformed.value(), variant, inject_shard_id_bug));
+    std::vector<std::unique_ptr<HloModule>> lowered;
+    std::vector<const HloComputation*> computations = {
+        reference->module->entry()};
+    for (const DecomposeVariant& variant : variants) {
+        auto module = BuildSiteModule(spec);
+        if (!module.ok()) return module.status();
+        OVERLAP_RETURN_IF_ERROR(TransformSiteModule(
+            module->get(), variant, inject_shard_id_bug));
+        computations.push_back((*module)->entry());
+        lowered.push_back(std::move(module).value());
+    }
 
     SpmdEvaluator evaluator(*reference->module->mesh());
-    auto outputs = evaluator.EvaluateBatch(
-        {reference->module->entry(), transformed->module->entry()},
-        reference->params);
+    auto outputs = evaluator.EvaluateBatch(computations, reference->params);
     if (!outputs.ok()) return outputs.status();
     double tolerance =
         EquivalenceTolerance(spec.dtype, spec.reduction_extent());
@@ -550,7 +560,23 @@ RunSingleCase(const SiteSpec& spec, const DecomposeVariant& variant,
                                "truth: ",
                                baseline.ToString()));
     }
-    return CompareOutputs((*outputs)[0], (*outputs)[1], tolerance);
+    std::vector<OutputComparison> comparisons;
+    comparisons.reserve(variants.size());
+    for (size_t v = 1; v < outputs->size(); ++v) {
+        comparisons.push_back(
+            CompareOutputs((*outputs)[0], (*outputs)[v], tolerance));
+    }
+    return comparisons;
+}
+
+StatusOr<OutputComparison>
+RunSingleCase(const SiteSpec& spec, const DecomposeVariant& variant,
+              bool inject_shard_id_bug)
+{
+    auto comparisons =
+        RunCaseVariants(spec, {variant}, inject_shard_id_bug);
+    if (!comparisons.ok()) return comparisons.status();
+    return comparisons->front();
 }
 
 std::string
@@ -574,8 +600,8 @@ namespace {
 
 /**
  * Everything one sweep case produces, detached from the shared summary
- * so cases can run on pool workers: the comparisons of the variants
- * that ran (in variant order) and the first harness error, if any.
+ * so cases can run on pool workers: one comparison per variant (in
+ * variant order), or the case's harness error.
  * Default-constructible, as ThreadPool::ParallelFor requires.
  */
 struct CaseOutcome {
@@ -596,18 +622,10 @@ SpecFor(const DiffTestConfig& config, int64_t index)
 CaseOutcome
 RunCase(const DiffTestConfig& config, const SiteSpec& spec)
 {
-    CaseOutcome out;
-    out.comparisons.reserve(AllDecomposeVariants().size());
-    for (const DecomposeVariant& variant : AllDecomposeVariants()) {
-        auto comparison = RunSingleCase(spec, variant,
-                                        config.inject_shard_id_bug);
-        if (!comparison.ok()) {
-            out.error = comparison.status();
-            break;
-        }
-        out.comparisons.push_back(std::move(comparison).value());
-    }
-    return out;
+    auto comparisons = RunCaseVariants(spec, AllDecomposeVariants(),
+                                       config.inject_shard_id_bug);
+    if (!comparisons.ok()) return {{}, comparisons.status()};
+    return {std::move(comparisons).value(), Status::Ok()};
 }
 
 }  // namespace
@@ -709,21 +727,24 @@ RunSdcCase(const SdcSweepConfig& config, int64_t index)
     SiteSpec spec = GenerateSiteSpec(config.seed, index);
     spec.dtype = DType::kF32;
 
-    // Cycle the blocking form and all six decomposed variants, so both
-    // the original collective + einsum pair and the looped rewrite (with
-    // its CollectivePermute ring and partial einsums) face injections.
+    // Cycle the blocking form and every decomposed variant, so both the
+    // original collective + einsum pair and the looped rewrite (with its
+    // CollectivePermute ring and partial einsums) face injections.
     auto scenario = BuildSiteScenario(spec);
     if (!scenario.ok()) {
         out.error = scenario.status();
         return out;
     }
-    const int64_t shape = index % 7;
+    const std::vector<DecomposeVariant>& variants = AllDecomposeVariants();
+    const int64_t shape =
+        index % (1 + static_cast<int64_t>(variants.size()));
     std::string form = "blocking";
     if (shape > 0) {
         const DecomposeVariant& variant =
-            AllDecomposeVariants()[static_cast<size_t>(shape - 1)];
+            variants[static_cast<size_t>(shape - 1)];
         form = variant.name;
-        out.error = TransformScenario(&scenario.value(), variant, false);
+        out.error =
+            TransformSiteModule(scenario->module.get(), variant, false);
         if (!out.error.ok()) return out;
     }
     const Mesh& mesh = *scenario->module->mesh();
@@ -1030,21 +1051,6 @@ ReplaySiteSpace(uint64_t seed, int64_t generated)
     return specs;
 }
 
-namespace {
-
-/** The variants whose emitted structures tile every LoopStructure. */
-const char* const kReplayVariants[] = {"uni", "uni_unroll", "bidi",
-                                       "bidi_unroll"};
-
-/** Key identifying the emitted structure of a sample for dedup. */
-std::pair<int, bool>
-StructureKey(const LoopShape& shape)
-{
-    return {static_cast<int>(shape.structure), shape.has_copies};
-}
-
-}  // namespace
-
 StatusOr<std::vector<ReplaySample>>
 CollectReplaySamples(const std::vector<SiteSpec>& specs,
                      const HardwareSpec& hardware)
@@ -1063,19 +1069,15 @@ CollectReplaySamples(const std::vector<SiteSpec>& specs,
         auto baseline_sim = simulator.Run(**blocking);
         if (!baseline_sim.ok()) return baseline_sim.status();
 
+        // One sample per emitted (structure, copies) pair of the site.
         std::set<std::pair<int, bool>> seen;
-        for (const char* variant_name : kReplayVariants) {
-            auto variant = FindVariant(variant_name);
-            if (!variant.ok()) return variant.status();
+        for (const DecomposeVariant& variant : AllDecomposeVariants()) {
             auto module = BuildSiteModule(spec);
             if (!module.ok()) return module.status();
             CompilerOptions options;
             options.hardware = hardware;
             options.decompose.use_cost_model = false;
-            options.decompose.unroll = variant->unroll;
-            options.decompose.bidirectional = variant->bidirectional;
-            options.decompose.force_unidirectional =
-                variant->force_unidirectional;
+            variant.ApplyTo(&options.decompose);
             auto compile =
                 OverlapCompiler(options).Compile(module->get());
             if (!compile.ok()) return compile.status();
@@ -1086,7 +1088,10 @@ CollectReplaySamples(const std::vector<SiteSpec>& specs,
             // A site the matcher skipped under this lowering (no
             // decomposed decision) contributes nothing.
             if (decision == nullptr) continue;
-            if (!seen.insert(StructureKey(decision->cost.shape)).second) {
+            const LoopShape& shape = decision->cost.shape;
+            if (!seen.insert({static_cast<int>(shape.structure),
+                              shape.has_copies})
+                     .second) {
                 continue;
             }
             auto sim = simulator.Run(**module);
@@ -1094,7 +1099,7 @@ CollectReplaySamples(const std::vector<SiteSpec>& specs,
 
             ReplaySample sample;
             sample.spec = spec;
-            sample.variant = variant_name;
+            sample.variant = variant.name;
             sample.cost = decision->cost;
             sample.simulated_span_seconds = sim->step_seconds;
             sample.blocking_span_seconds = baseline_sim->step_seconds;

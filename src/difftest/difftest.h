@@ -9,7 +9,6 @@
 
 #include "hlo/module.h"
 #include "interp/comparison.h"
-#include "interp/evaluator.h"
 #include "passes/decompose.h"
 #include "sim/hardware.h"
 #include "support/status.h"
@@ -95,12 +94,19 @@ struct DecomposeVariant {
     const char* name;
     bool unroll;
     bool bidirectional;
-    /// Exercises DecomposeOptions::force_unidirectional (the structure
-    /// the §5.5 fault gate lowers to).
-    bool force_unidirectional;
+
+    /** Sets the lowering knobs this variant names on `options`. */
+    void ApplyTo(DecomposeOptions* options) const
+    {
+        options->unroll = unroll;
+        options->bidirectional = bidirectional;
+    }
 };
 
-/** All six variants, simplest structure first. */
+/**
+ * All four variants, {uni, bidi} x {no unroll, unroll}, simplest
+ * structure first.
+ */
 const std::vector<DecomposeVariant>& AllDecomposeVariants();
 
 /** Variant lookup by name; error on unknown names. */
@@ -127,12 +133,20 @@ StatusOr<std::unique_ptr<HloModule>> BuildSiteModule(const SiteSpec& spec);
 StatusOr<SiteScenario> BuildSiteScenario(const SiteSpec& spec);
 
 /**
- * Compiles `spec` twice — blocking reference vs. decomposed under
- * `variant` (use_cost_model off, every site rewritten) — runs both
- * through the SpmdEvaluator (decomposed also through the async split)
- * and compares per-device outputs under the dtype-aware tolerance.
+ * The equivalence oracle's driver: builds `spec`'s scenario once,
+ * lowers one module copy per variant (use_cost_model off, then the
+ * async split), evaluates reference and lowerings in one EvaluateBatch,
+ * checks the reference against the analytic ground truth and compares
+ * each lowering with it under the dtype-aware tolerance. One comparison
+ * per variant, in order; errors only on harness bugs.
  * `inject_shard_id_bug` forwards to DecomposeOptions::test_shard_id_bug.
  */
+StatusOr<std::vector<OutputComparison>>
+RunCaseVariants(const SiteSpec& spec,
+                const std::vector<DecomposeVariant>& variants,
+                bool inject_shard_id_bug);
+
+/** RunCaseVariants under one variant. */
 StatusOr<OutputComparison> RunSingleCase(const SiteSpec& spec,
                                          const DecomposeVariant& variant,
                                          bool inject_shard_id_bug);
@@ -178,8 +192,8 @@ StatusOr<DiffTestSummary> RunDiffTest(const DiffTestConfig& config);
 
 /**
  * Configuration of the seeded silent-data-corruption sweep (§16): each
- * case builds one overlap site (cycling blocking plus all six decompose
- * variants), proves the detectors-on clean run is report-free and
+ * case builds one overlap site (cycling blocking plus every decompose
+ * variant), proves the detectors-on clean run is report-free and
  * bit-identical to detectors-off, then injects one corruption derived
  * from DeriveTaskSeed(seed, index) and requires it to be either detected
  * with the culprit chip localized, or provably masked (out-of-range

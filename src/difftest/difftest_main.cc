@@ -5,8 +5,8 @@
  *                   [--inject-sdc] [--only-case NAME] [--threads N]
  *                   [--out DIR] [--repro FILE]
  *
- * Generates N seeded random overlap sites, compiles each one blocking
- * vs. decomposed under all six {unroll, bidirectional, forced-uni}
+ * Generates N seeded random overlap sites, builds each one's blocking
+ * reference once, lowers it under all four {unroll, bidirectional}
  * variants, and diffs per-device outputs through the SpmdEvaluator.
  * `--only-case NAME` (ag_free, ag_contract, ag_batch, rs, a2a) pins
  * every generated site to one case — the §18 AllToAll wall runs

@@ -140,8 +140,7 @@ EstimateBenefit(const Site& site, const CostModel& cost,
     double comp_t = cost.EinsumSeconds(site.einsum);
     double comm_t = cost.BlockingCollectiveSeconds(site.collective);
     int64_t n = site.group_size;
-    bool bidi_enabled = allow_bidirectional && options.bidirectional &&
-                        !options.force_unidirectional;
+    bool bidi_enabled = allow_bidirectional && options.bidirectional;
     double n_d = static_cast<double>(n);
     double oh = cost.spec().op_overhead;
     int64_t shard_bytes =
@@ -1023,7 +1022,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         best.force_unidirectional =
             best.force_unidirectional && !best.is_all_to_all &&
             options_.use_cost_model &&
-            options_.bidirectional && !options_.force_unidirectional &&
+            options_.bidirectional &&
             (BidirectionalRingEligible(best.group_size,
                                        best.shard_extent) ||
              TwoWayExchangeEligible(best.group_size, best.shard_extent));
@@ -1043,7 +1042,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
     RingShifts ring_shifts(mesh_);
     for (const Site& site : chosen) {
         DecomposeOptions site_options = options_;
-        if (site.force_unidirectional || options_.force_unidirectional) {
+        if (site.force_unidirectional) {
             site_options.bidirectional = false;
         }
         LoopEmitter emitter(computation, &ring_shifts, site_options, site);

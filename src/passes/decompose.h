@@ -108,16 +108,6 @@ struct DecomposeOptions {
     bool use_cost_model = true;
 
     /**
-     * Forcing hook for the differential-equivalence harness: emit every
-     * site with the unidirectional loop structure even when
-     * `bidirectional` is set and structurally possible. This exercises
-     * exactly the lowering the variance-aware §5.5 gate applies on a
-     * degraded ring, without needing a fault model. Does not affect the
-     * fault_lowered statistics.
-     */
-    bool force_unidirectional = false;
-
-    /**
      * Deliberate off-by-one in the loop's shard-id arithmetic
      * (TEST-ONLY): every ShardId(delta) computes delta + 1 instead.
      * Exists so the difftest minimizer has a real, reproducible

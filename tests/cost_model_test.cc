@@ -154,9 +154,7 @@ ForcedDecision(const difftest::SiteSpec& spec, const char* variant_name)
     EXPECT_TRUE(module.ok()) << module.status().ToString();
     CompilerOptions options;
     options.decompose.use_cost_model = false;
-    options.decompose.unroll = variant->unroll;
-    options.decompose.bidirectional = variant->bidirectional;
-    options.decompose.force_unidirectional = variant->force_unidirectional;
+    variant->ApplyTo(&options.decompose);
     auto compile = OverlapCompiler(options).Compile(module->get());
     EXPECT_TRUE(compile.ok()) << compile.status().ToString();
     PodSimulator simulator(spec.mesh(), options.hardware);

@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/overlap_compiler.h"
 #include "difftest/difftest.h"
 #include "difftest/minimizer.h"
 #include "hlo/parser.h"
-#include "passes/decompose.h"
 
 namespace overlap {
 namespace difftest {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tier-1 sweep: 70 seeded cases x all six decomposition variants. The
+// Tier-1 sweep: 70 seeded cases x all four decomposition variants. The
 // stratified generator guarantees every 10 consecutive indices cover all
 // five site cases under both shard-extent parities.
 // ---------------------------------------------------------------------------
@@ -33,6 +36,101 @@ TEST(DiffTest, Tier1SweepHasZeroMismatches)
     }
     EXPECT_EQ(summary->odd_extent_cases, 35);
     EXPECT_EQ(summary->even_extent_cases, 35);
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence table: every §5.1 and §18 site shape on rings of 2, 3, 4
+// and 8 (plus torus subgroup rings) with an even shard extent, and the
+// four §5.1 shapes with an odd shard extent on rings of 2, 4 and 5 (on
+// an even ring the odd extent forces the unidirectional fallback; an odd
+// ring has no §5.4.2 structure at all). Every row runs through the
+// oracle under all four variants and through the full compiler.
+// ---------------------------------------------------------------------------
+
+struct TableShape {
+    SiteCase site_case;
+    int64_t side;
+    bool torus;  ///< run on the second axis of a 2 x N mesh
+};
+
+std::vector<SiteSpec>
+EquivalenceTable()
+{
+    const TableShape even_shapes[] = {
+        {SiteCase::kAllGatherFree, 0, false},
+        {SiteCase::kAllGatherFree, 1, false},
+        {SiteCase::kAllGatherContracting, 0, false},
+        {SiteCase::kAllGatherContracting, 1, false},
+        {SiteCase::kAllGatherBatch, 0, false},
+        {SiteCase::kReduceScatter, 0, false},
+        {SiteCase::kReduceScatter, 1, false},
+        {SiteCase::kAllGatherFree, 0, true},
+        {SiteCase::kReduceScatter, 1, true},
+        {SiteCase::kAllToAll, 0, false},
+        {SiteCase::kAllToAll, 1, false},
+        {SiteCase::kAllToAll, 0, true},
+    };
+    const TableShape odd_shapes[] = {
+        {SiteCase::kAllGatherFree, 0, false},
+        {SiteCase::kAllGatherContracting, 0, false},
+        {SiteCase::kAllGatherBatch, 0, false},
+        {SiteCase::kReduceScatter, 0, false},
+    };
+    std::vector<SiteSpec> table;
+    auto add = [&table](const TableShape& shape, int64_t ring,
+                        int64_t extent) {
+        SiteSpec spec;
+        spec.site_case = shape.site_case;
+        spec.side = shape.side;
+        spec.mesh_dims = shape.torus ? std::vector<int64_t>{2, ring}
+                                     : std::vector<int64_t>{ring};
+        spec.axis = shape.torus ? 1 : 0;
+        spec.shard_extent = extent;
+        spec.contract = shape.site_case == SiteCase::kReduceScatter ? 3 : 4;
+        spec.data_seed = table.size();
+        table.push_back(spec);
+    };
+    for (int64_t ring : {2, 3, 4, 8}) {
+        for (const TableShape& shape : even_shapes) add(shape, ring, 2);
+    }
+    for (int64_t ring : {2, 4, 5}) {
+        for (const TableShape& shape : odd_shapes) add(shape, ring, 3);
+    }
+    return table;
+}
+
+TEST(DiffTest, EquivalenceTableMatchesAndCompilesUnderEveryVariant)
+{
+    const std::vector<SiteSpec> table = EquivalenceTable();
+    ASSERT_EQ(table.size(), 60u);
+    const std::vector<DecomposeVariant>& variants = AllDecomposeVariants();
+    for (const SiteSpec& spec : table) {
+        SCOPED_TRACE(spec.ToString());
+        EXPECT_LE(EquivalenceTolerance(spec.dtype, spec.reduction_extent()),
+                  1e-3);
+        auto comparisons = RunCaseVariants(spec, variants,
+                                           /*inject_shard_id_bug=*/false);
+        ASSERT_TRUE(comparisons.ok()) << comparisons.status().message();
+        ASSERT_EQ(comparisons->size(), variants.size());
+        for (size_t v = 0; v < variants.size(); ++v) {
+            EXPECT_TRUE((*comparisons)[v].equal)
+                << variants[v].name << ": " << (*comparisons)[v].ToString();
+            // The full pipeline, bottom-up scheduler included, must
+            // decompose the one site without a guarded-pass incident.
+            auto module = BuildSiteModule(spec);
+            ASSERT_TRUE(module.ok()) << module.status().message();
+            CompilerOptions options;
+            options.decompose.use_cost_model = false;
+            variants[v].ApplyTo(&options.decompose);
+            auto report = OverlapCompiler(options).Compile(module->get());
+            ASSERT_TRUE(report.ok()) << report.status().message();
+            EXPECT_EQ(report->decompose.total_decomposed(), 1)
+                << variants[v].name;
+            EXPECT_TRUE(report->pass_diagnostics.empty())
+                << variants[v].name << ": "
+                << report->pass_diagnostics.front().ToString();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -108,6 +206,21 @@ TEST(DiffTest, ReproLineRoundTrips)
     EXPECT_STREQ(repro->variant.name, "bidi_unroll");
     EXPECT_TRUE(repro->inject_shard_id_bug);
     EXPECT_FALSE(ParseReproLine(spec.ToString()).ok());  // no variant
+    // No forced-unidirectional variant exists: with bidirectional off,
+    // uni / uni_unroll already emit that lowering.
+    EXPECT_FALSE(
+        ParseReproLine(spec.ToString() + " variant=forced_uni inject=0")
+            .ok());
+}
+
+TEST(DiffTest, VariantsAreDirectionTimesUnroll)
+{
+    std::vector<std::string> names;
+    for (const DecomposeVariant& v : AllDecomposeVariants()) {
+        names.push_back(v.name);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"uni", "uni_unroll", "bidi",
+                                               "bidi_unroll"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -163,45 +276,6 @@ TEST(DiffTest, MinimizerRejectsPassingCase)
     auto result = MinimizeFailure(spec, AllDecomposeVariants().front(),
                                   /*inject_shard_id_bug=*/false);
     EXPECT_FALSE(result.ok());
-}
-
-// ---------------------------------------------------------------------------
-// The forced-unidirectional hook really changes the lowering: under a
-// bidirectional-eligible site the forced variant emits no fused einsum
-// pairs (the §5.4.2 signature) while the plain bidi variant does.
-// ---------------------------------------------------------------------------
-
-TEST(DiffTest, ForcedUnidirectionalDropsBidirectionalStructure)
-{
-    SiteSpec spec;
-    spec.site_case = SiteCase::kAllGatherFree;
-    spec.mesh_dims = {4};
-    spec.shard_extent = 2;  // BidirectionalRingEligible
-    spec.data_seed = 5;
-
-    auto count_fused_einsums = [&](bool force) -> int64_t {
-        auto scenario = BuildSiteScenario(spec);
-        EXPECT_TRUE(scenario.ok());
-        DecomposeOptions options;
-        options.use_cost_model = false;
-        options.bidirectional = true;
-        options.force_unidirectional = force;
-        CostModel cost((HardwareSpec()));
-        CollectiveEinsumDecomposer decomposer(*scenario->module->mesh(),
-                                              &cost, options);
-        EXPECT_TRUE(decomposer.Run(scenario->module->entry()).ok());
-        int64_t fused = 0;
-        for (const HloInstruction* instr :
-             scenario->module->entry()->instructions()) {
-            if (instr->opcode() == HloOpcode::kEinsum &&
-                instr->fusion_group() >= 0) {
-                ++fused;
-            }
-        }
-        return fused;
-    };
-    EXPECT_GT(count_fused_einsums(false), 0);
-    EXPECT_EQ(count_fused_einsums(true), 0);
 }
 
 }  // namespace
