@@ -69,37 +69,16 @@ RunSite(const SiteSpec& spec, bool force)
 {
     SiteRun run;
     run.spec = spec;
-
-    auto module = BuildSiteModule(spec);
-    if (!module.ok()) return module.status();
     CompilerOptions options;
     options.decompose.use_cost_model = !force;
-    OverlapCompiler compiler(options);
-    auto compile = compiler.Compile(module->get());
-    if (!compile.ok()) return compile.status();
-
-    PodSimulator simulator(spec.mesh(), options.hardware);
-    auto sim = simulator.Run(**module, /*collect_trace=*/true);
-    if (!sim.ok()) return sim.status();
-
-    auto report = BuildOverlapReport(compile.value(), sim.value());
+    auto site = SimulateSite(spec, options);
+    if (!site.ok()) return site.status();
+    auto report = BuildOverlapReport(site->compile, site->sim);
     if (!report.ok()) return report.status();
     run.report = std::move(report).value();
-
-    // Blocking baseline of the same site for the actual speedup.
-    auto blocking = BuildSiteModule(spec);
-    if (!blocking.ok()) return blocking.status();
-    OverlapCompiler baseline(CompilerOptions::Baseline());
-    auto baseline_compile = baseline.Compile(blocking->get());
-    if (!baseline_compile.ok()) return baseline_compile.status();
-    auto baseline_sim = simulator.Run(**blocking);
-    if (!baseline_sim.ok()) return baseline_sim.status();
-    run.baseline_step_seconds = baseline_sim->step_seconds;
+    run.baseline_step_seconds = site->baseline_step_seconds;
     run.report.baseline_step_seconds = run.baseline_step_seconds;
-    run.report.actual_speedup =
-        sim->step_seconds > 0.0
-            ? baseline_sim->step_seconds / sim->step_seconds
-            : 1.0;
+    run.report.actual_speedup = site->ActualSpeedup();
     return run;
 }
 

@@ -1051,38 +1051,50 @@ ReplaySiteSpace(uint64_t seed, int64_t generated)
     return specs;
 }
 
+StatusOr<SiteSimulation>
+SimulateSite(const SiteSpec& spec, const CompilerOptions& options)
+{
+    SiteSimulation result;
+    auto module = BuildSiteModule(spec);
+    if (!module.ok()) return module.status();
+    auto compile = OverlapCompiler(options).Compile(module->get());
+    if (!compile.ok()) return compile.status();
+    result.compile = std::move(compile).value();
+    PodSimulator simulator(spec.mesh(), options.hardware);
+    auto sim = simulator.Run(**module, /*collect_trace=*/true);
+    if (!sim.ok()) return sim.status();
+    result.sim = std::move(sim).value();
+
+    auto blocking = BuildSiteModule(spec);
+    if (!blocking.ok()) return blocking.status();
+    CompilerOptions baseline_options = CompilerOptions::Baseline();
+    baseline_options.hardware = options.hardware;
+    auto baseline_compile =
+        OverlapCompiler(baseline_options).Compile(blocking->get());
+    if (!baseline_compile.ok()) return baseline_compile.status();
+    auto baseline_sim = simulator.Run(**blocking);
+    if (!baseline_sim.ok()) return baseline_sim.status();
+    result.baseline_step_seconds = baseline_sim->step_seconds;
+    return result;
+}
+
 StatusOr<std::vector<ReplaySample>>
 CollectReplaySamples(const std::vector<SiteSpec>& specs,
                      const HardwareSpec& hardware)
 {
     std::vector<ReplaySample> samples;
     for (const SiteSpec& spec : specs) {
-        // Blocking baseline once per site.
-        auto blocking = BuildSiteModule(spec);
-        if (!blocking.ok()) return blocking.status();
-        CompilerOptions baseline_options = CompilerOptions::Baseline();
-        baseline_options.hardware = hardware;
-        auto baseline_compile =
-            OverlapCompiler(baseline_options).Compile(blocking->get());
-        if (!baseline_compile.ok()) return baseline_compile.status();
-        PodSimulator simulator(spec.mesh(), hardware);
-        auto baseline_sim = simulator.Run(**blocking);
-        if (!baseline_sim.ok()) return baseline_sim.status();
-
         // One sample per emitted (structure, copies) pair of the site.
         std::set<std::pair<int, bool>> seen;
         for (const DecomposeVariant& variant : AllDecomposeVariants()) {
-            auto module = BuildSiteModule(spec);
-            if (!module.ok()) return module.status();
             CompilerOptions options;
             options.hardware = hardware;
             options.decompose.use_cost_model = false;
             variant.ApplyTo(&options.decompose);
-            auto compile =
-                OverlapCompiler(options).Compile(module->get());
-            if (!compile.ok()) return compile.status();
+            auto site = SimulateSite(spec, options);
+            if (!site.ok()) return site.status();
             const SiteDecision* decision = nullptr;
-            for (const SiteDecision& d : compile->decompose.decisions) {
+            for (const SiteDecision& d : site->compile.decompose.decisions) {
                 if (d.decomposed) decision = &d;
             }
             // A site the matcher skipped under this lowering (no
@@ -1094,15 +1106,12 @@ CollectReplaySamples(const std::vector<SiteSpec>& specs,
                      .second) {
                 continue;
             }
-            auto sim = simulator.Run(**module);
-            if (!sim.ok()) return sim.status();
-
             ReplaySample sample;
             sample.spec = spec;
             sample.variant = variant.name;
             sample.cost = decision->cost;
-            sample.simulated_span_seconds = sim->step_seconds;
-            sample.blocking_span_seconds = baseline_sim->step_seconds;
+            sample.simulated_span_seconds = site->sim.step_seconds;
+            sample.blocking_span_seconds = site->baseline_step_seconds;
             samples.push_back(std::move(sample));
         }
     }

@@ -7,9 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "core/overlap_compiler.h"
 #include "hlo/module.h"
 #include "interp/comparison.h"
 #include "passes/decompose.h"
+#include "sim/engine.h"
 #include "sim/hardware.h"
 #include "support/status.h"
 #include "tensor/mesh.h"
@@ -248,6 +250,34 @@ StatusOr<SdcSweepSummary> RunSdcSweep(const SdcSweepConfig& config);
  * forced open and simulate them, so tests and benches can grade that
  * prediction against the engine.
  */
+
+/**
+ * One site compiled and simulated: the compile report, the traced
+ * simulation of the compiled module, and the simulated step of the
+ * same site compiled as the blocking baseline on the same hardware.
+ */
+struct SiteSimulation {
+    CompileReport compile;
+    SimResult sim;
+    double baseline_step_seconds = 0.0;
+
+    /** Blocking-baseline step over the compiled module's step. */
+    double ActualSpeedup() const
+    {
+        return sim.step_seconds > 0.0
+                   ? baseline_step_seconds / sim.step_seconds
+                   : 1.0;
+    }
+};
+
+/**
+ * Builds `spec`'s blocking module, compiles it under `options`,
+ * simulates it with tracing on `options.hardware`, and simulates the
+ * CompilerOptions::Baseline() compile of a second copy for the step the
+ * speedup is measured against.
+ */
+StatusOr<SiteSimulation> SimulateSite(const SiteSpec& spec,
+                                      const CompilerOptions& options);
 
 /**
  * The six gate-profitable bench sites of the overlap-efficiency

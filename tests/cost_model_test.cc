@@ -150,19 +150,14 @@ ForcedDecision(const difftest::SiteSpec& spec, const char* variant_name)
     ForcedSite result;
     auto variant = difftest::FindVariant(variant_name);
     EXPECT_TRUE(variant.ok());
-    auto module = difftest::BuildSiteModule(spec);
-    EXPECT_TRUE(module.ok()) << module.status().ToString();
     CompilerOptions options;
     options.decompose.use_cost_model = false;
     variant->ApplyTo(&options.decompose);
-    auto compile = OverlapCompiler(options).Compile(module->get());
-    EXPECT_TRUE(compile.ok()) << compile.status().ToString();
-    PodSimulator simulator(spec.mesh(), options.hardware);
-    auto sim = simulator.Run(**module, /*collect_trace=*/true);
-    EXPECT_TRUE(sim.ok()) << sim.status().ToString();
-    auto report = BuildOverlapReport(compile.value(), sim.value());
+    auto site = difftest::SimulateSite(spec, options);
+    EXPECT_TRUE(site.ok()) << site.status().ToString();
+    auto report = BuildOverlapReport(site->compile, site->sim);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
-    for (const SiteDecision& d : compile->decompose.decisions) {
+    for (const SiteDecision& d : site->compile.decompose.decisions) {
         if (d.decomposed) result.decision = d;
     }
     for (const SiteOverlapReport& site : report->sites) {

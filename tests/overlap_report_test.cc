@@ -31,6 +31,8 @@ namespace {
 using difftest::BuildSiteModule;
 using difftest::GenerateSiteSpec;
 using difftest::OverlapReportSiteSpace;
+using difftest::SimulateSite;
+using difftest::SiteSimulation;
 using difftest::SiteSpec;
 
 /// Gate tolerances (DESIGN.md §15): speedups within the gate's own
@@ -41,47 +43,19 @@ constexpr double kMaxMeanHiddenFractionError = 0.15;
 
 /** Compiles and trace-simulates one difftest site, plus its blocking
  * baseline for the actual speedup. */
-struct SiteRun {
-    CompileReport compile;
-    SimResult sim;
-    /// Blocking-baseline step over this run's step.
-    double actual_speedup = 0.0;
-};
-
-SiteRun
+SiteSimulation
 RunSite(const SiteSpec& spec, bool use_cost_model)
 {
-    SiteRun run;
-    auto module = BuildSiteModule(spec);
-    EXPECT_TRUE(module.ok()) << module.status().ToString();
     CompilerOptions options;
     options.decompose.use_cost_model = use_cost_model;
-    OverlapCompiler compiler(options);
-    auto compile = compiler.Compile(module->get());
-    EXPECT_TRUE(compile.ok()) << compile.status().ToString();
-    run.compile = std::move(compile).value();
-    PodSimulator simulator(spec.mesh(), options.hardware);
-    auto sim = simulator.Run(**module, /*collect_trace=*/true);
-    EXPECT_TRUE(sim.ok()) << sim.status().ToString();
-    run.sim = std::move(sim).value();
-
-    auto blocking = BuildSiteModule(spec);
-    EXPECT_TRUE(blocking.ok());
-    auto baseline_compile =
-        OverlapCompiler(CompilerOptions::Baseline()).Compile(blocking->get());
-    EXPECT_TRUE(baseline_compile.ok());
-    auto baseline_sim = simulator.Run(**blocking);
-    EXPECT_TRUE(baseline_sim.ok());
-    run.actual_speedup = run.sim.step_seconds > 0.0
-                             ? baseline_sim->step_seconds /
-                                   run.sim.step_seconds
-                             : 1.0;
-    return run;
+    auto site = SimulateSite(spec, options);
+    EXPECT_TRUE(site.ok()) << site.status().ToString();
+    return std::move(site).value();
 }
 
 /** The overlap report of a site run. */
 OverlapReport
-ReportOf(const SiteRun& run)
+ReportOf(const SiteSimulation& run)
 {
     auto report = BuildOverlapReport(run.compile, run.sim);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
@@ -126,7 +100,7 @@ TEST(OverlapReportTest, IntervalAccountingClosesOnGeneratedSites)
     // all four §5.1 cases and both shard-extent parities.
     for (int64_t i = 0; i < 8; ++i) {
         SiteSpec spec = GenerateSiteSpec(/*seed=*/5, i);
-        SiteRun run = RunSite(spec, /*use_cost_model=*/false);
+        SiteSimulation run = RunSite(spec, /*use_cost_model=*/false);
         auto report = BuildOverlapReport(run.compile, run.sim);
         ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -167,7 +141,7 @@ TEST(OverlapReportTest, GateVerdictsMatchLoggedCost)
     int64_t decisions_seen = 0;
     for (int64_t i = 0; i < 8; ++i) {
         SiteSpec spec = GenerateSiteSpec(/*seed=*/5, i);
-        SiteRun run = RunSite(spec, /*use_cost_model=*/true);
+        SiteSimulation run = RunSite(spec, /*use_cost_model=*/true);
         auto report = BuildOverlapReport(run.compile, run.sim);
         ASSERT_TRUE(report.ok()) << report.status().ToString();
         ASSERT_EQ(report->sites.size(),
@@ -203,7 +177,7 @@ TEST(OverlapReportTest, GateVerdictsMatchLoggedCost)
 TEST(OverlapReportTest, JsonRoundTripsTheAccountingInvariant)
 {
     SiteSpec spec = GenerateSiteSpec(/*seed=*/5, 0);
-    SiteRun run = RunSite(spec, /*use_cost_model=*/false);
+    SiteSimulation run = RunSite(spec, /*use_cost_model=*/false);
     auto report = BuildOverlapReport(run.compile, run.sim);
     ASSERT_TRUE(report.ok());
     std::string json = report->ToJson();
@@ -224,20 +198,21 @@ TEST(OverlapReportTest, JsonRoundTripsTheAccountingInvariant)
 TEST(OverlapReportTest, DecomposedVerdictsSpeedUpRejectionsJustified)
 {
     for (const SiteSpec& spec : OverlapReportSiteSpace()) {
-        SiteRun gated = RunSite(spec, /*use_cost_model=*/true);
+        SiteSimulation gated = RunSite(spec, /*use_cost_model=*/true);
         OverlapReport report = ReportOf(gated);
         ASSERT_FALSE(report.sites.empty())
             << spec.ToString() << ": no matched site";
         for (const SiteOverlapReport& site : report.sites) {
             if (site.decomposed) {
-                EXPECT_GE(gated.actual_speedup, 1.0 - kSpeedupTolerance)
+                EXPECT_GE(gated.ActualSpeedup(), 1.0 - kSpeedupTolerance)
                     << spec.ToString()
                     << ": gate accepted a site that simulates a slowdown";
             } else {
                 // The gate said no: forcing it open must not reveal a
                 // speedup it should have taken.
-                SiteRun forced = RunSite(spec, /*use_cost_model=*/false);
-                EXPECT_LT(forced.actual_speedup, 1.0 + kSpeedupTolerance)
+                SiteSimulation forced =
+                    RunSite(spec, /*use_cost_model=*/false);
+                EXPECT_LT(forced.ActualSpeedup(), 1.0 + kSpeedupTolerance)
                     << spec.ToString()
                     << ": gate rejected a site that simulates a speedup";
             }
