@@ -3,12 +3,6 @@
 namespace overlap {
 
 FaultScenario
-HealthyPod()
-{
-    return {"healthy", "uniform pod, no faults", FaultSpec()};
-}
-
-FaultScenario
 SingleDegradedLink(const Mesh& mesh, int64_t axis, double bandwidth_factor)
 {
     FaultScenario scenario;
@@ -23,21 +17,6 @@ SingleDegradedLink(const Mesh& mesh, int64_t axis, double bandwidth_factor)
     fault.bandwidth_factor = bandwidth_factor;
     fault.latency_factor = 1.0 / bandwidth_factor;
     scenario.spec.link_faults.push_back(fault);
-    return scenario;
-}
-
-FaultScenario
-StragglerChip(double compute_factor)
-{
-    FaultScenario scenario;
-    scenario.name = "straggler_chip";
-    scenario.description =
-        "one chip at reduced compute throughput (lockstep SPMD pins the "
-        "pod to it)";
-    ChipFault fault;
-    fault.chip = 0;
-    fault.compute_factor = compute_factor;
-    scenario.spec.chip_faults.push_back(fault);
     return scenario;
 }
 
@@ -152,13 +131,6 @@ SdcUndetected(int64_t chip, int64_t step, int64_t instruction)
         "corruption escapes and propagates into later steps";
     scenario.spec.sdc = SdcDetectorConfig();  // enabled = false
     return scenario;
-}
-
-std::vector<FaultScenario>
-PodFaultScenarios(const Mesh& mesh)
-{
-    return {HealthyPod(), SingleDegradedLink(mesh), StragglerChip(),
-            FlakyFabric(), AgingPod()};
 }
 
 }  // namespace overlap

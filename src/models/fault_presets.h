@@ -2,7 +2,6 @@
 #define OVERLAP_MODELS_FAULT_PRESETS_H_
 
 #include <string>
-#include <vector>
 
 #include "sim/fault_model.h"
 #include "tensor/mesh.h"
@@ -16,9 +15,6 @@ struct FaultScenario {
     FaultSpec spec;
 };
 
-/** The trivial scenario: every factor 1.0, zero failures. */
-FaultScenario HealthyPod();
-
 /**
  * One directed ring link on mesh axis `axis` (the link device 0 sends
  * on in engine direction 0) runs at `bandwidth_factor` of nominal
@@ -27,9 +23,6 @@ FaultScenario HealthyPod();
  */
 FaultScenario SingleDegradedLink(const Mesh& mesh, int64_t axis = 0,
                                  double bandwidth_factor = 0.25);
-
-/** Chip 0 computes at `compute_factor` of nominal throughput. */
-FaultScenario StragglerChip(double compute_factor = 0.6);
 
 /**
  * Transient CollectivePermute failures at `failure_probability` per
@@ -88,9 +81,6 @@ FaultScenario SdcTransfer(int64_t chip = 0, int64_t step = 1,
  */
 FaultScenario SdcUndetected(int64_t chip = 0, int64_t step = 1,
                             int64_t instruction = 0);
-
-/** All of the above, for sweep-style benches. */
-std::vector<FaultScenario> PodFaultScenarios(const Mesh& mesh);
 
 }  // namespace overlap
 
