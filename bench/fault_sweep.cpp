@@ -8,7 +8,6 @@
  * (pass --json for machine-readable output only).
  */
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,9 +46,7 @@ int
 main(int argc, char** argv)
 {
     bool json_only = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) json_only = true;
-    }
+    if (!bench::ParseJsonFlag(argc, argv, &json_only)) return 2;
 
     const ModelConfig config = Table2GptModels()[0];
     const int64_t kTrials = 16;
