@@ -22,7 +22,7 @@ export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
-# Quick differential-equivalence sweep (256 seeded cases x 6 variants)
+# Quick differential-equivalence sweep (256 seeded cases x 4 variants)
 # under the same sanitizers; mismatches leave a minimized repro in the
 # build tree and fail the script.
 "${build_dir}/src/difftest/difftest_runner" --quick \

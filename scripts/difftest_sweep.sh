@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Differential-equivalence sweep: random CollectiveEinsum sites are
-# compiled twice (blocking reference vs. decomposed under every
-# {unroll, bidirectional, forced-unidirectional} variant) and executed
-# per-device on the SpmdEvaluator; any output divergence is minimized
+# built once, lowered under every {unroll, bidirectional} variant and
+# executed per-device on the SpmdEvaluator beside the blocking
+# reference; any output divergence is minimized
 # to a one-line repro plus a round-trippable .hlo under the output dir.
 #
 # Usage: scripts/difftest_sweep.sh [--quick] [extra difftest_runner args]
