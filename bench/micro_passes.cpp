@@ -1,12 +1,12 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the compiler passes themselves:
- * decomposition and its §5.5 loop-timeline replay, async conversion,
- * fusion, the schedulers and their unit graph, the topological sort,
- * and the guarded pipeline's verify, input clone and rollback replay.
- * These
- * measure *compile time* of the technique (the paper's optimization runs
- * automatically during compilation), not simulated device time.
+ * the SPMD layer-step build, decomposition and its §5.5 loop-timeline
+ * replay, async conversion, fusion, the schedulers and their unit
+ * graph, the topological sort, and the guarded pipeline's verify, input
+ * clone and rollback replay. These measure *compile time* of the
+ * technique (the paper's optimization runs automatically during
+ * compilation), not simulated device time.
  */
 #include <benchmark/benchmark.h>
 
@@ -96,6 +96,22 @@ BM_LoopTimelinePredict(benchmark::State& state)
 BENCHMARK(BM_LoopTimelinePredict)
     ->Args({8, 32})->Args({32, 32})->Args({128, 32})
     ->Args({8, 2})->Args({32, 2})->Args({128, 2})
+    ->Unit(benchmark::kMicrosecond);
+
+// SPMD partitioning of one layer step: the model build alone, before
+// any pass runs.
+void
+BM_BuildLayerStep(benchmark::State& state)
+{
+    const ModelConfig* config = FindModel(
+        state.range(0) == 0 ? "GPT_32B" : "GPT_1T");
+    for (auto _ : state) {
+        auto module = BuildLayerStepModule(*config);
+        benchmark::DoNotOptimize(module);
+    }
+    state.SetLabel(config->name);
+}
+BENCHMARK(BM_BuildLayerStep)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 void

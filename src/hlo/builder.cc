@@ -228,7 +228,7 @@ HloBuilder::Einsum(HloInstruction* lhs, HloInstruction* rhs,
 
 HloInstruction*
 HloBuilder::AllGather(HloInstruction* operand, int64_t dim,
-                      std::vector<std::vector<int64_t>> groups)
+                      ReplicaGroups groups)
 {
     InstrAttrs attrs;
     attrs.dim = dim;
@@ -238,7 +238,7 @@ HloBuilder::AllGather(HloInstruction* operand, int64_t dim,
 
 HloInstruction*
 HloBuilder::ReduceScatter(HloInstruction* operand, int64_t dim,
-                          std::vector<std::vector<int64_t>> groups)
+                          ReplicaGroups groups)
 {
     InstrAttrs attrs;
     attrs.dim = dim;
@@ -249,7 +249,7 @@ HloBuilder::ReduceScatter(HloInstruction* operand, int64_t dim,
 
 HloInstruction*
 HloBuilder::AllReduce(HloInstruction* operand,
-                      std::vector<std::vector<int64_t>> groups)
+                      ReplicaGroups groups)
 {
     InstrAttrs attrs;
     attrs.groups = std::move(groups);
@@ -258,7 +258,7 @@ HloBuilder::AllReduce(HloInstruction* operand,
 
 HloInstruction*
 HloBuilder::AllToAll(HloInstruction* operand, int64_t dim,
-                     std::vector<std::vector<int64_t>> groups)
+                     ReplicaGroups groups)
 {
     InstrAttrs attrs;
     attrs.dim = dim;
@@ -268,7 +268,7 @@ HloBuilder::AllToAll(HloInstruction* operand, int64_t dim,
 
 HloInstruction*
 HloBuilder::AllToAllStart(HloInstruction* operand, int64_t dim,
-                          std::vector<std::vector<int64_t>> groups)
+                          ReplicaGroups groups)
 {
     InstrAttrs attrs;
     attrs.dim = dim;

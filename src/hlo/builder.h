@@ -101,15 +101,15 @@ class HloBuilder {
                            const std::string& spec);
 
     HloInstruction* AllGather(HloInstruction* operand, int64_t dim,
-                              std::vector<std::vector<int64_t>> groups);
+                              ReplicaGroups groups);
     HloInstruction* ReduceScatter(HloInstruction* operand, int64_t dim,
-                                  std::vector<std::vector<int64_t>> groups);
+                                  ReplicaGroups groups);
     HloInstruction* AllReduce(HloInstruction* operand,
-                              std::vector<std::vector<int64_t>> groups);
+                              ReplicaGroups groups);
     HloInstruction* AllToAll(HloInstruction* operand, int64_t dim,
-                             std::vector<std::vector<int64_t>> groups);
+                             ReplicaGroups groups);
     HloInstruction* AllToAllStart(HloInstruction* operand, int64_t dim,
-                                  std::vector<std::vector<int64_t>> groups);
+                                  ReplicaGroups groups);
     HloInstruction* AllToAllDone(HloInstruction* start);
     HloInstruction* CollectivePermute(HloInstruction* operand,
                                       SourceTargetPairs pairs);

@@ -66,19 +66,27 @@ const EinsumSpec&
 HloInstruction::einsum() const
 {
     OVERLAP_CHECK(opcode_ == HloOpcode::kEinsum);
-    // Double-checked: once the cache is set it is never replaced, so a
-    // pointer observed through the acquire load stays valid for the
-    // instruction's lifetime and the returned reference is stable.
+    const EinsumSpec* spec = TryEinsum();
+    OVERLAP_CHECK(spec != nullptr);
+    return *spec;
+}
+
+const EinsumSpec*
+HloInstruction::TryEinsum() const
+{
+    // Double-checked: once the cache is set only mutable_attrs() clears
+    // it, so a pointer observed through the acquire load stays valid
+    // until the attributes are next mutated.
     if (const EinsumSpec* cached =
             std::atomic_load_explicit(&parsed_einsum_,
                                       std::memory_order_acquire)
                 .get()) {
-        return *cached;
+        return cached;
     }
     std::lock_guard<std::mutex> lock(einsum_parse_mutex);
     if (!parsed_einsum_) {
         auto parsed = EinsumSpec::Parse(attrs_.einsum_spec);
-        OVERLAP_CHECK(parsed.ok());
+        if (!parsed.ok()) return nullptr;
         std::atomic_store_explicit(
             &parsed_einsum_,
             std::shared_ptr<const EinsumSpec>(
@@ -86,7 +94,7 @@ HloInstruction::einsum() const
                     std::move(parsed).value())),
             std::memory_order_release);
     }
-    return *parsed_einsum_;
+    return parsed_einsum_.get();
 }
 
 void

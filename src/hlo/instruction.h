@@ -21,40 +21,57 @@ namespace overlap {
 class HloComputation;
 
 /**
- * The {source, destination} device pairs of a CollectivePermute(Start):
- * an immutable list behind a shared pointer. Copying the attributes
- * (builder, async pass, Clone) copies the pointer, so all the permutes
- * of one ring shift share one list however many devices it names.
- * Nothing can change a list once built, so sharing is safe, and the
- * verifier checks each distinct list once (keyed by get()).
+ * A device list of a collective: an immutable vector behind a shared
+ * pointer. Copying the attributes (builder, async pass, Clone) copies
+ * the pointer, so every collective built from one list shares it
+ * however many devices it names. Nothing can change a list once built,
+ * so sharing is safe, and the verifier checks each distinct list once
+ * (keyed by get()).
  */
-class SourceTargetPairs {
+template <typename T>
+class SharedList {
   public:
-    using Pair = std::pair<int64_t, int64_t>;
-    using List = std::vector<Pair>;
+    using List = std::vector<T>;
 
-    SourceTargetPairs() = default;
-    SourceTargetPairs(List pairs)
-        : list_(std::make_shared<const List>(std::move(pairs)))
+    SharedList() = default;
+    SharedList(List items)
+        : list_(std::make_shared<const List>(std::move(items)))
     {
     }
-    SourceTargetPairs(std::initializer_list<Pair> pairs)
-        : SourceTargetPairs(List(pairs))
-    {
-    }
+    SharedList(std::initializer_list<T> items) : SharedList(List(items)) {}
 
     /** The shared list; nullptr when none was set. */
     const List* get() const { return list_.get(); }
 
+    /** The items as a vector; empty when none was set. */
+    const List& list() const
+    {
+        static const List kEmpty;
+        return list_ ? *list_ : kEmpty;
+    }
+
     bool empty() const { return size() == 0; }
     size_t size() const { return list_ ? list_->size() : 0; }
-    const Pair& front() const { return list_->front(); }
-    const Pair* begin() const { return list_ ? list_->data() : nullptr; }
-    const Pair* end() const { return begin() + size(); }
+    const T& front() const { return list_->front(); }
+    const T& operator[](size_t i) const { return (*list_)[i]; }
+    const T* begin() const { return list_ ? list_->data() : nullptr; }
+    const T* end() const { return begin() + size(); }
 
   private:
     std::shared_ptr<const List> list_;
 };
+
+/**
+ * The {source, destination} device pairs of a CollectivePermute(Start).
+ * The decomposer shares one list per ring shift.
+ */
+using SourceTargetPairs = SharedList<std::pair<int64_t, int64_t>>;
+
+/**
+ * The device groups of a collective (each inner vector is one group, in
+ * ring order). The SPMD builder shares one list per mesh axis.
+ */
+using ReplicaGroups = SharedList<std::vector<int64_t>>;
 
 /**
  * Opcode-specific attributes. A single flat struct (rather than a class
@@ -90,7 +107,7 @@ struct InstrAttrs {
 
     /// Collectives: device subgroups (each inner vector is one group, in
     /// ring order). Empty means one group containing all devices.
-    std::vector<std::vector<int64_t>> groups;
+    ReplicaGroups groups;
 
     /// kCollectivePermute(Start): {source, destination} device pairs.
     SourceTargetPairs source_target_pairs;
@@ -128,7 +145,13 @@ class HloInstruction {
     HloOpcode opcode() const { return opcode_; }
     const Shape& shape() const { return shape_; }
     const InstrAttrs& attrs() const { return attrs_; }
-    InstrAttrs& mutable_attrs() { return attrs_; }
+    /** Mutable attributes; drops the cached einsum parse, which the
+     *  caller may be about to invalidate by reassigning einsum_spec. */
+    InstrAttrs& mutable_attrs()
+    {
+        parsed_einsum_.reset();
+        return attrs_;
+    }
 
     const std::string& name() const { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
@@ -176,6 +199,13 @@ class HloInstruction {
     /** The parsed einsum spec; only valid for kEinsum. */
     const EinsumSpec& einsum() const;
 
+    /**
+     * The parsed einsum spec, or nullptr when einsum_spec does not
+     * parse (a malformed module). Parsed once per instruction and shared
+     * with its clones, like einsum().
+     */
+    const EinsumSpec* TryEinsum() const;
+
     /** Replaces operand `i`, updating user lists. */
     void ReplaceOperand(int64_t i, HloInstruction* replacement);
 
@@ -201,8 +231,9 @@ class HloInstruction {
     int64_t fusion_group_ = -1;
     int64_t loop_group_ = -1;
     std::string name_;
-    // Cached parse of attrs_.einsum_spec; set lazily by einsum() and
-    // shared (it is immutable once set) with clones.
+    // Cached parse of attrs_.einsum_spec; set lazily by TryEinsum(),
+    // dropped by mutable_attrs(), and shared (it is immutable) with
+    // clones.
     mutable std::shared_ptr<const EinsumSpec> parsed_einsum_;
 };
 

@@ -58,9 +58,10 @@ class DeviceSet {
 
 /**
  * The device sets one VerifyComputation call lends its collectives, and
- * the pair lists it has already checked. A list is immutable and shared
- * by every permute of one ring shift, so its checks (which depend only
- * on the list and the mesh) run once, at the first permute carrying it.
+ * the group and pair lists it has already checked. A list is immutable
+ * and shared by every collective along one mesh axis (groups) or one
+ * ring shift (pairs), so its checks (which depend only on the list and
+ * the mesh) run once, at the first collective carrying it.
  */
 struct DeviceSets {
     explicit DeviceSets(int64_t num_devices)
@@ -71,8 +72,29 @@ struct DeviceSets {
     DeviceSet groups;
     DeviceSet sources;
     DeviceSet targets;
+    std::unordered_set<const ReplicaGroups::List*> checked_groups;
     std::unordered_set<const SourceTargetPairs::List*> checked_pairs;
 };
+
+/**
+ * The instruction's shape as inferred from its operands. An einsum is
+ * checked against its cached parse; one whose spec does not parse (or
+ * whose operand count is wrong) goes through InferInstructionShape,
+ * which reports the error.
+ */
+StatusOr<Shape>
+InferredShape(const HloInstruction* instr)
+{
+    if (instr->opcode() == HloOpcode::kEinsum &&
+        instr->operand_count() == 2) {
+        if (const EinsumSpec* spec = instr->TryEinsum()) {
+            return spec->InferOutputShape(instr->operand(0)->shape(),
+                                          instr->operand(1)->shape());
+        }
+    }
+    return InferInstructionShape(instr->opcode(), instr->operands(),
+                                 instr->attrs());
+}
 
 Status
 VerifyShape(const HloInstruction* instr)
@@ -101,8 +123,7 @@ VerifyShape(const HloInstruction* instr)
           }
           return Status::Ok();
       default: {
-          auto inferred = InferInstructionShape(
-              instr->opcode(), instr->operands(), instr->attrs());
+          auto inferred = InferredShape(instr);
           if (!inferred.ok()) {
               return InvalidArgument(
                   StrCat("shape inference failed at %", instr->name(), ": ",
@@ -132,35 +153,37 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
             return InvalidArgument(
                 StrCat("collective without groups at %", instr->name()));
         }
-        DeviceSet& seen = sets->groups;
-        seen.Clear();
-        int64_t seen_count = 0;
-        size_t group_size = attrs.groups[0].size();
-        for (const auto& group : attrs.groups) {
-            if (group.size() != group_size) {
-                return InvalidArgument(StrCat(
-                    "ragged collective groups at %", instr->name()));
-            }
-            for (int64_t device : group) {
-                if (device < 0 ||
-                    (num_devices > 0 && device >= num_devices)) {
+        if (sets->checked_groups.insert(attrs.groups.get()).second) {
+            DeviceSet& seen = sets->groups;
+            seen.Clear();
+            int64_t seen_count = 0;
+            size_t group_size = attrs.groups[0].size();
+            for (const auto& group : attrs.groups) {
+                if (group.size() != group_size) {
                     return InvalidArgument(StrCat(
-                        "device ", device, " out of range at %",
-                        instr->name()));
+                        "ragged collective groups at %", instr->name()));
                 }
-                if (!seen.Insert(device)) {
-                    return InvalidArgument(
-                        StrCat("device ", device,
-                               " appears twice in groups at %",
-                               instr->name()));
+                for (int64_t device : group) {
+                    if (device < 0 ||
+                        (num_devices > 0 && device >= num_devices)) {
+                        return InvalidArgument(StrCat(
+                            "device ", device, " out of range at %",
+                            instr->name()));
+                    }
+                    if (!seen.Insert(device)) {
+                        return InvalidArgument(
+                            StrCat("device ", device,
+                                   " appears twice in groups at %",
+                                   instr->name()));
+                    }
+                    ++seen_count;
                 }
-                ++seen_count;
             }
-        }
-        if (num_devices > 0 && seen_count != num_devices) {
-            return InvalidArgument(
-                StrCat("collective groups do not cover all ", num_devices,
-                       " devices at %", instr->name()));
+            if (num_devices > 0 && seen_count != num_devices) {
+                return InvalidArgument(
+                    StrCat("collective groups do not cover all ",
+                           num_devices, " devices at %", instr->name()));
+            }
         }
     }
     if ((instr->opcode() == HloOpcode::kCollectivePermute ||

@@ -534,10 +534,11 @@ BuildInferenceTowerModule(const Mesh& mesh, const InferenceTowerSpec& spec)
     HloBuilder b(comp);
     auto* x = b.Parameter(0, BF16({spec.batch, spec.hidden}), "features");
     HloInstruction* act = x;
+    const ReplicaGroups ring_groups = mesh.Groups(0);
     for (int64_t layer = 0; layer < spec.num_layers; ++layer) {
         auto* w_shard = b.Parameter(
             1 + layer, BF16({spec.hidden, spec.hidden / ring}));
-        auto* w = b.AllGather(w_shard, 1, mesh.Groups(0));
+        auto* w = b.AllGather(w_shard, 1, ring_groups);
         act = b.Einsum(act, w, "bf,fh->bh");
     }
     comp->set_root(act);

@@ -786,7 +786,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 continue;
             }
             int64_t axis =
-                mesh_.InferGroupsAxis(operand->attrs().groups);
+                mesh_.InferGroupsAxis(operand->attrs().groups.list());
             if (axis < 0) {
                 ++stats.skipped_unsupported;
                 continue;
@@ -817,7 +817,8 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 ++stats.skipped_unsupported;
                 continue;
             }
-            int64_t axis = mesh_.InferGroupsAxis(operand->attrs().groups);
+            int64_t axis =
+                mesh_.InferGroupsAxis(operand->attrs().groups.list());
             if (axis < 0) {
                 ++stats.skipped_unsupported;
                 continue;
@@ -851,7 +852,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         if (options_.all_to_all && einsum->users().size() == 1 &&
             einsum->users()[0]->opcode() == HloOpcode::kAllToAll) {
             HloInstruction* a2a = einsum->users()[0];
-            int64_t axis = mesh_.InferGroupsAxis(a2a->attrs().groups);
+            int64_t axis = mesh_.InferGroupsAxis(a2a->attrs().groups.list());
             char label = spec.out_labels()[static_cast<size_t>(
                 a2a->attrs().dim)];
             EinsumDimKind kind = spec.KindOf(label);
@@ -887,7 +888,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         if (einsum->users().size() == 1 &&
             einsum->users()[0]->opcode() == HloOpcode::kReduceScatter) {
             HloInstruction* rs = einsum->users()[0];
-            int64_t axis = mesh_.InferGroupsAxis(rs->attrs().groups);
+            int64_t axis = mesh_.InferGroupsAxis(rs->attrs().groups.list());
             char label = spec.out_labels()[static_cast<size_t>(
                 rs->attrs().dim)];
             EinsumDimKind kind = spec.KindOf(label);

@@ -85,8 +85,7 @@ ChannelUsesLink(const Mesh& mesh, int64_t axis, int64_t dir, int64_t src,
 
 /** True when any device group of the collective contains `chip`. */
 bool
-GroupsInvolveChip(const std::vector<std::vector<int64_t>>& groups,
-                  int64_t chip)
+GroupsInvolveChip(const ReplicaGroups& groups, int64_t chip)
 {
     for (const auto& group : groups) {
         for (int64_t device : group) {
@@ -290,6 +289,15 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
     auto channel = [&channels](int64_t axis, int64_t dir) -> double& {
         return channels[static_cast<size_t>(axis * 2 + dir)].free_at;
     };
+    // The mesh axis each distinct group list runs along: a list is
+    // shared by every collective along one axis, so it is matched
+    // against the mesh once per run.
+    std::unordered_map<const ReplicaGroups::List*, int64_t> groups_axes;
+    auto groups_axis = [&](const ReplicaGroups& groups) -> int64_t {
+        auto [it, inserted] = groups_axes.try_emplace(groups.get(), -1);
+        if (inserted) it->second = mesh_.InferGroupsAxis(groups.list());
+        return it->second;
+    };
     double compute_factor = 1.0;
     if (!fault_.fault_free()) {
         for (int64_t axis = 0; axis < mesh_.num_axes(); ++axis) {
@@ -336,8 +344,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                                permanent->link_dst);
     };
     auto collective_involves_dead =
-        [&](const std::vector<std::vector<int64_t>>& groups,
-            int64_t axis) -> bool {
+        [&](const ReplicaGroups& groups, int64_t axis) -> bool {
         if (permanent == nullptr) return false;
         if (permanent->IsChip()) {
             return GroupsInvolveChip(groups, permanent->chip);
@@ -646,7 +653,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             double begin = time;
             bool exchange_killed = false;
             if (group_size > 1) {
-                int64_t axis = mesh_.InferGroupsAxis(groups);
+                int64_t axis = groups_axis(groups);
                 size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)
                                          : 0;
                 size_t last = axis >= 0 ? first + 2 : channels.size();
@@ -800,7 +807,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             double begin = time;
             int64_t axis = -1;
             if (group_size > 1) {
-                axis = mesh_.InferGroupsAxis(groups);
+                axis = groups_axis(groups);
                 // Occupy the axis's two directions; a collective whose
                 // groups span several axes occupies every channel.
                 size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)

@@ -2,9 +2,19 @@
 
 #include <set>
 
+#include "support/logging.h"
 #include "support/strings.h"
 
 namespace overlap {
+
+const ReplicaGroups&
+SpmdBuilder::AxisGroups(int64_t axis)
+{
+    OVERLAP_CHECK(axis >= 0 && axis < mesh_.num_axes());
+    ReplicaGroups& groups = axis_groups_[static_cast<size_t>(axis)];
+    if (groups.get() == nullptr) groups = mesh_.Groups(axis);
+    return groups;
+}
 
 StatusOr<ShardedValue>
 SpmdBuilder::Parameter(int64_t number, const Shape& global,
@@ -26,7 +36,7 @@ SpmdBuilder::AllGatherDim(const ShardedValue& value, int64_t dim)
     int64_t axis = value.sharding.axis_for_dim(dim);
     if (axis < 0) return value;  // already replicated on this dim
     ShardedValue out = value;
-    out.local = builder_.AllGather(value.local, dim, mesh_.Groups(axis));
+    out.local = builder_.AllGather(value.local, dim, AxisGroups(axis));
     out.sharding.set_axis_for_dim(dim, -1);
     return out;
 }
@@ -47,7 +57,7 @@ SpmdBuilder::AllToAllDim(const ShardedValue& value, int64_t dim,
     }
     ShardedValue out = value;
     out.local =
-        builder_.AllToAll(value.local, dim, mesh_.Groups(mesh_axis));
+        builder_.AllToAll(value.local, dim, AxisGroups(mesh_axis));
     return out;
 }
 
@@ -55,7 +65,7 @@ ShardedValue
 SpmdBuilder::AllReduceAxis(const ShardedValue& value, int64_t mesh_axis)
 {
     ShardedValue out = value;
-    out.local = builder_.AllReduce(value.local, mesh_.Groups(mesh_axis));
+    out.local = builder_.AllReduce(value.local, AxisGroups(mesh_axis));
     return out;
 }
 
@@ -231,10 +241,10 @@ SpmdBuilder::Einsum(const ShardedValue& lhs, const ShardedValue& rhs,
         int64_t d = desired.dim_for_axis(axis);
         if (d >= 0 && current.axis_for_dim(d) < 0) {
             local_out =
-                builder_.ReduceScatter(local_out, d, mesh_.Groups(axis));
+                builder_.ReduceScatter(local_out, d, AxisGroups(axis));
             current.set_axis_for_dim(d, axis);
         } else {
-            local_out = builder_.AllReduce(local_out, mesh_.Groups(axis));
+            local_out = builder_.AllReduce(local_out, AxisGroups(axis));
         }
     }
 
@@ -253,7 +263,7 @@ SpmdBuilder::Einsum(const ShardedValue& lhs, const ShardedValue& rhs,
         int64_t want = desired.axis_for_dim(d);
         if (cur == want) continue;
         if (cur >= 0 && want < 0) {
-            local_out = builder_.AllGather(local_out, d, mesh_.Groups(cur));
+            local_out = builder_.AllGather(local_out, d, AxisGroups(cur));
             current.set_axis_for_dim(d, -1);
         } else if (cur < 0 && want >= 0) {
             if (axis_in_use(want)) {

@@ -2,6 +2,7 @@
 #define OVERLAP_SPMD_SPMD_BUILDER_H_
 
 #include <string>
+#include <vector>
 
 #include "hlo/builder.h"
 #include "support/status.h"
@@ -49,7 +50,11 @@ struct ShardedValue {
 class SpmdBuilder {
   public:
     SpmdBuilder(HloComputation* computation, Mesh mesh)
-        : builder_(computation), mesh_(std::move(mesh)) {}
+        : builder_(computation),
+          mesh_(std::move(mesh)),
+          axis_groups_(static_cast<size_t>(mesh_.num_axes()))
+    {
+    }
 
     HloBuilder& hlo() { return builder_; }
     const Mesh& mesh() const { return mesh_; }
@@ -89,8 +94,16 @@ class SpmdBuilder {
                                int64_t mesh_axis);
 
   private:
+    /**
+     * The device groups along mesh axis `axis`, built the first time
+     * they are asked for and shared by every collective this builder
+     * emits along that axis (see ReplicaGroups).
+     */
+    const ReplicaGroups& AxisGroups(int64_t axis);
+
     HloBuilder builder_;
     Mesh mesh_;
+    std::vector<ReplicaGroups> axis_groups_;
 };
 
 }  // namespace overlap

@@ -157,39 +157,36 @@ EinsumSpec::InferOutputShape(const Shape& lhs, const Shape& rhs) const
                                       " != spec rank ", rhs_.size(), " for ",
                                       ToString()));
     }
-    std::map<char, int64_t> sizes;
-    for (size_t i = 0; i < lhs_.size(); ++i) {
-        sizes[lhs_[i]] = lhs.dim(static_cast<int64_t>(i));
-    }
+    // Parse rejects a label repeated within one operand, so each label
+    // has at most one dim per side.
     for (size_t i = 0; i < rhs_.size(); ++i) {
-        char c = rhs_[i];
-        int64_t size = rhs.dim(static_cast<int64_t>(i));
-        auto it = sizes.find(c);
-        if (it != sizes.end() && it->second != size) {
+        const char c = rhs_[i];
+        const int64_t size = rhs.dim(static_cast<int64_t>(i));
+        const int64_t lp = LhsDimOf(c);
+        if (lp >= 0 && lhs.dim(lp) != size) {
             return InvalidArgument(
-                StrCat("label '", c, "' size mismatch: ", it->second, " vs ",
-                       size, " for ", ToString()));
+                StrCat("label '", c, "' size mismatch: ", lhs.dim(lp),
+                       " vs ", size, " for ", ToString()));
         }
-        sizes[c] = size;
     }
     std::vector<int64_t> out_dims;
     out_dims.reserve(out_.size());
-    for (char c : out_) out_dims.push_back(sizes.at(c));
+    for (char c : out_) {
+        const int64_t lp = LhsDimOf(c);
+        out_dims.push_back(lp >= 0 ? lhs.dim(lp) : rhs.dim(RhsDimOf(c)));
+    }
     return Shape(lhs.dtype(), out_dims);
 }
 
 int64_t
 EinsumSpec::FlopCount(const Shape& lhs, const Shape& rhs) const
 {
-    std::map<char, int64_t> sizes;
-    for (size_t i = 0; i < lhs_.size(); ++i) {
-        sizes[lhs_[i]] = lhs.dim(static_cast<int64_t>(i));
-    }
-    for (size_t i = 0; i < rhs_.size(); ++i) {
-        sizes[rhs_[i]] = rhs.dim(static_cast<int64_t>(i));
-    }
+    // A label on both sides takes its rhs size.
     int64_t total = 1;
-    for (char c : all_) total *= sizes.at(c);
+    for (char c : all_) {
+        const int64_t rp = RhsDimOf(c);
+        total *= rp >= 0 ? rhs.dim(rp) : lhs.dim(LhsDimOf(c));
+    }
     return 2 * total;
 }
 

@@ -327,6 +327,78 @@ TEST(VerifierTest, SharedPairListIsCheckedAtItsFirstPermute)
     }
 }
 
+/**
+ * A group list shared by several collectives is checked once, at the
+ * first collective carrying it, with the usual message; a bad list that
+ * no other collective shares is still rejected after a good shared one.
+ */
+TEST(VerifierTest, SharedGroupListIsCheckedAtItsFirstCollective)
+{
+    struct Case {
+        ReplicaGroups::List groups;
+        const char* message;
+    };
+    const Case cases[] = {
+        {{{0, 1}, {2}}, "ragged collective groups at %"},
+        {{{0, 1}, {2, 7}}, "device 7 out of range at %"},
+        {{{0, 1}, {1, 2}}, "device 1 appears twice in groups at %"},
+        {{{0, 1}}, "collective groups do not cover all 4 devices at %"},
+    };
+    for (const Case& c : cases) {
+        for (int bad_count : {2, 1}) {
+            HloModule module("m");
+            module.set_mesh(Mesh(4));
+            HloComputation* comp = module.AddEntryComputation("main");
+            HloBuilder b(comp);
+            const ReplicaGroups good = {{0, 1}, {2, 3}};
+            const ReplicaGroups bad = c.groups;
+            auto* p = b.Parameter(0, Shape({2}));
+            auto* first_good = b.AllReduce(p, good);
+            auto* second_good = b.AllReduce(first_good, good);
+            auto* first_bad = b.AllReduce(second_good, bad);
+            comp->set_root(bad_count == 2 ? b.AllReduce(first_bad, bad)
+                                          : first_bad);
+            EXPECT_EQ(first_good->attrs().groups.get(),
+                      second_good->attrs().groups.get());
+            Status status = VerifyModule(module);
+            EXPECT_EQ(status.message(), StrCat(c.message, first_bad->name()))
+                << status.ToString();
+        }
+    }
+}
+
+/**
+ * Reassigning an einsum's spec through mutable_attrs() drops the cached
+ * parse: einsum() and the verifier see the new spec, and one that does
+ * not parse is reported as before.
+ */
+TEST(VerifierTest, ReassignedEinsumSpecIsVerified)
+{
+    HloModule module("m");
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* lhs = b.Parameter(0, Shape({2, 3}));
+    auto* rhs = b.Parameter(1, Shape({3, 4}));
+    auto* e = b.Einsum(lhs, rhs, "bf,fh->bh");
+    comp->set_root(e);
+    ASSERT_TRUE(VerifyModule(module).ok());
+    EXPECT_EQ(e->einsum().ToString(), "bf,fh->bh");
+
+    e->mutable_attrs().einsum_spec = "bf,fh->hb";
+    EXPECT_EQ(e->einsum().ToString(), "bf,fh->hb");
+    EXPECT_EQ(VerifyModule(module).message(),
+              StrCat("shape mismatch at %", e->name(),
+                     ": declared f32[2,4] inferred f32[4,2]"));
+
+    e->mutable_attrs().einsum_spec = "bf,fh";
+    EXPECT_EQ(VerifyModule(module).message(),
+              StrCat("shape inference failed at %", e->name(),
+                     ": einsum spec missing '->': bf,fh"));
+
+    e->mutable_attrs().einsum_spec = "bf,fh->bh";
+    EXPECT_TRUE(VerifyModule(module).ok());
+}
+
 TEST(VerifierTest, StartNeedsExactlyOneDone)
 {
     HloModule module("m");

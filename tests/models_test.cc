@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "core/overlap_compiler.h"
 #include "hlo/verifier.h"
 #include "models/model_config.h"
 #include "models/step_builder.h"
@@ -66,6 +69,47 @@ TEST(StepBuilderTest, EveryModelBuildsAndVerifies)
         auto module = BuildLayerStepModule(config);
         ASSERT_TRUE(module.ok()) << config.name;
         EXPECT_TRUE(VerifyModule(**module).ok()) << config.name;
+    }
+}
+
+/**
+ * Every collective of a built and compiled Table 1/2 layer carries one
+ * of at most one group list per mesh axis (the SPMD builder shares a
+ * list per axis and the passes copy the handle), and Clone shares the
+ * lists rather than copying them.
+ */
+TEST(StepBuilderTest, CollectivesShareOneGroupListPerMeshAxis)
+{
+    std::vector<ModelConfig> configs = Table1Models();
+    for (const ModelConfig& config : Table2GptModels()) {
+        configs.push_back(config);
+    }
+    for (const ModelConfig& config : configs) {
+        auto module = BuildLayerStepModule(config);
+        ASSERT_TRUE(module.ok()) << config.name;
+        auto report =
+            OverlapCompiler(CompilerOptions()).Compile(module->get());
+        ASSERT_TRUE(report.ok()) << config.name << ": "
+                                 << report.status().ToString();
+        const HloComputation& entry = *(*module)->entry();
+        std::unique_ptr<HloComputation> clone = entry.Clone();
+        const std::vector<HloInstruction*> instrs = entry.instructions();
+        const std::vector<HloInstruction*> cloned = clone->instructions();
+        ASSERT_EQ(instrs.size(), cloned.size()) << config.name;
+        std::set<const ReplicaGroups::List*> lists;
+        int64_t collectives = 0;
+        for (size_t i = 0; i < instrs.size(); ++i) {
+            const ReplicaGroups& groups = instrs[i]->attrs().groups;
+            if (groups.empty()) continue;
+            ++collectives;
+            lists.insert(groups.get());
+            EXPECT_EQ(cloned[i]->attrs().groups.get(), groups.get())
+                << config.name << " %" << instrs[i]->name();
+        }
+        EXPECT_GT(collectives, 0) << config.name;
+        EXPECT_LE(static_cast<int64_t>(lists.size()),
+                  config.mesh().num_axes())
+            << config.name;
     }
 }
 

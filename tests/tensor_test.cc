@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/overlap_compiler.h"
+#include "models/model_config.h"
+#include "models/step_builder.h"
+#include "support/strings.h"
 #include "tensor/einsum.h"
 #include "tensor/mesh.h"
 #include "tensor/shape.h"
@@ -182,6 +188,117 @@ TEST(EinsumTest, ShapeMismatchReported)
     ASSERT_TRUE(spec.ok());
     auto bad = spec->InferOutputShape(Shape({2, 3}), Shape({4, 5}));
     EXPECT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().message(),
+              "label 'k' size mismatch: 3 vs 4 for mk,kn->mn");
+}
+
+/** Output dims from a label -> size map: the reference InferOutputShape
+ *  and FlopCount are checked against. */
+StatusOr<std::vector<int64_t>>
+ReferenceOutputDims(const EinsumSpec& spec, const Shape& lhs,
+                    const Shape& rhs)
+{
+    std::map<char, int64_t> sizes;
+    for (size_t i = 0; i < spec.lhs_labels().size(); ++i) {
+        sizes[spec.lhs_labels()[i]] = lhs.dim(static_cast<int64_t>(i));
+    }
+    for (size_t i = 0; i < spec.rhs_labels().size(); ++i) {
+        const char c = spec.rhs_labels()[i];
+        const int64_t size = rhs.dim(static_cast<int64_t>(i));
+        auto it = sizes.find(c);
+        if (it != sizes.end() && it->second != size) {
+            return InvalidArgument(
+                StrCat("label '", c, "' size mismatch: ", it->second, " vs ",
+                       size, " for ", spec.ToString()));
+        }
+        sizes[c] = size;
+    }
+    std::vector<int64_t> dims;
+    for (char c : spec.out_labels()) dims.push_back(sizes.at(c));
+    return dims;
+}
+
+int64_t
+ReferenceFlopCount(const EinsumSpec& spec, const Shape& lhs,
+                   const Shape& rhs)
+{
+    std::map<char, int64_t> sizes;
+    for (size_t i = 0; i < spec.lhs_labels().size(); ++i) {
+        sizes[spec.lhs_labels()[i]] = lhs.dim(static_cast<int64_t>(i));
+    }
+    for (size_t i = 0; i < spec.rhs_labels().size(); ++i) {
+        sizes[spec.rhs_labels()[i]] = rhs.dim(static_cast<int64_t>(i));
+    }
+    int64_t total = 1;
+    for (char c : spec.all_labels()) total *= sizes.at(c);
+    return 2 * total;
+}
+
+void
+ExpectMatchesReference(const EinsumSpec& spec, const Shape& lhs,
+                       const Shape& rhs, const std::string& where)
+{
+    auto inferred = spec.InferOutputShape(lhs, rhs);
+    auto reference = ReferenceOutputDims(spec, lhs, rhs);
+    ASSERT_EQ(inferred.ok(), reference.ok()) << where;
+    if (!reference.ok()) {
+        EXPECT_EQ(inferred.status().message(),
+                  reference.status().message())
+            << where;
+        return;
+    }
+    EXPECT_EQ(inferred->dims(), *reference) << where;
+    EXPECT_EQ(inferred->dtype(), lhs.dtype()) << where;
+    EXPECT_EQ(spec.FlopCount(lhs, rhs), ReferenceFlopCount(spec, lhs, rhs))
+        << where;
+}
+
+/**
+ * Output shapes and FLOP counts agree with the label-map reference on
+ * every einsum of every Table 1/2 layer, as built and as compiled (the
+ * decomposed loops' sliced einsums included), and on the same operands
+ * with the first or last rhs dim grown (a shared label's grown dim
+ * takes the size-mismatch path).
+ */
+TEST(EinsumTest, ShapesAndFlopsMatchTheLabelMapOnEveryModelEinsum)
+{
+    std::vector<ModelConfig> configs = Table1Models();
+    for (const ModelConfig& config : Table2GptModels()) {
+        configs.push_back(config);
+    }
+    int64_t checked = 0;
+    for (const ModelConfig& config : configs) {
+        auto module = BuildLayerStepModule(config);
+        ASSERT_TRUE(module.ok()) << config.name;
+        for (int pass = 0; pass < 2; ++pass) {
+            if (pass == 1) {
+                ASSERT_TRUE(OverlapCompiler(CompilerOptions())
+                                .Compile(module->get())
+                                .ok())
+                    << config.name;
+            }
+            for (const HloInstruction* instr :
+                 (*module)->entry()->instructions()) {
+                if (instr->opcode() != HloOpcode::kEinsum) continue;
+                const EinsumSpec& spec = instr->einsum();
+                const Shape& lhs = instr->operand(0)->shape();
+                const Shape& rhs = instr->operand(1)->shape();
+                const std::string where =
+                    StrCat(config.name, " %", instr->name());
+                ExpectMatchesReference(spec, lhs, rhs, where);
+                for (int64_t d : {int64_t{0}, rhs.rank() - 1}) {
+                    std::vector<int64_t> grown = rhs.dims();
+                    grown[static_cast<size_t>(d)] += 1;
+                    ExpectMatchesReference(spec, lhs,
+                                           Shape(rhs.dtype(), grown),
+                                           StrCat(where, " rhs dim ", d,
+                                                  " grown"));
+                }
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 0);
 }
 
 TEST(MeshTest, CoordsRoundTrip)
