@@ -3,12 +3,16 @@
  * google-benchmark microbenchmarks of the compiler passes themselves:
  * the SPMD layer-step build, decomposition and its §5.5 loop-timeline
  * replay, async conversion, fusion, the schedulers and their unit
- * graph, the topological sort, and the guarded pipeline's verify, input
- * clone and rollback replay. These measure *compile time* of the
- * technique (the paper's optimization runs automatically during
- * compilation), not simulated device time.
+ * graph, the simulator, the topological sort, and the guarded
+ * pipeline's verify, input clone and rollback replay. These measure
+ * *compile time* of the technique (the paper's optimization runs
+ * automatically during compilation), not simulated device time.
  */
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "core/overlap_compiler.h"
 #include "hlo/builder.h"
@@ -18,12 +22,16 @@
 #include "passes/decompose.h"
 #include "passes/fusion.h"
 #include "passes/schedule.h"
+#include "sim/engine.h"
 #include "sim/loop_timeline.h"
 #include "sim/sched_graph.h"
 #include "support/logging.h"
 
 namespace overlap {
 namespace {
+
+/** Calls of the global operator new so far (counted below). */
+std::atomic<int64_t> heap_allocations{0};
 
 /** AllGather-einsum over the last axis of `mesh` (a ring of n). */
 std::unique_ptr<HloModule>
@@ -212,14 +220,41 @@ BM_SchedGraph(benchmark::State& state)
 {
     auto module = CompiledLayerStep(state);
     CostModel cost{HardwareSpec{}};
+    const int64_t allocations_before = heap_allocations.load();
     for (auto _ : state) {
         SchedGraph graph(*module->entry(), cost);
         benchmark::DoNotOptimize(graph.units().data());
     }
     state.counters["instructions"] =
         static_cast<double>(module->entry()->instruction_count());
+    state.counters["allocs_per_graph"] =
+        static_cast<double>(heap_allocations.load() - allocations_before) /
+        static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SchedGraph)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// One untraced simulation of the compiled layer, unit graph included:
+// what every simulated job pays after its compile.
+void
+BM_SimulateCompiled(benchmark::State& state)
+{
+    auto module = CompiledLayerStep(state);
+    const ModelConfig* config = FindModel(
+        state.range(0) == 0 ? "GPT_32B" : "GPT_1T");
+    PodSimulator simulator(config->mesh(), HardwareSpec{});
+    for (auto _ : state) {
+        auto result = simulator.Run(*module);
+        if (!result.ok()) {
+            state.SkipWithError(result.status().ToString().c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(result);
+    }
+    state.counters["instructions"] =
+        static_cast<double>(module->entry()->instruction_count());
+}
+BENCHMARK(BM_SimulateCompiled)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 // The failure path: a pass that emits invalid HLO just before fusion, so
 // the guard restores the input and replays decompose, async creation and
@@ -301,5 +336,31 @@ BENCHMARK(BM_TopDownScheduler)->Arg(8)->Arg(32);
 
 }  // namespace
 }  // namespace overlap
+
+// malloc-backed global new and delete that count allocations for
+// BM_SchedGraph's allocs_per_graph.
+void*
+operator new(std::size_t size)
+{
+    overlap::heap_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+
+// GCC cannot tell that these deletes pair with the new above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 BENCHMARK_MAIN();

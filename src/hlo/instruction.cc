@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstring>
 #include <mutex>
 
 #include "support/strings.h"
@@ -39,14 +41,31 @@ CheckOperandCount(HloOpcode opcode,
     return Status::Ok();
 }
 
+/**
+ * "<opcode>.<id>", formatted without a stream: every instruction built
+ * without a name gets one, so this runs once per emitted instruction.
+ */
+std::string
+DefaultName(HloOpcode opcode, int64_t id)
+{
+    const char* opcode_name = HloOpcodeName(opcode);
+    char digits[20];  // "-9223372036854775808" is the longest int64_t
+    char* digits_end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
+    std::string name;
+    name.reserve(std::strlen(opcode_name) + 1 +
+                 static_cast<size_t>(digits_end - digits));
+    name.append(opcode_name).push_back('.');
+    name.append(digits, digits_end);
+    return name;
+}
+
 }  // namespace
 
 HloInstruction::HloInstruction(int64_t id, HloOpcode opcode, Shape shape,
                                std::vector<HloInstruction*> operands,
                                InstrAttrs attrs)
     : HloInstruction(id, opcode, std::move(shape), std::move(operands),
-                     std::move(attrs),
-                     StrCat(HloOpcodeName(opcode), ".", id))
+                     std::move(attrs), DefaultName(opcode, id))
 {
 }
 

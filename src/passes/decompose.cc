@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "hlo/builder.h"
 #include "support/logging.h"
@@ -768,6 +769,15 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
 {
     DecomposeStats stats;
     std::vector<HloInstruction*> snapshot = computation->instructions();
+    // The mesh axis each distinct group list runs along: a list is
+    // shared by every collective along one axis, so it is matched
+    // against the mesh once per run.
+    std::unordered_map<const ReplicaGroups::List*, int64_t> groups_axes;
+    auto groups_axis = [&](const ReplicaGroups& groups) -> int64_t {
+        auto [it, inserted] = groups_axes.try_emplace(groups.get(), -1);
+        if (inserted) it->second = mesh_.InferGroupsAxis(groups.list());
+        return it->second;
+    };
 
     // Collect candidate sites per einsum, then pick the best one each.
     std::vector<Site> chosen;
@@ -785,8 +795,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 ++stats.skipped_unsupported;
                 continue;
             }
-            int64_t axis =
-                mesh_.InferGroupsAxis(operand->attrs().groups.list());
+            int64_t axis = groups_axis(operand->attrs().groups);
             if (axis < 0) {
                 ++stats.skipped_unsupported;
                 continue;
@@ -817,8 +826,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 ++stats.skipped_unsupported;
                 continue;
             }
-            int64_t axis =
-                mesh_.InferGroupsAxis(operand->attrs().groups.list());
+            int64_t axis = groups_axis(operand->attrs().groups);
             if (axis < 0) {
                 ++stats.skipped_unsupported;
                 continue;
@@ -852,7 +860,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         if (options_.all_to_all && einsum->users().size() == 1 &&
             einsum->users()[0]->opcode() == HloOpcode::kAllToAll) {
             HloInstruction* a2a = einsum->users()[0];
-            int64_t axis = mesh_.InferGroupsAxis(a2a->attrs().groups.list());
+            int64_t axis = groups_axis(a2a->attrs().groups);
             char label = spec.out_labels()[static_cast<size_t>(
                 a2a->attrs().dim)];
             EinsumDimKind kind = spec.KindOf(label);
@@ -888,7 +896,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         if (einsum->users().size() == 1 &&
             einsum->users()[0]->opcode() == HloOpcode::kReduceScatter) {
             HloInstruction* rs = einsum->users()[0];
-            int64_t axis = mesh_.InferGroupsAxis(rs->attrs().groups.list());
+            int64_t axis = groups_axis(rs->attrs().groups);
             char label = spec.out_labels()[static_cast<size_t>(
                 rs->attrs().dim)];
             EinsumDimKind kind = spec.KindOf(label);

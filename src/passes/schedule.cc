@@ -11,13 +11,6 @@
 namespace overlap {
 namespace {
 
-/** Output bytes a unit keeps live (its kernel's result buffer). */
-int64_t
-UnitOutputBytes(const SchedUnit* unit)
-{
-    return unit->members.back()->shape().byte_size();
-}
-
 /** Per-unit scheduler state, indexed by the dense SchedUnit::id. */
 template <typename T>
 class UnitMap {
@@ -37,7 +30,7 @@ class UnitMap {
 
 }  // namespace
 
-std::vector<SchedUnit*>
+std::vector<const SchedUnit*>
 BaselineMemorySchedule(const SchedGraph& graph)
 {
     // Greedy: the ready unit with the smallest live-memory delta (its
@@ -54,45 +47,44 @@ BaselineMemorySchedule(const SchedGraph& graph)
     UnitMap<uint8_t> scheduled(graph);  // bool: vector<bool> has no bool&
     using Entry = std::pair<int64_t, int64_t>;  // (delta, id)
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
-    auto make_ready = [&](SchedUnit* unit) {
-        int64_t d = UnitOutputBytes(unit);
-        for (SchedUnit* operand : unit->operands) {
-            if (remaining_users[operand] == 1) d -= UnitOutputBytes(operand);
+    auto make_ready = [&](const SchedUnit* unit) {
+        int64_t d = unit->output_bytes;
+        for (const SchedUnit* operand : unit->operands) {
+            if (remaining_users[operand] == 1) d -= operand->output_bytes;
         }
         delta[unit] = d;
         ready.emplace(d, unit->id);
     };
-    for (const auto& unit : graph.units()) {
-        missing[unit.get()] = static_cast<int64_t>(unit->operands.size());
-        remaining_users[unit.get()] =
-            static_cast<int64_t>(unit->users.size());
+    for (const SchedUnit& unit : graph.units()) {
+        missing[&unit] = static_cast<int64_t>(unit.operands.size());
+        remaining_users[&unit] = static_cast<int64_t>(unit.users.size());
     }
-    for (const auto& unit : graph.units()) {
-        if (unit->operands.empty()) make_ready(unit.get());
+    for (const SchedUnit& unit : graph.units()) {
+        if (unit.operands.empty()) make_ready(&unit);
     }
-    std::vector<SchedUnit*> order;
+    std::vector<const SchedUnit*> order;
     order.reserve(graph.units().size());
     while (!ready.empty()) {
-        SchedUnit* unit =
-            graph.units()[static_cast<size_t>(ready.top().second)].get();
+        const SchedUnit* unit =
+            &graph.units()[static_cast<size_t>(ready.top().second)];
         ready.pop();
         if (scheduled[unit]) continue;
         scheduled[unit] = true;
         order.push_back(unit);
-        for (SchedUnit* operand : unit->operands) {
+        for (const SchedUnit* operand : unit->operands) {
             if (--remaining_users[operand] != 1) continue;
             // The operand's last user now frees it: re-key that user if
             // it is ready (a unit not yet ready counts it on arrival).
-            for (SchedUnit* user : operand->users) {
+            for (const SchedUnit* user : operand->users) {
                 if (scheduled[user]) continue;
                 if (missing[user] == 0) {
-                    delta[user] -= UnitOutputBytes(operand);
+                    delta[user] -= operand->output_bytes;
                     ready.emplace(delta[user], user->id);
                 }
                 break;
             }
         }
-        for (SchedUnit* user : unit->users) {
+        for (const SchedUnit* user : unit->users) {
             if (--missing[user] == 0) make_ready(user);
         }
     }
@@ -100,9 +92,10 @@ BaselineMemorySchedule(const SchedGraph& graph)
     return order;
 }
 
-std::vector<SchedUnit*>
+std::vector<const SchedUnit*>
 BottomUpSchedule(const SchedGraph& graph,
-                 const std::vector<SchedUnit*>& input, int64_t max_in_flight)
+                 const std::vector<const SchedUnit*>& input,
+                 int64_t max_in_flight)
 {
     // Algorithm 2: schedule in reverse from the dataflow roots so that
     // (after the final reversal) Dones land as late and Starts as early
@@ -150,25 +143,26 @@ BottomUpSchedule(const SchedGraph& graph,
     // Pending units wait in a min-heap on (ready time, later input
     // position first); time-ready ones in one max-heap on input position
     // per priority class.
-    auto pending_after = [&](SchedUnit* a, SchedUnit* b) {
+    auto pending_after = [&](const SchedUnit* a, const SchedUnit* b) {
         if (ready_time[a] != ready_time[b]) {
             return ready_time[a] > ready_time[b];
         }
         return input_pos[a] < input_pos[b];
     };
-    std::priority_queue<SchedUnit*, std::vector<SchedUnit*>,
+    std::priority_queue<const SchedUnit*, std::vector<const SchedUnit*>,
                         decltype(pending_after)>
         pending(pending_after);
-    auto earlier_input = [&](SchedUnit* a, SchedUnit* b) {
+    auto earlier_input = [&](const SchedUnit* a, const SchedUnit* b) {
         return input_pos[a] < input_pos[b];
     };
-    using ReadyHeap = std::priority_queue<SchedUnit*, std::vector<SchedUnit*>,
-                                          decltype(earlier_input)>;
+    using ReadyHeap =
+        std::priority_queue<const SchedUnit*, std::vector<const SchedUnit*>,
+                            decltype(earlier_input)>;
     std::array<ReadyHeap, 4> ready = {
         ReadyHeap(earlier_input), ReadyHeap(earlier_input),
         ReadyHeap(earlier_input), ReadyHeap(earlier_input)};
 
-    std::vector<SchedUnit*> reversed;
+    std::vector<const SchedUnit*> reversed;
     reversed.reserve(graph.units().size());
     double current_time = 0.0;
     int64_t in_flight = 0;
@@ -189,12 +183,11 @@ BottomUpSchedule(const SchedGraph& graph,
         return best;
     };
 
-    for (const auto& unit : graph.units()) {
-        unscheduled_users[unit.get()] =
-            static_cast<int64_t>(unit->users.size());
-        if (unit->users.empty()) {
-            ready_time[unit.get()] = 0.0;
-            ready[priority_class(unit.get())].push(unit.get());
+    for (const SchedUnit& unit : graph.units()) {
+        unscheduled_users[&unit] = static_cast<int64_t>(unit.users.size());
+        if (unit.users.empty()) {
+            ready_time[&unit] = 0.0;
+            ready[priority_class(&unit)].push(&unit);
         }
     }
     while (true) {
@@ -205,7 +198,7 @@ BottomUpSchedule(const SchedGraph& graph,
         }
         // If none is time-ready, the pending unit that becomes ready
         // first.
-        SchedUnit* candidate = nullptr;
+        const SchedUnit* candidate = nullptr;
         if (ReadyHeap* heap = best_ready()) {
             candidate = heap->top();
             heap->pop();
@@ -224,7 +217,7 @@ BottomUpSchedule(const SchedGraph& graph,
             start_allowed[candidate->operands.front()] =
                 current_time + candidate->transfer_seconds;
         }
-        for (SchedUnit* operand : candidate->operands) {
+        for (const SchedUnit* operand : candidate->operands) {
             if (--unscheduled_users[operand] == 0) {
                 double rt = 0.0;
                 for (const SchedUnit* user : operand->users) {
@@ -241,9 +234,10 @@ BottomUpSchedule(const SchedGraph& graph,
     return reversed;
 }
 
-std::vector<SchedUnit*>
+std::vector<const SchedUnit*>
 TopDownSchedule(const SchedGraph& graph,
-                const std::vector<SchedUnit*>& input, int64_t max_in_flight)
+                const std::vector<const SchedUnit*>& input,
+                int64_t max_in_flight)
 {
     // Forward list scheduling with the two §5.2 placement rules — a
     // CollectivePermuteStart goes as early as possible and a Done as
@@ -256,21 +250,21 @@ TopDownSchedule(const SchedGraph& graph,
         input_pos[input[i]] = static_cast<int64_t>(i);
     }
     UnitMap<int64_t> missing(graph);
-    std::vector<SchedUnit*> ready;
-    for (const auto& unit : graph.units()) {
-        missing[unit.get()] = static_cast<int64_t>(unit->operands.size());
-        if (unit->operands.empty()) ready.push_back(unit.get());
+    std::vector<const SchedUnit*> ready;
+    for (const SchedUnit& unit : graph.units()) {
+        missing[&unit] = static_cast<int64_t>(unit.operands.size());
+        if (unit.operands.empty()) ready.push_back(&unit);
     }
-    std::vector<SchedUnit*> order;
+    std::vector<const SchedUnit*> order;
     order.reserve(graph.units().size());
     int64_t in_flight = 0;
 
-    auto emit = [&](SchedUnit* unit) {
+    auto emit = [&](const SchedUnit* unit) {
         ready.erase(std::find(ready.begin(), ready.end(), unit));
         order.push_back(unit);
         if (unit->IsAsyncStart()) ++in_flight;
         if (unit->IsAsyncDone()) --in_flight;
-        for (SchedUnit* user : unit->users) {
+        for (const SchedUnit* user : unit->users) {
             if (--missing[user] == 0) ready.push_back(user);
         }
     };
@@ -286,8 +280,8 @@ TopDownSchedule(const SchedGraph& graph,
     UnitMap<double> arrival(graph);
     while (!ready.empty()) {
         // Rule 1: issue ready Starts as early as possible.
-        SchedUnit* pick = nullptr;
-        for (SchedUnit* u : ready) {
+        const SchedUnit* pick = nullptr;
+        for (const SchedUnit* u : ready) {
             if (!u->IsAsyncStart() || in_flight >= eager_window) {
                 continue;
             }
@@ -297,7 +291,7 @@ TopDownSchedule(const SchedGraph& graph,
         }
         // Rule 2: release Dones whose transfer has (estimatedly) landed.
         if (pick == nullptr) {
-            for (SchedUnit* u : ready) {
+            for (const SchedUnit* u : ready) {
                 if (!u->IsAsyncDone()) continue;
                 double arrived = arrival[u->operands.front()];
                 if (arrived > clock) continue;
@@ -309,7 +303,7 @@ TopDownSchedule(const SchedGraph& graph,
         }
         // Rule 3: other work in input order.
         if (pick == nullptr) {
-            for (SchedUnit* u : ready) {
+            for (const SchedUnit* u : ready) {
                 if (u->IsAsyncDone() || u->IsAsyncStart()) continue;
                 if (pick == nullptr ||
                     input_pos[u] < input_pos[pick]) {
@@ -319,7 +313,7 @@ TopDownSchedule(const SchedGraph& graph,
         }
         // Rule 4: nothing else — wait on the oldest outstanding transfer.
         if (pick == nullptr) {
-            for (SchedUnit* u : ready) {
+            for (const SchedUnit* u : ready) {
                 if (!u->IsAsyncDone()) continue;
                 if (pick == nullptr ||
                     arrival[u->operands.front()] <
@@ -347,8 +341,8 @@ ScheduleComputation(HloComputation* computation, const CostModel& cost,
                     SchedulerKind kind)
 {
     SchedGraph graph(*computation, cost);
-    std::vector<SchedUnit*> baseline = BaselineMemorySchedule(graph);
-    std::vector<SchedUnit*> order;
+    std::vector<const SchedUnit*> baseline = BaselineMemorySchedule(graph);
+    std::vector<const SchedUnit*> order;
     switch (kind) {
       case SchedulerKind::kBaselineOnly:
           order = std::move(baseline);

@@ -28,7 +28,7 @@ enum class SchedulerKind {
  * unit with the smallest live-memory delta (bytes allocated minus operand
  * bytes freed), tie-breaking by program order.
  */
-std::vector<SchedUnit*> BaselineMemorySchedule(const SchedGraph& graph);
+std::vector<const SchedUnit*> BaselineMemorySchedule(const SchedGraph& graph);
 
 /**
  * Algorithm 2: bottom-up (reverse) list scheduling. Works through the
@@ -38,8 +38,8 @@ std::vector<SchedUnit*> BaselineMemorySchedule(const SchedGraph& graph);
  * (`max_in_flight`) allow. Falls back to the input order's relative
  * positions to keep memory pressure low.
  */
-std::vector<SchedUnit*> BottomUpSchedule(
-    const SchedGraph& graph, const std::vector<SchedUnit*>& input,
+std::vector<const SchedUnit*> BottomUpSchedule(
+    const SchedGraph& graph, const std::vector<const SchedUnit*>& input,
     int64_t max_in_flight);
 
 /**
@@ -50,9 +50,9 @@ std::vector<SchedUnit*> BottomUpSchedule(
  * keeps non-permute units in input order, which can leave overlap on the
  * table (§6.3).
  */
-std::vector<SchedUnit*> TopDownSchedule(const SchedGraph& graph,
-                                        const std::vector<SchedUnit*>& input,
-                                        int64_t max_in_flight);
+std::vector<const SchedUnit*> TopDownSchedule(
+    const SchedGraph& graph, const std::vector<const SchedUnit*>& input,
+    int64_t max_in_flight);
 
 /**
  * Runs the requested scheduler over `computation` and attaches the

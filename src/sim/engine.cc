@@ -116,8 +116,8 @@ Slot(const SchedUnit* unit)
  *    later (the device can never reach the Done that would free one).
  */
 Status
-CheckNoDeadlock(const std::vector<SchedUnit*>& order, size_t num_units,
-                int64_t max_in_flight)
+CheckNoDeadlock(const std::vector<const SchedUnit*>& order,
+                size_t num_units, int64_t max_in_flight)
 {
     std::vector<bool> started(num_units, false);
     std::vector<const SchedUnit*> outstanding;
@@ -265,7 +265,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
     }
     const HloComputation& computation = *module.entry();
     SchedGraph graph(computation, cost_);
-    std::vector<SchedUnit*> order =
+    std::vector<const SchedUnit*> order =
         graph.UnitOrderOf(computation.sequence());
     OVERLAP_RETURN_IF_ERROR(
         CheckNoDeadlock(order, graph.units().size(),
@@ -482,25 +482,31 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             static_cast<int64_t>(unit->users.size());
     }
     int64_t live_bytes = 0;
-    auto output_bytes = [](const SchedUnit* unit) {
-        return unit->members.back()->shape().byte_size();
-    };
     auto account_memory = [&](const SchedUnit* unit) {
-        live_bytes += output_bytes(unit);
+        live_bytes += unit->output_bytes;
         result.peak_memory_bytes =
             std::max(result.peak_memory_bytes, live_bytes);
         for (const SchedUnit* operand : unit->operands) {
             if (--remaining_readers[Slot(operand)] == 0) {
-                live_bytes -= output_bytes(operand);
+                live_bytes -= operand->output_bytes;
             }
         }
-        if (unit->users.empty()) live_bytes -= output_bytes(unit);
+        if (unit->users.empty()) live_bytes -= unit->output_bytes;
     };
 
     auto record = [&](const std::string& label, TraceKind kind,
                       double start, double end, int64_t loop_group) {
         if (collect_trace && end > start) {
             result.trace.push_back({label, kind, start, end, loop_group});
+        }
+    };
+    // A detector's kernel, labeled "<detector><instruction>": the label
+    // is built only when a trace is kept.
+    auto record_check = [&](const char* detector, const std::string& name,
+                            double start, double end, int64_t loop_group) {
+        if (collect_trace && end > start) {
+            result.trace.push_back({detector + name, TraceKind::kCompute,
+                                    start, end, loop_group});
         }
     };
 
@@ -531,9 +537,8 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 // Sender hashes the payload before putting it on the
                 // wire; the matching receiver hash runs at the Done.
                 double chk = cost_.ElementwiseBytesSeconds(bytes);
-                record(StrCat("sdc_checksum:", head->name()),
-                       TraceKind::kCompute, time, time + chk,
-                       unit->loop_group);
+                record_check("sdc_checksum:", head->name(), time,
+                             time + chk, unit->loop_group);
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
@@ -613,9 +618,8 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             }
             if (transfer_checks) {
                 double chk = receiver_check[Slot(start)];
-                record(StrCat("sdc_checksum:", head->name()),
-                       TraceKind::kCompute, time, time + chk,
-                       unit->loop_group);
+                record_check("sdc_checksum:", head->name(), time,
+                             time + chk, unit->loop_group);
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
@@ -642,9 +646,8 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 // Sender hashes the payload before the exchange; the
                 // matching receiver hash runs at the Done.
                 double chk = cost_.ElementwiseBytesSeconds(bytes);
-                record(StrCat("sdc_checksum:", head->name()),
-                       TraceKind::kCompute, time, time + chk,
-                       unit->loop_group);
+                record_check("sdc_checksum:", head->name(), time,
+                             time + chk, unit->loop_group);
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
@@ -712,9 +715,8 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             }
             if (transfer_checks) {
                 double chk = receiver_check[Slot(start)];
-                record(StrCat("sdc_checksum:", head->name()),
-                       TraceKind::kCompute, time, time + chk,
-                       unit->loop_group);
+                record_check("sdc_checksum:", head->name(), time,
+                             time + chk, unit->loop_group);
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
@@ -789,9 +791,8 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 // hashes (sender pre-send, receiver post-arrival) land
                 // at completion.
                 double chk = 2.0 * cost_.ElementwiseBytesSeconds(bytes);
-                record(StrCat("sdc_checksum:", head->name()),
-                       TraceKind::kCompute, time, time + chk,
-                       unit->loop_group);
+                record_check("sdc_checksum:", head->name(), time,
+                             time + chk, unit->loop_group);
                 time += chk;
                 result.detector_seconds += chk;
                 result.num_transfer_checksums += 2;
@@ -844,9 +845,8 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 double chk = 2.0 * cost_.ElementwiseBytesSeconds(
                                        static_cast<double>(
                                            head->shape().byte_size()));
-                record(StrCat("sdc_checksum:", head->name()),
-                       TraceKind::kCompute, time, time + chk,
-                       unit->loop_group);
+                record_check("sdc_checksum:", head->name(), time,
+                             time + chk, unit->loop_group);
                 time += chk;
                 result.detector_seconds += chk;
                 result.num_transfer_checksums += 2;
@@ -895,9 +895,9 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 }
             }
             if (abft_seconds > 0.0) {
-                record(StrCat("sdc_abft:", unit->members.back()->name()),
-                       TraceKind::kCompute, time + actual,
-                       time + actual + abft_seconds, unit->loop_group);
+                record_check("sdc_abft:", unit->members.back()->name(),
+                             time + actual, time + actual + abft_seconds,
+                             unit->loop_group);
                 result.detector_seconds += abft_seconds;
             }
             time += actual + abft_seconds;

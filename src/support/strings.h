@@ -27,7 +27,11 @@ StrJoin(const Container& items, const std::string& sep)
     return out.str();
 }
 
-/** Concatenates all arguments using operator<< formatting. */
+/**
+ * Concatenates all arguments using operator<< formatting. Builds one
+ * std::ostringstream per call, so it stays off per-instruction paths
+ * (messages, dumps and reports only).
+ */
 template <typename... Args>
 std::string
 StrCat(const Args&... args)

@@ -184,6 +184,44 @@ TEST_F(EngineTest, TraceCoversTheTimeline)
                      result->step_seconds);
 }
 
+/**
+ * With the SDC detectors on, a traced run labels the checksum and ABFT
+ * kernels "sdc_checksum:<collective>" and "sdc_abft:<einsum>"; an
+ * untraced run takes the same time and records nothing.
+ */
+TEST_F(EngineTest, DetectorKernelsAreLabeledOnlyInATrace)
+{
+    HloModule module("m");
+    Mesh mesh(2);
+    module.set_mesh(mesh);
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* a = b.Parameter(0, Shape(DType::kBF16, {512, 512}));
+    auto* ag = b.AllGather(a, 0, mesh.Groups(0));
+    auto* e = b.Einsum(ag, a, "mk,kn->mn");
+    comp->set_root(e);
+    FaultSpec faults;
+    faults.sdc.enabled = true;
+    PodSimulator sim(mesh, spec_, FaultModel(faults));
+
+    auto traced = sim.Run(module, /*collect_trace=*/true);
+    ASSERT_TRUE(traced.ok());
+    std::vector<std::string> labels;
+    for (const TraceEvent& event : traced->trace) {
+        labels.push_back(event.label);
+    }
+    EXPECT_EQ(labels,
+              (std::vector<std::string>{ag->name(),
+                                        "sdc_checksum:" + ag->name(),
+                                        e->name(), "sdc_abft:" + e->name()}));
+
+    auto untraced = sim.Run(module);
+    ASSERT_TRUE(untraced.ok());
+    EXPECT_TRUE(untraced->trace.empty());
+    EXPECT_EQ(untraced->step_seconds, traced->step_seconds);
+    EXPECT_EQ(untraced->detector_seconds, traced->detector_seconds);
+}
+
 TEST_F(EngineTest, EnergyScalesWithTimeAndChips)
 {
     HloModule module("m");

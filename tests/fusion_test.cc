@@ -54,7 +54,7 @@ TEST(FusionTest, DefaultHeuristicCreatesBadDependence)
     // The fused unit now (transitively) depends on the Done.
     CostModel cost{HardwareSpec{}};
     SchedGraph graph(*f.module->entry(), cost);
-    SchedUnit* fused = graph.unit_of(f.addition);
+    const SchedUnit* fused = graph.unit_of(f.addition);
     bool depends_on_done = false;
     for (const SchedUnit* op : fused->operands) {
         if (op->IsPermuteDone()) depends_on_done = true;

@@ -74,6 +74,22 @@ TEST(OpcodeTest, ExchangeOpsAreTheDataMovingCollectives)
     }
 }
 
+/**
+ * An instruction built without a name is named "<opcode>.<id>", byte for
+ * byte what StrCat formats, for ids of every width.
+ */
+TEST(InstructionTest, DefaultNameIsOpcodeDotId)
+{
+    const int64_t ids[] = {0, 9, 10, 12345, int64_t{1} << 40};
+    for (int op = 0; op <= static_cast<int>(HloOpcode::kTuple); ++op) {
+        HloOpcode opcode = static_cast<HloOpcode>(op);
+        for (int64_t id : ids) {
+            HloInstruction instr(id, opcode, Shape(), {}, {});
+            EXPECT_EQ(instr.name(), StrCat(HloOpcodeName(opcode), ".", id));
+        }
+    }
+}
+
 TEST(ComputationTest, UsersTracked)
 {
     HloModule module("m");

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 
 #include "core/overlap_compiler.h"
 #include "hlo/builder.h"
@@ -17,6 +19,7 @@
 #include "passes/decompose.h"
 #include "passes/schedule.h"
 #include "sim/engine.h"
+#include "support/strings.h"
 #include "tensor/checksum.h"
 
 namespace overlap {
@@ -211,16 +214,29 @@ TEST(ScheduleTest, ExhaustedBudgetRanksDonesWithOrdinaryUnits)
     comp->set_root(root);
     CostModel cost{HardwareSpec{}};
     SchedGraph graph(*comp, cost);
-    std::vector<SchedUnit*> input;
-    for (const auto& unit : graph.units()) input.push_back(unit.get());
+    std::vector<const SchedUnit*> input;
+    for (const SchedUnit& unit : graph.units()) input.push_back(&unit);
 
-    std::vector<SchedUnit*> order =
+    std::vector<const SchedUnit*> order =
         BottomUpSchedule(graph, input, /*max_in_flight=*/1);
     ASSERT_EQ(order.size(), input.size());
     EXPECT_EQ(order[order.size() - 1], graph.unit_of(root));
     EXPECT_EQ(order[order.size() - 2], graph.unit_of(d2));
     EXPECT_EQ(order[order.size() - 3], graph.unit_of(d1));
     EXPECT_EQ(order[order.size() - 4], graph.unit_of(x));
+}
+
+/** Every Table 1 and Table 2 model, each once. */
+std::vector<ModelConfig>
+PaperModels()
+{
+    std::vector<ModelConfig> models = Table1Models();
+    std::set<std::string> seen;
+    for (const ModelConfig& m : models) seen.insert(m.name);
+    for (const ModelConfig& m : Table2GptModels()) {
+        if (seen.insert(m.name).second) models.push_back(m);
+    }
+    return models;
 }
 
 /**
@@ -248,13 +264,15 @@ ScheduleFingerprint(const ModelConfig& config, const CompilerOptions& options)
     return line;
 }
 
-/** One moe_sweep grid point: a scaled-down GLaM layer on a 4 x 8 mesh
- *  with 16 experts, its AllToAll ring on mesh y. */
+/** One moe_sweep grid point: a scaled-down GLaM layer on a 4 x `mesh_y`
+ *  mesh (4 x 8 by default) with `experts` experts (16), its AllToAll
+ *  ring on mesh y. */
 ModelConfig
-MoeSweepModel(int64_t micro_batches)
+MoeSweepModel(int64_t micro_batches, int64_t mesh_y = 8,
+              int64_t experts = 16)
 {
     ModelConfig config;
-    config.name = "moe_32chip_16e";
+    config.name = StrCat("moe_", 4 * mesh_y, "chip_", experts, "e");
     config.kind = ModelKind::kMoe;
     config.num_layers = 24;
     config.model_dim = 4096;
@@ -262,9 +280,9 @@ MoeSweepModel(int64_t micro_batches)
     config.batch_size = 16;
     config.seq_len = 1024;
     config.mesh_x = 4;
-    config.mesh_y = 8;
+    config.mesh_y = mesh_y;
     config.num_chips = config.mesh_x * config.mesh_y;
-    config.num_experts = 16;
+    config.num_experts = experts;
     config.moe_micro_batches = micro_batches;
     return config;
 }
@@ -282,12 +300,7 @@ MoeSweepModel(int64_t micro_batches)
  */
 TEST(ScheduleGoldenTest, PaperModelSchedulesMatchGolden)
 {
-    std::vector<ModelConfig> models = Table1Models();
-    std::set<std::string> seen;
-    for (const ModelConfig& m : models) seen.insert(m.name);
-    for (const ModelConfig& m : Table2GptModels()) {
-        if (seen.insert(m.name).second) models.push_back(m);
-    }
+    const std::vector<ModelConfig> models = PaperModels();
     CompilerOptions top_down;
     top_down.scheduler = SchedulerKind::kTopDown;
     CompilerOptions no_unroll;
@@ -346,6 +359,213 @@ TEST(ScheduleGoldenTest, PaperModelSchedulesMatchGolden)
         ASSERT_NE(it, golden.end()) << name << " missing from the golden";
         EXPECT_EQ(value, it->second) << name << ": schedule moved";
     }
+}
+
+/** A unit as the graph was first built: one heap object per unit. */
+struct ReferenceUnit {
+    std::vector<const HloInstruction*> members;
+    std::vector<int64_t> operands;
+    std::vector<int64_t> users;
+    double latency = 0.0;
+    double transfer_seconds = 0.0;
+    int64_t loop_group = -1;
+};
+
+/**
+ * The unit graph built the straightforward way: fusion groups through a
+ * std::map, edges deduplicated with std::find. SchedGraph's flat arrays
+ * must reproduce it exactly.
+ */
+std::vector<ReferenceUnit>
+ReferenceGraph(const HloComputation& computation, const CostModel& cost)
+{
+    std::vector<ReferenceUnit> units;
+    std::map<int64_t, int64_t> group_units;
+    std::map<const HloInstruction*, int64_t> unit_of;
+    for (const HloInstruction* instr : computation.instructions()) {
+        int64_t unit = -1;
+        if (instr->fusion_group() >= 0) {
+            auto it = group_units.find(instr->fusion_group());
+            if (it != group_units.end()) unit = it->second;
+        }
+        if (unit < 0) {
+            unit = static_cast<int64_t>(units.size());
+            units.emplace_back();
+            if (instr->fusion_group() >= 0) {
+                group_units[instr->fusion_group()] = unit;
+            }
+        }
+        ReferenceUnit& u = units[static_cast<size_t>(unit)];
+        u.members.push_back(instr);
+        if (instr->loop_group() >= 0) u.loop_group = instr->loop_group();
+        unit_of[instr] = unit;
+    }
+    for (ReferenceUnit& u : units) {
+        const bool fused = u.members.size() > 1;
+        for (const HloInstruction* instr : u.members) {
+            double t = cost.InstructionSeconds(instr);
+            if (fused && instr->opcode() != HloOpcode::kEinsum) {
+                t *= SchedGraph::kFusedElementwiseDiscount;
+            }
+            u.latency += t;
+        }
+        if (fused) continue;  // only a singleton is an async half
+        const HloOpcode head = u.members[0]->opcode();
+        if (IsAsyncDone(head)) u.latency = 0.0;
+        if (head == HloOpcode::kCollectivePermuteStart ||
+            head == HloOpcode::kCollectivePermuteDone) {
+            u.transfer_seconds = cost.PermuteStepSeconds(
+                u.members[0]->shape().byte_size());
+        } else if (IsAsyncStart(head) || IsAsyncDone(head)) {
+            u.transfer_seconds = cost.BlockingCollectiveSeconds(
+                head == HloOpcode::kAllToAllStart
+                    ? u.members[0]
+                    : u.members[0]->operand(0));
+        }
+    }
+    for (size_t id = 0; id < units.size(); ++id) {
+        ReferenceUnit& u = units[id];
+        for (const HloInstruction* instr : u.members) {
+            for (const HloInstruction* operand : instr->operands()) {
+                int64_t producer = unit_of.at(operand);
+                if (producer == static_cast<int64_t>(id)) continue;
+                if (std::find(u.operands.begin(), u.operands.end(),
+                              producer) == u.operands.end()) {
+                    u.operands.push_back(producer);
+                    units[static_cast<size_t>(producer)].users.push_back(
+                        static_cast<int64_t>(id));
+                }
+            }
+        }
+    }
+    return units;
+}
+
+std::vector<int64_t>
+UnitIds(std::span<const SchedUnit* const> units)
+{
+    std::vector<int64_t> ids;
+    for (const SchedUnit* unit : units) ids.push_back(unit->id);
+    return ids;
+}
+
+/** Checks `computation`'s SchedGraph field by field against the
+ *  reference construction. */
+void
+ExpectMatchesReference(const HloComputation& computation,
+                       const std::string& label)
+{
+    SCOPED_TRACE(label);
+    CostModel cost{HardwareSpec{}};
+    SchedGraph graph(computation, cost);
+    std::vector<ReferenceUnit> reference = ReferenceGraph(computation, cost);
+    ASSERT_EQ(graph.units().size(), reference.size());
+    for (size_t id = 0; id < reference.size(); ++id) {
+        const SchedUnit& unit = graph.units()[id];
+        const ReferenceUnit& want = reference[id];
+        ASSERT_EQ(unit.id, static_cast<int64_t>(id));
+        ASSERT_EQ(std::vector<const HloInstruction*>(unit.members.begin(),
+                                                     unit.members.end()),
+                  want.members)
+            << "unit " << id;
+        ASSERT_EQ(UnitIds(unit.operands), want.operands) << "unit " << id;
+        ASSERT_EQ(UnitIds(unit.users), want.users) << "unit " << id;
+        ASSERT_EQ(unit.latency, want.latency) << "unit " << id;
+        ASSERT_EQ(unit.transfer_seconds, want.transfer_seconds)
+            << "unit " << id;
+        ASSERT_EQ(unit.loop_group, want.loop_group) << "unit " << id;
+        ASSERT_EQ(unit.output_bytes,
+                  want.members.back()->shape().byte_size())
+            << "unit " << id;
+        for (const HloInstruction* member : want.members) {
+            ASSERT_EQ(graph.unit_of(member), &unit);
+        }
+    }
+}
+
+/** Compiles `config`'s layer step under `options` and checks its graph. */
+void
+ExpectCompiledMatchesReference(const ModelConfig& config,
+                               const CompilerOptions& options,
+                               const std::string& label)
+{
+    auto module = BuildLayerStepModule(config);
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
+    auto report = OverlapCompiler(options).Compile(module->get());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectMatchesReference(*(*module)->entry(), config.name + "/" + label);
+}
+
+/**
+ * Every Table 1/2 layer x {baseline, overlap} and the moe_sweep grid
+ * under its three AllToAll arms, compiled: the flat graph has the same
+ * ids, member, operand and user order, latencies, transfer times, loop
+ * groups and output bytes as the reference, so every schedule built on
+ * it is unchanged. One compiled layer with its fusion group ids spread
+ * far past the instruction count covers the renumbering of sparse ids.
+ */
+TEST(SchedGraphTest, MatchesReferenceOnEveryModelLayer)
+{
+    for (const ModelConfig& m : PaperModels()) {
+        ExpectCompiledMatchesReference(m, CompilerOptions::Baseline(),
+                                       "baseline");
+        ExpectCompiledMatchesReference(m, CompilerOptions(), "overlap");
+    }
+    CompilerOptions blocking;
+    blocking.decompose.all_to_all = false;
+    CompilerOptions pipelined = blocking;
+    pipelined.async_all_to_all = true;
+    for (int64_t mesh_y : {4, 8, 16}) {
+        for (int64_t experts : {16, 64}) {
+            const ModelConfig moe = MoeSweepModel(1, mesh_y, experts);
+            ExpectCompiledMatchesReference(moe, blocking, "blocking");
+            ExpectCompiledMatchesReference(moe, CompilerOptions(),
+                                           "decomposed");
+            ExpectCompiledMatchesReference(
+                MoeSweepModel(4, mesh_y, experts), pipelined, "pipelined");
+        }
+    }
+
+    auto module = BuildLayerStepModule(*FindModel("GPT_32B"));
+    ASSERT_TRUE(module.ok());
+    ASSERT_TRUE(OverlapCompiler(CompilerOptions()).Compile(module->get())
+                    .ok());
+    HloComputation* entry = (*module)->entry();
+    int64_t fused = 0;
+    for (HloInstruction* instr : entry->instructions()) {
+        if (instr->fusion_group() < 0) continue;
+        ++fused;
+        instr->set_fusion_group(instr->fusion_group() * 1000003 + 7);
+    }
+    ASSERT_GT(fused, 0);
+    ExpectMatchesReference(*entry, "GPT_32B/sparse fusion ids");
+}
+
+/**
+ * unit_of takes an instruction by its id slot, so an instruction of
+ * another computation that reuses a local id must be rejected, not
+ * answered with the local instruction's unit.
+ */
+TEST(SchedGraphTest, ForeignInstructionSharingALocalIdIsRejected)
+{
+    HloComputation local("local");
+    HloBuilder b(&local);
+    HloInstruction* p = b.Parameter(0, Shape({4, 4}));
+    local.set_root(b.Negate(p));
+    HloComputation foreign("foreign");
+    HloBuilder fb(&foreign);
+    HloInstruction* q = fb.Parameter(0, Shape({4, 4}));
+    foreign.set_root(q);
+    ASSERT_EQ(q->id(), p->id());
+
+    CostModel cost{HardwareSpec{}};
+    SchedGraph graph(local, cost);
+    EXPECT_EQ(graph.unit_of(p)->members[0], p);
+#if OVERLAP_CHECKS_ENABLED
+    EXPECT_THROW(graph.unit_of(q), std::logic_error);
+#else
+    GTEST_SKIP() << "OVERLAP_CHECK is compiled out in this build";
+#endif
 }
 
 }  // namespace
