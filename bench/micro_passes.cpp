@@ -122,12 +122,15 @@ BM_BuildLayerStep(benchmark::State& state)
 BENCHMARK(BM_BuildLayerStep)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
+// One layer step built and compiled with the default options; the
+// allocs_per_compile counter includes the build.
 void
 BM_FullPipelineOnLayerStep(benchmark::State& state)
 {
     const ModelConfig* config = FindModel(
         state.range(0) == 0 ? "GPT_32B" : "GPT_1T");
     CompilerOptions options;
+    const int64_t allocations_before = heap_allocations.load();
     for (auto _ : state) {
         auto module = BuildLayerStepModule(*config);
         OverlapCompiler compiler(options);
@@ -135,6 +138,9 @@ BM_FullPipelineOnLayerStep(benchmark::State& state)
         benchmark::DoNotOptimize(report);
     }
     state.SetLabel(config->name);
+    state.counters["allocs_per_compile"] =
+        static_cast<double>(heap_allocations.load() - allocations_before) /
+        static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_FullPipelineOnLayerStep)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
@@ -338,7 +344,8 @@ BENCHMARK(BM_TopDownScheduler)->Arg(8)->Arg(32);
 }  // namespace overlap
 
 // malloc-backed global new and delete that count allocations for
-// BM_SchedGraph's allocs_per_graph.
+// BM_SchedGraph's allocs_per_graph and BM_FullPipelineOnLayerStep's
+// allocs_per_compile.
 void*
 operator new(std::size_t size)
 {

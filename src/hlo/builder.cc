@@ -37,7 +37,7 @@ HloBuilder::Constant(Tensor literal)
 {
     Shape shape = literal.shape();
     InstrAttrs attrs;
-    attrs.literal = std::move(literal);
+    attrs.literal = std::make_shared<const Tensor>(std::move(literal));
     return computation_->AddInstruction(HloOpcode::kConstant,
                                         std::move(shape), {},
                                         std::move(attrs));

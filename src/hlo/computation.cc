@@ -2,29 +2,71 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
-#include <queue>
+#include <bit>
+#include <memory>
 
 #include "support/strings.h"
 
 namespace overlap {
+namespace {
+
+/**
+ * Instruction block capacities: the first block holds kFirstBlock, each
+ * next one twice the last, up to kMaxBlock. A ten-instruction module
+ * takes one small block; a layer step takes ~64-instruction blocks.
+ */
+constexpr size_t kFirstBlock = 8;
+constexpr size_t kMaxBlock = 64;
+
+}  // namespace
+
+HloComputation::~HloComputation()
+{
+    std::allocator<HloInstruction> allocator;
+    for (const Block& block : blocks_) {
+        std::destroy_n(block.storage, block.used);
+        allocator.deallocate(block.storage, block.capacity);
+    }
+}
+
+template <typename... Args>
+HloInstruction*
+HloComputation::NewInstruction(Args&&... args)
+{
+    if (blocks_.empty() || blocks_.back().used == blocks_.back().capacity) {
+        const size_t capacity =
+            blocks_.empty() ? kFirstBlock
+                            : std::min(2 * blocks_.back().capacity, kMaxBlock);
+        blocks_.push_back(
+            {std::allocator<HloInstruction>().allocate(capacity), capacity,
+             0});
+    }
+    Block& block = blocks_.back();
+    HloInstruction* instr = std::construct_at(block.storage + block.used,
+                                              std::forward<Args>(args)...);
+    ++block.used;
+    return instr;
+}
 
 HloInstruction*
 HloComputation::AddInstruction(HloOpcode opcode, Shape shape,
                                std::vector<HloInstruction*> operands,
                                InstrAttrs attrs)
 {
-    auto instr = std::make_unique<HloInstruction>(
-        next_id_++, opcode, std::move(shape), std::move(operands),
-        std::move(attrs));
-    HloInstruction* raw = instr.get();
-    for (HloInstruction* operand : raw->operands()) {
+    HloInstruction* instr =
+        NewInstruction(next_id_++, opcode, std::move(shape),
+                       std::move(operands), std::move(attrs));
+    // The new instruction is no one's user yet, so it joins each distinct
+    // operand's user list once: an operand read through an earlier slot
+    // already lists it last.
+    for (HloInstruction* operand : instr->operands()) {
         OVERLAP_CHECK(operand != nullptr);
-        operand->AddUser(raw);
+        std::vector<HloInstruction*>& users = operand->users_;
+        if (users.empty() || users.back() != instr) users.push_back(instr);
     }
-    instructions_.push_back(std::move(instr));
-    if (root_ == nullptr) root_ = raw;
-    return raw;
+    instructions_.push_back(instr);
+    if (root_ == nullptr) root_ = instr;
+    return instr;
 }
 
 std::unique_ptr<HloComputation>
@@ -38,7 +80,7 @@ HloComputation::Clone() const
         return map[static_cast<size_t>(instr->id())];
     };
     clone->instructions_.reserve(instructions_.size());
-    for (const auto& instr : instructions_) {
+    for (const HloInstruction* instr : instructions_) {
         OVERLAP_CHECK(instr->id() < next_id_);
         std::vector<HloInstruction*> operands;
         operands.reserve(instr->operands().size());
@@ -46,16 +88,21 @@ HloComputation::Clone() const
             operands.push_back(mapped(operand));
             OVERLAP_CHECK(operands.back() != nullptr);  // topological
         }
-        auto copy = std::make_unique<HloInstruction>(
+        HloInstruction* copy = clone->NewInstruction(
             instr->id(), instr->opcode(), instr->shape(),
             std::move(operands), instr->attrs(), instr->name());
         copy->fusion_group_ = instr->fusion_group_;
         copy->loop_group_ = instr->loop_group_;
         copy->sharding_ = instr->sharding_;
-        copy->parsed_einsum_ = std::atomic_load_explicit(
-            &instr->parsed_einsum_, std::memory_order_acquire);
-        map[static_cast<size_t>(instr->id())] = copy.get();
-        clone->instructions_.push_back(std::move(copy));
+        // The owner is only written before the cache is published, so
+        // it is safe to copy once the cache reads non-null.
+        if (const EinsumSpec* cached =
+                instr->einsum_cache_.load(std::memory_order_acquire)) {
+            copy->parsed_einsum_ = instr->parsed_einsum_;
+            copy->einsum_cache_.store(cached, std::memory_order_relaxed);
+        }
+        map[static_cast<size_t>(instr->id())] = copy;
+        clone->instructions_.push_back(copy);
     }
     // Users are copied in the original's order (not rebuilt from the
     // operand edges), so a pass that walks users sees the same sequence
@@ -83,19 +130,16 @@ HloComputation::Clone() const
 std::vector<HloInstruction*>
 HloComputation::instructions() const
 {
-    std::vector<HloInstruction*> out;
-    out.reserve(instructions_.size());
-    for (const auto& instr : instructions_) out.push_back(instr.get());
-    return out;
+    return instructions_;
 }
 
 std::vector<HloInstruction*>
 HloComputation::parameters() const
 {
     std::vector<HloInstruction*> params;
-    for (const auto& instr : instructions_) {
+    for (HloInstruction* instr : instructions_) {
         if (instr->opcode() == HloOpcode::kParameter) {
-            params.push_back(instr.get());
+            params.push_back(instr);
         }
     }
     std::sort(params.begin(), params.end(),
@@ -142,26 +186,25 @@ HloComputation::RemoveDeadInstructions()
             stack.push_back(operand);
         }
     }
-    for (const auto& instr : instructions_) {
+    for (const HloInstruction* instr : instructions_) {
         if (instr->opcode() == HloOpcode::kParameter) {
             live_ids[static_cast<size_t>(instr->id())] = true;
         }
     }
     int64_t removed = 0;
-    // Detach user edges of dying instructions first.
-    for (const auto& instr : instructions_) {
-        if (live(instr.get())) continue;
+    // Detach user edges of dying instructions first. Their storage stays
+    // in its block until the computation is destroyed.
+    for (HloInstruction* instr : instructions_) {
+        if (live(instr)) continue;
         for (HloInstruction* operand : instr->operands()) {
-            operand->RemoveUser(instr.get());
+            operand->RemoveUser(instr);
         }
         ++removed;
     }
     if (removed == 0) return 0;
     instructions_.erase(
         std::remove_if(instructions_.begin(), instructions_.end(),
-                       [&live](const std::unique_ptr<HloInstruction>& i) {
-                           return !live(i.get());
-                       }),
+                       [&live](const HloInstruction* i) { return !live(i); }),
         instructions_.end());
     if (!schedule_.empty()) {
         schedule_.erase(std::remove_if(schedule_.begin(), schedule_.end(),
@@ -176,16 +219,26 @@ HloComputation::RemoveDeadInstructions()
 void
 HloComputation::SortTopologically()
 {
-    // Kahn's algorithm with a min-heap on the original list position, so
-    // the result deviates from the existing order only where required.
-    // Per-instruction state is indexed by id (every id is below next_id_).
+    // Kahn's algorithm that always takes the ready instruction earliest
+    // in the original list, so the result deviates from the existing
+    // order only where required. The ready set is a bitset over list
+    // positions: its lowest set bit is what a min-heap on position would
+    // pop. Every set bit is at or past word `low`; a user that becomes
+    // ready earlier in the list than the instruction just taken moves
+    // `low` back. Per-instruction state is indexed by id (every id is
+    // below next_id_).
     const size_t count = instructions_.size();
-    std::vector<int64_t> position(static_cast<size_t>(next_id_), -1);
+    std::vector<size_t> position(static_cast<size_t>(next_id_), 0);
     std::vector<int64_t> missing_operands(static_cast<size_t>(next_id_), 0);
-    std::priority_queue<int64_t, std::vector<int64_t>, std::greater<>> ready;
+    std::vector<uint64_t> ready((count + 63) / 64, 0);
+    size_t ready_count = 0;
+    auto make_ready = [&ready, &ready_count](size_t pos) {
+        ready[pos / 64] |= uint64_t{1} << (pos % 64);
+        ++ready_count;
+    };
     for (size_t i = 0; i < count; ++i) {
-        const HloInstruction* instr = instructions_[i].get();
-        position[static_cast<size_t>(instr->id())] = static_cast<int64_t>(i);
+        const HloInstruction* instr = instructions_[i];
+        position[static_cast<size_t>(instr->id())] = i;
         // Count each distinct operand once: an operand read through
         // several slots lists this instruction once among its users.
         const std::vector<HloInstruction*>& operands = instr->operands();
@@ -194,26 +247,34 @@ HloComputation::SortTopologically()
             if (std::find(operands.begin(), it, *it) == it) ++distinct;
         }
         missing_operands[static_cast<size_t>(instr->id())] = distinct;
-        if (distinct == 0) ready.push(static_cast<int64_t>(i));
+        if (distinct == 0) make_ready(i);
     }
-    std::vector<std::unique_ptr<HloInstruction>> sorted;
+    std::vector<HloInstruction*> sorted;
     sorted.reserve(count);
-    while (!ready.empty()) {
-        std::unique_ptr<HloInstruction>& slot =
-            instructions_[static_cast<size_t>(ready.top())];
-        ready.pop();
+    size_t low = 0;
+    while (ready_count > 0) {
+        while (ready[low] == 0) ++low;
+        const size_t pos =
+            low * 64 + static_cast<size_t>(std::countr_zero(ready[low]));
+        ready[low] &= ready[low] - 1;
+        --ready_count;
+        HloInstruction*& slot = instructions_[pos];
         for (const HloInstruction* user : slot->users()) {
             if (--missing_operands[static_cast<size_t>(user->id())] == 0) {
-                ready.push(position[static_cast<size_t>(user->id())]);
+                const size_t user_pos =
+                    position[static_cast<size_t>(user->id())];
+                make_ready(user_pos);
+                low = std::min(low, user_pos / 64);
             }
         }
-        sorted.push_back(std::move(slot));
+        sorted.push_back(slot);
+        slot = nullptr;
     }
-    OVERLAP_CHECK(sorted.size() == count);
+    OVERLAP_CHECK(sorted.size() <= count);
     // A dependence cycle (a caller's bug) would leave instructions
     // behind; keep them, in their old order, for the verifier to report.
-    for (std::unique_ptr<HloInstruction>& slot : instructions_) {
-        if (slot != nullptr) sorted.push_back(std::move(slot));
+    for (HloInstruction* slot : instructions_) {
+        if (slot != nullptr) sorted.push_back(slot);
     }
     instructions_ = std::move(sorted);
     schedule_.clear();
@@ -237,7 +298,7 @@ int64_t
 HloComputation::NextChannelId() const
 {
     int64_t next = 0;
-    for (const auto& instr : instructions_) {
+    for (const HloInstruction* instr : instructions_) {
         next = std::max(next, instr->attrs().channel_id + 1);
     }
     return next;
@@ -247,9 +308,9 @@ std::string
 HloComputation::ToString() const
 {
     std::string out = StrCat("computation ", name_, " {\n");
-    for (const auto& instr : instructions_) {
+    for (const HloInstruction* instr : instructions_) {
         out += "  ";
-        if (instr.get() == root_) out += "ROOT ";
+        if (instr == root_) out += "ROOT ";
         out += instr->ToString();
         out += "\n";
     }

@@ -17,10 +17,16 @@ namespace overlap {
  * Scheduling passes may attach an explicit instruction sequence (the
  * "schedule"); the simulator executes the schedule if present, otherwise
  * the insertion order.
+ *
+ * The computation owns its instructions: it constructs them in blocks of
+ * storage it allocates itself (see DESIGN.md §19), and an instruction
+ * keeps its address until the computation is destroyed, even after
+ * RemoveDeadInstructions unlinks it from the list.
  */
 class HloComputation {
   public:
     explicit HloComputation(std::string name) : name_(std::move(name)) {}
+    ~HloComputation();
 
     HloComputation(const HloComputation&) = delete;
     HloComputation& operator=(const HloComputation&) = delete;
@@ -76,7 +82,8 @@ class HloComputation {
     /**
      * Removes instructions unreachable from the root (parameters are kept).
      * Returns the number of removed instructions. Also filters the
-     * schedule, if one is attached.
+     * schedule, if one is attached. A removed instruction is unlinked
+     * (off the list and its operands' user lists) but not destroyed.
      */
     int64_t RemoveDeadInstructions();
 
@@ -116,8 +123,23 @@ class HloComputation {
     std::string ToString() const;
 
   private:
+    /**
+     * Storage for `capacity` instructions, of which the first `used` are
+     * constructed. Blocks are never resized, so addresses stay fixed.
+     */
+    struct Block {
+        HloInstruction* storage;
+        size_t capacity;
+        size_t used;
+    };
+
+    /** Constructs an instruction in the last block (opening one if full). */
+    template <typename... Args>
+    HloInstruction* NewInstruction(Args&&... args);
+
     std::string name_;
-    std::vector<std::unique_ptr<HloInstruction>> instructions_;
+    std::vector<Block> blocks_;
+    std::vector<HloInstruction*> instructions_;
     std::vector<HloInstruction*> schedule_;
     HloInstruction* root_ = nullptr;
     int64_t next_id_ = 0;

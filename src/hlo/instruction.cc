@@ -97,21 +97,16 @@ HloInstruction::TryEinsum() const
     // it, so a pointer observed through the acquire load stays valid
     // until the attributes are next mutated.
     if (const EinsumSpec* cached =
-            std::atomic_load_explicit(&parsed_einsum_,
-                                      std::memory_order_acquire)
-                .get()) {
+            einsum_cache_.load(std::memory_order_acquire)) {
         return cached;
     }
     std::lock_guard<std::mutex> lock(einsum_parse_mutex);
     if (!parsed_einsum_) {
         auto parsed = EinsumSpec::Parse(attrs_.einsum_spec);
         if (!parsed.ok()) return nullptr;
-        std::atomic_store_explicit(
-            &parsed_einsum_,
-            std::shared_ptr<const EinsumSpec>(
-                std::make_shared<const EinsumSpec>(
-                    std::move(parsed).value())),
-            std::memory_order_release);
+        parsed_einsum_ =
+            std::make_shared<const EinsumSpec>(std::move(parsed).value());
+        einsum_cache_.store(parsed_einsum_.get(), std::memory_order_release);
     }
     return parsed_einsum_.get();
 }
@@ -122,25 +117,25 @@ HloInstruction::ReplaceOperand(int64_t i, HloInstruction* replacement)
     HloInstruction* old = operands_.at(static_cast<size_t>(i));
     if (old == replacement) return;
     operands_[static_cast<size_t>(i)] = replacement;
-    // `old` may appear as another operand of this instruction; only drop
-    // the user edge when the last occurrence is gone.
-    if (std::find(operands_.begin(), operands_.end(), old) ==
-        operands_.end()) {
-        old->RemoveUser(this);
+    // Either may appear as another operand of this instruction: drop the
+    // user edge only when the last read of `old` is gone, and add one
+    // only when `replacement` was not read already (its user list then
+    // holds this instruction, so it is not searched).
+    bool old_still_read = false;
+    bool replacement_already_read = false;
+    for (size_t j = 0; j < operands_.size(); ++j) {
+        if (j == static_cast<size_t>(i)) continue;
+        old_still_read |= operands_[j] == old;
+        replacement_already_read |= operands_[j] == replacement;
     }
-    replacement->AddUser(this);
+    if (!old_still_read) old->RemoveUser(this);
+    if (!replacement_already_read) replacement->users_.push_back(this);
 }
 
 bool
 HloInstruction::HasUser(const HloInstruction* candidate) const
 {
     return std::find(users_.begin(), users_.end(), candidate) != users_.end();
-}
-
-void
-HloInstruction::AddUser(HloInstruction* user)
-{
-    if (!HasUser(user)) users_.push_back(user);
 }
 
 void
@@ -167,7 +162,7 @@ HloInstruction::ToString() const
       case HloOpcode::kConstant:
           // Small literals round-trip through the parser; large ones are
           // elided (and parse back as zeros).
-          if (attrs_.literal.has_value() &&
+          if (attrs_.literal != nullptr &&
               attrs_.literal->num_elements() <= 16) {
               out += StrCat(", value={",
                             StrJoin(attrs_.literal->values(), ","), "}");
@@ -303,11 +298,11 @@ InferInstructionShape(HloOpcode opcode,
           if (static_cast<int64_t>(attrs.permutation.size()) != in.rank()) {
               return InvalidArgument("transpose permutation rank mismatch");
           }
-          std::vector<int64_t> dims(attrs.permutation.size());
-          for (size_t i = 0; i < attrs.permutation.size(); ++i) {
-              dims[i] = in.dim(attrs.permutation[i]);
+          Shape out = in;
+          for (int64_t i = 0; i < in.rank(); ++i) {
+              out.set_dim(i, in.dim(attrs.permutation[i]));
           }
-          return Shape(in.dtype(), dims);
+          return out;
       }
 
       case HloOpcode::kConcatenate: {

@@ -1,6 +1,7 @@
 #ifndef OVERLAP_HLO_INSTRUCTION_H_
 #define OVERLAP_HLO_INSTRUCTION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -82,8 +83,9 @@ struct InstrAttrs {
     /// kParameter: position in the computation's parameter list.
     int64_t parameter_number = -1;
 
-    /// kConstant: the literal value.
-    std::optional<Tensor> literal;
+    /// kConstant: the literal value. Immutable once built, so copies of
+    /// the attributes (Clone, passes) share it rather than copy it.
+    std::shared_ptr<const Tensor> literal;
 
     /// kEinsum: specification string, e.g. "bf,fh->bh".
     std::string einsum_spec;
@@ -128,8 +130,9 @@ struct InstrAttrs {
 
 /**
  * One node of the dataflow graph. Instructions are owned by their
- * HloComputation; operands/users are non-owning pointers within the same
- * computation.
+ * HloComputation, which constructs them in place and keeps each at a
+ * fixed address until it is destroyed itself; operands/users are
+ * non-owning pointers within the same computation.
  */
 class HloInstruction {
   public:
@@ -149,6 +152,7 @@ class HloInstruction {
      *  caller may be about to invalidate by reassigning einsum_spec. */
     InstrAttrs& mutable_attrs()
     {
+        einsum_cache_.store(nullptr, std::memory_order_relaxed);
         parsed_einsum_.reset();
         return attrs_;
     }
@@ -218,7 +222,6 @@ class HloInstruction {
   private:
     friend class HloComputation;
 
-    void AddUser(HloInstruction* user);
     void RemoveUser(HloInstruction* user);
 
     int64_t id_;
@@ -233,8 +236,11 @@ class HloInstruction {
     std::string name_;
     // Cached parse of attrs_.einsum_spec; set lazily by TryEinsum(),
     // dropped by mutable_attrs(), and shared (it is immutable) with
-    // clones.
+    // clones. parsed_einsum_ owns the parse and is written under the
+    // parse mutex; einsum_cache_ publishes its pointer, so a read that
+    // finds the cache filled takes no lock.
     mutable std::shared_ptr<const EinsumSpec> parsed_einsum_;
+    mutable std::atomic<const EinsumSpec*> einsum_cache_{nullptr};
 };
 
 /**

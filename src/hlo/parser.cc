@@ -262,8 +262,9 @@ class Parser {
                                               &fusion_group, &loop_group));
         }
         if (opcode.value() == HloOpcode::kConstant &&
-            !attrs.literal.has_value()) {
-            attrs.literal = Tensor(shape);  // elided literal -> zeros
+            attrs.literal == nullptr) {
+            // Elided literal -> zeros.
+            attrs.literal = std::make_shared<const Tensor>(shape);
         }
 
         HloInstruction* instr = comp->AddInstruction(
@@ -360,7 +361,8 @@ class Parser {
                     return InvalidArgument(
                         "constant literal size mismatch");
                 }
-                attrs->literal = Tensor(shape, std::move(values));
+                attrs->literal =
+                    std::make_shared<const Tensor>(shape, std::move(values));
             }
         } else if (key == "sharding") {
             // Shardings are informational in the text form; ignored.

@@ -722,9 +722,9 @@ ConcatParts(const std::vector<const Tensor*>& parts, int64_t dim)
     const Shape& first = parts[0]->shape();
     int64_t total = 0;
     for (const Tensor* p : parts) total += p->shape().dim(dim);
-    std::vector<int64_t> out_dims = first.dims();
-    out_dims[static_cast<size_t>(dim)] = total;
-    Tensor out = Tensor::Uninitialized(Shape(first.dtype(), out_dims));
+    Shape out_shape = first;
+    out_shape.set_dim(dim, total);
+    Tensor out = Tensor::Uninitialized(std::move(out_shape));
     int64_t offset = 0;
     for (const Tensor* p : parts) {
         std::vector<int64_t> starts(
@@ -771,7 +771,8 @@ EvalGroupCollective(const HloInstruction* instr,
                   static_cast<size_t>(sum.shape().rank()), 0);
               starts[static_cast<size_t>(dim)] =
                   static_cast<int64_t>(i) * shard;
-              std::vector<int64_t> sizes = sum.shape().dims();
+              std::vector<int64_t> sizes(sum.shape().dims().begin(),
+                                         sum.shape().dims().end());
               sizes[static_cast<size_t>(dim)] = shard;
               outs[i] = sum.Slice(starts, sizes);
           }
@@ -811,7 +812,8 @@ EvalGroupCollective(const HloInstruction* instr,
                   std::vector<int64_t> starts(
                       static_cast<size_t>(in_shape.rank()), 0);
                   starts[static_cast<size_t>(dim)] = i * piece;
-                  std::vector<int64_t> sizes = in_shape.dims();
+                  std::vector<int64_t> sizes(in_shape.dims().begin(),
+                                             in_shape.dims().end());
                   sizes[static_cast<size_t>(dim)] = piece;
                   parts.push_back(
                       inputs[static_cast<size_t>(j)]->Slice(starts,
@@ -1003,7 +1005,7 @@ ExecLocalForDevice(const CompiledProgram& prog, size_t j,
       }
 
       case ExecKind::kConstant:
-          slots->SetBorrowed(j, &*instr->attrs().literal);
+          slots->SetBorrowed(j, instr->attrs().literal.get());
           return Status::Ok();
 
       case ExecKind::kCopyLike: {

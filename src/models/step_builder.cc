@@ -196,7 +196,8 @@ SplitDim0(SpmdBuilder& spmd, const ShardedValue& value, int64_t parts)
         std::vector<int64_t> starts(
             static_cast<size_t>(local.rank()), 0);
         starts[0] = m * piece;
-        std::vector<int64_t> sizes = local.dims();
+        std::vector<int64_t> sizes(local.dims().begin(),
+                                   local.dims().end());
         sizes[0] = piece;
         ShardedValue chunk = value;
         chunk.local = spmd.hlo().Slice(value.local, starts, sizes);

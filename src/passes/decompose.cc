@@ -495,7 +495,8 @@ class LoopEmitter {
                                        0);
         std::vector<int64_t> hi_starts = lo_starts;
         hi_starts[static_cast<size_t>(dim)] = half;
-        std::vector<int64_t> sizes = shape.dims();
+        std::vector<int64_t> sizes(shape.dims().begin(),
+                                   shape.dims().end());
         sizes[static_cast<size_t>(dim)] = half;
         HloInstruction* lo = builder_.Slice(shard, lo_starts, sizes);
         HloInstruction* hi = builder_.Slice(shard, hi_starts, sizes);

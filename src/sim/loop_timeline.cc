@@ -1,7 +1,9 @@
 #include "sim/loop_timeline.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <initializer_list>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -10,6 +12,38 @@
 
 namespace overlap {
 namespace {
+
+/**
+ * A unit's dependency list, held inline: the builder's longest list has
+ * five entries ({dl, dr, sl, sr, acc}), so a fixed capacity of eight
+ * keeps every unit free of a heap allocation.
+ */
+class Deps {
+  public:
+    static constexpr size_t kCapacity = 8;
+
+    Deps() = default;
+    /** The non-negative entries of `deps` (a -1 marks "no value yet"). */
+    explicit Deps(std::initializer_list<int> deps)
+    {
+        OVERLAP_CHECK(deps.size() <= kCapacity);
+        for (int dep : deps) {
+            if (dep >= 0) items_[size_++] = dep;
+        }
+    }
+
+    size_t size() const { return size_; }
+    int* begin() { return items_.data(); }
+    int* end() { return items_.data() + size_; }
+    const int* begin() const { return items_.data(); }
+    const int* end() const { return items_.data() + size_; }
+    /** Keeps the first `size` entries. */
+    void truncate(size_t size) { size_ = size; }
+
+  private:
+    std::array<int, kCapacity> items_{};
+    size_t size_ = 0;
+};
 
 /**
  * One node of the synthetic unit graph the replay executes: a fused
@@ -25,7 +59,7 @@ struct Unit {
     double latency = 0.0;   ///< start: total arrival latency
     int direction = 0;      ///< start: 0, 1, or -1 (load-balanced)
     int start = -1;         ///< done: index of its Start
-    std::vector<int> deps;  ///< indices that must complete first
+    Deps deps;              ///< indices that must complete first
 };
 
 struct Interval {
@@ -130,18 +164,18 @@ class UnitBuilder {
     }
 
   private:
-    int Compute(double seconds, std::vector<int> deps)
+    int Compute(double seconds, std::initializer_list<int> deps)
     {
         Unit unit;
         unit.kind = Unit::kCompute;
         unit.seconds = seconds;
-        unit.deps = Filter(std::move(deps));
-        units_.push_back(std::move(unit));
+        unit.deps = Deps(deps);
+        units_.push_back(unit);
         return static_cast<int>(units_.size()) - 1;
     }
 
     /** Start + Done pair; returns the Done's index. */
-    int Transfer(int hops, int direction, std::vector<int> deps)
+    int Transfer(int hops, int direction, std::initializer_list<int> deps)
     {
         Unit start;
         start.kind = Unit::kStart;
@@ -149,23 +183,15 @@ class UnitBuilder {
         start.latency =
             static_cast<double>(hops) * s_.hop_latency_seconds;
         start.direction = direction;
-        start.deps = Filter(std::move(deps));
-        units_.push_back(std::move(start));
+        start.deps = Deps(deps);
+        units_.push_back(start);
         int start_index = static_cast<int>(units_.size()) - 1;
         Unit done;
         done.kind = Unit::kDone;
         done.start = start_index;
-        done.deps = {start_index};
-        units_.push_back(std::move(done));
+        done.deps = Deps{start_index};
+        units_.push_back(done);
         return static_cast<int>(units_.size()) - 1;
-    }
-
-    static std::vector<int> Filter(std::vector<int> deps)
-    {
-        deps.erase(std::remove_if(deps.begin(), deps.end(),
-                                  [](int d) { return d < 0; }),
-                   deps.end());
-        return deps;
     }
 
     /** The loop-carried aliasing copy before a permute (no-unroll). */
@@ -598,8 +624,9 @@ PredictLoopTimeline(const LoopShape& shape)
     std::vector<int> first_dependent(static_cast<size_t>(count) + 1, 0);
     for (Unit& unit : units) {
         std::sort(unit.deps.begin(), unit.deps.end());
-        unit.deps.erase(std::unique(unit.deps.begin(), unit.deps.end()),
-                        unit.deps.end());
+        unit.deps.truncate(static_cast<size_t>(
+            std::unique(unit.deps.begin(), unit.deps.end()) -
+            unit.deps.begin()));
         for (int dep : unit.deps) {
             ++first_dependent[static_cast<size_t>(dep) + 1];
         }

@@ -32,15 +32,30 @@ class LogMessage {
     std::ostringstream stream_;
 };
 
+/**
+ * Turns a streamed LogMessage into void, so both arms of the logging
+ * macros' conditional have one type. `&` binds looser than `<<`, so the
+ * whole chain streams first.
+ */
+struct LogVoidify {
+    void operator&(const LogMessage&) {}
+};
+
 }  // namespace internal
 
+/**
+ * Streams a message at `level` (kDebug ... kError). Below GetLogLevel()
+ * the statement builds nothing: no stream is made and the streamed
+ * operands are not evaluated.
+ */
 #define OVERLAP_LOG(level)                                                \
-    ::overlap::internal::LogMessage(::overlap::LogLevel::level, __FILE__, \
-                                    __LINE__)
+    (::overlap::LogLevel::level < ::overlap::GetLogLevel())               \
+        ? static_cast<void>(0)                                            \
+        : ::overlap::internal::LogVoidify() &                             \
+              ::overlap::internal::LogMessage(::overlap::LogLevel::level, \
+                                              __FILE__, __LINE__)
 
-#define OVERLAP_VLOG()                                                    \
-    ::overlap::internal::LogMessage(::overlap::LogLevel::kDebug,          \
-                                    __FILE__, __LINE__)
+#define OVERLAP_VLOG() OVERLAP_LOG(kDebug)
 
 }  // namespace overlap
 

@@ -151,7 +151,7 @@ struct ReducedSum {
 ReducedSum SumOverLabels(const Tensor& t, const std::string& labels,
                          const std::string& drop, bool absolute)
 {
-    const std::vector<int64_t>& dims = t.shape().dims();
+    const std::span<const int64_t> dims = t.shape().dims();
     std::vector<int64_t> kept_dims;
     for (size_t d = 0; d < labels.size(); ++d) {
         if (drop.find(labels[d]) == std::string::npos) {

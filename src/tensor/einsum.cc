@@ -169,13 +169,14 @@ EinsumSpec::InferOutputShape(const Shape& lhs, const Shape& rhs) const
                        " vs ", size, " for ", ToString()));
         }
     }
-    std::vector<int64_t> out_dims;
-    out_dims.reserve(out_.size());
-    for (char c : out_) {
+    Shape out = Shape::OfRank(lhs.dtype(), static_cast<int64_t>(out_.size()));
+    for (size_t i = 0; i < out_.size(); ++i) {
+        const char c = out_[i];
         const int64_t lp = LhsDimOf(c);
-        out_dims.push_back(lp >= 0 ? lhs.dim(lp) : rhs.dim(RhsDimOf(c)));
+        out.set_dim(static_cast<int64_t>(i),
+                    lp >= 0 ? lhs.dim(lp) : rhs.dim(RhsDimOf(c)));
     }
-    return Shape(lhs.dtype(), out_dims);
+    return out;
 }
 
 int64_t
@@ -194,7 +195,7 @@ namespace {
 
 /** Row-major strides of `dims`. */
 std::vector<int64_t>
-RowMajorStrides(const std::vector<int64_t>& dims)
+RowMajorStrides(std::span<const int64_t> dims)
 {
     std::vector<int64_t> strides(dims.size(), 1);
     for (int64_t d = static_cast<int64_t>(dims.size()) - 2; d >= 0; --d) {

@@ -135,10 +135,12 @@ ShardTensor(const Tensor& global, const TensorSharding& sharding,
     std::vector<Tensor> shards;
     shards.reserve(static_cast<size_t>(mesh.num_devices()));
     Shape shard_shape = sharding.ShardShape(global.shape(), mesh);
+    const std::vector<int64_t> shard_sizes(shard_shape.dims().begin(),
+                                           shard_shape.dims().end());
     for (int64_t d = 0; d < mesh.num_devices(); ++d) {
         shards.push_back(
             global.Slice(sharding.ShardOffsets(global.shape(), mesh, d),
-                         shard_shape.dims()));
+                         shard_sizes));
     }
     return shards;
 }

@@ -24,7 +24,7 @@ NextIndex(std::vector<int64_t>& index, const std::vector<int64_t>& dims)
 
 /** Row-major strides of `dims`. */
 std::vector<int64_t>
-Strides(const std::vector<int64_t>& dims)
+Strides(std::span<const int64_t> dims)
 {
     std::vector<int64_t> strides(dims.size(), 1);
     for (int64_t d = static_cast<int64_t>(dims.size()) - 2; d >= 0; --d) {
@@ -198,7 +198,7 @@ Tensor::UpdateSliceInPlace(const Tensor& update,
         return;
     }
     std::vector<int64_t> strides = Strides(shape_.dims());
-    const std::vector<int64_t>& up_dims = update.shape().dims();
+    const std::span<const int64_t> up_dims = update.shape().dims();
     const size_t run = static_cast<size_t>(up_dims[rank - 1]);
     std::vector<int64_t> idx(rank - 1, 0);
     std::vector<int64_t> outer(up_dims.begin(), up_dims.end() - 1);
@@ -237,12 +237,12 @@ Tensor::Concatenate(const std::vector<Tensor>& parts, int64_t dim)
         }
         total += p.shape().dim(dim);
     }
-    std::vector<int64_t> out_dims = first.dims();
-    out_dims[dim] = total;
+    Shape out_shape = first;
+    out_shape.set_dim(dim, total);
     // Every element of the output is covered by exactly one part, so a
     // single uninitialized buffer plus in-place writes suffices (the old
     // copy-per-part chain was quadratic in the part count).
-    Tensor out = Uninitialized(Shape(first.dtype(), out_dims));
+    Tensor out = Uninitialized(std::move(out_shape));
     int64_t offset = 0;
     for (const Tensor& p : parts) {
         std::vector<int64_t> starts(first.rank(), 0);
@@ -259,12 +259,12 @@ Tensor::Pad(const std::vector<int64_t>& low, const std::vector<int64_t>& high,
 {
     OVERLAP_CHECK(static_cast<int64_t>(low.size()) == shape_.rank());
     OVERLAP_CHECK(static_cast<int64_t>(high.size()) == shape_.rank());
-    std::vector<int64_t> out_dims = shape_.dims();
+    Shape out_shape = shape_;
     for (int64_t d = 0; d < shape_.rank(); ++d) {
         OVERLAP_CHECK(low[d] >= 0 && high[d] >= 0);
-        out_dims[d] += low[d] + high[d];
+        out_shape.set_dim(d, shape_.dim(d) + low[d] + high[d]);
     }
-    Tensor out = Tensor::Full(Shape(shape_.dtype(), out_dims), pad_value);
+    Tensor out = Tensor::Full(out_shape, pad_value);
     if (num_elements() == 0) return out;
     out.UpdateSliceInPlace(*this, low);
     return out;

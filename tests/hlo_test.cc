@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <queue>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -10,11 +14,18 @@
 #include "hlo/verifier.h"
 #include "models/model_config.h"
 #include "models/step_builder.h"
+#include "passes/async.h"
+#include "passes/decompose.h"
 #include "passes/schedule.h"
 #include "support/strings.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace {
+
+using testing_util::DimsOf;
+using testing_util::MoeSweepModel;
+using testing_util::PaperModels;
 
 TEST(BuilderTest, EinsumShapeInference)
 {
@@ -23,7 +34,7 @@ TEST(BuilderTest, EinsumShapeInference)
     auto* lhs = b.Parameter(0, Shape({4, 8}));
     auto* rhs = b.Parameter(1, Shape({8, 16}));
     auto* out = b.Einsum(lhs, rhs, "mk,kn->mn");
-    EXPECT_EQ(out->shape().dims(), (std::vector<int64_t>{4, 16}));
+    EXPECT_EQ(DimsOf(out->shape()), (std::vector<int64_t>{4, 16}));
     module.entry()->set_root(out);
     EXPECT_TRUE(VerifyModule(module).ok());
 }
@@ -36,11 +47,11 @@ TEST(BuilderTest, CollectiveShapes)
     auto* p = b.Parameter(0, Shape({2, 8}));
     Mesh mesh(4);
     auto* ag = b.AllGather(p, 0, mesh.Groups(0));
-    EXPECT_EQ(ag->shape().dims(), (std::vector<int64_t>{8, 8}));
+    EXPECT_EQ(DimsOf(ag->shape()), (std::vector<int64_t>{8, 8}));
     auto* rs = b.ReduceScatter(ag, 1, mesh.Groups(0));
-    EXPECT_EQ(rs->shape().dims(), (std::vector<int64_t>{8, 2}));
+    EXPECT_EQ(DimsOf(rs->shape()), (std::vector<int64_t>{8, 2}));
     auto* ar = b.AllReduce(rs, mesh.Groups(0));
-    EXPECT_EQ(ar->shape().dims(), rs->shape().dims());
+    EXPECT_EQ(DimsOf(ar->shape()), DimsOf(rs->shape()));
     module.entry()->set_root(ar);
     EXPECT_TRUE(VerifyModule(module).ok());
 }
@@ -52,9 +63,9 @@ TEST(BuilderTest, DynamicSliceHelpers)
     auto* p = b.Parameter(0, Shape({4, 8}));
     auto* idx = b.ConstantIndex(2);
     auto* slice = b.DynamicSliceOnDim(p, 1, idx, 4);
-    EXPECT_EQ(slice->shape().dims(), (std::vector<int64_t>{4, 4}));
+    EXPECT_EQ(DimsOf(slice->shape()), (std::vector<int64_t>{4, 4}));
     auto* updated = b.DynamicUpdateSliceOnDim(p, slice, 1, idx);
-    EXPECT_EQ(updated->shape().dims(), p->shape().dims());
+    EXPECT_EQ(DimsOf(updated->shape()), DimsOf(p->shape()));
     module.entry()->set_root(updated);
     EXPECT_TRUE(VerifyModule(module).ok());
 }
@@ -182,6 +193,266 @@ TEST(ComputationTest, TopologicalSortAcrossIdGapsAndRepeatedOperands)
     EXPECT_EQ(comp->instructions(),
               (std::vector<HloInstruction*>{p, late, twice, y, root}));
     EXPECT_TRUE(VerifyComputation(*comp).ok());
+}
+
+/**
+ * The reference the sort must match: Kahn's algorithm with a binary
+ * min-heap on list position, over pointer-keyed maps, counting each
+ * distinct operand once; instructions a dependence cycle leaves behind
+ * follow in their old order.
+ */
+std::vector<HloInstruction*>
+HeapKahn(const std::vector<HloInstruction*>& list)
+{
+    std::map<const HloInstruction*, size_t> position;
+    std::map<const HloInstruction*, size_t> missing;
+    std::priority_queue<size_t, std::vector<size_t>, std::greater<>> ready;
+    for (size_t i = 0; i < list.size(); ++i) {
+        position[list[i]] = i;
+        const std::set<const HloInstruction*> distinct(
+            list[i]->operands().begin(), list[i]->operands().end());
+        missing[list[i]] = distinct.size();
+        if (distinct.empty()) ready.push(i);
+    }
+    std::vector<HloInstruction*> sorted;
+    std::vector<bool> placed(list.size(), false);
+    while (!ready.empty()) {
+        const size_t i = ready.top();
+        ready.pop();
+        sorted.push_back(list[i]);
+        placed[i] = true;
+        for (const HloInstruction* user : list[i]->users()) {
+            if (--missing[user] == 0) ready.push(position[user]);
+        }
+    }
+    for (size_t i = 0; i < list.size(); ++i) {
+        if (!placed[i]) sorted.push_back(list[i]);
+    }
+    return sorted;
+}
+
+/**
+ * Breaks `comp`'s order the way the rewriting passes do: every
+ * `stride`-th non-parameter instruction is re-emitted at the end of the
+ * list and its uses redirected there, so its users now precede what
+ * they read. With `dce`, the originals are then swept, leaving id gaps.
+ */
+void
+Disorder(HloComputation* comp, size_t stride, bool dce)
+{
+    const std::vector<HloInstruction*> instrs = comp->instructions();
+    for (size_t i = 0; i < instrs.size(); i += stride) {
+        HloInstruction* old = instrs[i];
+        if (old->opcode() == HloOpcode::kParameter) continue;
+        HloInstruction* late = comp->AddInstruction(
+            old->opcode(), old->shape(), old->operands(), old->attrs());
+        comp->ReplaceAllUsesWith(old, late);
+    }
+    if (dce) comp->RemoveDeadInstructions();
+}
+
+/** SortTopologically(comp) == HeapKahn(comp's list), on a clone. */
+void
+ExpectSortMatchesHeapKahn(const HloComputation& original,
+                          const std::string& where)
+{
+    for (size_t stride : {size_t{0}, size_t{3}, size_t{11}}) {
+        // Without the sweep, a re-emitted async start leaves its
+        // original without a done, which the verifier rejects.
+        const bool dce = stride != 11;
+        std::unique_ptr<HloComputation> comp = original.Clone();
+        if (stride > 0) Disorder(comp.get(), stride, dce);
+        const std::vector<HloInstruction*> expected =
+            HeapKahn(comp->instructions());
+        comp->SortTopologically();
+        ASSERT_EQ(comp->instructions(), expected)
+            << where << ", disorder stride " << stride;
+        if (dce) {
+            Status status = VerifyComputation(*comp);
+            EXPECT_TRUE(status.ok()) << where << ": " << status.ToString();
+        }
+    }
+}
+
+/**
+ * Checks the sort on `config`'s layer step as built (the baseline
+ * arm's input) and, with `overlap`, after decompose and after each
+ * async pass `options` runs.
+ */
+void
+ExpectSortMatchesOnLayer(const ModelConfig& config,
+                         const CompilerOptions& options, bool overlap,
+                         const std::string& label)
+{
+    auto built = BuildLayerStepModule(config);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    HloModule* module = built->get();
+    const std::string where = config.name + "/" + label;
+    ExpectSortMatchesHeapKahn(*module->entry(), where + " input");
+    if (!overlap) return;
+    CostModel cost(options.hardware);
+    CollectiveEinsumDecomposer decomposer(*module->mesh(), &cost,
+                                          options.decompose);
+    ASSERT_TRUE(decomposer.Run(module->entry()).ok());
+    ExpectSortMatchesHeapKahn(*module->entry(), where + " decompose");
+    ASSERT_TRUE(CreateAsyncCollectivePermutes(module->entry()).ok());
+    ExpectSortMatchesHeapKahn(*module->entry(), where + " async");
+    if (options.async_all_to_all) {
+        ASSERT_TRUE(CreateAsyncAllToAlls(module->entry()).ok());
+        ExpectSortMatchesHeapKahn(*module->entry(), where + " async-a2a");
+    }
+}
+
+/**
+ * A seeded random DAG of `count` elementwise instructions over two
+ * parameters: binary ops on random earlier values (an operand may be
+ * read twice) and concatenates of up to five, some repeated.
+ */
+std::unique_ptr<HloModule>
+RandomDag(uint32_t seed, int64_t count)
+{
+    auto module = std::make_unique<HloModule>(StrCat("dag", seed));
+    HloComputation* comp = module->AddEntryComputation("main");
+    HloBuilder b(comp);
+    std::mt19937 rng(seed);
+    std::vector<HloInstruction*> values = {b.Parameter(0, Shape({2})),
+                                           b.Parameter(1, Shape({2}))};
+    auto pick = [&]() {
+        return values[std::uniform_int_distribution<size_t>(
+            0, values.size() - 1)(rng)];
+    };
+    for (int64_t i = 0; i < count; ++i) {
+        const int kind = std::uniform_int_distribution<int>(0, 9)(rng);
+        HloInstruction* value;
+        if (kind == 0) {
+            std::vector<HloInstruction*> parts;
+            const int n = std::uniform_int_distribution<int>(2, 5)(rng);
+            for (int k = 0; k < n; ++k) parts.push_back(pick());
+            // Back to f32[2], so every value can feed every op.
+            value = b.Slice(b.Concatenate(parts, 0), {0}, {2});
+        } else if (kind == 1) {
+            HloInstruction* x = pick();
+            value = b.Add(x, x);
+        } else {
+            value = b.Multiply(pick(), pick());
+        }
+        values.push_back(value);
+    }
+    comp->set_root(values.back());
+    return module;
+}
+
+/**
+ * The bitset sort pops what the heap Kahn pops: on every Table 1/2
+ * layer x {baseline, overlap} after decompose and after async, on the
+ * moe_sweep grid under its three AllToAll arms, and on seeded random
+ * DAGs, each as built and with its order broken by re-emission (with
+ * and without dead-code gaps).
+ */
+TEST(ComputationTest, SortMatchesHeapKahn)
+{
+    for (const ModelConfig& m : PaperModels()) {
+        ExpectSortMatchesOnLayer(m, CompilerOptions::Baseline(), false,
+                                 "baseline");
+        ExpectSortMatchesOnLayer(m, CompilerOptions(), true, "overlap");
+    }
+    CompilerOptions blocking;
+    blocking.decompose.all_to_all = false;
+    CompilerOptions pipelined = blocking;
+    pipelined.async_all_to_all = true;
+    for (int64_t mesh_y : {4, 8, 16}) {
+        for (int64_t experts : {16, 64}) {
+            ExpectSortMatchesOnLayer(MoeSweepModel(1, mesh_y, experts),
+                                     blocking, true, "blocking");
+            ExpectSortMatchesOnLayer(MoeSweepModel(1, mesh_y, experts),
+                                     CompilerOptions(), true, "decomposed");
+            ExpectSortMatchesOnLayer(MoeSweepModel(4, mesh_y, experts),
+                                     pipelined, true, "pipelined");
+        }
+    }
+    for (uint32_t seed = 1; seed <= 20; ++seed) {
+        auto module = RandomDag(seed, 40 + 37 * seed);
+        ExpectSortMatchesHeapKahn(*module->entry(), StrCat("dag ", seed));
+    }
+}
+
+/**
+ * A dependence cycle (a caller's bug) leaves its members, and all that
+ * depends on them, after the sorted part in their old relative order,
+ * as the heap Kahn does.
+ */
+TEST(ComputationTest, SortKeepsACycleInItsOldOrder)
+{
+    auto module = RandomDag(7, 300);
+    HloComputation* comp = module->entry();
+    Disorder(comp, 5, false);
+    const std::vector<HloInstruction*> before = comp->instructions();
+    // Close a cycle: the root's first operand now reads the root.
+    HloInstruction* root = comp->root();
+    HloInstruction* feeder = root->operand(0);
+    ASSERT_NE(feeder->opcode(), HloOpcode::kParameter);
+    feeder->ReplaceOperand(0, root);
+    const std::vector<HloInstruction*> expected = HeapKahn(before);
+    comp->SortTopologically();
+    const std::vector<HloInstruction*> sorted = comp->instructions();
+    EXPECT_EQ(sorted, expected);
+    // The tail the sort could not place is in its old list order.
+    std::map<const HloInstruction*, size_t> old_position;
+    for (size_t i = 0; i < before.size(); ++i) old_position[before[i]] = i;
+    auto root_at = std::find(sorted.begin(), sorted.end(), root);
+    auto feeder_at = std::find(sorted.begin(), sorted.end(), feeder);
+    auto tail = std::min(root_at, feeder_at);
+    ASSERT_NE(tail, sorted.end());
+    for (auto it = tail; it + 1 != sorted.end(); ++it) {
+        EXPECT_LT(old_position[*it], old_position[*(it + 1)]);
+    }
+    EXPECT_FALSE(VerifyComputation(*comp).ok());
+}
+
+/**
+ * Instructions keep their addresses while the computation lives: across
+ * 10k more AddInstructions (many storage blocks), after dead-code
+ * elimination unlinks them, and while a clone is made and destroyed.
+ */
+TEST(ComputationTest, InstructionAddressesAreStable)
+{
+    HloComputation comp("main");
+    HloBuilder b(&comp);
+    HloInstruction* p = b.Parameter(0, Shape({2}));
+    HloInstruction* first = b.Negate(p);
+    HloInstruction* dead = b.Add(first, first);
+    comp.set_root(first);
+    const std::string dead_name = dead->name();
+    HloInstruction* value = first;
+    std::vector<HloInstruction*> added;
+    for (int i = 0; i < 10000; ++i) {
+        value = b.Negate(value);
+        added.push_back(value);
+    }
+    comp.set_root(value);
+    EXPECT_EQ(first->operand(0), p);
+    EXPECT_EQ(p->users().front(), first);
+    for (size_t i = 0; i < added.size(); ++i) {
+        ASSERT_EQ(added[i]->id(), static_cast<int64_t>(i) + 3);
+        ASSERT_EQ(added[i]->operand(0), i == 0 ? first : added[i - 1]);
+    }
+
+    EXPECT_EQ(comp.RemoveDeadInstructions(), 1);
+    EXPECT_EQ(comp.instruction_count(), 10002);
+    // Unlinked, not destroyed: the dead instruction is still readable.
+    EXPECT_EQ(dead->name(), dead_name);
+    EXPECT_EQ(dead->operand(0), first);
+    EXPECT_EQ(first->users().size(), 1u);
+
+    {
+        std::unique_ptr<HloComputation> clone = comp.Clone();
+        EXPECT_EQ(clone->ToString(), comp.ToString());
+        EXPECT_TRUE(VerifyComputation(*clone).ok());
+        HloBuilder(clone.get()).Negate(clone->root());
+    }
+    EXPECT_EQ(comp.root(), value);
+    EXPECT_EQ(added.back()->operand(0), added[added.size() - 2]);
+    EXPECT_TRUE(VerifyComputation(comp).ok());
 }
 
 TEST(VerifierTest, CatchesBadSchedule)

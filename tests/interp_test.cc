@@ -9,6 +9,8 @@
 namespace overlap {
 namespace {
 
+using testing_util::DimsOf;
+
 TEST(EvaluatorTest, GlobalEinsum)
 {
     HloModule module("m");
@@ -57,7 +59,7 @@ TEST(EvaluatorTest, AllGatherConcatenatesInGroupOrder)
     ASSERT_TRUE(result.ok());
     for (int64_t d = 0; d < 4; ++d) {
         const Tensor& t = (*result)[static_cast<size_t>(d)];
-        EXPECT_EQ(t.shape().dims(), (std::vector<int64_t>{4, 2}));
+        EXPECT_EQ(DimsOf(t.shape()), (std::vector<int64_t>{4, 2}));
         for (int64_t row = 0; row < 4; ++row) {
             EXPECT_FLOAT_EQ(t.at({row, 0}), static_cast<float>(row));
         }

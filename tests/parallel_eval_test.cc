@@ -7,7 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "difftest/difftest.h"
+#include "hlo/builder.h"
 
 namespace overlap {
 namespace {
@@ -88,6 +93,43 @@ TEST(ParallelEvalTest, SdcSweepByteIdenticalAcrossThreadCounts)
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_TRUE(parallel->Clean()) << parallel->ToString();
     EXPECT_EQ(serial->ToString(), parallel->ToString());
+}
+
+/**
+ * An einsum's parse is filled once and then read without a lock: threads
+ * racing to read it and to clone its computation all see one parse, and
+ * a clone made after the fill shares it.
+ */
+TEST(ParallelEvalTest, EinsumCacheFillRacesCleanlyWithReadsAndClones)
+{
+    HloComputation comp("main");
+    HloBuilder b(&comp);
+    HloInstruction* x = b.Parameter(0, Shape({4, 8}));
+    HloInstruction* w = b.Parameter(1, Shape({8, 2}));
+    HloInstruction* einsum = b.Einsum(x, w, "bf,fh->bh");
+    comp.set_root(einsum);
+
+    constexpr size_t kThreads = 4;
+    std::vector<const EinsumSpec*> seen(kThreads, nullptr);
+    std::vector<const EinsumSpec*> seen_by_clone(kThreads, nullptr);
+    std::vector<std::unique_ptr<HloComputation>> clones(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            clones[t] = comp.Clone();
+            seen[t] = einsum->TryEinsum();
+            seen_by_clone[t] = clones[t]->root()->TryEinsum();
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    ASSERT_NE(seen[0], nullptr);
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(seen[t], seen[0]);
+        ASSERT_NE(seen_by_clone[t], nullptr);
+        EXPECT_EQ(seen_by_clone[t]->ToString(), "bf,fh->bh");
+    }
+    EXPECT_EQ(comp.Clone()->root()->TryEinsum(), seen[0]);
 }
 
 }  // namespace

@@ -69,6 +69,27 @@ TEST(ParserTest, RoundTripsBuilderModule)
     EXPECT_EQ((*parsed)->ToString(), text);
 }
 
+/** Shapes past the inline rank (DESIGN.md §19) print and parse back. */
+TEST(ParserTest, RoundTripsRankSevenInstruction)
+{
+    HloModule module("rank7");
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* p = b.Parameter(0, Shape(DType::kF32, {2, 1, 3, 1, 2, 1, 4}));
+    auto* t = b.Transpose(p, {6, 5, 4, 3, 2, 1, 0});
+    comp->set_root(b.Negate(t));
+
+    std::string text = module.ToString();
+    EXPECT_NE(text.find("f32[4,1,2,1,3,1,2] transpose"), std::string::npos)
+        << text;
+    auto parsed = ParseHloModule(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+    EXPECT_EQ((*parsed)->ToString(), text);
+    EXPECT_TRUE(VerifyModule(**parsed).ok());
+    EXPECT_EQ((*parsed)->entry()->root()->shape(),
+              Shape(DType::kF32, {4, 1, 2, 1, 3, 1, 2}));
+}
+
 TEST(ParserTest, RoundTripPreservesSemantics)
 {
     HloModule module("sem");

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
 #include <span>
 
 #include "core/overlap_compiler.h"
@@ -19,11 +18,14 @@
 #include "passes/decompose.h"
 #include "passes/schedule.h"
 #include "sim/engine.h"
-#include "support/strings.h"
 #include "tensor/checksum.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace {
+
+using testing_util::MoeSweepModel;
+using testing_util::PaperModels;
 
 const char* const kScheduleGoldenPath =
     OVERLAP_TESTDATA_DIR "/paper_model_schedules.golden";
@@ -226,19 +228,6 @@ TEST(ScheduleTest, ExhaustedBudgetRanksDonesWithOrdinaryUnits)
     EXPECT_EQ(order[order.size() - 4], graph.unit_of(x));
 }
 
-/** Every Table 1 and Table 2 model, each once. */
-std::vector<ModelConfig>
-PaperModels()
-{
-    std::vector<ModelConfig> models = Table1Models();
-    std::set<std::string> seen;
-    for (const ModelConfig& m : models) seen.insert(m.name);
-    for (const ModelConfig& m : Table2GptModels()) {
-        if (seen.insert(m.name).second) models.push_back(m);
-    }
-    return models;
-}
-
 /**
  * "<instructions> <FNV-1a of the newline-joined names>" of the schedule
  * the full pipeline attaches to `config`'s layer step under `options`.
@@ -262,29 +251,6 @@ ScheduleFingerprint(const ModelConfig& config, const CompilerOptions& options)
                   BytesChecksum(reinterpret_cast<const uint8_t*>(names.data()),
                                 names.size()));
     return line;
-}
-
-/** One moe_sweep grid point: a scaled-down GLaM layer on a 4 x `mesh_y`
- *  mesh (4 x 8 by default) with `experts` experts (16), its AllToAll
- *  ring on mesh y. */
-ModelConfig
-MoeSweepModel(int64_t micro_batches, int64_t mesh_y = 8,
-              int64_t experts = 16)
-{
-    ModelConfig config;
-    config.name = StrCat("moe_", 4 * mesh_y, "chip_", experts, "e");
-    config.kind = ModelKind::kMoe;
-    config.num_layers = 24;
-    config.model_dim = 4096;
-    config.ff_dim = 32768;
-    config.batch_size = 16;
-    config.seq_len = 1024;
-    config.mesh_x = 4;
-    config.mesh_y = mesh_y;
-    config.num_chips = config.mesh_x * config.mesh_y;
-    config.num_experts = experts;
-    config.moe_micro_batches = micro_batches;
-    return config;
 }
 
 /**

@@ -8,6 +8,8 @@
 namespace overlap {
 namespace {
 
+using testing_util::DimsOf;
+
 using testing_util::UnshardTensor;
 
 int64_t
@@ -239,7 +241,7 @@ TEST(SpmdBuilderTest, AllToAllKeepsShapes)
     auto moved = spmd.AllToAllDim(*x, 0, 0);
     ASSERT_TRUE(moved.ok());
     comp->set_root(moved->local);
-    EXPECT_EQ(moved->local->shape().dims(), (std::vector<int64_t>{4, 4}));
+    EXPECT_EQ(DimsOf(moved->local->shape()), (std::vector<int64_t>{4, 4}));
     EXPECT_TRUE(VerifyModule(module).ok());
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "core/overlap_compiler.h"
 #include "models/model_config.h"
@@ -11,9 +12,12 @@
 #include "tensor/shape.h"
 #include "tensor/sharding.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace {
+
+using testing_util::DimsOf;
 
 TEST(ShapeTest, Basics)
 {
@@ -40,6 +44,78 @@ TEST(ShapeTest, EqualityIgnoresNothing)
     Shape b(DType::kBF16, {2, 2});
     EXPECT_NE(a, b);
     EXPECT_TRUE(a.SameDims(b));
+}
+
+/** Dims 2, 3, 4, ... of length `rank`. */
+std::vector<int64_t>
+CountingDims(int64_t rank)
+{
+    std::vector<int64_t> dims(static_cast<size_t>(rank));
+    for (size_t i = 0; i < dims.size(); ++i) {
+        dims[i] = static_cast<int64_t>(i) + 2;
+    }
+    return dims;
+}
+
+/**
+ * Ranks on both sides of the inline capacity (0, 1, 6 inline; 7, 12
+ * spilled) behave the same: equality, SameDims, ToString, element count,
+ * copies and moves, and set_dim on a copy leaving the original alone.
+ */
+TEST(ShapeTest, InlineAndSpilledRanksBehaveAlike)
+{
+    ASSERT_EQ(Shape::kInlineRank, 6);
+    for (int64_t rank : {0, 1, 6, 7, 12}) {
+        SCOPED_TRACE(StrCat("rank ", rank));
+        const std::vector<int64_t> dims = CountingDims(rank);
+        const Shape shape(DType::kBF16, dims);
+        int64_t elements = 1;
+        for (int64_t d : dims) elements *= d;
+        EXPECT_EQ(shape.rank(), rank);
+        EXPECT_EQ(DimsOf(shape), dims);
+        EXPECT_EQ(shape.num_elements(), elements);
+        EXPECT_EQ(shape.byte_size(), 2 * elements);
+        EXPECT_EQ(shape.ToString(),
+                  StrCat("bf16[", StrJoin(dims, ","), "]"));
+        EXPECT_EQ(Shape(DType::kBF16, std::span<const int64_t>(dims)),
+                  shape);
+
+        Shape copy = shape;
+        EXPECT_EQ(copy, shape);
+        EXPECT_TRUE(copy.SameDims(shape));
+        Shape assigned(DType::kF32, CountingDims(rank == 12 ? 7 : 12));
+        assigned = shape;
+        EXPECT_EQ(assigned, shape);
+        Shape moved = std::move(copy);
+        EXPECT_EQ(moved, shape);
+        Shape move_assigned(DType::kS32, {5});
+        move_assigned = std::move(moved);
+        EXPECT_EQ(move_assigned, shape);
+
+        Shape other_dtype = shape;
+        other_dtype.set_dtype(DType::kF32);
+        EXPECT_NE(other_dtype, shape);
+        EXPECT_TRUE(other_dtype.SameDims(shape));
+
+        Shape longer(DType::kBF16, CountingDims(rank + 1));
+        EXPECT_NE(longer, shape);
+        EXPECT_FALSE(longer.SameDims(shape));
+
+        if (rank == 0) continue;
+        Shape changed = shape;
+        changed.set_dim(rank - 1, 99);
+        EXPECT_EQ(changed.dim(rank - 1), 99);
+        EXPECT_EQ(shape.dim(rank - 1), dims.back());
+        EXPECT_NE(changed, shape);
+        EXPECT_FALSE(changed.SameDims(shape));
+        EXPECT_EQ(changed.num_elements(), elements / dims.back() * 99);
+        EXPECT_THROW(shape.dim(rank), std::out_of_range);
+        EXPECT_THROW(changed.set_dim(-1, 1), std::out_of_range);
+    }
+    Shape of_rank = Shape::OfRank(DType::kS32, 9);
+    EXPECT_EQ(of_rank.rank(), 9);
+    EXPECT_EQ(DimsOf(of_rank), std::vector<int64_t>(9, 0));
+    EXPECT_EQ(of_rank.dtype(), DType::kS32);
 }
 
 TEST(TensorTest, IotaAndIndexing)
@@ -79,17 +155,17 @@ TEST(TensorTest, ConcatenatePadTranspose)
     Tensor a = Tensor::Full(Shape({1, 2}), 1.0f);
     Tensor b = Tensor::Full(Shape({1, 2}), 2.0f);
     Tensor c = Tensor::Concatenate({a, b}, 0);
-    EXPECT_EQ(c.shape().dims(), (std::vector<int64_t>{2, 2}));
+    EXPECT_EQ(DimsOf(c.shape()), (std::vector<int64_t>{2, 2}));
     EXPECT_FLOAT_EQ(c.at({1, 0}), 2.0f);
 
     Tensor padded = a.Pad({0, 1}, {0, 1}, 9.0f);
-    EXPECT_EQ(padded.shape().dims(), (std::vector<int64_t>{1, 4}));
+    EXPECT_EQ(DimsOf(padded.shape()), (std::vector<int64_t>{1, 4}));
     EXPECT_FLOAT_EQ(padded.at({0, 0}), 9.0f);
     EXPECT_FLOAT_EQ(padded.at({0, 1}), 1.0f);
 
     Tensor t = Tensor::Iota(Shape({2, 3}));
     Tensor tt = t.Transpose({1, 0});
-    EXPECT_EQ(tt.shape().dims(), (std::vector<int64_t>{3, 2}));
+    EXPECT_EQ(DimsOf(tt.shape()), (std::vector<int64_t>{3, 2}));
     EXPECT_FLOAT_EQ(tt.at({2, 1}), t.at({1, 2}));
 }
 
@@ -165,7 +241,7 @@ TEST(EinsumTest, BatchedMatmul)
     Tensor b = Tensor::Random(Shape({2, 4, 5}), 2);
     auto c = spec->Evaluate(a, b);
     ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c->shape().dims(), (std::vector<int64_t>{2, 3, 5}));
+    EXPECT_EQ(DimsOf(c->shape()), (std::vector<int64_t>{2, 3, 5}));
     // Check one element against a manual contraction.
     float expect = 0.0f;
     for (int64_t k = 0; k < 4; ++k) {
@@ -247,7 +323,7 @@ ExpectMatchesReference(const EinsumSpec& spec, const Shape& lhs,
             << where;
         return;
     }
-    EXPECT_EQ(inferred->dims(), *reference) << where;
+    EXPECT_EQ(DimsOf(*inferred), *reference) << where;
     EXPECT_EQ(inferred->dtype(), lhs.dtype()) << where;
     EXPECT_EQ(spec.FlopCount(lhs, rhs), ReferenceFlopCount(spec, lhs, rhs))
         << where;
@@ -287,7 +363,7 @@ TEST(EinsumTest, ShapesAndFlopsMatchTheLabelMapOnEveryModelEinsum)
                     StrCat(config.name, " %", instr->name());
                 ExpectMatchesReference(spec, lhs, rhs, where);
                 for (int64_t d : {int64_t{0}, rhs.rank() - 1}) {
-                    std::vector<int64_t> grown = rhs.dims();
+                    std::vector<int64_t> grown = DimsOf(rhs);
                     grown[static_cast<size_t>(d)] += 1;
                     ExpectMatchesReference(spec, lhs,
                                            Shape(rhs.dtype(), grown),
@@ -426,7 +502,7 @@ TEST(ShardingTest, ShardShapeAndOffsets)
     Shape global(DType::kF32, {8, 12});
     TensorSharding sharding = TensorSharding::OnDims(2, 0, 0, 1, 1);
     ASSERT_TRUE(sharding.Validate(global, mesh).ok());
-    EXPECT_EQ(sharding.ShardShape(global, mesh).dims(),
+    EXPECT_EQ(DimsOf(sharding.ShardShape(global, mesh)),
               (std::vector<int64_t>{4, 3}));
     EXPECT_EQ(sharding.ShardOffsets(global, mesh, 0),
               (std::vector<int64_t>{0, 0}));

@@ -1,16 +1,63 @@
 #ifndef OVERLAP_TESTS_TEST_UTIL_H_
 #define OVERLAP_TESTS_TEST_UTIL_H_
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/overlap_compiler.h"
 #include "hlo/module.h"
+#include "models/model_config.h"
+#include "support/strings.h"
 #include "tensor/mesh.h"
 #include "tensor/sharding.h"
 #include "tensor/tensor.h"
 
 namespace overlap {
 namespace testing_util {
+
+/** Every Table 1 and Table 2 model, each once. */
+inline std::vector<ModelConfig>
+PaperModels()
+{
+    std::vector<ModelConfig> models = Table1Models();
+    std::set<std::string> seen;
+    for (const ModelConfig& m : models) seen.insert(m.name);
+    for (const ModelConfig& m : Table2GptModels()) {
+        if (seen.insert(m.name).second) models.push_back(m);
+    }
+    return models;
+}
+
+/** One moe_sweep grid point: a scaled-down GLaM layer on a 4 x `mesh_y`
+ *  mesh (4 x 8 by default) with `experts` experts (16), its AllToAll
+ *  ring on mesh y. */
+inline ModelConfig
+MoeSweepModel(int64_t micro_batches, int64_t mesh_y = 8,
+              int64_t experts = 16)
+{
+    ModelConfig config;
+    config.name = StrCat("moe_", 4 * mesh_y, "chip_", experts, "e");
+    config.kind = ModelKind::kMoe;
+    config.num_layers = 24;
+    config.model_dim = 4096;
+    config.ff_dim = 32768;
+    config.batch_size = 16;
+    config.seq_len = 1024;
+    config.mesh_x = 4;
+    config.mesh_y = mesh_y;
+    config.num_chips = config.mesh_x * config.mesh_y;
+    config.num_experts = experts;
+    config.moe_micro_batches = micro_batches;
+    return config;
+}
+
+/** A shape's dims as a vector, for comparing with an expected list. */
+inline std::vector<int64_t>
+DimsOf(const Shape& shape)
+{
+    return std::vector<int64_t>(shape.dims().begin(), shape.dims().end());
+}
 
 /** Reassembles per-device shards into the global tensor. */
 inline Tensor
