@@ -270,7 +270,6 @@ HloComputation::SortTopologically()
         sorted.push_back(slot);
         slot = nullptr;
     }
-    OVERLAP_CHECK(sorted.size() <= count);
     // A dependence cycle (a caller's bug) would leave instructions
     // behind; keep them, in their old order, for the verifier to report.
     for (HloInstruction* slot : instructions_) {

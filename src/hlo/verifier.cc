@@ -1,7 +1,5 @@
 #include "hlo/verifier.h"
 
-#include <algorithm>
-#include <functional>
 #include <unordered_set>
 
 #include "support/strings.h"
@@ -291,51 +289,6 @@ class InstructionSlots {
     std::vector<const HloInstruction*> slots_;
 };
 
-/**
- * Answers "does `operand` list `user` among its users" for every operand
- * edge of one computation. A short user list is scanned; a long one (a
- * ring-128 loop's axis index or weight feeds ~128 users) is copied into
- * a pool and sorted at its first query, then binary-searched, so
- * checking all edges is not quadratic in an operand's fan-out.
- */
-class UserEdges {
-  public:
-    explicit UserEdges(const HloComputation& computation)
-        : id_bound_(static_cast<size_t>(computation.instruction_id_bound()))
-    {
-    }
-
-    /** `operand` must be a member of the computation (its id is a slot). */
-    bool Contains(const HloInstruction* operand, const HloInstruction* user)
-    {
-        const std::vector<HloInstruction*>& users = operand->users();
-        if (users.size() <= kScanLimit) {
-            return std::find(users.begin(), users.end(), user) != users.end();
-        }
-        if (sorted_begin_.empty()) sorted_begin_.assign(id_bound_, kUnsorted);
-        size_t& begin = sorted_begin_[static_cast<size_t>(operand->id())];
-        if (begin == kUnsorted) {
-            begin = pool_.size();
-            pool_.insert(pool_.end(), users.begin(), users.end());
-            std::sort(pool_.begin() + static_cast<ptrdiff_t>(begin),
-                      pool_.end(), std::less<>());
-        }
-        auto first = pool_.begin() + static_cast<ptrdiff_t>(begin);
-        return std::binary_search(
-            first, first + static_cast<ptrdiff_t>(users.size()), user,
-            std::less<>());
-    }
-
-  private:
-    static constexpr size_t kScanLimit = 32;
-    static constexpr size_t kUnsorted = ~size_t{0};
-
-    size_t id_bound_;
-    /** Per operand id: where its sorted users start in pool_. */
-    std::vector<size_t> sorted_begin_;
-    std::vector<const HloInstruction*> pool_;
-};
-
 }  // namespace
 
 Status
@@ -349,7 +302,6 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
     std::unordered_set<int64_t> param_numbers;
     int64_t param_count = 0;
     DeviceSets device_sets(num_devices);
-    UserEdges user_edges(computation);
     for (const HloInstruction* instr : instrs) {
         for (const HloInstruction* operand : instr->operands()) {
             if (!defined.Contains(operand)) {
@@ -357,7 +309,7 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
                     StrCat("operand %", operand->name(),
                            " not defined before %", instr->name()));
             }
-            if (!user_edges.Contains(operand, instr)) {
+            if (!operand->HasUser(instr)) {
                 return Internal(StrCat("missing user edge %",
                                        operand->name(), " -> %",
                                        instr->name()));

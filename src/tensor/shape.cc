@@ -119,10 +119,8 @@ Shape::Release()
 void
 Shape::ThrowOutOfRange(int64_t i) const
 {
-    // The text std::vector::at gave when dims were a vector.
-    throw std::out_of_range(StrCat(
-        "vector::_M_range_check: __n (which is ", static_cast<size_t>(i),
-        ") >= this->size() (which is ", rank_, ")"));
+    throw std::out_of_range(StrCat("Shape dim index ", i,
+                                   " out of range for rank ", rank_));
 }
 
 int64_t
