@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <memory>
+
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "sim/engine.h"
 #include "sim/trace_export.h"
+#include "support/strings.h"
 
 namespace overlap {
 namespace {
@@ -325,6 +332,354 @@ TEST_F(EngineTest, ChromeTraceExportIsWellFormed)
     // Balanced braces as a cheap well-formedness check.
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+}
+
+// ---- Outcome table --------------------------------------------------
+//
+// Every exchange kind the engine models, under every fault class it
+// handles, pinned field by field (doubles as hex floats) together with
+// the traced (label, kind, start, end) list. Any change to the engine's
+// link, failure or detector accounting moves a line here.
+
+constexpr const char* kOutcomeGoldenPath =
+    OVERLAP_TESTDATA_DIR "/engine_outcomes.golden";
+
+/** Pairs moving every device `shift` positions along `axis`. */
+std::vector<std::pair<int64_t, int64_t>>
+ShiftPairs(const Mesh& mesh, int64_t axis, int64_t shift)
+{
+    std::vector<std::pair<int64_t, int64_t>> pairs;
+    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+        pairs.push_back({d, mesh.RingNeighbor(d, axis, shift)});
+    }
+    return pairs;
+}
+
+/** A small hand-made module exercising one kind of traffic. */
+struct TrafficCase {
+    std::string name;
+    Mesh mesh;
+    std::function<void(HloBuilder&, const Mesh&)> build;
+};
+
+std::vector<TrafficCase>
+TrafficCases()
+{
+    const Shape tile(DType::kBF16, {1024, 1024});
+    // Compute before the exchange, the exchange, compute consuming it.
+    auto blocking = [tile](HloOpcode opcode) {
+        return [tile, opcode](HloBuilder& b, const Mesh& mesh) {
+            auto* p = b.Parameter(0, tile);
+            auto* e = b.Einsum(p, p, "mk,kn->mn");
+            HloInstruction* c = nullptr;
+            switch (opcode) {
+              case HloOpcode::kAllGather:
+                  c = b.AllGather(e, 0, mesh.Groups(0));
+                  break;
+              case HloOpcode::kReduceScatter:
+                  c = b.ReduceScatter(e, 0, mesh.Groups(0));
+                  break;
+              case HloOpcode::kAllReduce:
+                  c = b.AllReduce(e, mesh.Groups(0));
+                  break;
+              default:
+                  c = b.AllToAll(e, 0, mesh.Groups(0));
+                  break;
+            }
+            b.computation()->set_root(b.Einsum(c, p, "mk,kn->mn"));
+        };
+    };
+    std::vector<TrafficCase> cases;
+    cases.push_back({"sync_permute", Mesh(4),
+                     [tile](HloBuilder& b, const Mesh& mesh) {
+                         auto* p = b.Parameter(0, tile);
+                         auto* e = b.Einsum(p, p, "mk,kn->mn");
+                         auto* cp = b.CollectivePermute(
+                             e, ShiftPairs(mesh, 0, 1));
+                         b.computation()->set_root(
+                             b.Einsum(cp, p, "mk,kn->mn"));
+                     }});
+    // Every hop of a 2-ring is antipodal: two async permutes and a sync
+    // one pick whichever direction is free first.
+    cases.push_back({"antipodal_2ring", Mesh(2),
+                     [tile](HloBuilder& b, const Mesh& mesh) {
+                         auto* p = b.Parameter(0, tile);
+                         auto pairs = ShiftPairs(mesh, 0, 1);
+                         auto* s1 = b.CollectivePermuteStart(p, pairs);
+                         auto* s2 = b.CollectivePermuteStart(p, pairs);
+                         auto* cp = b.CollectivePermute(p, pairs);
+                         auto* d1 = b.CollectivePermuteDone(s1);
+                         auto* d2 = b.CollectivePermuteDone(s2);
+                         b.computation()->set_root(b.Tuple({cp, d1, d2}));
+                     }});
+    // A one-hop and a three-hop transfer in flight under an einsum.
+    cases.push_back({"async_permute", Mesh(8),
+                     [tile](HloBuilder& b, const Mesh& mesh) {
+                         auto* p = b.Parameter(0, tile);
+                         auto* w = b.Parameter(1, tile);
+                         auto* s1 = b.CollectivePermuteStart(
+                             p, ShiftPairs(mesh, 0, 1));
+                         auto* s2 = b.CollectivePermuteStart(
+                             p, ShiftPairs(mesh, 0, -3));
+                         auto* e = b.Einsum(w, w, "mk,kn->mn");
+                         auto* d1 = b.CollectivePermuteDone(s1);
+                         auto* f = b.Einsum(d1, e, "mk,kn->mn");
+                         auto* d2 = b.CollectivePermuteDone(s2);
+                         b.computation()->set_root(b.Tuple({f, d2}));
+                     }});
+    cases.push_back({"blocking_all_gather", Mesh(4),
+                     blocking(HloOpcode::kAllGather)});
+    cases.push_back({"blocking_reduce_scatter", Mesh(4),
+                     blocking(HloOpcode::kReduceScatter)});
+    cases.push_back({"blocking_all_reduce", Mesh(4),
+                     blocking(HloOpcode::kAllReduce)});
+    cases.push_back({"blocking_all_to_all", Mesh(4),
+                     blocking(HloOpcode::kAllToAll)});
+    cases.push_back({"async_all_to_all", Mesh(4),
+                     [tile](HloBuilder& b, const Mesh& mesh) {
+                         auto* p = b.Parameter(0, tile);
+                         auto* w = b.Parameter(1, tile);
+                         auto* s = b.AllToAllStart(p, 0, mesh.Groups(0));
+                         auto* e = b.Einsum(w, w, "mk,kn->mn");
+                         auto* d = b.AllToAllDone(s);
+                         b.computation()->set_root(
+                             b.Einsum(d, e, "mk,kn->mn"));
+                     }});
+    // Singleton groups occupy no link.
+    cases.push_back({"async_all_to_all_singleton", Mesh(4),
+                     [tile](HloBuilder& b, const Mesh&) {
+                         auto* p = b.Parameter(0, tile);
+                         auto* s = b.AllToAllStart(
+                             p, 0, ReplicaGroups({{0}, {1}, {2}, {3}}));
+                         b.computation()->set_root(b.AllToAllDone(s));
+                     }});
+    // One group over the whole 2 x 4 torus occupies every channel; it
+    // queues behind an async permute on axis 1 and an async all-to-all
+    // on axis 0.
+    cases.push_back({"group_spanning_both_axes", Mesh(2, 4),
+                     [tile](HloBuilder& b, const Mesh& mesh) {
+                         auto* p = b.Parameter(0, tile);
+                         auto* s = b.CollectivePermuteStart(
+                             p, ShiftPairs(mesh, 1, 1));
+                         auto* a = b.AllToAllStart(p, 0, mesh.Groups(0));
+                         std::vector<int64_t> all;
+                         for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+                             all.push_back(d);
+                         }
+                         auto* ar = b.AllReduce(p, ReplicaGroups({all}));
+                         auto* d = b.CollectivePermuteDone(s);
+                         auto* ad = b.AllToAllDone(a);
+                         b.computation()->set_root(b.Tuple({ar, d, ad}));
+                     }});
+    return cases;
+}
+
+/** A fault scenario, given the case's fault-free traced run. */
+struct FaultCase {
+    std::string name;
+    int64_t step_index = 0;
+    std::function<FaultSpec(const Mesh&, const SimResult&)> spec;
+};
+
+/** The first communication event of a trace. */
+const TraceEvent&
+FirstCommEvent(const SimResult& clean)
+{
+    for (const TraceEvent& event : clean.trace) {
+        if (event.kind == TraceKind::kCollective ||
+            event.kind == TraceKind::kTransferInFlight) {
+            return event;
+        }
+    }
+    ADD_FAILURE() << "no communication in the trace";
+    return clean.trace.front();
+}
+
+std::vector<FaultCase>
+FaultCases(const HardwareSpec& hw)
+{
+    std::vector<FaultCase> cases;
+    cases.push_back({"fault_free", 0,
+                     [](const Mesh&, const SimResult&) {
+                         return FaultSpec();
+                     }});
+    cases.push_back(
+        {"derated_straggler", 0, [](const Mesh& mesh, const SimResult&) {
+             FaultSpec spec;
+             spec.link_faults.push_back(
+                 {0, mesh.RingNeighbor(0, mesh.num_axes() - 1, 1), 0.5,
+                  3.0});
+             spec.link_faults.push_back(
+                 {1, mesh.RingNeighbor(1, 0, -1), 0.8, 1.5});
+             spec.chip_faults.push_back({1, 0.6});
+             return spec;
+         }});
+    // Chip 1 dies halfway through the first exchange.
+    cases.push_back(
+        {"chip_death_mid_transfer", 0,
+         [](const Mesh&, const SimResult& clean) {
+             const TraceEvent& comm = FirstCommEvent(clean);
+             FaultSpec spec;
+             PermanentFault fault;
+             fault.chip = 1;
+             fault.fail_time_seconds =
+                 0.5 * (comm.start_seconds + comm.end_seconds);
+             spec.permanent_faults.push_back(fault);
+             return spec;
+         }});
+    // Chip 1 dies after the first exchange's wire time but before its
+    // last hop's latency has elapsed.
+    cases.push_back({"chip_death_in_hop_latency", 0,
+                     [hw](const Mesh&, const SimResult& clean) {
+                         FaultSpec spec;
+                         PermanentFault fault;
+                         fault.chip = 1;
+                         fault.fail_time_seconds =
+                             FirstCommEvent(clean).end_seconds -
+                             0.5 * hw.link_latency;
+                         spec.permanent_faults.push_back(fault);
+                         return spec;
+                     }});
+    // Link 0 -> 1 died in an earlier step: dead from time 0.
+    cases.push_back({"link_death", 1, [](const Mesh&, const SimResult&) {
+                         FaultSpec spec;
+                         PermanentFault fault;
+                         fault.link_src = 0;
+                         fault.link_dst = 1;
+                         spec.permanent_faults.push_back(fault);
+                         return spec;
+                     }});
+    cases.push_back({"transient_retries", 0,
+                     [](const Mesh&, const SimResult&) {
+                         FaultSpec spec;
+                         spec.seed = 5;
+                         spec.transient_failure_probability = 0.5;
+                         return spec;
+                     }});
+    cases.push_back({"retry_exhaustion", 0,
+                     [](const Mesh&, const SimResult&) {
+                         FaultSpec spec;
+                         spec.transient_failure_probability = 1.0;
+                         return spec;
+                     }});
+    // Detectors on; chip 1 corrupts the first exchange's payload.
+    cases.push_back({"sdc_transfer_payload", 0,
+                     [](const Mesh&, const SimResult&) {
+                         FaultSpec spec;
+                         spec.sdc.enabled = true;
+                         SilentCorruption c;
+                         c.chip = 1;
+                         c.instruction = 0;
+                         c.target = CorruptionTarget::kTransferPayload;
+                         spec.silent_corruptions.push_back(c);
+                         return spec;
+                     }});
+    return cases;
+}
+
+std::string
+Hex(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", value);
+    return buf;
+}
+
+/** One row's lines: every outcome field, then the trace. */
+std::vector<std::string>
+OutcomeLines(const std::string& row, const StatusOr<StepOutcome>& outcome)
+{
+    if (!outcome.ok()) {
+        return {StrCat(row, " error ", outcome.status().ToString())};
+    }
+    const SimResult& r = outcome->result;
+    std::vector<std::string> lines = {
+        StrCat(row, " step=", Hex(r.step_seconds),
+               " exposed=", Hex(r.exposed_comm_seconds),
+               " compute=", Hex(r.compute_seconds),
+               " straggler=", Hex(r.straggler_stall_seconds),
+               " flops=", Hex(r.einsum_flops)),
+        StrCat(row, " bytes=", Hex(r.transferred_bytes),
+               " async=", r.num_async_transfers,
+               " blocking=", r.num_blocking_collectives,
+               " peak_in_flight=", r.peak_in_flight,
+               " peak_memory=", r.peak_memory_bytes),
+        StrCat(row, " retry=", r.retry.retries, "/", r.retry.attempts, "/",
+               Hex(r.retry.backoff_seconds),
+               " checksums=", r.num_transfer_checksums,
+               " abft=", r.num_abft_checks,
+               " detector=", Hex(r.detector_seconds))};
+    if (outcome->failed) {
+        const FailureReport& f = outcome->failure;
+        lines.push_back(StrCat(row, " failed ", f.ToString()));
+        lines.push_back(StrCat(row, " failed at=", Hex(f.fail_time_seconds),
+                               " progress=", Hex(f.last_progress_seconds),
+                               " detected=", Hex(f.detected_at_seconds)));
+    }
+    if (outcome->sdc_injected) {
+        lines.push_back(StrCat(
+            row, " sdc corrupted=", outcome->corrupted ? 1 : 0,
+            " escaped=", outcome->sdc_escaped ? 1 : 0, " ",
+            outcome->corruption.ToString(),
+            " at=", Hex(outcome->corruption_detected_at_seconds)));
+    }
+    for (const TraceEvent& e : r.trace) {
+        lines.push_back(StrCat(row, " trace ", e.label, " ",
+                               TraceKindName(e.kind), " ",
+                               Hex(e.start_seconds), " ",
+                               Hex(e.end_seconds)));
+    }
+    return lines;
+}
+
+/**
+ * Must match the committed table bit for bit. Regenerate with
+ * OVERLAP_REGEN_GOLDEN=1 only after an intentional change of the
+ * engine's semantics.
+ */
+TEST(EngineOutcomeTableTest, OutcomesMatchGolden)
+{
+    const HardwareSpec hw;
+    const std::vector<FaultCase> faults = FaultCases(hw);
+    std::vector<std::string> lines;
+    int64_t rows = 0;
+    for (const TrafficCase& traffic : TrafficCases()) {
+        HloModule module("m");
+        module.set_mesh(traffic.mesh);
+        HloBuilder b(module.AddEntryComputation("main"));
+        traffic.build(b, traffic.mesh);
+        auto clean = PodSimulator(traffic.mesh, hw).Run(
+            module, /*collect_trace=*/true);
+        ASSERT_TRUE(clean.ok()) << traffic.name;
+        for (const FaultCase& fault : faults) {
+            PodSimulator sim(traffic.mesh, hw,
+                             FaultModel(fault.spec(traffic.mesh, *clean)));
+            auto outcome = sim.RunStep(module, fault.step_index,
+                                       /*collect_trace=*/true);
+            for (std::string& line : OutcomeLines(
+                     traffic.name + "/" + fault.name, outcome)) {
+                lines.push_back(std::move(line));
+            }
+            ++rows;
+        }
+    }
+    RecordProperty("rows", static_cast<int>(rows));
+
+    if (std::getenv("OVERLAP_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(kOutcomeGoldenPath);
+        ASSERT_TRUE(out.good()) << "cannot write " << kOutcomeGoldenPath;
+        for (const std::string& line : lines) out << line << "\n";
+        GTEST_SKIP() << "regenerated " << kOutcomeGoldenPath;
+    }
+    std::ifstream in(kOutcomeGoldenPath);
+    ASSERT_TRUE(in.good()) << "missing " << kOutcomeGoldenPath;
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);) golden.push_back(line);
+    for (size_t i = 0; i < std::max(lines.size(), golden.size()); ++i) {
+        ASSERT_EQ(i < lines.size() ? lines[i] : "<end>",
+                  i < golden.size() ? golden[i] : "<end>")
+            << "engine outcome moved at line " << i + 1;
+    }
 }
 
 }  // namespace
