@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "support/strings.h"
@@ -286,9 +287,6 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
     };
     std::vector<LinkChannel> channels(
         static_cast<size_t>(mesh_.num_axes()) * 2);
-    auto channel = [&channels](int64_t axis, int64_t dir) -> double& {
-        return channels[static_cast<size_t>(axis * 2 + dir)].free_at;
-    };
     // The mesh axis each distinct group list runs along: a list is
     // shared by every collective along one axis, so it is matched
     // against the mesh once per run.
@@ -325,37 +323,6 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                         ? 0.0
                         : permanent->fail_time_seconds;
     }
-    // True when a comm op on (axis, dir ring channel / device groups)
-    // needs the dead entity.
-    auto permute_involves_dead = [&](const HloInstruction* head,
-                                     int64_t axis,
-                                     int64_t dir) -> bool {
-        if (permanent == nullptr) return false;
-        if (permanent->IsChip()) {
-            for (const auto& [src, dst] :
-                 head->attrs().source_target_pairs) {
-                if (src == permanent->chip || dst == permanent->chip) {
-                    return true;
-                }
-            }
-            return false;
-        }
-        return ChannelUsesLink(mesh_, axis, dir, permanent->link_src,
-                               permanent->link_dst);
-    };
-    auto collective_involves_dead =
-        [&](const ReplicaGroups& groups, int64_t axis) -> bool {
-        if (permanent == nullptr) return false;
-        if (permanent->IsChip()) {
-            return GroupsInvolveChip(groups, permanent->chip);
-        }
-        if (axis < 0) return true;  // occupies every channel
-        return ChannelUsesLink(mesh_, axis, 0, permanent->link_src,
-                               permanent->link_dst) ||
-               ChannelUsesLink(mesh_, axis, 1, permanent->link_src,
-                               permanent->link_dst);
-    };
-
     // ---- Silent-data-corruption modeling (DESIGN.md §16) ------------
     //
     // Detector time is real device time (checksum passes are memory-
@@ -420,8 +387,6 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             }
         }
     };
-
-    int64_t transfer_index = 0;
 
     // Per-unit state by SchedUnit::id: a Start's arrival time and its
     // receiver-side checksum cost. Transfers killed by a fault are rare
@@ -510,188 +475,174 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         }
     };
 
-    for (const SchedUnit* unit : order) {
-        const HloInstruction* head = unit->members.front();
-        account_memory(unit);
-        if (unit->IsPermuteStart()) {
+    // ---- Issue and wait (DESIGN.md §20) ------------------------------
+    //
+    // Every exchange is issued once: it takes its links from the current
+    // time and its payload arrives at the returned time, unless a fault
+    // kills it. An async Start issues and moves on, and its Done waits; a
+    // sync exchange issues and waits at once.
+    struct Issued {
+        double arrival = 0.0;
+        std::optional<KilledTransfer> killed;
+    };
+    int64_t transfer_index = 0;
+    // A routed permute queues on one (axis, direction) channel and draws
+    // the fault model's retries; a group collective takes both channels
+    // of its axis for the blocking form's duration, or every channel when
+    // its groups span several axes. `bytes` is the payload, `blocking`
+    // marks a sync exchange.
+    auto issue = [&](const HloInstruction* head, double bytes,
+                     bool blocking) -> StatusOr<Issued> {
+        Issued issued;
+        const bool routed =
+            head->opcode() == HloOpcode::kCollectivePermute ||
+            head->opcode() == HloOpcode::kCollectivePermuteStart;
+        TransferOutcome retries;
+        double wire_end = time;
+        bool needs_dead = false;  // it needs the permanently dead entity
+        size_t first = 0;         // the channels it occupies
+        size_t last = 0;
+        if (routed) {
             auto route = RouteOf(mesh_, head);
             if (!route.ok()) return route.status();
-            double bytes = static_cast<double>(unit->TransferBytes());
+            size_t axis_channels = static_cast<size_t>(route->axis * 2);
             int64_t direction = route->direction;
             if (direction < 0) {
-                direction = channel(route->axis, 0) <=
-                                    channel(route->axis, 1)
+                direction = channels[axis_channels].free_at <=
+                                    channels[axis_channels + 1].free_at
                                 ? 0
                                 : 1;
             }
-            size_t ch = static_cast<size_t>(route->axis * 2 + direction);
+            first = axis_channels + static_cast<size_t>(direction);
+            last = first + 1;
+            const LinkChannel& ch = channels[first];
+            double hops = static_cast<double>(route->hops);
             double wire =
-                static_cast<double>(route->hops) * bytes /
-                (spec_.link_bandwidth * channels[ch].bw_factor);
-            TransferOutcome retries =
-                fault_.TransferOutcomeOf(transfer_index++, trial);
-            double retry_delay =
-                static_cast<double>(retries.failures) * wire +
-                retries.backoff_seconds;
-            if (transfer_checks) {
-                // Sender hashes the payload before putting it on the
-                // wire; the matching receiver hash runs at the Done.
-                double chk = cost_.ElementwiseBytesSeconds(bytes);
-                record_check("sdc_checksum:", head->name(), time,
-                             time + chk, unit->loop_group);
-                time += chk;
-                result.detector_seconds += chk;
-                ++result.num_transfer_checksums;
-                receiver_check[Slot(unit)] = chk;
-            }
-            double& free_at = channel(route->axis, direction);
-            double begin = std::max(time, free_at);
-            double end_transfer = begin + retry_delay + wire;
-            // The device does not stall at a Start; a transfer that can
-            // never arrive (dead chip/link, exhausted retries) parks an
-            // infinite arrival on the matching Done instead.
+                hops * bytes / (spec_.link_bandwidth * ch.bw_factor);
+            retries = fault_.TransferOutcomeOf(transfer_index++, trial);
+            double begin = std::max(time, ch.free_at);
+            wire_end = begin +
+                       (static_cast<double>(retries.failures) * wire +
+                        retries.backoff_seconds) +
+                       wire;
+            issued.arrival =
+                wire_end + hops * spec_.link_latency * ch.lat_factor;
             if (retries.exhausted) {
-                KilledTransfer info;
-                info.cause = FailureCause::kRetryExhaustion;
-                auto [ls, ld] =
+                auto [src, dst] =
                     RepresentativeLink(mesh_, route->axis, direction);
-                info.dead_link_src = ls;
-                info.dead_link_dst = ld;
-                info.fail_time_seconds = begin;
-                killed[unit] = info;
-                arrival[Slot(unit)] =
-                    std::numeric_limits<double>::infinity();
-            } else if (permute_involves_dead(head, route->axis,
-                                             direction) &&
-                       end_transfer > dead_from) {
-                KilledTransfer info;
-                info.cause = permanent->IsChip()
-                                 ? FailureCause::kChipDeath
-                                 : FailureCause::kLinkDeath;
-                info.dead_link_src = permanent->link_src;
-                info.dead_link_dst = permanent->link_dst;
-                info.fail_time_seconds = dead_from;
-                killed[unit] = info;
-                arrival[Slot(unit)] =
-                    std::numeric_limits<double>::infinity();
-            } else {
-                free_at = begin + retry_delay + wire;
-                arrival[Slot(unit)] = free_at +
-                                static_cast<double>(route->hops) *
-                                    spec_.link_latency *
-                                    channels[ch].lat_factor;
-                // In-flight interval on the transfer lane: queueing
-                // behind earlier traffic in the same direction, retries,
-                // wire time and per-hop latency, Start issue to arrival.
-                // Starting at the issue time (not `begin`) keeps every
-                // Done-wait interval a subset of its transfer's
-                // in-flight interval, which the overlap report's
-                // hidden+exposed==total accounting relies on.
-                record(head->name(), TraceKind::kTransferInFlight, time,
-                       arrival[Slot(unit)], unit->loop_group);
+                issued.killed = KilledTransfer{
+                    FailureCause::kRetryExhaustion, src, dst, begin};
             }
-            result.transferred_bytes +=
-                bytes * static_cast<double>(1 + retries.failures);
-            result.retry.Accumulate(retries);
-            ++result.num_async_transfers;
-            ++in_flight;
-            outstanding_starts.push_back(unit);
-            result.peak_in_flight =
-                std::max(result.peak_in_flight, in_flight);
-        } else if (unit->IsPermuteDone()) {
-            const SchedUnit* start = unit->operands.front();
-            auto killed_it = killed.find(start);
-            if (killed_it != killed.end()) {
-                // The paired Start's transfer will never arrive: the
-                // device is stuck here; the watchdog turns the stall
-                // into a structured report.
-                fail_at(unit, killed_it->second,
-                        {start->members.front()->name()});
-                return outcome;
+            if (permanent != nullptr && permanent->IsChip()) {
+                for (const auto& [src, dst] :
+                     head->attrs().source_target_pairs) {
+                    needs_dead |= src == permanent->chip ||
+                                  dst == permanent->chip;
+                }
+            } else if (permanent != nullptr) {
+                needs_dead = ChannelUsesLink(mesh_, route->axis, direction,
+                                             permanent->link_src,
+                                             permanent->link_dst);
             }
-            double arrived = arrival[Slot(start)];
-            if (arrived > time) {
-                record(head->name(), TraceKind::kTransferWait, time,
-                       arrived, unit->loop_group);
-                result.exposed_comm_seconds += arrived - time;
-                time = arrived;
-            }
-            if (transfer_checks) {
-                double chk = receiver_check[Slot(start)];
-                record_check("sdc_checksum:", head->name(), time,
-                             time + chk, unit->loop_group);
-                time += chk;
-                result.detector_seconds += chk;
-                ++result.num_transfer_checksums;
-                note_transfer_detection(start->members.front(), time);
-            }
-            --in_flight;
-            outstanding_starts.erase(
-                std::remove(outstanding_starts.begin(),
-                            outstanding_starts.end(), start),
-                outstanding_starts.end());
-        } else if (unit->IsAsyncStart()) {
-            // Async all-to-all Start (permute Starts matched above): the
-            // exchange occupies both ring directions of its group axis
-            // for the blocking form's duration, but the device does not
-            // stall — the wait, if any, lands on the matching Done.
+        } else {
             const auto& groups = head->attrs().groups;
-            int64_t group_size =
-                groups.empty() ? 1
-                               : static_cast<int64_t>(groups[0].size());
-            double duration = cost_.BlockingCollectiveSeconds(head);
-            double bytes = static_cast<double>(
-                head->operand(0)->shape().byte_size());
-            if (transfer_checks) {
-                // Sender hashes the payload before the exchange; the
-                // matching receiver hash runs at the Done.
-                double chk = cost_.ElementwiseBytesSeconds(bytes);
-                record_check("sdc_checksum:", head->name(), time,
-                             time + chk, unit->loop_group);
-                time += chk;
-                result.detector_seconds += chk;
-                ++result.num_transfer_checksums;
-                receiver_check[Slot(unit)] = chk;
-            }
             double begin = time;
-            bool exchange_killed = false;
-            if (group_size > 1) {
+            if (!groups.empty() && groups[0].size() > 1) {
                 int64_t axis = groups_axis(groups);
-                size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)
-                                         : 0;
-                size_t last = axis >= 0 ? first + 2 : channels.size();
+                first = axis >= 0 ? static_cast<size_t>(axis * 2) : 0;
+                last = axis >= 0 ? first + 2 : channels.size();
                 for (size_t c = first; c < last; ++c) {
                     begin = std::max(begin, channels[c].free_at);
                 }
-                if (collective_involves_dead(groups, axis) &&
-                    begin + duration > dead_from) {
-                    KilledTransfer info;
-                    info.cause = permanent->IsChip()
-                                     ? FailureCause::kChipDeath
-                                     : FailureCause::kLinkDeath;
-                    info.dead_link_src = permanent->link_src;
-                    info.dead_link_dst = permanent->link_dst;
-                    info.fail_time_seconds = dead_from;
-                    killed[unit] = info;
-                    arrival[Slot(unit)] =
-                        std::numeric_limits<double>::infinity();
-                    exchange_killed = true;
-                } else {
-                    for (size_t c = first; c < last; ++c) {
-                        channels[c].free_at = begin + duration;
-                    }
-                    arrival[Slot(unit)] = begin + duration;
+                if (permanent != nullptr && permanent->IsChip()) {
+                    needs_dead = GroupsInvolveChip(groups, permanent->chip);
+                } else if (permanent != nullptr) {
+                    needs_dead =
+                        axis < 0 ||
+                        ChannelUsesLink(mesh_, axis, 0, permanent->link_src,
+                                        permanent->link_dst) ||
+                        ChannelUsesLink(mesh_, axis, 1, permanent->link_src,
+                                        permanent->link_dst);
                 }
-            } else {
-                arrival[Slot(unit)] = begin + duration;
             }
-            if (!exchange_killed) {
-                // In-flight interval from the issue time so every
-                // Done-wait interval stays a subset of its exchange's
-                // in-flight interval (see the permute Start above).
+            wire_end = begin + cost_.BlockingCollectiveSeconds(head);
+            issued.arrival = wire_end;
+        }
+        // A sync permute dies when the death comes before its arrival,
+        // hop latency included; an async one only when it comes before
+        // its wire time ends (see DESIGN.md §20).
+        if (!issued.killed && needs_dead &&
+            (blocking ? issued.arrival : wire_end) > dead_from) {
+            issued.killed = KilledTransfer{
+                permanent->IsChip() ? FailureCause::kChipDeath
+                                    : FailureCause::kLinkDeath,
+                permanent->link_src, permanent->link_dst, dead_from};
+        }
+        if (!issued.killed) {
+            for (size_t c = first; c < last; ++c) {
+                channels[c].free_at = wire_end;
+            }
+        }
+        // A killed async permute still counts its sends and retries; a
+        // killed group exchange counts neither.
+        if (!issued.killed || (routed && !blocking)) {
+            result.transferred_bytes +=
+                bytes * static_cast<double>(1 + retries.failures);
+            if (routed) result.retry.Accumulate(retries);
+        }
+        return issued;
+    };
+    // The device blocks at `unit` until `until`, exposing the wait.
+    auto wait_until = [&](const SchedUnit* unit, double until,
+                          TraceKind kind) {
+        if (until <= time) return;
+        record(unit->members.front()->name(), kind, time, until,
+               unit->loop_group);
+        result.exposed_comm_seconds += until - time;
+        time = until;
+    };
+    // SDC payload hashing: `hashes` passes over a payload, charged as
+    // device time at `unit`. `received` names the exchange whose payload
+    // a receiver-side hash checks (nullptr for the sender's hash).
+    auto hash_payload = [&](const SchedUnit* unit, double seconds,
+                            int64_t hashes,
+                            const HloInstruction* received) {
+        record_check("sdc_checksum:", unit->members.front()->name(), time,
+                     time + seconds, unit->loop_group);
+        time += seconds;
+        result.detector_seconds += seconds;
+        result.num_transfer_checksums += hashes;
+        if (received != nullptr) note_transfer_detection(received, time);
+    };
+
+    for (const SchedUnit* unit : order) {
+        const HloInstruction* head = unit->members.front();
+        account_memory(unit);
+        if (unit->IsAsyncStart()) {
+            const double bytes =
+                static_cast<double>(head->shape().byte_size());
+            // The sender hashes the payload before it goes on the wire;
+            // the receiver's hash runs at the Done.
+            if (transfer_checks) {
+                receiver_check[Slot(unit)] =
+                    cost_.ElementwiseBytesSeconds(bytes);
+                hash_payload(unit, receiver_check[Slot(unit)], 1, nullptr);
+            }
+            auto issued = issue(head, bytes, /*blocking=*/false);
+            if (!issued.ok()) return issued.status();
+            arrival[Slot(unit)] = issued->arrival;
+            if (issued->killed) {
+                // The device does not stall at a Start: a transfer that
+                // can never arrive fails the matching Done instead.
+                killed[unit] = *issued->killed;
+            } else {
+                // In-flight interval on the transfer lane, from the issue
+                // time (not when the links take it) to arrival, so every
+                // Done-wait interval stays a subset of it: the overlap
+                // report's hidden + exposed == total accounting relies
+                // on that.
                 record(head->name(), TraceKind::kTransferInFlight, time,
-                       arrival[Slot(unit)], unit->loop_group);
-                result.transferred_bytes += bytes;
+                       issued->arrival, unit->loop_group);
             }
             ++result.num_async_transfers;
             ++in_flight;
@@ -702,25 +653,17 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             const SchedUnit* start = unit->operands.front();
             auto killed_it = killed.find(start);
             if (killed_it != killed.end()) {
+                // The paired Start's transfer will never arrive: the
+                // device is stuck here; the watchdog turns the stall
+                // into a structured report.
                 fail_at(unit, killed_it->second,
                         {start->members.front()->name()});
                 return outcome;
             }
-            double arrived = arrival[Slot(start)];
-            if (arrived > time) {
-                record(head->name(), TraceKind::kTransferWait, time,
-                       arrived, unit->loop_group);
-                result.exposed_comm_seconds += arrived - time;
-                time = arrived;
-            }
+            wait_until(unit, arrival[Slot(start)], TraceKind::kTransferWait);
             if (transfer_checks) {
-                double chk = receiver_check[Slot(start)];
-                record_check("sdc_checksum:", head->name(), time,
-                             time + chk, unit->loop_group);
-                time += chk;
-                result.detector_seconds += chk;
-                ++result.num_transfer_checksums;
-                note_transfer_detection(start->members.front(), time);
+                hash_payload(unit, receiver_check[Slot(start)], 1,
+                             start->members.front());
             }
             --in_flight;
             outstanding_starts.erase(
@@ -728,129 +671,26 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                             outstanding_starts.end(), start),
                 outstanding_starts.end());
         } else if (unit->members.size() == 1 &&
-                   head->opcode() == HloOpcode::kCollectivePermute) {
-            // Synchronous permute: the device blocks for the transfer.
-            auto route = RouteOf(mesh_, head);
-            if (!route.ok()) return route.status();
-            double bytes = static_cast<double>(unit->TransferBytes());
-            int64_t direction = route->direction;
-            if (direction < 0) {
-                direction = channel(route->axis, 0) <=
-                                    channel(route->axis, 1)
-                                ? 0
-                                : 1;
-            }
-            size_t ch = static_cast<size_t>(route->axis * 2 + direction);
-            double wire =
-                static_cast<double>(route->hops) * bytes /
-                (spec_.link_bandwidth * channels[ch].bw_factor);
-            TransferOutcome retries =
-                fault_.TransferOutcomeOf(transfer_index++, trial);
-            double retry_delay =
-                static_cast<double>(retries.failures) * wire +
-                retries.backoff_seconds;
-            double& free_at = channel(route->axis, direction);
-            double begin = std::max(time, free_at);
-            double end = begin + retry_delay + wire +
-                         static_cast<double>(route->hops) *
-                             spec_.link_latency *
-                             channels[ch].lat_factor;
-            if (retries.exhausted) {
-                KilledTransfer info;
-                info.cause = FailureCause::kRetryExhaustion;
-                auto [ls, ld] =
-                    RepresentativeLink(mesh_, route->axis, direction);
-                info.dead_link_src = ls;
-                info.dead_link_dst = ld;
-                info.fail_time_seconds = begin;
-                fail_at(unit, info, {});
-                return outcome;
-            }
-            if (permute_involves_dead(head, route->axis, direction) &&
-                end > dead_from) {
-                KilledTransfer info;
-                info.cause = permanent->IsChip()
-                                 ? FailureCause::kChipDeath
-                                 : FailureCause::kLinkDeath;
-                info.dead_link_src = permanent->link_src;
-                info.dead_link_dst = permanent->link_dst;
-                info.fail_time_seconds = dead_from;
-                fail_at(unit, info, {});
-                return outcome;
-            }
-            free_at = begin + retry_delay + wire;
-            record(head->name(), TraceKind::kCollective, time, end,
-                   unit->loop_group);
-            result.exposed_comm_seconds += end - time;
-            result.transferred_bytes +=
-                bytes * static_cast<double>(1 + retries.failures);
-            result.retry.Accumulate(retries);
-            time = end;
-            if (transfer_checks) {
-                // Sync permute: the device is blocked anyway, so both
-                // hashes (sender pre-send, receiver post-arrival) land
-                // at completion.
-                double chk = 2.0 * cost_.ElementwiseBytesSeconds(bytes);
-                record_check("sdc_checksum:", head->name(), time,
-                             time + chk, unit->loop_group);
-                time += chk;
-                result.detector_seconds += chk;
-                result.num_transfer_checksums += 2;
-                note_transfer_detection(head, time);
-            }
-        } else if (unit->members.size() == 1 &&
-                   IsBlockingCollective(head->opcode())) {
-            const auto& groups = head->attrs().groups;
-            int64_t group_size =
-                groups.empty() ? 1
-                               : static_cast<int64_t>(groups[0].size());
-            double duration = cost_.BlockingCollectiveSeconds(head);
-            double begin = time;
-            int64_t axis = -1;
-            if (group_size > 1) {
-                axis = groups_axis(groups);
-                // Occupy the axis's two directions; a collective whose
-                // groups span several axes occupies every channel.
-                size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)
-                                         : 0;
-                size_t last = axis >= 0 ? first + 2 : channels.size();
-                for (size_t c = first; c < last; ++c) {
-                    begin = std::max(begin, channels[c].free_at);
-                }
-                if (collective_involves_dead(groups, axis) &&
-                    begin + duration > dead_from) {
-                    KilledTransfer info;
-                    info.cause = permanent->IsChip()
-                                     ? FailureCause::kChipDeath
-                                     : FailureCause::kLinkDeath;
-                    info.dead_link_src = permanent->link_src;
-                    info.dead_link_dst = permanent->link_dst;
-                    info.fail_time_seconds = dead_from;
-                    fail_at(unit, info, {});
-                    return outcome;
-                }
-                for (size_t c = first; c < last; ++c) {
-                    channels[c].free_at = begin + duration;
-                }
-            }
-            double end = begin + duration;
-            record(head->name(), TraceKind::kCollective, time, end,
-                   unit->loop_group);
-            result.exposed_comm_seconds += end - time;
-            result.transferred_bytes +=
+                   IsExchangeOp(head->opcode())) {
+            // A sync permute or blocking collective: the device waits for
+            // it at once.
+            const double bytes =
                 static_cast<double>(head->shape().byte_size());
-            ++result.num_blocking_collectives;
-            time = end;
+            auto issued = issue(head, bytes, /*blocking=*/true);
+            if (!issued.ok()) return issued.status();
+            if (issued->killed) {
+                fail_at(unit, *issued->killed, {});
+                return outcome;
+            }
+            wait_until(unit, issued->arrival, TraceKind::kCollective);
+            if (IsBlockingCollective(head->opcode())) {
+                ++result.num_blocking_collectives;
+            }
             if (transfer_checks) {
-                double chk = 2.0 * cost_.ElementwiseBytesSeconds(
-                                       static_cast<double>(
-                                           head->shape().byte_size()));
-                record_check("sdc_checksum:", head->name(), time,
-                             time + chk, unit->loop_group);
-                time += chk;
-                result.detector_seconds += chk;
-                result.num_transfer_checksums += 2;
-                note_transfer_detection(head, time);
+                // Both hashes, the sender's and the receiver's, land at
+                // completion as one pass.
+                hash_payload(unit, 2.0 * cost_.ElementwiseBytesSeconds(bytes),
+                             2, head);
             }
         } else if (unit->latency > 0.0) {
             // Compute kernel (possibly a fusion group); a straggler chip

@@ -17,7 +17,8 @@ namespace overlap {
 enum class TraceKind {
     kCompute,           ///< einsum / element-wise kernel
     kCollective,        ///< blocking collective occupying the device
-    kTransferWait,      ///< stall at a CollectivePermuteDone
+    kTransferWait,      ///< stall at an async Done (permute or
+                        ///< all-to-all)
     kTransferInFlight,  ///< async transfer on the wire (Start..arrival);
                         ///< does not occupy the device — the overlap the
                         ///< paper creates is this lane running under the
@@ -68,8 +69,9 @@ struct SimResult {
     /// Device-busy kernel time (compute kernels only).
     double compute_seconds = 0.0;
     /// Time the device was blocked on communication: blocking
-    /// collectives plus stalls at CollectivePermuteDones. This is the
-    /// *exposed* communication; overlapped transfer time does not count.
+    /// collectives and sync permutes, plus stalls at async Dones
+    /// (permute and all-to-all pairs alike). This is the *exposed*
+    /// communication; overlapped transfer time does not count.
     double exposed_comm_seconds = 0.0;
     /// Useful model FLOPs executed per device (einsum kernels).
     double einsum_flops = 0.0;
@@ -83,7 +85,8 @@ struct SimResult {
     /// low (§2.2), and what the baseline memory-minimizing scheduler
     /// optimizes.
     int64_t peak_memory_bytes = 0;
-    /// Largest number of concurrently in-flight async permutes observed.
+    /// Largest number of concurrently in-flight async transfers observed
+    /// (permute and all-to-all pairs alike).
     int64_t peak_in_flight = 0;
     /// Fault model only: what the shared RetryPolicy did this step.
     RetryStats retry;
@@ -179,7 +182,7 @@ struct FailureReport {
     /// When the watchdog fired: last progress + the no-progress window.
     double detected_at_seconds = 0.0;
     /// The instruction the device is stuck at, followed by the
-    /// in-flight CollectivePermuteStarts whose Dones can never retire.
+    /// in-flight async Starts whose Dones can never retire.
     std::vector<std::string> blocked_instructions;
 
     std::string ToString() const;
@@ -219,12 +222,15 @@ struct StepOutcome {
  * By SPMD symmetry every device executes the same scheduled sequence
  * with identical op durations, so the engine models one device's
  * timeline plus the state of its ICI link channels — one channel per
- * (mesh axis, ring direction). Asynchronous CollectivePermuteStarts
- * enqueue transfers on a channel (serializing with other traffic in the
- * same direction, which is why a decomposed unidirectional loop only
- * reaches half the ring bandwidth, §5.5); the matching Done blocks until
- * the transfer arrives. Blocking collectives occupy the device *and*
- * both channels of their axis for their ring duration.
+ * (mesh axis, ring direction). Every exchange is issued onto the
+ * channels and later waited for (DESIGN.md §20). An async Start issues
+ * and the device moves on: a CollectivePermuteStart queues on one
+ * channel (serializing with other traffic in the same direction, which
+ * is why a decomposed unidirectional loop only reaches half the ring
+ * bandwidth, §5.5), an AllToAllStart on both channels of its axis. The
+ * matching Done blocks until the transfer arrives. Sync permutes and
+ * blocking collectives issue and wait at once, so they occupy the
+ * device *and* their channels.
  */
 class PodSimulator {
   public:

@@ -100,17 +100,16 @@ SchedGraph::SchedGraph(const HloComputation& computation,
         if (unit.IsAsyncDone()) latency = 0.0;
         unit.latency = latency;
         unit.output_bytes = unit.members.back()->shape().byte_size();
-        if (unit.IsPermuteStart() || unit.IsPermuteDone()) {
+        if (unit.IsAsyncStart() || unit.IsAsyncDone()) {
+            // A permute's one-hop wire time; an all-to-all occupies the
+            // channels for the blocking form's duration.
+            const HloInstruction* start = unit.IsAsyncStart()
+                                              ? unit.members[0]
+                                              : unit.members[0]->operand(0);
             unit.transfer_seconds =
-                cost.PermuteStepSeconds(unit.TransferBytes());
-        } else if (unit.IsAsyncStart() || unit.IsAsyncDone()) {
-            // Async all-to-all: the exchange occupies the channels for
-            // the blocking form's duration.
-            const HloInstruction* start =
-                unit.members[0]->opcode() == HloOpcode::kAllToAllStart
-                    ? unit.members[0]
-                    : unit.members[0]->operand(0);
-            unit.transfer_seconds = cost.BlockingCollectiveSeconds(start);
+                start->opcode() == HloOpcode::kCollectivePermuteStart
+                    ? cost.PermuteStepSeconds(start->shape().byte_size())
+                    : cost.BlockingCollectiveSeconds(start);
         }
     }
 

@@ -34,25 +34,16 @@ struct SchedUnit {
     /// latency is its issue cost, a Done's is zero — the transfer itself
     /// is modeled by the simulator's link engine).
     double latency = 0.0;
-    /// For CollectivePermuteStart/Done units: the one-hop wire time of
-    /// the transfer (used by schedulers to space Start and Done apart;
-    /// the simulator computes the actual time from link state).
+    /// For both units of an async pair: the transfer's nominal time, a
+    /// permute's one-hop wire time or an all-to-all's blocking-form
+    /// duration (used by schedulers to space Start and Done apart; the
+    /// simulator computes the actual time from link state).
     double transfer_seconds = 0.0;
     int64_t loop_group = -1;
     /// Bytes of the kernel's result buffer (its last member's output),
     /// which stays live until the unit's last user has run.
     int64_t output_bytes = 0;
 
-    bool IsPermuteStart() const
-    {
-        return members.size() == 1 &&
-               members[0]->opcode() == HloOpcode::kCollectivePermuteStart;
-    }
-    bool IsPermuteDone() const
-    {
-        return members.size() == 1 &&
-               members[0]->opcode() == HloOpcode::kCollectivePermuteDone;
-    }
     /** The Start half of any async pair (permute or all-to-all). */
     bool IsAsyncStart() const
     {
@@ -64,11 +55,6 @@ struct SchedUnit {
     {
         return members.size() == 1 &&
                overlap::IsAsyncDone(members[0]->opcode());
-    }
-    /** Bytes a Start unit puts on the wire. */
-    int64_t TransferBytes() const
-    {
-        return members[0]->shape().byte_size();
     }
 };
 

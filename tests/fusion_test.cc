@@ -57,9 +57,9 @@ TEST(FusionTest, DefaultHeuristicCreatesBadDependence)
     const SchedUnit* fused = graph.unit_of(f.addition);
     bool depends_on_done = false;
     for (const SchedUnit* op : fused->operands) {
-        if (op->IsPermuteDone()) depends_on_done = true;
+        if (op->IsAsyncDone()) depends_on_done = true;
         for (const SchedUnit* op2 : op->operands) {
-            if (op2->IsPermuteDone()) depends_on_done = true;
+            if (op2->IsAsyncDone()) depends_on_done = true;
         }
     }
     EXPECT_TRUE(depends_on_done);
