@@ -145,6 +145,10 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
                  DeviceSets* sets)
 {
     const InstrAttrs& attrs = instr->attrs();
+    // Every check below is about a collective or a chunk attribute.
+    if (!IsCollective(instr->opcode()) && attrs.a2a_chunk == -1) {
+        return Status::Ok();
+    }
     // all-to-all-start shares the blocking form's group layout, so it goes
     // through the same group sanity checks.
     if (IsBlockingCollective(instr->opcode()) ||
