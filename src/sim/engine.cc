@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 
 #include "support/strings.h"
@@ -388,24 +387,21 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         }
     };
 
-    // Per-unit state by SchedUnit::id: a Start's arrival time and its
-    // receiver-side checksum cost. Transfers killed by a fault are rare
-    // and stay in a map.
+    // Per-unit state by SchedUnit::id: an issued exchange's arrival
+    // time. Transfers killed by a fault are rare and stay in a map.
     const size_t num_units = graph.units().size();
     std::vector<double> arrival(num_units, 0.0);
-    std::vector<double> receiver_check(num_units, 0.0);
     std::unordered_map<const SchedUnit*, KilledTransfer> killed;
     std::vector<const SchedUnit*> outstanding_starts;
     StepOutcome outcome;
     SimResult& result = outcome.result;
     double time = 0.0;
-    int64_t in_flight = 0;
 
-    // The watchdog path: the device is stuck at `blocked` (its
-    // dependency can never be satisfied); report instead of spinning.
-    auto fail_at = [&](const SchedUnit* blocked,
-                       const KilledTransfer& info,
-                       const std::vector<std::string>& extra_blocked) {
+    // The watchdog path: the device is stuck at `blocked` waiting for the
+    // exchange `start` issued, which can never arrive; report instead of
+    // spinning.
+    auto fail_at = [&](const SchedUnit* blocked, const SchedUnit* start,
+                       const KilledTransfer& info) {
         outcome.failed = true;
         FailureReport& failure = outcome.failure;
         failure.cause = info.cause;
@@ -423,8 +419,9 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             time + fault_.spec().watchdog_timeout_seconds;
         failure.blocked_instructions.push_back(
             blocked->members.front()->name());
-        for (const std::string& name : extra_blocked) {
-            failure.blocked_instructions.push_back(name);
+        if (start != blocked) {
+            failure.blocked_instructions.push_back(
+                start->members.front()->name());
         }
         for (const SchedUnit* s : outstanding_starts) {
             if (s != blocked &&
@@ -477,26 +474,45 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
 
     // ---- Issue and wait (DESIGN.md §20) ------------------------------
     //
-    // Every exchange is issued once: it takes its links from the current
-    // time and its payload arrives at the returned time, unless a fault
-    // kills it. An async Start issues and moves on, and its Done waits; a
-    // sync exchange issues and waits at once.
-    struct Issued {
-        double arrival = 0.0;
-        std::optional<KilledTransfer> killed;
+    // Every exchange is two halves. The start half hashes the payload on
+    // the sender (SDC detectors on) and issues the exchange: it takes its
+    // links from the current time and its payload arrives at `arrival`,
+    // unless a fault kills it. The wait half fails through the watchdog
+    // if the transfer was killed, else blocks until the arrival and
+    // hashes the payload on the receiver. An async Start runs the start
+    // half and its Done the wait half; a sync permute or blocking
+    // collective runs both back to back. One rule kills every kind: a
+    // transfer dies when the death comes before its arrival, and a killed
+    // transfer charges no bytes and no retries.
+    //
+    // SDC payload hashing at `unit` over the payload of the exchange
+    // `start` issued; `received` marks the receiver's hash, which checks
+    // the payload.
+    auto hash_payload = [&](const SchedUnit* unit, const SchedUnit* start,
+                            bool received) {
+        const HloInstruction* payload = start->members.front();
+        const double seconds = cost_.ElementwiseBytesSeconds(
+            static_cast<double>(payload->shape().byte_size()));
+        record_check("sdc_checksum:", unit->members.front()->name(), time,
+                     time + seconds, unit->loop_group);
+        time += seconds;
+        result.detector_seconds += seconds;
+        ++result.num_transfer_checksums;
+        if (received) note_transfer_detection(payload, time);
     };
     int64_t transfer_index = 0;
-    // A routed permute queues on one (axis, direction) channel and draws
-    // the fault model's retries; a group collective takes both channels
-    // of its axis for the blocking form's duration, or every channel when
-    // its groups span several axes. `bytes` is the payload, `blocking`
-    // marks a sync exchange.
-    auto issue = [&](const HloInstruction* head, double bytes,
-                     bool blocking) -> StatusOr<Issued> {
-        Issued issued;
+    // The start half. A routed permute queues on one (axis, direction)
+    // channel and draws the fault model's retries; a group collective
+    // takes both channels of its axis for the blocking form's duration,
+    // or every channel when its groups span several axes.
+    auto issue = [&](const SchedUnit* unit) -> Status {
+        if (transfer_checks) hash_payload(unit, unit, /*received=*/false);
+        const HloInstruction* head = unit->members.front();
+        const double bytes = static_cast<double>(head->shape().byte_size());
         const bool routed =
             head->opcode() == HloOpcode::kCollectivePermute ||
             head->opcode() == HloOpcode::kCollectivePermuteStart;
+        double& arrives = arrival[Slot(unit)];
         TransferOutcome retries;
         double wire_end = time;
         bool needs_dead = false;  // it needs the permanently dead entity
@@ -525,13 +541,13 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                        (static_cast<double>(retries.failures) * wire +
                         retries.backoff_seconds) +
                        wire;
-            issued.arrival =
-                wire_end + hops * spec_.link_latency * ch.lat_factor;
+            arrives = wire_end + hops * spec_.link_latency * ch.lat_factor;
             if (retries.exhausted) {
                 auto [src, dst] =
                     RepresentativeLink(mesh_, route->axis, direction);
-                issued.killed = KilledTransfer{
-                    FailureCause::kRetryExhaustion, src, dst, begin};
+                killed[unit] = KilledTransfer{FailureCause::kRetryExhaustion,
+                                              src, dst, begin};
+                return Status::Ok();
             }
             if (permanent != nullptr && permanent->IsChip()) {
                 for (const auto& [src, dst] :
@@ -566,131 +582,77 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 }
             }
             wire_end = begin + cost_.BlockingCollectiveSeconds(head);
-            issued.arrival = wire_end;
+            arrives = wire_end;
         }
-        // A sync permute dies when the death comes before its arrival,
-        // hop latency included; an async one only when it comes before
-        // its wire time ends (see DESIGN.md §20).
-        if (!issued.killed && needs_dead &&
-            (blocking ? issued.arrival : wire_end) > dead_from) {
-            issued.killed = KilledTransfer{
-                permanent->IsChip() ? FailureCause::kChipDeath
-                                    : FailureCause::kLinkDeath,
-                permanent->link_src, permanent->link_dst, dead_from};
+        if (needs_dead && arrives > dead_from) {
+            killed[unit] = KilledTransfer{permanent->IsChip()
+                                              ? FailureCause::kChipDeath
+                                              : FailureCause::kLinkDeath,
+                                          permanent->link_src,
+                                          permanent->link_dst, dead_from};
+            return Status::Ok();
         }
-        if (!issued.killed) {
-            for (size_t c = first; c < last; ++c) {
-                channels[c].free_at = wire_end;
-            }
-        }
-        // A killed async permute still counts its sends and retries; a
-        // killed group exchange counts neither.
-        if (!issued.killed || (routed && !blocking)) {
-            result.transferred_bytes +=
-                bytes * static_cast<double>(1 + retries.failures);
-            if (routed) result.retry.Accumulate(retries);
-        }
-        return issued;
+        for (size_t c = first; c < last; ++c) channels[c].free_at = wire_end;
+        result.transferred_bytes +=
+            bytes * static_cast<double>(1 + retries.failures);
+        if (routed) result.retry.Accumulate(retries);
+        return Status::Ok();
     };
-    // The device blocks at `unit` until `until`, exposing the wait.
-    auto wait_until = [&](const SchedUnit* unit, double until,
-                          TraceKind kind) {
-        if (until <= time) return;
-        record(unit->members.front()->name(), kind, time, until,
-               unit->loop_group);
-        result.exposed_comm_seconds += until - time;
-        time = until;
-    };
-    // SDC payload hashing: `hashes` passes over a payload, charged as
-    // device time at `unit`. `received` names the exchange whose payload
-    // a receiver-side hash checks (nullptr for the sender's hash).
-    auto hash_payload = [&](const SchedUnit* unit, double seconds,
-                            int64_t hashes,
-                            const HloInstruction* received) {
-        record_check("sdc_checksum:", unit->members.front()->name(), time,
-                     time + seconds, unit->loop_group);
-        time += seconds;
-        result.detector_seconds += seconds;
-        result.num_transfer_checksums += hashes;
-        if (received != nullptr) note_transfer_detection(received, time);
+    // The wait half, at `unit`, of the exchange `start` issued. False
+    // when the transfer was killed and the step has failed.
+    auto wait = [&](const SchedUnit* unit, const SchedUnit* start,
+                    TraceKind kind) {
+        auto it = killed.find(start);
+        if (it != killed.end()) {
+            fail_at(unit, start, it->second);
+            return false;
+        }
+        const double until = arrival[Slot(start)];
+        if (until > time) {
+            record(unit->members.front()->name(), kind, time, until,
+                   unit->loop_group);
+            result.exposed_comm_seconds += until - time;
+            time = until;
+        }
+        if (transfer_checks) hash_payload(unit, start, /*received=*/true);
+        return true;
     };
 
     for (const SchedUnit* unit : order) {
         const HloInstruction* head = unit->members.front();
         account_memory(unit);
         if (unit->IsAsyncStart()) {
-            const double bytes =
-                static_cast<double>(head->shape().byte_size());
-            // The sender hashes the payload before it goes on the wire;
-            // the receiver's hash runs at the Done.
-            if (transfer_checks) {
-                receiver_check[Slot(unit)] =
-                    cost_.ElementwiseBytesSeconds(bytes);
-                hash_payload(unit, receiver_check[Slot(unit)], 1, nullptr);
-            }
-            auto issued = issue(head, bytes, /*blocking=*/false);
-            if (!issued.ok()) return issued.status();
-            arrival[Slot(unit)] = issued->arrival;
-            if (issued->killed) {
-                // The device does not stall at a Start: a transfer that
-                // can never arrive fails the matching Done instead.
-                killed[unit] = *issued->killed;
-            } else {
-                // In-flight interval on the transfer lane, from the issue
-                // time (not when the links take it) to arrival, so every
-                // Done-wait interval stays a subset of it: the overlap
-                // report's hidden + exposed == total accounting relies
-                // on that.
+            OVERLAP_RETURN_IF_ERROR(issue(unit));
+            // The device does not stall at a Start: a transfer that can
+            // never arrive fails the matching Done instead. A live one
+            // gets its in-flight interval on the transfer lane, from the
+            // issue time (not when the links take it) to arrival, so
+            // every Done-wait interval stays a subset of it: the overlap
+            // report's hidden + exposed == total accounting relies on
+            // that.
+            if (killed.count(unit) == 0) {
                 record(head->name(), TraceKind::kTransferInFlight, time,
-                       issued->arrival, unit->loop_group);
+                       arrival[Slot(unit)], unit->loop_group);
             }
             ++result.num_async_transfers;
-            ++in_flight;
             outstanding_starts.push_back(unit);
             result.peak_in_flight =
-                std::max(result.peak_in_flight, in_flight);
+                std::max(result.peak_in_flight,
+                         static_cast<int64_t>(outstanding_starts.size()));
         } else if (unit->IsAsyncDone()) {
             const SchedUnit* start = unit->operands.front();
-            auto killed_it = killed.find(start);
-            if (killed_it != killed.end()) {
-                // The paired Start's transfer will never arrive: the
-                // device is stuck here; the watchdog turns the stall
-                // into a structured report.
-                fail_at(unit, killed_it->second,
-                        {start->members.front()->name()});
-                return outcome;
-            }
-            wait_until(unit, arrival[Slot(start)], TraceKind::kTransferWait);
-            if (transfer_checks) {
-                hash_payload(unit, receiver_check[Slot(start)], 1,
-                             start->members.front());
-            }
-            --in_flight;
+            if (!wait(unit, start, TraceKind::kTransferWait)) return outcome;
             outstanding_starts.erase(
                 std::remove(outstanding_starts.begin(),
                             outstanding_starts.end(), start),
                 outstanding_starts.end());
         } else if (unit->members.size() == 1 &&
                    IsExchangeOp(head->opcode())) {
-            // A sync permute or blocking collective: the device waits for
-            // it at once.
-            const double bytes =
-                static_cast<double>(head->shape().byte_size());
-            auto issued = issue(head, bytes, /*blocking=*/true);
-            if (!issued.ok()) return issued.status();
-            if (issued->killed) {
-                fail_at(unit, *issued->killed, {});
-                return outcome;
-            }
-            wait_until(unit, issued->arrival, TraceKind::kCollective);
+            // A sync permute or blocking collective: both halves at once.
+            OVERLAP_RETURN_IF_ERROR(issue(unit));
+            if (!wait(unit, unit, TraceKind::kCollective)) return outcome;
             if (IsBlockingCollective(head->opcode())) {
                 ++result.num_blocking_collectives;
-            }
-            if (transfer_checks) {
-                // Both hashes, the sender's and the receiver's, land at
-                // completion as one pass.
-                hash_payload(unit, 2.0 * cost_.ElementwiseBytesSeconds(bytes),
-                             2, head);
             }
         } else if (unit->latency > 0.0) {
             // Compute kernel (possibly a fusion group); a straggler chip

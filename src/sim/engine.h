@@ -47,7 +47,8 @@ struct TraceEvent {
  * model.
  */
 struct RetryStats {
-    /// CollectivePermute attempts that failed and were re-sent.
+    /// CollectivePermute attempts that failed and were re-sent. A
+    /// transfer killed by a fault counts none of its attempts.
     int64_t retries = 0;
     /// Total transfer attempts (first sends + retries).
     int64_t attempts = 0;
@@ -75,7 +76,8 @@ struct SimResult {
     double exposed_comm_seconds = 0.0;
     /// Useful model FLOPs executed per device (einsum kernels).
     double einsum_flops = 0.0;
-    /// Total bytes each device put on ICI links.
+    /// Total bytes each device put on ICI links, retries included. A
+    /// transfer killed by a fault counts none.
     double transferred_bytes = 0.0;
     int64_t num_async_transfers = 0;
     int64_t num_blocking_collectives = 0;
@@ -86,7 +88,8 @@ struct SimResult {
     /// optimizes.
     int64_t peak_memory_bytes = 0;
     /// Largest number of concurrently in-flight async transfers observed
-    /// (permute and all-to-all pairs alike).
+    /// (permute and all-to-all pairs alike; a sync exchange is never in
+    /// flight).
     int64_t peak_in_flight = 0;
     /// Fault model only: what the shared RetryPolicy did this step.
     RetryStats retry;
@@ -222,14 +225,16 @@ struct StepOutcome {
  * By SPMD symmetry every device executes the same scheduled sequence
  * with identical op durations, so the engine models one device's
  * timeline plus the state of its ICI link channels — one channel per
- * (mesh axis, ring direction). Every exchange is issued onto the
- * channels and later waited for (DESIGN.md §20). An async Start issues
- * and the device moves on: a CollectivePermuteStart queues on one
- * channel (serializing with other traffic in the same direction, which
- * is why a decomposed unidirectional loop only reaches half the ring
- * bandwidth, §5.5), an AllToAllStart on both channels of its axis. The
- * matching Done blocks until the transfer arrives. Sync permutes and
- * blocking collectives issue and wait at once, so they occupy the
+ * (mesh axis, ring direction). Every exchange is two halves (DESIGN.md
+ * §20): a start half that hashes the payload on the sender (SDC
+ * detectors on) and issues it onto the channels, and a wait half that
+ * blocks until it arrives and hashes it on the receiver. An async Start
+ * runs the start half and the device moves on: a CollectivePermuteStart
+ * queues on one channel (serializing with other traffic in the same
+ * direction, which is why a decomposed unidirectional loop only reaches
+ * half the ring bandwidth, §5.5), an AllToAllStart on both channels of
+ * its axis. The matching Done runs the wait half. Sync permutes and
+ * blocking collectives run both halves back to back, so they occupy the
  * device *and* their channels.
  */
 class PodSimulator {
@@ -264,11 +269,13 @@ class PodSimulator {
 
     /**
      * Simulates step `step_index` of a multi-step run. Permanent faults
-     * whose fail_step is at or before `step_index` are live: the first
-     * communication op that needs the dead entity (or a transfer that
-     * exhausts its retries) blocks, the watchdog fires after the
-     * no-progress window, and the outcome carries a FailureReport
-     * instead of spinning. Malformed schedules that can never progress
+     * whose fail_step is at or before `step_index` are live. One rule
+     * holds for every exchange kind: a transfer that needs the dead
+     * entity dies when the death comes before its arrival (as does one
+     * that exhausts its retries), and a killed transfer charges no bytes
+     * and no retries. The device blocks where it waits for the first
+     * killed transfer, the watchdog fires after the no-progress window,
+     * and the outcome carries a FailureReport instead of spinning. Malformed schedules that can never progress
      * (orphaned Start/Done pairs, async in-flight budget starvation)
      * return an error Status naming the blocked instructions.
      */

@@ -218,7 +218,8 @@ TEST_F(EngineTest, DetectorKernelsAreLabeledOnlyInATrace)
         labels.push_back(event.label);
     }
     EXPECT_EQ(labels,
-              (std::vector<std::string>{ag->name(),
+              (std::vector<std::string>{"sdc_checksum:" + ag->name(),
+                                        ag->name(),
                                         "sdc_checksum:" + ag->name(),
                                         e->name(), "sdc_abft:" + e->name()}));
 
@@ -677,6 +678,75 @@ TEST(EngineOutcomeTableTest, OutcomesMatchGolden)
         ASSERT_EQ(i < lines.size() ? lines[i] : "<end>",
                   i < golden.size() ? golden[i] : "<end>")
             << "engine outcome moved at line " << i + 1;
+    }
+}
+
+// Every exchange kind dies by one rule: a chip death before the
+// transfer's arrival kills it, one after the arrival kills nothing. For a
+// permute the arrival comes one hop latency after its wire time ends, so
+// a death inside that latency still kills it. A killed transfer charges
+// no bytes and no retries.
+TEST_F(EngineTest, OneKillRuleForEveryExchangeKind)
+{
+    const Mesh mesh(4);
+    const Shape tile(DType::kBF16, {1024, 1024});
+    const std::vector<
+        std::pair<std::string, std::function<HloInstruction*(HloBuilder&)>>>
+        kinds = {
+            {"sync_permute",
+             [&](HloBuilder& b) {
+                 return b.CollectivePermute(b.Parameter(0, tile),
+                                            ShiftPairs(mesh, 0, 1));
+             }},
+            {"async_permute",
+             [&](HloBuilder& b) {
+                 return b.CollectivePermuteDone(b.CollectivePermuteStart(
+                     b.Parameter(0, tile), ShiftPairs(mesh, 0, 1)));
+             }},
+            {"blocking_all_gather",
+             [&](HloBuilder& b) {
+                 return b.AllGather(b.Parameter(0, tile), 0,
+                                    mesh.Groups(0));
+             }},
+            {"async_all_to_all",
+             [&](HloBuilder& b) {
+                 return b.AllToAllDone(b.AllToAllStart(
+                     b.Parameter(0, tile), 0, mesh.Groups(0)));
+             }},
+        };
+    for (const auto& [kind, build] : kinds) {
+        HloModule module(kind);
+        module.set_mesh(mesh);
+        HloBuilder b(module.AddEntryComputation("main"));
+        b.computation()->set_root(build(b));
+        auto clean =
+            PodSimulator(mesh, spec_).Run(module, /*collect_trace=*/true);
+        ASSERT_TRUE(clean.ok()) << kind;
+        const double arrival = FirstCommEvent(*clean).end_seconds;
+        auto chip_dies_at = [&](double at) {
+            FaultSpec faults;
+            PermanentFault fault;
+            fault.chip = 1;
+            fault.fail_time_seconds = at;
+            faults.permanent_faults.push_back(fault);
+            return PodSimulator(mesh, spec_, FaultModel(faults))
+                .RunStep(module, /*step_index=*/0);
+        };
+
+        auto before = chip_dies_at(arrival - 0.5 * spec_.link_latency);
+        ASSERT_TRUE(before.ok()) << kind;
+        EXPECT_TRUE(before->failed) << kind;
+        EXPECT_EQ(before->failure.cause, FailureCause::kChipDeath) << kind;
+        EXPECT_EQ(before->result.transferred_bytes, 0.0) << kind;
+        EXPECT_EQ(before->result.retry.attempts, 0) << kind;
+        EXPECT_EQ(before->result.retry.retries, 0) << kind;
+
+        auto after = chip_dies_at(arrival + spec_.link_latency);
+        ASSERT_TRUE(after.ok()) << kind;
+        EXPECT_FALSE(after->failed) << kind;
+        EXPECT_EQ(after->result.step_seconds, clean->step_seconds) << kind;
+        EXPECT_EQ(after->result.transferred_bytes, clean->transferred_bytes)
+            << kind;
     }
 }
 
