@@ -309,7 +309,7 @@ BM_BottomUpScheduler(benchmark::State& state)
     options.use_cost_model = false;
     CollectiveEinsumDecomposer decomposer(Mesh(n), &cost, options);
     (void)decomposer.Run(module->entry());
-    (void)CreateAsyncCollectivePermutes(module->entry());
+    (void)CreateAsyncPairs(module->entry(), HloOpcode::kCollectivePermute);
     for (auto _ : state) {
         auto status = ScheduleComputation(module->entry(), cost,
                                           SchedulerKind::kBottomUp);
@@ -330,7 +330,7 @@ BM_TopDownScheduler(benchmark::State& state)
     options.use_cost_model = false;
     CollectiveEinsumDecomposer decomposer(Mesh(n), &cost, options);
     (void)decomposer.Run(module->entry());
-    (void)CreateAsyncCollectivePermutes(module->entry());
+    (void)CreateAsyncPairs(module->entry(), HloOpcode::kCollectivePermute);
     for (auto _ : state) {
         auto status = ScheduleComputation(module->entry(), cost,
                                           SchedulerKind::kTopDown);

@@ -16,7 +16,7 @@
  *  - pipelined:  the token stream is split into micro-batches
  *                (ModelConfig::moe_micro_batches), each with its own
  *                dispatch -> expert -> combine chain, and the blocking
- *                AllToAlls become AllToAllStart/Done pairs
+ *                AllToAlls become async Start/Done pairs
  *                (CompilerOptions::async_all_to_all) so micro-batch
  *                k's exchange hides behind k±1's expert compute.
  *

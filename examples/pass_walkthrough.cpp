@@ -48,7 +48,7 @@ main()
                 static_cast<long long>(stats->total_decomposed()),
                 module.ToString().c_str());
 
-    auto async = CreateAsyncCollectivePermutes(comp);
+    auto async = CreateAsyncPairs(comp, HloOpcode::kCollectivePermute);
     if (!async.ok()) return 1;
     std::printf("\n=== 2. after AsyncCollectivePermute creation (%lld "
                 "start/done pairs) ===\n%s",

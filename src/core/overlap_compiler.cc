@@ -57,8 +57,8 @@ OverlapCompiler::Compile(HloModule* module) const
              }});
         pipeline.push_back(
             {"async-permute-creation", [&]() -> Status {
-                 auto async =
-                     CreateAsyncCollectivePermutes(module->entry());
+                 auto async = CreateAsyncPairs(module->entry(),
+                                               HloOpcode::kCollectivePermute);
                  if (!async.ok()) return async.status();
                  report.async_permutes = async.value();
                  return Status::Ok();
@@ -66,7 +66,8 @@ OverlapCompiler::Compile(HloModule* module) const
         if (options_.async_all_to_all) {
             pipeline.push_back(
                 {"async-a2a-creation", [&]() -> Status {
-                     auto async = CreateAsyncAllToAlls(module->entry());
+                     auto async = CreateAsyncPairs(module->entry(),
+                                                   HloOpcode::kAllToAll);
                      if (!async.ok()) return async.status();
                      report.async_all_to_alls = async.value();
                      return Status::Ok();

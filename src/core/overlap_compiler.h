@@ -53,7 +53,7 @@ struct CompilerOptions {
 
     /**
      * Split the blocking AllToAlls that survive decomposition into
-     * AllToAllStart/Done pairs (DESIGN.md §18), so the scheduler can
+     * async Start/Done pairs (DESIGN.md §18), so the scheduler can
      * hide one micro-batch's MoE dispatch/combine exchange behind
      * another micro-batch's dense compute. Off by default: a module
      * with a single A2A per step gains nothing from the async form,
@@ -102,7 +102,7 @@ struct PassDiagnostic {
 struct CompileReport {
     DecomposeStats decompose;
     int64_t async_permutes = 0;
-    /// Blocking AllToAlls split into Start/Done pairs (§18).
+    /// Blocking AllToAlls split into async Start/Done pairs (§18).
     int64_t async_all_to_alls = 0;
     int64_t fusion_groups = 0;
     /// §5.4.3 Concatenate -> Max(Pad, Pad) rewrites applied.

@@ -520,7 +520,7 @@ TransformSiteModule(HloModule* module, const DecomposeVariant& variant,
         }
     }
     OVERLAP_RETURN_IF_ERROR(VerifyModule(*module));
-    auto converted = CreateAsyncCollectivePermutes(comp);
+    auto converted = CreateAsyncPairs(comp, HloOpcode::kCollectivePermute);
     if (!converted.ok()) return converted.status();
     return VerifyModule(*module);
 }

@@ -230,88 +230,59 @@ HloInstruction*
 HloBuilder::AllGather(HloInstruction* operand, int64_t dim,
                       ReplicaGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.dim = dim;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllGather, {operand}, std::move(attrs));
+    return AddInferred(HloOpcode::kAllGather, {operand},
+                       GroupAttrs(dim, std::move(groups)));
 }
 
 HloInstruction*
 HloBuilder::ReduceScatter(HloInstruction* operand, int64_t dim,
                           ReplicaGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.dim = dim;
-    attrs.groups = std::move(groups);
     return AddInferred(HloOpcode::kReduceScatter, {operand},
-                       std::move(attrs));
+                       GroupAttrs(dim, std::move(groups)));
 }
 
 HloInstruction*
 HloBuilder::AllReduce(HloInstruction* operand,
                       ReplicaGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllReduce, {operand}, std::move(attrs));
+    return AddInferred(HloOpcode::kAllReduce, {operand},
+                       GroupAttrs(-1, std::move(groups)));
 }
 
 HloInstruction*
 HloBuilder::AllToAll(HloInstruction* operand, int64_t dim,
                      ReplicaGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.dim = dim;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllToAll, {operand}, std::move(attrs));
-}
-
-HloInstruction*
-HloBuilder::AllToAllStart(HloInstruction* operand, int64_t dim,
-                          ReplicaGroups groups)
-{
-    InstrAttrs attrs;
-    attrs.dim = dim;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllToAllStart, {operand},
-                       std::move(attrs));
-}
-
-HloInstruction*
-HloBuilder::AllToAllDone(HloInstruction* start)
-{
-    // The Done carries its Start's channel so the verifier can match the
-    // pair; dim/groups stay on the Start and are read through the operand
-    // edge where pricing needs them.
-    InstrAttrs attrs;
-    attrs.channel_id = start->attrs().channel_id;
-    return AddInferred(HloOpcode::kAllToAllDone, {start}, std::move(attrs));
+    return AddInferred(HloOpcode::kAllToAll, {operand},
+                       GroupAttrs(dim, std::move(groups)));
 }
 
 HloInstruction*
 HloBuilder::CollectivePermute(HloInstruction* operand,
                               SourceTargetPairs pairs)
 {
-    InstrAttrs attrs;
-    attrs.source_target_pairs = std::move(pairs);
     return AddInferred(HloOpcode::kCollectivePermute, {operand},
-                       std::move(attrs));
+                       PermuteAttrs(std::move(pairs)));
 }
 
 HloInstruction*
-HloBuilder::CollectivePermuteStart(HloInstruction* operand,
-                                   SourceTargetPairs pairs)
+HloBuilder::AsyncStart(HloOpcode wrapped, HloInstruction* operand,
+                       InstrAttrs attrs)
 {
+    attrs.wrapped = wrapped;
+    return AddInferred(HloOpcode::kAsyncStart, {operand}, std::move(attrs));
+}
+
+HloInstruction*
+HloBuilder::AsyncDone(HloInstruction* start)
+{
+    // The Done carries its Start's channel so the verifier can match the
+    // pair; the kind and its attributes stay on the Start and are read
+    // through the operand edge.
     InstrAttrs attrs;
-    attrs.source_target_pairs = std::move(pairs);
-    return AddInferred(HloOpcode::kCollectivePermuteStart, {operand},
-                       std::move(attrs));
-}
-
-HloInstruction*
-HloBuilder::CollectivePermuteDone(HloInstruction* start)
-{
-    return AddInferred(HloOpcode::kCollectivePermuteDone, {start}, {});
+    attrs.channel_id = start->attrs().channel_id;
+    return AddInferred(HloOpcode::kAsyncDone, {start}, std::move(attrs));
 }
 
 HloInstruction*

@@ -108,14 +108,18 @@ class HloBuilder {
                               ReplicaGroups groups);
     HloInstruction* AllToAll(HloInstruction* operand, int64_t dim,
                              ReplicaGroups groups);
-    HloInstruction* AllToAllStart(HloInstruction* operand, int64_t dim,
-                                  ReplicaGroups groups);
-    HloInstruction* AllToAllDone(HloInstruction* start);
     HloInstruction* CollectivePermute(HloInstruction* operand,
                                       SourceTargetPairs pairs);
-    HloInstruction* CollectivePermuteStart(HloInstruction* operand,
-                                           SourceTargetPairs pairs);
-    HloInstruction* CollectivePermuteDone(HloInstruction* start);
+
+    /**
+     * The Start of an async `wrapped` collective (one of the five above)
+     * over `operand`; `attrs` are that collective's own (PermuteAttrs or
+     * GroupAttrs, and optionally a channel).
+     */
+    HloInstruction* AsyncStart(HloOpcode wrapped, HloInstruction* operand,
+                               InstrAttrs attrs);
+    /** The Done of `start`; it carries the Start's channel. */
+    HloInstruction* AsyncDone(HloInstruction* start);
 
     /** Scalar node depending on all `values` (keeps them live). */
     HloInstruction* Tuple(std::vector<HloInstruction*> values);

@@ -42,19 +42,19 @@ CheckOperandCount(HloOpcode opcode,
 }
 
 /**
- * "<opcode>.<id>", formatted without a stream: every instruction built
- * without a name gets one, so this runs once per emitted instruction.
+ * "<opcode><suffix>.<id>", formatted without a stream: every
+ * instruction built without a name gets one, so this runs once per
+ * emitted instruction.
  */
 std::string
-DefaultName(HloOpcode opcode, int64_t id)
+DefaultName(const char* opcode_name, const char* suffix, int64_t id)
 {
-    const char* opcode_name = HloOpcodeName(opcode);
     char digits[20];  // "-9223372036854775808" is the longest int64_t
     char* digits_end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
     std::string name;
-    name.reserve(std::strlen(opcode_name) + 1 +
+    name.reserve(std::strlen(opcode_name) + std::strlen(suffix) + 1 +
                  static_cast<size_t>(digits_end - digits));
-    name.append(opcode_name).push_back('.');
+    name.append(opcode_name).append(suffix).push_back('.');
     name.append(digits, digits_end);
     return name;
 }
@@ -65,8 +65,10 @@ HloInstruction::HloInstruction(int64_t id, HloOpcode opcode, Shape shape,
                                std::vector<HloInstruction*> operands,
                                InstrAttrs attrs)
     : HloInstruction(id, opcode, std::move(shape), std::move(operands),
-                     std::move(attrs), DefaultName(opcode, id))
+                     std::move(attrs), std::string())
 {
+    name_ = DefaultName(HloOpcodeName(collective_opcode()), AsyncSuffix(),
+                        id);
 }
 
 HloInstruction::HloInstruction(int64_t id, HloOpcode opcode, Shape shape,
@@ -145,17 +147,31 @@ HloInstruction::RemoveUser(HloInstruction* user)
                  users_.end());
 }
 
+const char*
+HloInstruction::AsyncSuffix() const
+{
+    if (collective_opcode() == opcode_) return "";
+    return opcode_ == HloOpcode::kAsyncStart ? "-start" : "-done";
+}
+
+std::string
+HloInstruction::opcode_text() const
+{
+    return StrCat(HloOpcodeName(collective_opcode()), AsyncSuffix());
+}
+
 std::string
 HloInstruction::ToString() const
 {
     std::string out = StrCat("%", name_, " = ", shape_.ToString(), " ",
-                             HloOpcodeName(opcode_), "(");
+                             opcode_text(), "(");
     for (size_t i = 0; i < operands_.size(); ++i) {
         if (i > 0) out += ", ";
         out += StrCat("%", operands_[i]->name());
     }
     out += ")";
-    switch (opcode_) {
+    // A Start prints the attributes of the collective it wraps.
+    switch (IsAsyncStart(opcode_) ? collective_opcode() : opcode_) {
       case HloOpcode::kParameter:
           out += StrCat(", index=", attrs_.parameter_number);
           break;
@@ -192,9 +208,8 @@ HloInstruction::ToString() const
       case HloOpcode::kAllGather:
       case HloOpcode::kReduceScatter:
       case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart:
       case HloOpcode::kAllReduce: {
-          if (opcode_ != HloOpcode::kAllReduce) {
+          if (collective_opcode() != HloOpcode::kAllReduce) {
               out += StrCat(", dim=", attrs_.dim);
           }
           std::vector<std::string> groups;
@@ -211,8 +226,7 @@ HloInstruction::ToString() const
       case HloOpcode::kAxisIndex:
           out += StrCat(", axis=", attrs_.mesh_axis);
           break;
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
+      case HloOpcode::kCollectivePermute: {
           std::vector<std::string> pairs;
           pairs.reserve(attrs_.source_target_pairs.size());
           for (const auto& [src, dst] : attrs_.source_target_pairs) {
@@ -483,35 +497,7 @@ InferInstructionShape(HloOpcode opcode,
           return in;
       }
 
-      case HloOpcode::kAllToAllStart: {
-          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          int64_t group = GroupSize(attrs);
-          if (group <= 0) {
-              return InvalidArgument(
-                  "all-to-all-start requires explicit groups");
-          }
-          const Shape& in = operands[0]->shape();
-          if (attrs.dim < 0 || attrs.dim >= in.rank()) {
-              return InvalidArgument("all-to-all-start dim out of range");
-          }
-          if (in.dim(attrs.dim) % group != 0) {
-              return InvalidArgument(
-                  "all-to-all-start dim not divisible by group size");
-          }
-          return in;
-      }
-
-      case HloOpcode::kAllToAllDone: {
-          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          if (operands[0]->opcode() != HloOpcode::kAllToAllStart) {
-              return InvalidArgument(
-                  "all-to-all-done operand must be an all-to-all-start");
-          }
-          return operands[0]->shape();
-      }
-
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
+      case HloOpcode::kCollectivePermute: {
           OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
           if (attrs.source_target_pairs.empty()) {
               return InvalidArgument(
@@ -523,12 +509,24 @@ InferInstructionShape(HloOpcode opcode,
       case HloOpcode::kTuple:
           return Shape(DType::kF32, {});
 
-      case HloOpcode::kCollectivePermuteDone: {
-          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          if (operands[0]->opcode() != HloOpcode::kCollectivePermuteStart) {
+      case HloOpcode::kAsyncStart: {
+          if (!attrs.wrapped.has_value()) {
+              return InvalidArgument("async-start wraps no collective");
+          }
+          const HloOpcode wrapped = *attrs.wrapped;
+          if (!IsExchangeOp(wrapped) || IsAsyncStart(wrapped)) {
               return InvalidArgument(
-                  "collective-permute-done operand must be a "
-                  "collective-permute-start");
+                  StrCat("async-start wraps ", HloOpcodeName(wrapped),
+                         ", not a sync exchange collective"));
+          }
+          return InferInstructionShape(wrapped, operands, attrs);
+      }
+
+      case HloOpcode::kAsyncDone: {
+          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
+          if (operands[0]->opcode() != HloOpcode::kAsyncStart) {
+              return InvalidArgument(
+                  "async-done operand must be an async-start");
           }
           return operands[0]->shape();
       }

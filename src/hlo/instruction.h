@@ -63,7 +63,8 @@ class SharedList {
 };
 
 /**
- * The {source, destination} device pairs of a CollectivePermute(Start).
+ * The {source, destination} device pairs of a CollectivePermute (or of
+ * an async Start wrapping one).
  * The decomposer shares one list per ring shift.
  */
 using SourceTargetPairs = SharedList<std::pair<int64_t, int64_t>>;
@@ -111,8 +112,13 @@ struct InstrAttrs {
     /// ring order). Empty means one group containing all devices.
     ReplicaGroups groups;
 
-    /// kCollectivePermute(Start): {source, destination} device pairs.
+    /// kCollectivePermute: {source, destination} device pairs.
     SourceTargetPairs source_target_pairs;
+
+    /// kAsyncStart: the collective it wraps, whose attributes (pairs, or
+    /// dim and groups) the Start carries. Its Done reads it from the
+    /// Start, so the pair's kind is stored once.
+    std::optional<HloOpcode> wrapped;
 
     /// Collectives: optional channel id (-1 = none). An async Start and
     /// its Done carry the same id; the printer/parser round-trip it.
@@ -127,6 +133,28 @@ struct InstrAttrs {
     /// kAxisIndex: which mesh axis's coordinate to return.
     int64_t mesh_axis = -1;
 };
+
+/** The attributes of a permute over `pairs`. */
+inline InstrAttrs
+PermuteAttrs(SourceTargetPairs pairs)
+{
+    InstrAttrs attrs;
+    attrs.source_target_pairs = std::move(pairs);
+    return attrs;
+}
+
+/**
+ * The attributes of a group collective over `groups`, along tensor
+ * dimension `dim` (an AllReduce has none: -1).
+ */
+inline InstrAttrs
+GroupAttrs(int64_t dim, ReplicaGroups groups)
+{
+    InstrAttrs attrs;
+    attrs.dim = dim;
+    attrs.groups = std::move(groups);
+    return attrs;
+}
 
 /**
  * One node of the dataflow graph. Instructions are owned by their
@@ -146,6 +174,30 @@ class HloInstruction {
 
     int64_t id() const { return id_; }
     HloOpcode opcode() const { return opcode_; }
+
+    /**
+     * The collective this instruction runs: for an async Start or Done,
+     * the kind the Start wraps; for anything else (and a Start that wraps
+     * nothing, or a Done without a Start), opcode(). Every per-kind
+     * switch over collectives switches on this, so a permute and its
+     * async pair share one case.
+     */
+    HloOpcode collective_opcode() const
+    {
+        const HloInstruction* start =
+            opcode_ == HloOpcode::kAsyncDone && !operands_.empty()
+                ? operands_[0]
+                : this;
+        if (start->opcode_ != HloOpcode::kAsyncStart) return opcode_;
+        return start->attrs_.wrapped.value_or(opcode_);
+    }
+
+    /**
+     * The opcode as the text form spells it: "<wrapped>-start" and
+     * "<wrapped>-done" for an async pair, HloOpcodeName otherwise.
+     */
+    std::string opcode_text() const;
+
     const Shape& shape() const { return shape_; }
     const InstrAttrs& attrs() const { return attrs_; }
     /** Mutable attributes; drops the cached einsum parse, which the
@@ -224,6 +276,9 @@ class HloInstruction {
 
     void RemoveUser(HloInstruction* user);
 
+    /** "-start" / "-done" after the wrapped kind's name, or "". */
+    const char* AsyncSuffix() const;
+
     int64_t id_;
     HloOpcode opcode_;
     Shape shape_;
@@ -246,7 +301,8 @@ class HloInstruction {
 /**
  * Computes the result shape of an instruction from its opcode, operands
  * and attributes. Shared by the builder (to construct shapes) and the
- * verifier (to re-check them).
+ * verifier (to re-check them). An async Start infers like the sync
+ * collective it wraps, and fails when that is not one.
  */
 StatusOr<Shape> InferInstructionShape(
     HloOpcode opcode, const std::vector<HloInstruction*>& operands,

@@ -33,12 +33,8 @@ HloOpcodeName(HloOpcode opcode)
       case HloOpcode::kAllReduce: return "all-reduce";
       case HloOpcode::kAllToAll: return "all-to-all";
       case HloOpcode::kCollectivePermute: return "collective-permute";
-      case HloOpcode::kCollectivePermuteStart:
-          return "collective-permute-start";
-      case HloOpcode::kCollectivePermuteDone:
-          return "collective-permute-done";
-      case HloOpcode::kAllToAllStart: return "all-to-all-start";
-      case HloOpcode::kAllToAllDone: return "all-to-all-done";
+      case HloOpcode::kAsyncStart: return "async-start";
+      case HloOpcode::kAsyncDone: return "async-done";
       case HloOpcode::kTuple: return "tuple";
     }
     return "unknown";
@@ -59,59 +55,6 @@ IsElementwiseBinary(HloOpcode opcode)
       default:
           return false;
     }
-}
-
-bool
-IsCollective(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart:
-      case HloOpcode::kCollectivePermuteDone:
-      case HloOpcode::kAllToAllStart:
-      case HloOpcode::kAllToAllDone:
-          return true;
-      default:
-          return false;
-    }
-}
-
-bool
-IsExchangeOp(HloOpcode opcode)
-{
-    return IsCollective(opcode) && !IsAsyncDone(opcode);
-}
-
-bool
-IsBlockingCollective(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-          return true;
-      default:
-          return false;
-    }
-}
-
-bool
-IsAsyncStart(HloOpcode opcode)
-{
-    return opcode == HloOpcode::kCollectivePermuteStart ||
-           opcode == HloOpcode::kAllToAllStart;
-}
-
-bool
-IsAsyncDone(HloOpcode opcode)
-{
-    return opcode == HloOpcode::kCollectivePermuteDone ||
-           opcode == HloOpcode::kAllToAllDone;
 }
 
 }  // namespace overlap

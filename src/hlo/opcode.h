@@ -48,20 +48,21 @@ enum class HloOpcode : uint8_t {
     // Dense computation.
     kEinsum,
 
-    // Communication collectives (MPI-style, SPMD).
+    // Communication collectives (MPI-style, SPMD), kept contiguous for
+    // the predicates below: the blocking four, the permute, the async
+    // pair.
     kAllGather,
     kReduceScatter,
     kAllReduce,
     kAllToAll,
     kCollectivePermute,
-    kCollectivePermuteStart,
-    kCollectivePermuteDone,
-    /// Async AllToAll pair: Start issues the exchange (occupying both
-    /// direction channels of its mesh axis like the blocking form) and
-    /// returns immediately; Done waits for delivery. Produced by
-    /// CreateAsyncAllToAlls for micro-batch pipelined MoE overlap.
-    kAllToAllStart,
-    kAllToAllDone,
+    /// Async pair (§5.2): the Start issues the exchange of the collective
+    /// it wraps (attrs.wrapped, one of the five above, with that
+    /// collective's own attributes) and returns at once; the Done, whose
+    /// one operand is its Start, waits for delivery. Printed as
+    /// "<wrapped>-start" / "<wrapped>-done".
+    kAsyncStart,
+    kAsyncDone,
 
     /// Keeps several values live as one root (scalar result). Stands in
     /// for XLA's tuple in step graphs whose backward outputs have no
@@ -76,7 +77,11 @@ const char* HloOpcodeName(HloOpcode opcode);
 bool IsElementwiseBinary(HloOpcode opcode);
 
 /** True for any cross-device communication opcode. */
-bool IsCollective(HloOpcode opcode);
+inline bool
+IsCollective(HloOpcode opcode)
+{
+    return opcode >= HloOpcode::kAllGather && opcode <= HloOpcode::kAsyncDone;
+}
 
 /**
  * True for the collectives that move data between devices: all but
@@ -85,16 +90,32 @@ bool IsCollective(HloOpcode opcode);
  * and a SilentCorruption's exchange ordinal counts exactly these, in
  * program order, in both the simulator and the evaluator.
  */
-bool IsExchangeOp(HloOpcode opcode);
+inline bool
+IsExchangeOp(HloOpcode opcode)
+{
+    return opcode >= HloOpcode::kAllGather && opcode <= HloOpcode::kAsyncStart;
+}
 
 /** True for the blocking (non-decomposed) collectives AG/RS/AR/A2A. */
-bool IsBlockingCollective(HloOpcode opcode);
+inline bool
+IsBlockingCollective(HloOpcode opcode)
+{
+    return opcode >= HloOpcode::kAllGather && opcode <= HloOpcode::kAllToAll;
+}
 
-/** True for the Start half of an async pair (permute or all-to-all). */
-bool IsAsyncStart(HloOpcode opcode);
+/** True for the Start half of an async pair. */
+inline bool
+IsAsyncStart(HloOpcode opcode)
+{
+    return opcode == HloOpcode::kAsyncStart;
+}
 
-/** True for the Done half of an async pair (permute or all-to-all). */
-bool IsAsyncDone(HloOpcode opcode);
+/** True for the Done half of an async pair. */
+inline bool
+IsAsyncDone(HloOpcode opcode)
+{
+    return opcode == HloOpcode::kAsyncDone;
+}
 
 }  // namespace overlap
 

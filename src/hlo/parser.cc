@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "hlo/verifier.h"
@@ -116,6 +117,28 @@ ParseDType(const std::string& name)
     return InvalidArgument("unknown dtype '" + name + "'");
 }
 
+/**
+ * The opcode named `name`. "<kind>-start" and "<kind>-done" name an
+ * async pair around `kind`, which goes to `wrapped`.
+ */
+StatusOr<HloOpcode>
+ParseOpcode(const std::string& name, std::optional<HloOpcode>* wrapped)
+{
+    auto opcode = HloOpcodeFromName(name);
+    if (opcode.ok()) return opcode;
+    const size_t dash = name.rfind('-');
+    if (dash != std::string::npos) {
+        const std::string suffix = name.substr(dash);
+        auto kind = HloOpcodeFromName(name.substr(0, dash));
+        if (kind.ok() && (suffix == "-start" || suffix == "-done")) {
+            *wrapped = kind.value();
+            return suffix == "-start" ? HloOpcode::kAsyncStart
+                                      : HloOpcode::kAsyncDone;
+        }
+    }
+    return opcode.status();
+}
+
 class Parser {
   public:
     explicit Parser(const std::string& text) : lines_(StrSplit(text, '\n'))
@@ -211,7 +234,8 @@ class Parser {
         }
         std::string opcode_name =
             Strip(rest.substr(bracket_end + 1, paren - bracket_end - 1));
-        auto opcode = HloOpcodeFromName(opcode_name);
+        std::optional<HloOpcode> wrapped;
+        auto opcode = ParseOpcode(opcode_name, &wrapped);
         if (!opcode.ok()) return opcode.status();
 
         std::vector<HloInstruction*> operands;
@@ -233,7 +257,18 @@ class Parser {
             }
         }
 
+        // A Done's kind is its Start's: the text must agree with it.
+        if (opcode.value() == HloOpcode::kAsyncDone && wrapped.has_value() &&
+            (operands.size() != 1 ||
+             operands[0]->opcode() != HloOpcode::kAsyncStart ||
+             operands[0]->collective_opcode() != *wrapped)) {
+            return InvalidArgument(StrCat("%", name, ": ", opcode_name,
+                                          " waits on no ",
+                                          HloOpcodeName(*wrapped), "-start"));
+        }
+
         InstrAttrs attrs;
+        if (opcode.value() == HloOpcode::kAsyncStart) attrs.wrapped = wrapped;
         int64_t fusion_group = -1;
         int64_t loop_group = -1;
         std::string attr_text = rest.substr(paren_end + 1);

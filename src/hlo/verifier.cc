@@ -149,10 +149,10 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
     if (!IsCollective(instr->opcode()) && attrs.a2a_chunk == -1) {
         return Status::Ok();
     }
-    // all-to-all-start shares the blocking form's group layout, so it goes
-    // through the same group sanity checks.
-    if (IsBlockingCollective(instr->opcode()) ||
-        instr->opcode() == HloOpcode::kAllToAllStart) {
+    // An async Start carries its wrapped collective's groups or pairs, so
+    // it goes through the same checks as the sync form.
+    const HloOpcode kind = instr->collective_opcode();
+    if (IsBlockingCollective(kind) && !IsAsyncDone(instr->opcode())) {
         if (attrs.groups.empty()) {
             return InvalidArgument(
                 StrCat("collective without groups at %", instr->name()));
@@ -190,8 +190,8 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
             }
         }
     }
-    if ((instr->opcode() == HloOpcode::kCollectivePermute ||
-         instr->opcode() == HloOpcode::kCollectivePermuteStart) &&
+    if (kind == HloOpcode::kCollectivePermute &&
+        !IsAsyncDone(instr->opcode()) &&
         sets->checked_pairs.insert(attrs.source_target_pairs.get())
             .second) {
         sets->sources.Clear();
@@ -214,23 +214,20 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
         }
     }
     if (IsAsyncStart(instr->opcode())) {
-        const HloOpcode want_done =
-            instr->opcode() == HloOpcode::kCollectivePermuteStart
-                ? HloOpcode::kCollectivePermuteDone
-                : HloOpcode::kAllToAllDone;
+        // A Done reads its kind from its Start, so any Done user is of
+        // the same kind.
         int64_t done_users = 0;
         for (const HloInstruction* user : instr->users()) {
-            if (user->opcode() == want_done) {
-                ++done_users;
-            } else {
+            if (!IsAsyncDone(user->opcode())) {
                 return InvalidArgument(
-                    StrCat(HloOpcodeName(instr->opcode()),
-                           " used by non-done %", user->name()));
+                    StrCat(instr->opcode_text(), " used by non-done %",
+                           user->name()));
             }
+            ++done_users;
         }
         if (done_users != 1) {
             return InvalidArgument(
-                StrCat(HloOpcodeName(instr->opcode()),
+                StrCat(instr->opcode_text(),
                        " needs exactly one done user at %", instr->name()));
         }
     }
@@ -238,15 +235,13 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices,
         instr->operand(0)->attrs().channel_id !=
             instr->attrs().channel_id) {
         return InvalidArgument(
-            StrCat(HloOpcodeName(instr->opcode()), " channel ",
+            StrCat(instr->opcode_text(), " channel ",
                    instr->attrs().channel_id, " != its start's channel ",
                    instr->operand(0)->attrs().channel_id, " at %",
                    instr->name()));
     }
     if (attrs.a2a_chunk != -1) {
-        if (instr->opcode() != HloOpcode::kCollectivePermute &&
-            instr->opcode() != HloOpcode::kCollectivePermuteStart &&
-            instr->opcode() != HloOpcode::kCollectivePermuteDone) {
+        if (kind != HloOpcode::kCollectivePermute) {
             return InvalidArgument(
                 StrCat("chunk attribute on non-permute %", instr->name()));
         }

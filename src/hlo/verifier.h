@@ -16,7 +16,9 @@ namespace overlap {
  *  - collective groups partition the device set (when a mesh is present)
  *    and CollectivePermute source/target pairs have unique sources and
  *    unique targets within range;
- *  - each CollectivePermuteStart has exactly one Done user;
+ *  - an async Start wraps one of the five sync exchange collectives
+ *    (its shape infers like that collective's) and has exactly one
+ *    user, a Done, which carries the Start's channel;
  *  - an attached schedule is a permutation of the instruction list and a
  *    valid topological order.
  *

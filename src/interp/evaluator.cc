@@ -138,7 +138,7 @@ IsFusableElementwise(HloOpcode opcode)
 enum class ExecKind : uint8_t {
     kParam,          ///< bind (borrow) a caller tensor, no copy
     kConstant,       ///< borrow the instruction's literal
-    kCopyLike,       ///< Copy / CollectivePermuteDone: move or alias
+    kCopyLike,       ///< Copy / async Done: move or alias
     kLocal,          ///< per-device op through the EvalOp switch
     kFused,          ///< leader of a fused elementwise group
     kFusedInterior,  ///< executed by its group leader; skipped in walk
@@ -220,9 +220,8 @@ Status
 ValidateExchangeStatic(const HloInstruction* instr, const Mesh& mesh)
 {
     const int64_t n = mesh.num_devices();
-    switch (instr->opcode()) {
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart: {
+    switch (instr->collective_opcode()) {
+      case HloOpcode::kAllToAll: {
           int64_t dim = instr->attrs().dim;
           for (const auto& group : instr->attrs().groups) {
               int64_t g = static_cast<int64_t>(group.size());
@@ -234,8 +233,7 @@ ValidateExchangeStatic(const HloInstruction* instr, const Mesh& mesh)
           return Status::Ok();
       }
 
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
+      case HloOpcode::kCollectivePermute: {
           // A device may appear at most once as a source and once
           // as a target; a duplicate target would make the result
           // depend on pair order, so it is an error (as in XLA),
@@ -294,8 +292,7 @@ Compile(const HloComputation& computation, const Mesh& mesh)
               op.kind = ExecKind::kConstant;
               break;
           case HloOpcode::kCopy:
-          case HloOpcode::kCollectivePermuteDone:
-          case HloOpcode::kAllToAllDone:
+          case HloOpcode::kAsyncDone:
               op.kind = ExecKind::kCopyLike;
               break;
           default:
@@ -748,7 +745,7 @@ EvalGroupCollective(const HloInstruction* instr,
 {
     const size_t k = inputs.size();
     std::vector<Tensor> outs(k);
-    switch (instr->opcode()) {
+    switch (instr->collective_opcode()) {
       case HloOpcode::kAllGather: {
           Tensor gathered = ConcatParts(inputs, instr->attrs().dim);
           for (size_t i = 0; i + 1 < k; ++i) outs[i] = gathered;
@@ -793,10 +790,7 @@ EvalGroupCollective(const HloInstruction* instr,
           return outs;
       }
 
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart: {
-          // The async Start moves the data (like a permute Start); the
-          // matching Done is a local copy.
+      case HloOpcode::kAllToAll: {
           int64_t dim = instr->attrs().dim;
           int64_t g = static_cast<int64_t>(k);
           const Shape& in_shape = instr->operand(0)->shape();
@@ -828,7 +822,7 @@ EvalGroupCollective(const HloInstruction* instr,
       default: break;
     }
     return Internal(StrCat("unexpected group collective ",
-                           HloOpcodeName(instr->opcode())));
+                           instr->opcode_text()));
 }
 
 /**
@@ -843,12 +837,13 @@ EvalCollective(const HloInstruction* instr, const Mesh& mesh,
                std::vector<Tensor>* out)
 {
     const int64_t n = mesh.num_devices();
-    switch (instr->opcode()) {
+    // An async Start moves the data like its wrapped collective; the
+    // matching Done is a local copy.
+    switch (instr->collective_opcode()) {
       case HloOpcode::kAllGather:
       case HloOpcode::kReduceScatter:
       case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart: {
+      case HloOpcode::kAllToAll: {
           for (const auto& group : instr->attrs().groups) {
               std::vector<const Tensor*> group_inputs;
               group_inputs.reserve(group.size());
@@ -866,8 +861,7 @@ EvalCollective(const HloInstruction* instr, const Mesh& mesh,
           return Status::Ok();
       }
 
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
+      case HloOpcode::kCollectivePermute: {
           OVERLAP_RETURN_IF_ERROR(ValidateExchangeStatic(instr, mesh));
           std::vector<bool> receives(static_cast<size_t>(n), false);
           for (const auto& [src, dst] :
@@ -888,7 +882,7 @@ EvalCollective(const HloInstruction* instr, const Mesh& mesh,
       default: break;
     }
     return Internal(StrCat("unexpected collective op ",
-                           HloOpcodeName(instr->opcode())));
+                           instr->opcode_text()));
 }
 
 /**

@@ -68,10 +68,10 @@ struct EvalOptions {
  * collective semantics: AllGather concatenation in group order,
  * ReduceScatter element-wise reduction + scatter, AllReduce, AllToAll,
  * and CollectivePermute data movement (devices that receive nothing get
- * zeros, matching XLA). A CollectivePermuteStart performs the data
- * movement and its Done is the identity, so the async pair behaves
- * exactly like the sync op — their timing behaviour lives in the
- * simulator. Source-target pairs with a duplicate source or target, or
+ * zeros, matching XLA). An async Start performs the data movement of
+ * the collective it wraps and its Done is the identity, so the async
+ * pair behaves exactly like the sync op — their timing behaviour lives
+ * in the simulator. Source-target pairs with a duplicate source or target, or
  * with a device id outside the mesh, are rejected as invalid.
  *
  * Execution is a serial lock-step walk — one instruction at a time

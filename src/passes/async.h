@@ -7,30 +7,24 @@
 namespace overlap {
 
 /**
- * Splits every synchronous CollectivePermute into an asynchronous
- * CollectivePermuteStart / CollectivePermuteDone pair (§5.2).
+ * Splits every synchronous `kind` collective into an async Start / Done
+ * pair that wraps it (§5.2). The Start carries the collective's
+ * attributes and issues the exchange without blocking; the Done waits
+ * for delivery.
  *
- * The Start issues the transfer and does not block; the Done marks its
- * completion. Decoupling this from the decomposition keeps the loop
- * generation modular (§5.1): the decomposer emits ordinary blocking
- * permutes, this pass makes them non-blocking, and the schedulers then
- * move Starts early and Dones late to expose the overlap.
+ * Decoupling this from the decomposition keeps the loop generation
+ * modular (§5.1): the decomposer emits ordinary blocking permutes, this
+ * pass (with `kind` = kCollectivePermute) makes them non-blocking, and
+ * the schedulers then move Starts early and Dones late to expose the
+ * overlap. With `kind` = kAllToAll it splits the blocking AllToAlls that
+ * survive decomposition (DESIGN.md §18), which lets one micro-batch's
+ * dispatch/combine exchange hide behind another micro-batch's dense
+ * compute in the MoE pipelined schedule.
  *
- * @return the number of permutes converted.
+ * @return the number of collectives converted.
  */
-StatusOr<int64_t> CreateAsyncCollectivePermutes(HloComputation* computation);
-
-/**
- * Splits every blocking AllToAll into an AllToAllStart / AllToAllDone
- * pair (DESIGN.md §18). The Start occupies the exchange's channels like
- * the blocking form but does not stall the device; the Done waits for
- * delivery. This is what lets one micro-batch's dispatch/combine
- * exchange hide behind another micro-batch's dense compute in the MoE
- * pipelined schedule.
- *
- * @return the number of all-to-alls converted.
- */
-StatusOr<int64_t> CreateAsyncAllToAlls(HloComputation* computation);
+StatusOr<int64_t> CreateAsyncPairs(HloComputation* computation,
+                                   HloOpcode kind);
 
 }  // namespace overlap
 

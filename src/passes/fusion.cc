@@ -19,12 +19,10 @@ IsFusableCombiner(const HloInstruction* instr)
 }  // namespace
 
 bool
-DependsOnPermuteDone(const HloInstruction* instr)
+DependsOnAsyncDone(const HloInstruction* instr)
 {
     for (const HloInstruction* operand : instr->operands()) {
-        if (operand->opcode() == HloOpcode::kCollectivePermuteDone) {
-            return true;
-        }
+        if (IsAsyncDone(operand->opcode())) return true;
     }
     return false;
 }
@@ -56,19 +54,19 @@ RunFusionPass(HloComputation* computation, FusionHeuristic heuristic)
               chosen = producers.front();
               break;
           case FusionHeuristic::kOverlapAware: {
-              // Prefer the producer that already consumes the
-              // CollectivePermuteDone; if the combiner itself reads a
-              // Done and no producer does, fusing would create the bad
-              // dependence — leave the combiner unfused and pay the
-              // extra memory accesses instead (Figure 11 (b)).
+              // Prefer the producer that already consumes the async
+              // Done; if the combiner itself reads a Done and no
+              // producer does, fusing would create the bad dependence —
+              // leave the combiner unfused and pay the extra memory
+              // accesses instead (Figure 11 (b)).
               for (HloInstruction* producer : producers) {
-                  if (DependsOnPermuteDone(producer)) {
+                  if (DependsOnAsyncDone(producer)) {
                       chosen = producer;
                       break;
                   }
               }
               if (chosen == nullptr) {
-                  if (DependsOnPermuteDone(instr)) {
+                  if (DependsOnAsyncDone(instr)) {
                       chosen = nullptr;  // stay unfused
                   } else {
                       chosen = producers.front();

@@ -14,16 +14,15 @@ enum class FusionHeuristic {
      * operand in program order. In the unrolled CollectiveEinsum loop
      * this is typically the einsum *independent* of the in-flight
      * CollectivePermute, which makes the fused kernel transitively depend
-     * on the CollectivePermuteDone and serializes the three nodes
-     * (Figure 11 (a)).
+     * on the async Done and serializes the three nodes (Figure 11 (a)).
      */
     kDefault,
 
     /**
      * The paper's fix: prioritize fusing the combiner with the einsum
      * that (directly or through the accumulator chain) consumes the
-     * CollectivePermuteDone, leaving the independent einsum free to
-     * overlap the transfer (Figure 11 (b)).
+     * async Done, leaving the independent einsum free to overlap the
+     * transfer (Figure 11 (b)).
      */
     kOverlapAware,
 };
@@ -41,9 +40,8 @@ enum class FusionHeuristic {
 StatusOr<int64_t> RunFusionPass(HloComputation* computation,
                                 FusionHeuristic heuristic);
 
-/** True if `instr`'s value (transitively) reads a CollectivePermuteDone
- *  without passing through another einsum. */
-bool DependsOnPermuteDone(const HloInstruction* instr);
+/** True if one of `instr`'s operands is an async Done. */
+bool DependsOnAsyncDone(const HloInstruction* instr);
 
 }  // namespace overlap
 

@@ -239,8 +239,8 @@ TopDownSchedule(const SchedGraph& graph,
                 const std::vector<const SchedUnit*>& input,
                 int64_t max_in_flight)
 {
-    // Forward list scheduling with the two §5.2 placement rules — a
-    // CollectivePermuteStart goes as early as possible and a Done as
+    // Forward list scheduling with the two §5.2 placement rules — an
+    // async Start goes as early as possible and a Done as
     // late as its transfer needs — paced by a simple estimated clock
     // (the cost-based rebalancing). Less precise than the bottom-up
     // scheduler's per-transfer spacing accounting, which is where it

@@ -32,7 +32,7 @@ std::vector<const SchedUnit*> BaselineMemorySchedule(const SchedGraph& graph);
 
 /**
  * Algorithm 2: bottom-up (reverse) list scheduling. Works through the
- * unit graph from the roots, prioritizing CollectivePermuteDones and
+ * unit graph from the roots, prioritizing async Dones and
  * their users so that, after the final reversal, Starts sit as early and
  * Dones as late as the dependences and the in-flight budget
  * (`max_in_flight`) allow. Falls back to the input order's relative
@@ -43,7 +43,7 @@ std::vector<const SchedUnit*> BottomUpSchedule(
     int64_t max_in_flight);
 
 /**
- * Top-down scheduling: each CollectivePermuteStart moves as early as its
+ * Top-down scheduling: each async Start moves as early as its
  * operands allow and each Done as late as its first user allows, after a
  * rebalancing step that redistributes the computation between the
  * permutes of each decomposed loop chain. Simpler than bottom-up but

@@ -72,7 +72,7 @@ CostModel::BlockingCollectiveSeconds(const HloInstruction* instr) const
     double g = static_cast<double>(group);
     double bw = spec_.link_bandwidth;
     double lat = spec_.link_latency;
-    switch (instr->opcode()) {
+    switch (instr->collective_opcode()) {
       case HloOpcode::kAllGather: {
           // Bidirectional ring: (G-1)/G of the *output* arrives remotely,
           // split over the two directions.
@@ -91,13 +91,11 @@ CostModel::BlockingCollectiveSeconds(const HloInstruction* instr) const
           return 2.0 * ((g - 1.0) * bytes / (g * 2.0 * bw)) +
                  2.0 * (g - 1.0) * lat;
       }
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart: {
+      case HloOpcode::kAllToAll: {
           // Uniform all-to-all. XLA routes A2A over the full torus, so a
           // G-device group behaves like a sqrt(G) x sqrt(G) sub-torus:
           // the bisection carries ~B/2 of the traffic over ~2*sqrt(G)
-          // link-directions, i.e. t ~ B * sqrt(G) / (4 * bw). The async
-          // Start occupies the channels for the same duration.
+          // link-directions, i.e. t ~ B * sqrt(G) / (4 * bw).
           double bytes = static_cast<double>(
               instr->operand(0)->shape().byte_size());
           double side = std::sqrt(g);
@@ -107,6 +105,14 @@ CostModel::BlockingCollectiveSeconds(const HloInstruction* instr) const
           break;
     }
     return spec_.op_overhead;
+}
+
+double
+CostModel::ExchangeSeconds(const HloInstruction* instr) const
+{
+    return instr->collective_opcode() == HloOpcode::kCollectivePermute
+               ? PermuteStepSeconds(instr->shape().byte_size())
+               : BlockingCollectiveSeconds(instr);
 }
 
 double
@@ -145,20 +151,16 @@ CostModel::InstructionSeconds(const HloInstruction* instr) const
       case HloOpcode::kReduceScatter:
       case HloOpcode::kAllReduce:
       case HloOpcode::kAllToAll:
-          return BlockingCollectiveSeconds(instr);
       case HloOpcode::kCollectivePermute:
-          return PermuteStepSeconds(instr->shape().byte_size());
-      case HloOpcode::kCollectivePermuteStart:
-      case HloOpcode::kAllToAllStart:
+          return ExchangeSeconds(instr);
+      case HloOpcode::kAsyncStart:
           // Issues the DMA and returns immediately.
           return 0.0;
-      case HloOpcode::kCollectivePermuteDone:
-          // Scheduler's view of the worst-case wait; the simulator models
-          // the actual remaining transfer time.
-          return PermuteStepSeconds(instr->shape().byte_size());
-      case HloOpcode::kAllToAllDone:
-          // Worst-case wait: the whole exchange still in flight.
-          return BlockingCollectiveSeconds(instr->operand(0));
+      case HloOpcode::kAsyncDone:
+          // Scheduler's view of the worst-case wait, the whole exchange
+          // still in flight; the simulator models the actual remaining
+          // transfer time.
+          return ExchangeSeconds(instr->operand(0));
       default:
           if (IsScalarShaped(instr)) return 0.0;  // index arithmetic
           return ElementwiseSeconds(instr);

@@ -56,8 +56,19 @@ class CostModel {
      */
     double ElementwiseSeconds(const HloInstruction* instr) const;
 
-    /** Blocking collective time (AG/RS/AR/A2A) via ring formulas. */
+    /**
+     * Blocking collective time (AG/RS/AR/A2A, or an async Start wrapping
+     * one) via ring formulas.
+     */
     double BlockingCollectiveSeconds(const HloInstruction* instr) const;
+
+    /**
+     * Nominal wire time of the exchange a sync collective or an async
+     * Start issues: one ring hop for a permute, the blocking formula for
+     * the rest. An async Done's worst-case wait and a schedule unit's
+     * transfer_seconds are both this, of the Start.
+     */
+    double ExchangeSeconds(const HloInstruction* instr) const;
 
     /** One unidirectional ring hop moving `bytes`. */
     double PermuteStepSeconds(int64_t bytes) const;

@@ -107,7 +107,7 @@ Slot(const SchedUnit* unit)
  * a real runtime would spin forever on these schedules, the simulator
  * must instead terminate with a diagnostic naming the blocked
  * instructions). Catches:
- *  - an async Done (permute or all-to-all) whose Start is not scheduled
+ *  - an async Done whose Start is not scheduled
  *    before it (orphaned pair / permute cycle),
  *  - an async Start with no matching Done (its transfer and hardware
  *    sync flag never retire),
@@ -510,8 +510,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         const HloInstruction* head = unit->members.front();
         const double bytes = static_cast<double>(head->shape().byte_size());
         const bool routed =
-            head->opcode() == HloOpcode::kCollectivePermute ||
-            head->opcode() == HloOpcode::kCollectivePermuteStart;
+            head->collective_opcode() == HloOpcode::kCollectivePermute;
         double& arrives = arrival[Slot(unit)];
         TransferOutcome retries;
         double wire_end = time;

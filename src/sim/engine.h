@@ -160,8 +160,8 @@ const char* FailureCauseName(FailureCause cause);
 
 /**
  * The watchdog's structured account of a failed step: which entity
- * died, where the device got stuck (the blocked instructions, e.g. a
- * CollectivePermuteStart whose partner will never post), how far the
+ * died, where the device got stuck (the blocked instructions, e.g. an
+ * async Start whose partner will never post), how far the
  * run had progressed, and when the no-progress detector fired. The
  * recovery runtime (core/recovery) consumes this to compute a survivor
  * mesh and replan (DESIGN.md §11).
@@ -228,14 +228,16 @@ struct StepOutcome {
  * (mesh axis, ring direction). Every exchange is two halves (DESIGN.md
  * §20): a start half that hashes the payload on the sender (SDC
  * detectors on) and issues it onto the channels, and a wait half that
- * blocks until it arrives and hashes it on the receiver. An async Start
- * runs the start half and the device moves on: a CollectivePermuteStart
- * queues on one channel (serializing with other traffic in the same
- * direction, which is why a decomposed unidirectional loop only reaches
- * half the ring bandwidth, §5.5), an AllToAllStart on both channels of
- * its axis. The matching Done runs the wait half. Sync permutes and
- * blocking collectives run both halves back to back, so they occupy the
- * device *and* their channels.
+ * blocks until it arrives and hashes it on the receiver. Where an
+ * exchange goes depends only on the collective it runs
+ * (HloInstruction::collective_opcode), sync or async: a permute queues
+ * on one channel (serializing with other traffic in the same direction,
+ * which is why a decomposed unidirectional loop only reaches half the
+ * ring bandwidth, §5.5), any other collective takes both channels of
+ * its axis (every channel when its groups span several axes). An async
+ * Start runs the start half and the device moves on; the matching Done
+ * runs the wait half. Sync collectives run both halves back to back, so
+ * they occupy the device *and* their channels.
  */
 class PodSimulator {
   public:
@@ -275,9 +277,10 @@ class PodSimulator {
      * that exhausts its retries), and a killed transfer charges no bytes
      * and no retries. The device blocks where it waits for the first
      * killed transfer, the watchdog fires after the no-progress window,
-     * and the outcome carries a FailureReport instead of spinning. Malformed schedules that can never progress
-     * (orphaned Start/Done pairs, async in-flight budget starvation)
-     * return an error Status naming the blocked instructions.
+     * and the outcome carries a FailureReport instead of spinning.
+     * Malformed schedules that can never progress (orphaned Start/Done
+     * pairs, async in-flight budget starvation) return an error Status
+     * naming the blocked instructions.
      */
     StatusOr<StepOutcome> RunStep(const HloModule& module,
                                   int64_t step_index,

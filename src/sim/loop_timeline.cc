@@ -47,7 +47,7 @@ class Deps {
 
 /**
  * One node of the synthetic unit graph the replay executes: a fused
- * compute kernel, a CollectivePermuteStart (channel occupancy + arrival
+ * compute kernel, a permute's async Start (channel occupancy + arrival
  * latency) or its Done. Mirrors SchedGraph's units for the loop the
  * emitter would build, without needing the HLO to exist yet.
  */
@@ -124,7 +124,7 @@ WireScale(LoopStructure structure)
  * scheduler breaks priority ties by the memory schedule). Dependency
  * edges copy LoopEmitter's data flow exactly: which transfer chains on
  * which Done, which combines fuse into their partial einsum (SchedGraph
- * fuses a combiner with the producer reading a CollectivePermuteDone;
+ * fuses a combiner with the producer reading an async Done;
  * a combiner that itself reads a Done while no producer does stays
  * unfused), where the prologue/epilogue permutes sit.
  */

@@ -100,16 +100,11 @@ SchedGraph::SchedGraph(const HloComputation& computation,
         if (unit.IsAsyncDone()) latency = 0.0;
         unit.latency = latency;
         unit.output_bytes = unit.members.back()->shape().byte_size();
-        if (unit.IsAsyncStart() || unit.IsAsyncDone()) {
-            // A permute's one-hop wire time; an all-to-all occupies the
-            // channels for the blocking form's duration.
-            const HloInstruction* start = unit.IsAsyncStart()
-                                              ? unit.members[0]
-                                              : unit.members[0]->operand(0);
+        if (unit.IsAsyncStart()) {
+            unit.transfer_seconds = cost.ExchangeSeconds(unit.members[0]);
+        } else if (unit.IsAsyncDone()) {
             unit.transfer_seconds =
-                start->opcode() == HloOpcode::kCollectivePermuteStart
-                    ? cost.PermuteStepSeconds(start->shape().byte_size())
-                    : cost.BlockingCollectiveSeconds(start);
+                cost.ExchangeSeconds(unit.members[0]->operand(0));
         }
     }
 

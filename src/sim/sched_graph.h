@@ -34,23 +34,24 @@ struct SchedUnit {
     /// latency is its issue cost, a Done's is zero — the transfer itself
     /// is modeled by the simulator's link engine).
     double latency = 0.0;
-    /// For both units of an async pair: the transfer's nominal time, a
-    /// permute's one-hop wire time or an all-to-all's blocking-form
-    /// duration (used by schedulers to space Start and Done apart; the
-    /// simulator computes the actual time from link state).
+    /// For both units of an async pair: the Start's
+    /// CostModel::ExchangeSeconds, a permute's one-hop wire time or the
+    /// wrapped collective's blocking-form duration (used by schedulers to
+    /// space Start and Done apart; the simulator computes the actual time
+    /// from link state).
     double transfer_seconds = 0.0;
     int64_t loop_group = -1;
     /// Bytes of the kernel's result buffer (its last member's output),
     /// which stays live until the unit's last user has run.
     int64_t output_bytes = 0;
 
-    /** The Start half of any async pair (permute or all-to-all). */
+    /** The Start half of an async pair, whatever it wraps. */
     bool IsAsyncStart() const
     {
         return members.size() == 1 &&
                overlap::IsAsyncStart(members[0]->opcode());
     }
-    /** The Done half of any async pair (permute or all-to-all). */
+    /** The Done half of an async pair, whatever it wraps. */
     bool IsAsyncDone() const
     {
         return members.size() == 1 &&

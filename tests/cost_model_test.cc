@@ -83,8 +83,9 @@ TEST_F(CostModelTest, PermuteStartIsFreeDoneCostsTransfer)
 {
     HloBuilder b(module_.AddEntryComputation("main"));
     auto* p = b.Parameter(0, Shape(DType::kBF16, {1024}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
+    auto* done = b.AsyncDone(start);
     EXPECT_DOUBLE_EQ(cost_.InstructionSeconds(start), 0.0);
     EXPECT_GT(cost_.InstructionSeconds(done), 0.0);
 }

@@ -153,8 +153,8 @@ PairLists(const HloComputation& comp)
 {
     std::set<const SourceTargetPairs::List*> lists;
     for (const HloInstruction* instr : comp.instructions()) {
-        if (instr->opcode() == HloOpcode::kCollectivePermute ||
-            instr->opcode() == HloOpcode::kCollectivePermuteStart) {
+        if (instr->collective_opcode() == HloOpcode::kCollectivePermute &&
+            !IsAsyncDone(instr->opcode())) {
             lists.insert(instr->attrs().source_target_pairs.get());
         }
     }
@@ -194,7 +194,7 @@ TEST(RingShiftPairsTest, PermutesOfOneShiftShareOneList)
     std::unique_ptr<HloComputation> clone = comp->Clone();
     EXPECT_EQ(PairLists(*clone), lists);
 
-    ASSERT_TRUE(CreateAsyncCollectivePermutes(comp).ok());
+    ASSERT_TRUE(CreateAsyncPairs(comp, HloOpcode::kCollectivePermute).ok());
     EXPECT_EQ(CountOps(*comp, HloOpcode::kCollectivePermute), 0);
     EXPECT_EQ(PairLists(*comp), lists);
     EXPECT_TRUE(VerifyModule(*module).ok());

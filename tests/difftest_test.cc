@@ -7,6 +7,8 @@
 #include "difftest/difftest.h"
 #include "difftest/minimizer.h"
 #include "hlo/parser.h"
+#include "interp/evaluator.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace difftest {
@@ -154,6 +156,44 @@ TEST(DiffTest, AllToAllOnlySweepHasZeroMismatches)
     EXPECT_EQ(summary->cases_by_site[4], 32);
     EXPECT_GT(summary->odd_extent_cases, 0);
     EXPECT_GT(summary->even_extent_cases, 0);
+}
+
+// The §18 pipelined form (moe_sweep's pipelined arm): with AllToAll
+// decomposition off, the async pass splits the exchange into a Start/Done
+// pair, and the compiled module must evaluate to the blocking reference's
+// values bit for bit on every device.
+TEST(DiffTest, AsyncAllToAllMatchesTheBlockingReferenceBitForBit)
+{
+    int64_t rows = 0;
+    for (const SiteSpec& spec : EquivalenceTable()) {
+        if (spec.site_case != SiteCase::kAllToAll) continue;
+        SCOPED_TRACE(spec.ToString());
+        auto scenario = BuildSiteScenario(spec);
+        ASSERT_TRUE(scenario.ok()) << scenario.status().message();
+        auto pipelined = BuildSiteModule(spec);
+        ASSERT_TRUE(pipelined.ok()) << pipelined.status().message();
+        CompilerOptions options;
+        options.decompose.all_to_all = false;
+        options.async_all_to_all = true;
+        auto report = OverlapCompiler(options).Compile(pipelined->get());
+        ASSERT_TRUE(report.ok()) << report.status().message();
+        EXPECT_EQ(report->async_all_to_alls, 1);
+        EXPECT_TRUE(report->pass_diagnostics.empty());
+
+        auto outputs = SpmdEvaluator(spec.mesh()).EvaluateBatch(
+            {scenario->module->entry(), (*pipelined)->entry()},
+            scenario->params);
+        ASSERT_TRUE(outputs.ok()) << outputs.status().message();
+        const std::vector<Tensor>& blocking = (*outputs)[0];
+        const std::vector<Tensor>& async = (*outputs)[1];
+        ASSERT_EQ(blocking.size(), async.size());
+        for (size_t d = 0; d < blocking.size(); ++d) {
+            EXPECT_TRUE(testing_util::BitEqual(blocking[d], async[d]))
+                << "device " << d;
+        }
+        ++rows;
+    }
+    EXPECT_EQ(rows, 12);
 }
 
 TEST(DiffTest, AllToAllSpecLineRoundTrips)

@@ -35,8 +35,9 @@ TEST(EngineHangTest, DoneScheduledBeforeItsStartIsDiagnosed)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}), "p");
-    auto* start = b.CollectivePermuteStart(p, RingShift(mesh));
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs(RingShift(mesh)));
+    auto* done = b.AsyncDone(start);
     comp->set_root(done);
     // A schedule where the Done waits on a Start that has not been
     // issued — the orphaned-pair / permute-cycle shape.
@@ -60,7 +61,8 @@ TEST(EngineHangTest, StartWithoutDoneIsDiagnosed)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}), "p");
-    auto* start = b.CollectivePermuteStart(p, RingShift(mesh));
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs(RingShift(mesh)));
     (void)start;
     comp->set_root(b.Copy(p));
 
@@ -85,10 +87,11 @@ TEST(EngineHangTest, AsyncBudgetStarvationIsDiagnosed)
     std::vector<HloInstruction*> starts;
     std::vector<HloInstruction*> dones;
     for (int i = 0; i < 3; ++i) {
-        starts.push_back(b.CollectivePermuteStart(p, RingShift(mesh)));
+        starts.push_back(b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                                      PermuteAttrs(RingShift(mesh))));
     }
     for (HloInstruction* start : starts) {
-        dones.push_back(b.CollectivePermuteDone(start));
+        dones.push_back(b.AsyncDone(start));
     }
     comp->set_root(b.Tuple(dones));
 
@@ -129,8 +132,9 @@ RingPermuteModule(const Mesh& mesh)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}), "p");
-    auto* start = b.CollectivePermuteStart(p, RingShift(mesh));
-    comp->set_root(b.CollectivePermuteDone(start));
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs(RingShift(mesh)));
+    comp->set_root(b.AsyncDone(start));
     return module;
 }
 
@@ -241,8 +245,9 @@ TEST(EngineHangTest, HealthySchedulesStillSimulate)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}), "p");
-    auto* start = b.CollectivePermuteStart(p, RingShift(mesh));
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs(RingShift(mesh)));
+    auto* done = b.AsyncDone(start);
     comp->set_root(done);
 
     PodSimulator simulator(mesh, HardwareSpec());

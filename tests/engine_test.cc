@@ -8,9 +8,12 @@
 
 #include "hlo/builder.h"
 #include "hlo/module.h"
+#include "hlo/verifier.h"
+#include "interp/evaluator.h"
 #include "sim/engine.h"
 #include "sim/trace_export.h"
 #include "support/strings.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace {
@@ -67,9 +70,10 @@ TEST_F(EngineTest, AsyncTransferHiddenBehindLongCompute)
     auto* small = b.Parameter(0, Shape(DType::kBF16, {64, 64}));
     auto* a = b.Parameter(1, Shape(DType::kBF16, {2048, 2048}));
     auto* w = b.Parameter(2, Shape(DType::kBF16, {2048, 2048}));
-    auto* start = b.CollectivePermuteStart(small, {{0, 1}, {1, 0}});
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, small,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
     auto* big = b.Einsum(a, w, "mk,kn->mn");
-    auto* done = b.CollectivePermuteDone(start);
+    auto* done = b.AsyncDone(start);
     auto* both = b.Einsum(done, small, "mk,kn->mn");
     comp->set_root(b.Tuple({big, both}));
     PodSimulator sim(mesh, spec_);
@@ -87,8 +91,9 @@ TEST_F(EngineTest, AsyncTransferExposedWithoutCompute)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
-    comp->set_root(b.CollectivePermuteDone(start));
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
+    comp->set_root(b.AsyncDone(start));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
     ASSERT_TRUE(result.ok());
@@ -109,10 +114,12 @@ TEST_F(EngineTest, SameDirectionTransfersSerializeOnTheLink)
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
     auto pairs = std::vector<std::pair<int64_t, int64_t>>{
         {0, 3}, {1, 0}, {2, 1}, {3, 2}};
-    auto* s1 = b.CollectivePermuteStart(p, pairs);
-    auto* s2 = b.CollectivePermuteStart(p, pairs);
-    auto* d1 = b.CollectivePermuteDone(s1);
-    auto* d2 = b.CollectivePermuteDone(s2);
+    auto* s1 = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                            PermuteAttrs(pairs));
+    auto* s2 = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                            PermuteAttrs(pairs));
+    auto* d1 = b.AsyncDone(s1);
+    auto* d2 = b.AsyncDone(s2);
     comp->set_root(b.Tuple({d1, d2}));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
@@ -135,10 +142,12 @@ TEST_F(EngineTest, OppositeDirectionTransfersRunConcurrently)
         {0, 3}, {1, 0}, {2, 1}, {3, 2}};
     auto right = std::vector<std::pair<int64_t, int64_t>>{
         {0, 1}, {1, 2}, {2, 3}, {3, 0}};
-    auto* s1 = b.CollectivePermuteStart(p, left);
-    auto* s2 = b.CollectivePermuteStart(p, right);
-    auto* d1 = b.CollectivePermuteDone(s1);
-    auto* d2 = b.CollectivePermuteDone(s2);
+    auto* s1 = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                            PermuteAttrs(left));
+    auto* s2 = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                            PermuteAttrs(right));
+    auto* d1 = b.AsyncDone(s1);
+    auto* d2 = b.AsyncDone(s2);
     comp->set_root(b.Tuple({d1, d2}));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
@@ -160,8 +169,9 @@ TEST_F(EngineTest, MultiHopPermuteChargesEachHop)
     // Shift by 2: two ring hops.
     std::vector<std::pair<int64_t, int64_t>> pairs;
     for (int64_t j = 0; j < 8; ++j) pairs.emplace_back(j, (j + 6) % 8);
-    auto* start = b.CollectivePermuteStart(p, pairs);
-    comp->set_root(b.CollectivePermuteDone(start));
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs(pairs));
+    comp->set_root(b.AsyncDone(start));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
     ASSERT_TRUE(result.ok());
@@ -298,10 +308,12 @@ TEST_F(EngineTest, AntipodalTransfersLoadBalanceAcrossDirections)
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
     auto pairs =
         std::vector<std::pair<int64_t, int64_t>>{{0, 1}, {1, 0}};
-    auto* s1 = b.CollectivePermuteStart(p, pairs);
-    auto* s2 = b.CollectivePermuteStart(p, pairs);
-    auto* d1 = b.CollectivePermuteDone(s1);
-    auto* d2 = b.CollectivePermuteDone(s2);
+    auto* s1 = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                            PermuteAttrs(pairs));
+    auto* s2 = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                            PermuteAttrs(pairs));
+    auto* d1 = b.AsyncDone(s1);
+    auto* d2 = b.AsyncDone(s2);
     comp->set_root(b.Tuple({d1, d2}));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
@@ -406,11 +418,13 @@ TrafficCases()
                      [tile](HloBuilder& b, const Mesh& mesh) {
                          auto* p = b.Parameter(0, tile);
                          auto pairs = ShiftPairs(mesh, 0, 1);
-                         auto* s1 = b.CollectivePermuteStart(p, pairs);
-                         auto* s2 = b.CollectivePermuteStart(p, pairs);
+                         auto* s1 = b.AsyncStart(HloOpcode::kCollectivePermute,
+                                                 p, PermuteAttrs(pairs));
+                         auto* s2 = b.AsyncStart(HloOpcode::kCollectivePermute,
+                                                 p, PermuteAttrs(pairs));
                          auto* cp = b.CollectivePermute(p, pairs);
-                         auto* d1 = b.CollectivePermuteDone(s1);
-                         auto* d2 = b.CollectivePermuteDone(s2);
+                         auto* d1 = b.AsyncDone(s1);
+                         auto* d2 = b.AsyncDone(s2);
                          b.computation()->set_root(b.Tuple({cp, d1, d2}));
                      }});
     // A one-hop and a three-hop transfer in flight under an einsum.
@@ -418,14 +432,16 @@ TrafficCases()
                      [tile](HloBuilder& b, const Mesh& mesh) {
                          auto* p = b.Parameter(0, tile);
                          auto* w = b.Parameter(1, tile);
-                         auto* s1 = b.CollectivePermuteStart(
-                             p, ShiftPairs(mesh, 0, 1));
-                         auto* s2 = b.CollectivePermuteStart(
-                             p, ShiftPairs(mesh, 0, -3));
+                         auto* s1 = b.AsyncStart(
+                             HloOpcode::kCollectivePermute, p,
+                             PermuteAttrs(ShiftPairs(mesh, 0, 1)));
+                         auto* s2 = b.AsyncStart(
+                             HloOpcode::kCollectivePermute, p,
+                             PermuteAttrs(ShiftPairs(mesh, 0, -3)));
                          auto* e = b.Einsum(w, w, "mk,kn->mn");
-                         auto* d1 = b.CollectivePermuteDone(s1);
+                         auto* d1 = b.AsyncDone(s1);
                          auto* f = b.Einsum(d1, e, "mk,kn->mn");
-                         auto* d2 = b.CollectivePermuteDone(s2);
+                         auto* d2 = b.AsyncDone(s2);
                          b.computation()->set_root(b.Tuple({f, d2}));
                      }});
     cases.push_back({"blocking_all_gather", Mesh(4),
@@ -440,9 +456,10 @@ TrafficCases()
                      [tile](HloBuilder& b, const Mesh& mesh) {
                          auto* p = b.Parameter(0, tile);
                          auto* w = b.Parameter(1, tile);
-                         auto* s = b.AllToAllStart(p, 0, mesh.Groups(0));
+                         auto* s = b.AsyncStart(HloOpcode::kAllToAll, p,
+                                                GroupAttrs(0, mesh.Groups(0)));
                          auto* e = b.Einsum(w, w, "mk,kn->mn");
-                         auto* d = b.AllToAllDone(s);
+                         auto* d = b.AsyncDone(s);
                          b.computation()->set_root(
                              b.Einsum(d, e, "mk,kn->mn"));
                      }});
@@ -450,9 +467,10 @@ TrafficCases()
     cases.push_back({"async_all_to_all_singleton", Mesh(4),
                      [tile](HloBuilder& b, const Mesh&) {
                          auto* p = b.Parameter(0, tile);
-                         auto* s = b.AllToAllStart(
-                             p, 0, ReplicaGroups({{0}, {1}, {2}, {3}}));
-                         b.computation()->set_root(b.AllToAllDone(s));
+                         const ReplicaGroups singletons = {{0}, {1}, {2}, {3}};
+                         auto* s = b.AsyncStart(HloOpcode::kAllToAll, p,
+                                                GroupAttrs(0, singletons));
+                         b.computation()->set_root(b.AsyncDone(s));
                      }});
     // One group over the whole 2 x 4 torus occupies every channel; it
     // queues behind an async permute on axis 1 and an async all-to-all
@@ -460,16 +478,18 @@ TrafficCases()
     cases.push_back({"group_spanning_both_axes", Mesh(2, 4),
                      [tile](HloBuilder& b, const Mesh& mesh) {
                          auto* p = b.Parameter(0, tile);
-                         auto* s = b.CollectivePermuteStart(
-                             p, ShiftPairs(mesh, 1, 1));
-                         auto* a = b.AllToAllStart(p, 0, mesh.Groups(0));
+                         auto* s = b.AsyncStart(
+                             HloOpcode::kCollectivePermute, p,
+                             PermuteAttrs(ShiftPairs(mesh, 1, 1)));
+                         auto* a = b.AsyncStart(HloOpcode::kAllToAll, p,
+                                                GroupAttrs(0, mesh.Groups(0)));
                          std::vector<int64_t> all;
                          for (int64_t d = 0; d < mesh.num_devices(); ++d) {
                              all.push_back(d);
                          }
                          auto* ar = b.AllReduce(p, ReplicaGroups({all}));
-                         auto* d = b.CollectivePermuteDone(s);
-                         auto* ad = b.AllToAllDone(a);
+                         auto* d = b.AsyncDone(s);
+                         auto* ad = b.AsyncDone(a);
                          b.computation()->set_root(b.Tuple({ar, d, ad}));
                      }});
     return cases;
@@ -700,8 +720,9 @@ TEST_F(EngineTest, OneKillRuleForEveryExchangeKind)
              }},
             {"async_permute",
              [&](HloBuilder& b) {
-                 return b.CollectivePermuteDone(b.CollectivePermuteStart(
-                     b.Parameter(0, tile), ShiftPairs(mesh, 0, 1)));
+                 return b.AsyncDone(b.AsyncStart(
+                     HloOpcode::kCollectivePermute, b.Parameter(0, tile),
+                     PermuteAttrs(ShiftPairs(mesh, 0, 1))));
              }},
             {"blocking_all_gather",
              [&](HloBuilder& b) {
@@ -710,8 +731,9 @@ TEST_F(EngineTest, OneKillRuleForEveryExchangeKind)
              }},
             {"async_all_to_all",
              [&](HloBuilder& b) {
-                 return b.AllToAllDone(b.AllToAllStart(
-                     b.Parameter(0, tile), 0, mesh.Groups(0)));
+                 return b.AsyncDone(
+                     b.AsyncStart(HloOpcode::kAllToAll, b.Parameter(0, tile),
+                                  GroupAttrs(0, mesh.Groups(0))));
              }},
         };
     for (const auto& [kind, build] : kinds) {
@@ -747,6 +769,87 @@ TEST_F(EngineTest, OneKillRuleForEveryExchangeKind)
         EXPECT_EQ(after->result.step_seconds, clean->step_seconds) << kind;
         EXPECT_EQ(after->result.transferred_bytes, clean->transferred_bytes)
             << kind;
+    }
+}
+
+// An async pair may wrap any of the five sync exchange collectives, and
+// no layer branches on which. For each kind, on a 4-ring and on the two
+// 4-rings of a 2 x 4 torus, the Start/Done pair evaluates to the sync
+// form's values bit for bit and, with the Done right after its Start,
+// simulates to the sync form's step and exposed time.
+TEST_F(EngineTest, AsyncPairOfEveryKindMatchesItsSyncForm)
+{
+    const HloOpcode kinds[] = {
+        HloOpcode::kAllGather, HloOpcode::kReduceScatter,
+        HloOpcode::kAllReduce, HloOpcode::kAllToAll,
+        HloOpcode::kCollectivePermute,
+    };
+    const std::pair<Mesh, int64_t> rings[] = {{Mesh(4), 0}, {Mesh(2, 4), 1}};
+    const Shape shape({8, 16});
+    for (const auto& [mesh, axis] : rings) {
+        std::vector<Tensor> values;
+        for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+            std::vector<float> v(static_cast<size_t>(shape.num_elements()));
+            for (size_t i = 0; i < v.size(); ++i) {
+                v[i] = 0.37f * static_cast<float>(i) -
+                       1.5f * static_cast<float>(d);
+            }
+            values.emplace_back(shape, std::move(v));
+        }
+        for (HloOpcode kind : kinds) {
+            SCOPED_TRACE(StrCat(HloOpcodeName(kind), " on ", mesh.ToString()));
+            const InstrAttrs attrs =
+                kind == HloOpcode::kCollectivePermute
+                    ? PermuteAttrs(ShiftPairs(mesh, axis, 1))
+                    : GroupAttrs(kind == HloOpcode::kAllReduce ? -1 : 0,
+                                 mesh.Groups(axis));
+            HloModule sync("sync");
+            HloModule async("async");
+            for (HloModule* module : {&sync, &async}) {
+                module->set_mesh(mesh);
+                HloComputation* comp = module->AddEntryComputation("main");
+                HloBuilder b(comp);
+                auto* p = b.Parameter(0, shape);
+                if (module == &sync) {
+                    auto inferred = InferInstructionShape(kind, {p}, attrs);
+                    ASSERT_TRUE(inferred.ok()) << inferred.status().message();
+                    comp->set_root(
+                        comp->AddInstruction(kind, *inferred, {p}, attrs));
+                    continue;
+                }
+                auto* start = b.AsyncStart(kind, p, attrs);
+                auto* done = b.AsyncDone(start);
+                comp->set_root(done);
+                EXPECT_EQ(start->collective_opcode(), kind);
+                EXPECT_EQ(done->collective_opcode(), kind);
+                EXPECT_EQ(start->name(),
+                          StrCat(HloOpcodeName(kind), "-start.1"));
+                EXPECT_EQ(done->name(), StrCat(HloOpcodeName(kind), "-done.2"));
+            }
+            ASSERT_TRUE(VerifyModule(sync).ok());
+            ASSERT_TRUE(VerifyModule(async).ok());
+
+            auto outputs = SpmdEvaluator(mesh).EvaluateBatch(
+                {sync.entry(), async.entry()}, {values});
+            ASSERT_TRUE(outputs.ok()) << outputs.status().message();
+            for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+                EXPECT_TRUE(testing_util::BitEqual(
+                    (*outputs)[0][static_cast<size_t>(d)],
+                    (*outputs)[1][static_cast<size_t>(d)]))
+                    << "device " << d;
+            }
+
+            PodSimulator sim(mesh, spec_);
+            auto blocking = sim.Run(sync);
+            auto pair = sim.Run(async);
+            ASSERT_TRUE(blocking.ok()) << blocking.status().message();
+            ASSERT_TRUE(pair.ok()) << pair.status().message();
+            EXPECT_EQ(pair->num_async_transfers, 1);
+            EXPECT_GT(blocking->step_seconds, 0.0);
+            EXPECT_EQ(pair->step_seconds, blocking->step_seconds);
+            EXPECT_EQ(pair->exposed_comm_seconds,
+                      blocking->exposed_comm_seconds);
+        }
     }
 }
 

@@ -10,7 +10,7 @@ namespace {
 
 /**
  * Builds the Figure 11 pattern: Add(einsum_0, einsum_1) where einsum_1
- * consumes a CollectivePermuteDone and einsum_0 is independent.
+ * consumes a permute's async Done and einsum_0 is independent.
  */
 struct Figure11 {
     std::unique_ptr<HloModule> module;
@@ -29,8 +29,9 @@ BuildFigure11()
     HloBuilder b(comp);
     auto* a = b.Parameter(0, Shape(DType::kBF16, {64, 64}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {64, 64}));
-    auto* start = b.CollectivePermuteStart(a, {{0, 1}, {1, 0}});
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, a,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
+    auto* done = b.AsyncDone(start);
     f.independent_einsum = b.Einsum(a, w, "mk,kn->mn");
     f.dependent_einsum = b.Einsum(done, w, "mk,kn->mn");
     f.addition = b.Add(f.independent_einsum, f.dependent_einsum);
@@ -90,8 +91,9 @@ TEST(FusionTest, OverlapAwareLeavesDoneReadingCombinersUnfused)
     auto* acc = b.Parameter(0, Shape(DType::kBF16, {64, 64}));
     auto* a = b.Parameter(1, Shape(DType::kBF16, {64, 64}));
     auto* w = b.Parameter(2, Shape(DType::kBF16, {64, 64}));
-    auto* start = b.CollectivePermuteStart(acc, {{0, 1}, {1, 0}});
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, acc,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
+    auto* done = b.AsyncDone(start);
     auto* partial = b.Einsum(a, w, "mk,kn->mn");
     auto* add = b.Add(done, partial);
     comp->set_root(add);

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "core/overlap_compiler.h"
 #include "hlo/builder.h"
+#include "hlo/parser.h"
 #include "hlo/verifier.h"
 #include "interp/evaluator.h"
 #include "support/strings.h"
@@ -194,8 +196,9 @@ BuildPermuteModule(HloInstruction** start_out = nullptr,
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    auto* start = b.CollectivePermuteStart(p, RingPairs(4));
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs(RingPairs(4)));
+    auto* done = b.AsyncDone(start);
     comp->set_root(done);
     if (start_out != nullptr) *start_out = start;
     if (done_out != nullptr) *done_out = done;
@@ -209,7 +212,7 @@ TEST(VerifierFuzz, StartWithoutDoneIsRejected)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    b.CollectivePermuteStart(p, RingPairs(4));
+    b.AsyncStart(HloOpcode::kCollectivePermute, p, PermuteAttrs(RingPairs(4)));
     comp->set_root(p);
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
@@ -222,8 +225,31 @@ TEST(VerifierFuzz, TwoDonesPerStartAreRejected)
     HloInstruction* start = nullptr;
     auto module = BuildPermuteModule(&start);
     HloBuilder b(module->entry());
-    b.CollectivePermuteDone(start);
+    b.AsyncDone(start);
     EXPECT_FALSE(VerifyModule(*module).ok());
+}
+
+TEST(VerifierFuzz, StartWrappingANonExchangeIsRejected)
+{
+    // A Start wraps one of the five sync exchange collectives; an
+    // einsum, an async op or nothing at all is refused.
+    const std::pair<std::optional<HloOpcode>, std::string> cases[] = {
+        {HloOpcode::kEinsum, "async-start wraps einsum, not a sync exchange "
+                             "collective"},
+        {HloOpcode::kAsyncStart, "async-start wraps async-start, not a sync "
+                                 "exchange collective"},
+        {HloOpcode::kAsyncDone, "async-start wraps async-done, not a sync "
+                                "exchange collective"},
+        {std::nullopt, "async-start wraps no collective"},
+    };
+    for (const auto& [wrapped, message] : cases) {
+        HloInstruction* start = nullptr;
+        auto module = BuildPermuteModule(&start);
+        start->mutable_attrs().wrapped = wrapped;
+        EXPECT_EQ(VerifyModule(*module).message(),
+                  "shape inference failed at %collective-permute-start.1: " +
+                      message);
+    }
 }
 
 TEST(VerifierFuzz, StartConsumedByNonDoneIsRejected)
@@ -422,9 +448,10 @@ BuildAllToAllPairModule(HloInstruction** start_out = nullptr,
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    auto* start = b.AllToAllStart(p, 0, mesh.Groups(0));
+    auto* start = b.AsyncStart(HloOpcode::kAllToAll, p,
+                               GroupAttrs(0, mesh.Groups(0)));
     start->mutable_attrs().channel_id = comp->NextChannelId();
-    auto* done = b.AllToAllDone(start);
+    auto* done = b.AsyncDone(start);
     comp->set_root(done);
     if (start_out != nullptr) *start_out = start;
     if (done_out != nullptr) *done_out = done;
@@ -438,7 +465,7 @@ TEST(VerifierFuzz, AllToAllStartWithoutDoneIsRejected)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    b.AllToAllStart(p, 0, Mesh(4).Groups(0));
+    b.AsyncStart(HloOpcode::kAllToAll, p, GroupAttrs(0, Mesh(4).Groups(0)));
     comp->set_root(p);
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
@@ -474,36 +501,47 @@ TEST(VerifierFuzz, AllToAllDonePairedWithPermuteStartIsRejected)
 {
     // A done must retire an exchange of its own kind: pairing an
     // all-to-all-done with a collective-permute-start is the classic
-    // cross-wired Start/Done bug an async-splitting pass could emit.
-    // The start's side of the check fires: its user is not a
-    // collective-permute-done.
-    HloInstruction* start = nullptr;
-    auto module = BuildPermuteModule(&start);
-    HloComputation* comp = module->entry();
-    comp->set_root(comp->AddInstruction(HloOpcode::kAllToAllDone,
-                                        start->shape(), {start}));
-    Status status = VerifyModule(*module);
-    EXPECT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("non-done"), std::string::npos)
-        << status.ToString();
+    // cross-wired Start/Done bug. In memory a Done has no kind of its
+    // own (it reads its Start's), so the bug can only be written as
+    // text, and the parser rejects it.
+    auto module = BuildPermuteModule();
+    std::string text = module->ToString();
+    const std::string permute_done = "collective-permute-done(";
+    const size_t at = text.find(permute_done);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, permute_done.size(), "all-to-all-done(");
+    auto parsed = ParseHloModule(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().message(),
+              "%collective-permute-done.2: all-to-all-done waits on no "
+              "all-to-all-start");
 }
 
-TEST(VerifierFuzz, AllToAllDoneWithoutAStartIsRejected)
+TEST(VerifierFuzz, DoneWithoutAStartIsRejected)
 {
-    // The done side of the same cross-wiring: an all-to-all-done whose
-    // operand is ordinary data.
+    // The done side of the same cross-wiring: a done whose operand is
+    // ordinary data, in memory and as text.
     auto module = std::make_unique<HloModule>("verifier_fuzz");
     module->set_mesh(Mesh(4));
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
     auto* neg = b.Negate(p);
-    comp->set_root(comp->AddInstruction(HloOpcode::kAllToAllDone,
-                                        neg->shape(), {neg}));
+    comp->set_root(
+        comp->AddInstruction(HloOpcode::kAsyncDone, neg->shape(), {neg}));
     Status status = VerifyModule(*module);
-    EXPECT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("all-to-all-start"), std::string::npos)
-        << status.ToString();
+    EXPECT_EQ(status.message(),
+              "shape inference failed at %async-done.2: async-done operand "
+              "must be an async-start");
+
+    std::string text = module->ToString();
+    const size_t at = text.find("async-done(");
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, std::string("async-done(").size(), "all-to-all-done(");
+    auto parsed = ParseHloModule(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().message(),
+              "%async-done.2: all-to-all-done waits on no all-to-all-start");
 }
 
 TEST(VerifierFuzz, AllToAllDoneChannelMismatchIsRejected)
@@ -553,13 +591,12 @@ TEST(VerifierFuzz, NonDivisibleAllToAllStartDimIsRejected)
     InstrAttrs attrs;
     attrs.dim = 0;
     attrs.groups = mesh.Groups(0);
-    auto* start = comp->AddInstruction(HloOpcode::kAllToAllStart,
+    attrs.wrapped = HloOpcode::kAllToAll;
+    auto* start = comp->AddInstruction(HloOpcode::kAsyncStart,
                                        Shape({6, 8}), {p},
                                        std::move(attrs));
-    InstrAttrs done_attrs;
-    comp->set_root(comp->AddInstruction(HloOpcode::kAllToAllDone,
-                                        Shape({6, 8}), {start},
-                                        std::move(done_attrs)));
+    comp->set_root(comp->AddInstruction(HloOpcode::kAsyncDone,
+                                        Shape({6, 8}), {start}));
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.message().find("not divisible"), std::string::npos)

@@ -75,8 +75,7 @@ TEST(OpcodeTest, ExchangeOpsAreTheDataMovingCollectives)
     const std::set<HloOpcode> exchanges = {
         HloOpcode::kAllGather,         HloOpcode::kReduceScatter,
         HloOpcode::kAllReduce,         HloOpcode::kAllToAll,
-        HloOpcode::kCollectivePermute, HloOpcode::kCollectivePermuteStart,
-        HloOpcode::kAllToAllStart,
+        HloOpcode::kCollectivePermute, HloOpcode::kAsyncStart,
     };
     for (int op = 0; op <= static_cast<int>(HloOpcode::kTuple); ++op) {
         HloOpcode opcode = static_cast<HloOpcode>(op);
@@ -295,10 +294,13 @@ ExpectSortMatchesOnLayer(const ModelConfig& config,
                                           options.decompose);
     ASSERT_TRUE(decomposer.Run(module->entry()).ok());
     ExpectSortMatchesHeapKahn(*module->entry(), where + " decompose");
-    ASSERT_TRUE(CreateAsyncCollectivePermutes(module->entry()).ok());
+    ASSERT_TRUE(CreateAsyncPairs(module->entry(),
+                                 HloOpcode::kCollectivePermute)
+                    .ok());
     ExpectSortMatchesHeapKahn(*module->entry(), where + " async");
     if (options.async_all_to_all) {
-        ASSERT_TRUE(CreateAsyncAllToAlls(module->entry()).ok());
+        ASSERT_TRUE(
+            CreateAsyncPairs(module->entry(), HloOpcode::kAllToAll).ok());
         ExpectSortMatchesHeapKahn(*module->entry(), where + " async-a2a");
     }
 }
@@ -693,10 +695,11 @@ TEST(VerifierTest, StartNeedsExactlyOneDone)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
     comp->set_root(start);
     EXPECT_FALSE(VerifyModule(module).ok());
-    auto* done = b.CollectivePermuteDone(start);
+    auto* done = b.AsyncDone(start);
     comp->set_root(done);
     EXPECT_TRUE(VerifyModule(module).ok());
 }

@@ -154,8 +154,9 @@ TEST(EvaluatorTest, AsyncPermutePairBehavesLikeSync)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
-    comp->set_root(b.CollectivePermuteDone(start));
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
+    comp->set_root(b.AsyncDone(start));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs = {Tensor(Shape({1}), {5}),
                                   Tensor(Shape({1}), {6})};
@@ -223,8 +224,9 @@ TEST(EvaluatorTest, AsyncStartValidatesPairsLikeSyncOp)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 2}, {1, 2}});
-    comp->set_root(b.CollectivePermuteDone(start));
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs({{0, 2}, {1, 2}}));
+    comp->set_root(b.AsyncDone(start));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs(3, Tensor(Shape({1}), {1}));
     EXPECT_FALSE(eval.Evaluate(*comp, {inputs}).ok());

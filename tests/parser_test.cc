@@ -132,7 +132,7 @@ TEST(ParserTest, RoundTripsDecomposedLoop)
     options.use_cost_model = false;
     CollectiveEinsumDecomposer decomposer(mesh, &cost, options);
     ASSERT_TRUE(decomposer.Run(comp).ok());
-    ASSERT_TRUE(CreateAsyncCollectivePermutes(comp).ok());
+    ASSERT_TRUE(CreateAsyncPairs(comp, HloOpcode::kCollectivePermute).ok());
 
     std::string text = module.ToString();
     auto parsed = ParseHloModule(text);
@@ -162,7 +162,7 @@ TEST(ParserTest, RoundTripsDecomposedAllToAllLoop)
     auto stats = decomposer.Run(comp);
     ASSERT_TRUE(stats.ok());
     ASSERT_EQ(stats->all_to_all_sites, 1);
-    ASSERT_TRUE(CreateAsyncCollectivePermutes(comp).ok());
+    ASSERT_TRUE(CreateAsyncPairs(comp, HloOpcode::kCollectivePermute).ok());
 
     std::string text = module.ToString();
     EXPECT_NE(text.find("chunk="), std::string::npos) << text;
@@ -175,16 +175,17 @@ TEST(ParserTest, RoundTripsDecomposedAllToAllLoop)
 TEST(ParserTest, RoundTripsAsyncAllToAllPair)
 {
     // The §18 micro-batch pipelined form: a blocking exchange split
-    // into an AllToAllStart/Done pair sharing a channel.
+    // into an async Start/Done pair sharing a channel.
     HloModule module("a2a_async");
     Mesh mesh(4);
     module.set_mesh(mesh);
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {8, 16}));
-    auto* start = b.AllToAllStart(p, 0, mesh.Groups(0));
+    auto* start = b.AsyncStart(HloOpcode::kAllToAll, p,
+                               GroupAttrs(0, mesh.Groups(0)));
     start->mutable_attrs().channel_id = comp->NextChannelId();
-    auto* done = b.AllToAllDone(start);
+    auto* done = b.AsyncDone(start);
     comp->set_root(done);
     ASSERT_TRUE(VerifyModule(module).ok());
 
@@ -197,6 +198,79 @@ TEST(ParserTest, RoundTripsAsyncAllToAllPair)
     EXPECT_TRUE(VerifyModule(**parsed).ok());
 }
 
+TEST(ParserTest, RoundTripsAsyncPairOfEveryKind)
+{
+    // "<kind>-start" / "<kind>-done" for each of the five collectives a
+    // Start may wrap, on the rings of a 2 x 4 torus's second axis.
+    const HloOpcode kinds[] = {
+        HloOpcode::kAllGather, HloOpcode::kReduceScatter,
+        HloOpcode::kAllReduce, HloOpcode::kAllToAll,
+        HloOpcode::kCollectivePermute,
+    };
+    const Mesh mesh(2, 4);
+    for (HloOpcode kind : kinds) {
+        SCOPED_TRACE(HloOpcodeName(kind));
+        HloModule module("async");
+        module.set_mesh(mesh);
+        HloComputation* comp = module.AddEntryComputation("main");
+        HloBuilder b(comp);
+        auto* p = b.Parameter(0, Shape({8, 16}));
+        InstrAttrs attrs =
+            kind == HloOpcode::kCollectivePermute
+                ? PermuteAttrs(RingShiftPairs(mesh, 1, 1))
+                : GroupAttrs(kind == HloOpcode::kAllReduce ? -1 : 0,
+                             mesh.Groups(1));
+        attrs.channel_id = 5;
+        comp->set_root(b.AsyncDone(b.AsyncStart(kind, p, std::move(attrs))));
+
+        std::string text = module.ToString();
+        const std::string name = HloOpcodeName(kind);
+        EXPECT_NE(text.find(" " + name + "-start(%"), std::string::npos)
+            << text;
+        EXPECT_NE(text.find(" " + name + "-done(%"), std::string::npos)
+            << text;
+        auto parsed = ParseHloModule(text);
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        EXPECT_EQ((*parsed)->ToString(), text);
+        EXPECT_EQ((*parsed)->entry()->root()->collective_opcode(), kind);
+    }
+}
+
+TEST(ParserTest, RejectsADoneOfAnotherKind)
+{
+    // A Done's kind is its Start's; text that names another is refused
+    // before the module is built.
+    const char* text = R"(
+module m mesh[2]
+computation main {
+  %p = f32[2] parameter(), index=0
+  %s = f32[2] collective-permute-start(%p), pairs={0,1}{1,0}
+  ROOT %d = f32[2] all-to-all-done(%s)
+}
+)";
+    auto parsed = ParseHloModule(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().message(),
+              "%d: all-to-all-done waits on no all-to-all-start");
+}
+
+TEST(ParserTest, RejectsAStartOfANonExchange)
+{
+    const char* text = R"(
+module m mesh[2]
+computation main {
+  %p = f32[2,2] parameter(), index=0
+  %s = f32[2,2] einsum-start(%p, %p), spec=ab,bc->ac
+  ROOT %d = f32[2,2] einsum-done(%s)
+}
+)";
+    auto parsed = ParseHloModule(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().message(),
+              "shape inference failed at %s: async-start wraps einsum, not "
+              "a sync exchange collective");
+}
+
 TEST(ParserTest, RoundTripsChannelIds)
 {
     HloModule module("chan");
@@ -205,8 +279,9 @@ TEST(ParserTest, RoundTripsChannelIds)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2, 4}));
-    auto* start = b.CollectivePermuteStart(p, RingShiftPairs(mesh, 0, 1));
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs(RingShiftPairs(mesh, 0, 1)));
+    auto* done = b.AsyncDone(start);
     start->mutable_attrs().channel_id = 7;
     done->mutable_attrs().channel_id = 7;
     auto* ag = b.AllGather(done, 0, mesh.Groups(0));
@@ -229,8 +304,9 @@ TEST(ParserTest, VerifierRejectsMismatchedStartDoneChannels)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
-    auto* done = b.CollectivePermuteDone(start);
+    auto* start = b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                               PermuteAttrs({{0, 1}, {1, 0}}));
+    auto* done = b.AsyncDone(start);
     start->mutable_attrs().channel_id = 3;
     done->mutable_attrs().channel_id = 4;
     comp->set_root(done);
@@ -280,9 +356,10 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
               }
               case 2: {
                   int64_t step = 1 + static_cast<int64_t>(rng() % (n - 1));
-                  auto* start = b.CollectivePermuteStart(
-                      value, RingShiftPairs(mesh, axis, step));
-                  auto* done = b.CollectivePermuteDone(start);
+                  auto* start = b.AsyncStart(
+                      HloOpcode::kCollectivePermute, value,
+                      PermuteAttrs(RingShiftPairs(mesh, axis, step)));
+                  auto* done = b.AsyncDone(start);
                   int64_t channel = static_cast<int64_t>(rng() % 100);
                   start->mutable_attrs().channel_id = channel;
                   done->mutable_attrs().channel_id = channel;
@@ -310,9 +387,9 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                   break;
               }
               case 5: {
-                  auto* start = b.AllToAllStart(value, 1,
-                                                mesh.Groups(axis));
-                  auto* done = b.AllToAllDone(start);
+                  auto* start = b.AsyncStart(HloOpcode::kAllToAll, value,
+                                             GroupAttrs(1, mesh.Groups(axis)));
+                  auto* done = b.AsyncDone(start);
                   int64_t channel = static_cast<int64_t>(rng() % 100);
                   start->mutable_attrs().channel_id = channel;
                   done->mutable_attrs().channel_id = channel;

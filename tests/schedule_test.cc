@@ -51,7 +51,9 @@ BuildLoopModule(int64_t n, const HardwareSpec& spec)
     // Not OVERLAP_CHECK: Release builds compile checks out without
     // evaluating the condition, and these calls must run.
     if (!decomposer.Run(comp).ok()) return nullptr;
-    if (!CreateAsyncCollectivePermutes(comp).ok()) return nullptr;
+    if (!CreateAsyncPairs(comp, HloOpcode::kCollectivePermute).ok()) {
+        return nullptr;
+    }
     return module;
 }
 
@@ -62,11 +64,9 @@ CountOverlappedTransfers(const std::vector<HloInstruction*>& sched)
 {
     int64_t overlapped = 0;
     for (size_t i = 0; i < sched.size(); ++i) {
-        if (sched[i]->opcode() != HloOpcode::kCollectivePermuteStart) {
-            continue;
-        }
+        if (sched[i]->opcode() != HloOpcode::kAsyncStart) continue;
         for (size_t j = i + 1; j < sched.size(); ++j) {
-            if (sched[j]->opcode() == HloOpcode::kCollectivePermuteDone &&
+            if (sched[j]->opcode() == HloOpcode::kAsyncDone &&
                 sched[j]->operand(0) == sched[i]) {
                 for (size_t k = i + 1; k < j; ++k) {
                     if (sched[k]->opcode() == HloOpcode::kEinsum) {
@@ -105,12 +105,8 @@ TEST_P(SchedulerTest, RespectsAsyncBudget)
     int64_t in_flight = 0;
     int64_t peak = 0;
     for (const HloInstruction* instr : module->entry()->schedule()) {
-        if (instr->opcode() == HloOpcode::kCollectivePermuteStart) {
-            ++in_flight;
-        }
-        if (instr->opcode() == HloOpcode::kCollectivePermuteDone) {
-            --in_flight;
-        }
+        if (instr->opcode() == HloOpcode::kAsyncStart) ++in_flight;
+        if (instr->opcode() == HloOpcode::kAsyncDone) --in_flight;
         peak = std::max(peak, in_flight);
     }
     EXPECT_LE(peak, 2 + 1);  // the heuristics may exceed by one when forced
@@ -208,10 +204,11 @@ TEST(ScheduleTest, ExhaustedBudgetRanksDonesWithOrdinaryUnits)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({256, 256}));
     auto* x = b.Negate(p);
-    auto* d1 = b.CollectivePermuteDone(
-        b.CollectivePermuteStart(p, {{0, 1}, {1, 0}}));
-    auto* d2 = b.CollectivePermuteDone(
-        b.CollectivePermuteStart(p, {{0, 1}, {1, 0}}));
+    const SourceTargetPairs pairs = {{0, 1}, {1, 0}};
+    auto* d1 = b.AsyncDone(b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                                        PermuteAttrs(pairs)));
+    auto* d2 = b.AsyncDone(b.AsyncStart(HloOpcode::kCollectivePermute, p,
+                                        PermuteAttrs(pairs)));
     auto* root = b.Tuple({x, d1, d2});
     comp->set_root(root);
     CostModel cost{HardwareSpec{}};
@@ -378,15 +375,14 @@ ReferenceGraph(const HloComputation& computation, const CostModel& cost)
         if (fused) continue;  // only a singleton is an async half
         const HloOpcode head = u.members[0]->opcode();
         if (IsAsyncDone(head)) u.latency = 0.0;
-        if (head == HloOpcode::kCollectivePermuteStart ||
-            head == HloOpcode::kCollectivePermuteDone) {
-            u.transfer_seconds = cost.PermuteStepSeconds(
-                u.members[0]->shape().byte_size());
-        } else if (IsAsyncStart(head) || IsAsyncDone(head)) {
-            u.transfer_seconds = cost.BlockingCollectiveSeconds(
-                head == HloOpcode::kAllToAllStart
-                    ? u.members[0]
-                    : u.members[0]->operand(0));
+        if (IsAsyncStart(head) || IsAsyncDone(head)) {
+            const HloInstruction* start = IsAsyncStart(head)
+                                              ? u.members[0]
+                                              : u.members[0]->operand(0);
+            u.transfer_seconds =
+                start->collective_opcode() == HloOpcode::kCollectivePermute
+                    ? cost.PermuteStepSeconds(start->shape().byte_size())
+                    : cost.BlockingCollectiveSeconds(start);
         }
     }
     for (size_t id = 0; id < units.size(); ++id) {

@@ -1,6 +1,7 @@
 #ifndef OVERLAP_TESTS_TEST_UTIL_H_
 #define OVERLAP_TESTS_TEST_UTIL_H_
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -57,6 +58,17 @@ inline std::vector<int64_t>
 DimsOf(const Shape& shape)
 {
     return std::vector<int64_t>(shape.dims().begin(), shape.dims().end());
+}
+
+/** True when two tensors have one shape and byte-identical payloads. */
+inline bool
+BitEqual(const Tensor& a, const Tensor& b)
+{
+    return a.shape() == b.shape() &&
+           (a.num_elements() == 0 ||
+            std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.num_elements()) *
+                            sizeof(float)) == 0);
 }
 
 /** Reassembles per-device shards into the global tensor. */
