@@ -7,8 +7,10 @@
 #include <fstream>
 #include <map>
 #include <span>
+#include <string>
 
 #include "core/overlap_compiler.h"
+#include "core/pod_runner.h"
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
@@ -29,6 +31,8 @@ using testing_util::PaperModels;
 
 const char* const kScheduleGoldenPath =
     OVERLAP_TESTDATA_DIR "/paper_model_schedules.golden";
+const char* const kOutcomeGoldenPath =
+    OVERLAP_TESTDATA_DIR "/simulated_outcomes.golden";
 
 /** Builds a decomposed, async AG-einsum loop over `n` devices. */
 std::unique_ptr<HloModule>
@@ -250,42 +254,42 @@ ScheduleFingerprint(const ModelConfig& config, const CompilerOptions& options)
     return line;
 }
 
+/** One compile the golden tests below pin: a label, a model, options. */
+struct GoldenCompile {
+    std::string label;
+    ModelConfig config;
+    CompilerOptions options;
+};
+
 /**
  * Every Table 1 / Table 2 model x {baseline, default overlap}, plus the
  * top-down scheduler on a dense and an MoE model, the decomposition
  * without unrolling and a two-transfer in-flight budget on dense
- * models, and one moe_sweep point under its
- * three AllToAll arms (blocking, ring-decomposed, micro-batch
- * pipelined), must schedule exactly the instruction sequence in the
- * committed golden: scheduler and verifier speed-ups must not move a
- * single instruction. Regenerate with OVERLAP_REGEN_GOLDEN=1 only after
- * an intentional change of schedule.
+ * models, and one moe_sweep point under its three AllToAll arms
+ * (blocking, ring-decomposed, micro-batch pipelined).
  */
-TEST(ScheduleGoldenTest, PaperModelSchedulesMatchGolden)
+std::vector<GoldenCompile>
+GoldenCompiles()
 {
-    const std::vector<ModelConfig> models = PaperModels();
     CompilerOptions top_down;
     top_down.scheduler = SchedulerKind::kTopDown;
     CompilerOptions no_unroll;
     no_unroll.decompose.unroll = false;
     CompilerOptions budget2;
     budget2.hardware.max_in_flight_async = 2;
-    std::map<std::string, std::string> fingerprints;
-    for (const ModelConfig& m : models) {
-        fingerprints[m.name + "/baseline"] =
-            ScheduleFingerprint(m, CompilerOptions::Baseline());
-        fingerprints[m.name + "/overlap"] =
-            ScheduleFingerprint(m, CompilerOptions());
+    std::vector<GoldenCompile> compiles;
+    for (const ModelConfig& m : PaperModels()) {
+        compiles.push_back(
+            {m.name + "/baseline", m, CompilerOptions::Baseline()});
+        compiles.push_back({m.name + "/overlap", m, CompilerOptions()});
         if (m.name == "GPT_32B" || m.name == "GLaM_1T") {
-            fingerprints[m.name + "/topdown"] =
-                ScheduleFingerprint(m, top_down);
+            compiles.push_back({m.name + "/topdown", m, top_down});
         }
         if (m.name == "GPT_32B") {
-            fingerprints[m.name + "/no_unroll"] =
-                ScheduleFingerprint(m, no_unroll);
+            compiles.push_back({m.name + "/no_unroll", m, no_unroll});
         }
         if (m.name == "GPT_64B") {
-            fingerprints[m.name + "/budget2"] = ScheduleFingerprint(m, budget2);
+            compiles.push_back({m.name + "/budget2", m, budget2});
         }
     }
     CompilerOptions blocking;
@@ -293,11 +297,24 @@ TEST(ScheduleGoldenTest, PaperModelSchedulesMatchGolden)
     CompilerOptions pipelined = blocking;
     pipelined.async_all_to_all = true;
     const ModelConfig moe = MoeSweepModel(1);
-    fingerprints[moe.name + "/blocking"] = ScheduleFingerprint(moe, blocking);
-    fingerprints[moe.name + "/decomposed"] =
-        ScheduleFingerprint(moe, CompilerOptions());
-    fingerprints[moe.name + "/pipelined"] =
-        ScheduleFingerprint(MoeSweepModel(4), pipelined);
+    compiles.push_back({moe.name + "/blocking", moe, blocking});
+    compiles.push_back({moe.name + "/decomposed", moe, CompilerOptions()});
+    compiles.push_back({moe.name + "/pipelined", MoeSweepModel(4), pipelined});
+    return compiles;
+}
+
+/**
+ * Every GoldenCompiles() entry must schedule exactly the instruction
+ * sequence in the committed golden: scheduler and verifier speed-ups
+ * must not move a single instruction. Regenerate with
+ * OVERLAP_REGEN_GOLDEN=1 only after an intentional change of schedule.
+ */
+TEST(ScheduleGoldenTest, PaperModelSchedulesMatchGolden)
+{
+    std::map<std::string, std::string> fingerprints;
+    for (const GoldenCompile& c : GoldenCompiles()) {
+        fingerprints[c.label] = ScheduleFingerprint(c.config, c.options);
+    }
 
     if (std::getenv("OVERLAP_REGEN_GOLDEN") != nullptr) {
         std::ofstream out(kScheduleGoldenPath);
@@ -321,6 +338,68 @@ TEST(ScheduleGoldenTest, PaperModelSchedulesMatchGolden)
         auto it = golden.find(name);
         ASSERT_NE(it, golden.end()) << name << " missing from the golden";
         EXPECT_EQ(value, it->second) << name << ": schedule moved";
+    }
+}
+
+std::string
+Hex(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", value);
+    return buf;
+}
+
+/**
+ * The simulated outcome of every GoldenCompiles() entry, one field per
+ * line ("<label> <field> <value>"; doubles as %a, counts in decimal),
+ * must match the committed table. A compile the simulator refuses
+ * records its error text up to the first instruction name. Unlike the schedule fingerprint it
+ * does not read instruction names, so a compile-side change that only
+ * renames or merges instructions must leave every line but possibly
+ * peak_memory_bytes in place. Regenerate with OVERLAP_REGEN_GOLDEN=1
+ * only after an intentional change of simulated numbers.
+ */
+TEST(SimulatedOutcomeTableTest, OutcomesMatchGolden)
+{
+    std::vector<std::string> lines;
+    for (const GoldenCompile& c : GoldenCompiles()) {
+        auto step = SimulateModelStep(c.config, c.options);
+        if (!step.ok()) {
+            // Up to the first quoted instruction name: names are not
+            // part of the outcome.
+            const std::string error = step.status().ToString();
+            lines.push_back(c.label + " error " +
+                            error.substr(0, error.find(" '")));
+            continue;
+        }
+        const SimResult& r = step->layer;
+        lines.push_back(c.label + " step_seconds " + Hex(r.step_seconds));
+        lines.push_back(c.label + " compute_seconds " +
+                        Hex(r.compute_seconds));
+        lines.push_back(c.label + " exposed_comm_seconds " +
+                        Hex(r.exposed_comm_seconds));
+        lines.push_back(c.label + " transferred_bytes " +
+                        Hex(r.transferred_bytes));
+        lines.push_back(c.label + " peak_in_flight " +
+                        std::to_string(r.peak_in_flight));
+        lines.push_back(c.label + " peak_memory_bytes " +
+                        std::to_string(r.peak_memory_bytes));
+    }
+
+    if (std::getenv("OVERLAP_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(kOutcomeGoldenPath);
+        ASSERT_TRUE(out.good()) << "cannot write " << kOutcomeGoldenPath;
+        for (const std::string& line : lines) out << line << "\n";
+        GTEST_SKIP() << "regenerated " << kOutcomeGoldenPath;
+    }
+    std::ifstream in(kOutcomeGoldenPath);
+    ASSERT_TRUE(in.good()) << "missing " << kOutcomeGoldenPath;
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);) golden.push_back(line);
+    for (size_t i = 0; i < std::max(lines.size(), golden.size()); ++i) {
+        EXPECT_EQ(i < lines.size() ? lines[i] : "<end>",
+                  i < golden.size() ? golden[i] : "<end>")
+            << "simulated outcome moved at line " << i + 1;
     }
 }
 
