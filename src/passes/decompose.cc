@@ -1,8 +1,12 @@
 #include "passes/decompose.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <optional>
+#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "hlo/builder.h"
 #include "support/logging.h"
@@ -312,16 +316,148 @@ class RingShifts {
 };
 
 /**
+ * The loop-index scalars of one Run, shared the way RingShifts shares
+ * pair lists: each is emitted at its first use and every later loop
+ * reuses it. One table of s32 scalars, keyed by what makes two of them
+ * the same value (opcode, operands, literal, mesh axis), holds
+ *  - one AxisIndex per mesh axis;
+ *  - one (axis_index + delta) mod N per (axis, N, delta mod N);
+ *  - one shard_id * extent (+ extra) per (shard id, extent, extra);
+ *  - one s32 constant per value, the zero start of every
+ *    DynamicSlice/DynamicUpdateSlice included.
+ * The f32 zero each loop broadcasts into its accumulator is not an
+ * index and stays the loop's own (HloBuilder::Zeros): shared, it moves
+ * the schedulers' picks and with them simulated step times.
+ * The table starts from the scalars the computation already has, and a
+ * repeat among those is replaced by its first occurrence (the Run's DCE
+ * drops it), so the loops reuse the partitioner's axis indices and
+ * constants too.
+ *
+ * Loop group: none. A shared scalar feeds the loops of several sites,
+ * so it belongs to none of them; the store's instructions keep loop
+ * group -1 and LoopEmitter::Emit() tags only the instructions it adds
+ * itself. Scalar index arithmetic costs 0 s
+ * (CostModel::InstructionSeconds), so sharing moves no simulated time,
+ * only the 4-byte live buffers the repeats held.
+ */
+class IndexScalars {
+  public:
+    explicit IndexScalars(HloComputation* computation) : builder_(computation)
+    {
+        for (HloInstruction* instr : computation->instructions()) {
+            std::optional<Key> key = KeyOf(instr);
+            if (!key.has_value()) continue;
+            auto [it, inserted] = table_.try_emplace(*key, instr);
+            if (!inserted) computation->ReplaceAllUsesWith(instr, it->second);
+        }
+    }
+
+    /** s32 constant `value`. */
+    HloInstruction* Index(int64_t value)
+    {
+        return Get({HloOpcode::kConstant, nullptr, nullptr,
+                    std::bit_cast<uint32_t>(static_cast<float>(value)), -1},
+                   [&] { return builder_.ConstantIndex(value); });
+    }
+
+    HloInstruction* AxisIndex(int64_t axis)
+    {
+        return Get({HloOpcode::kAxisIndex, nullptr, nullptr, 0, axis},
+                   [&] { return builder_.AxisIndex(axis); });
+    }
+
+    /** (axis_index + delta) mod n; delta may be negative. */
+    HloInstruction* ShardId(int64_t axis, int64_t n, int64_t delta)
+    {
+        const int64_t normalized = ((delta % n) + n) % n;
+        HloInstruction* sum =
+            normalized == 0
+                ? AxisIndex(axis)
+                : Binary(HloOpcode::kAdd, AxisIndex(axis), Index(normalized));
+        return Binary(HloOpcode::kRemainder, sum, Index(n));
+    }
+
+    /** shard_id * extent (+ extra). */
+    HloInstruction* Offset(HloInstruction* shard_id, int64_t extent,
+                           int64_t extra)
+    {
+        HloInstruction* off =
+            Binary(HloOpcode::kMultiply, shard_id, Index(extent));
+        return extra == 0 ? off
+                          : Binary(HloOpcode::kAdd, off, Index(extra));
+    }
+
+    /** True for the instructions the store built (no loop group). */
+    bool Owns(const HloInstruction* instr) const
+    {
+        return built_.count(instr) != 0;
+    }
+
+  private:
+    /// opcode, up to two operands, literal bits, mesh axis.
+    using Key = std::tuple<HloOpcode, const HloInstruction*,
+                           const HloInstruction*, uint32_t, int64_t>;
+
+    /** The key of an s32 scalar the store can share; nullopt otherwise. */
+    static std::optional<Key> KeyOf(const HloInstruction* instr)
+    {
+        if (instr->shape().rank() != 0 ||
+            instr->shape().dtype() != DType::kS32) {
+            return std::nullopt;
+        }
+        switch (instr->opcode()) {
+          case HloOpcode::kConstant:
+              return Key{instr->opcode(), nullptr, nullptr,
+                         std::bit_cast<uint32_t>(
+                             instr->attrs().literal->data()[0]),
+                         -1};
+          case HloOpcode::kAxisIndex:
+              return Key{instr->opcode(), nullptr, nullptr, 0,
+                         instr->attrs().mesh_axis};
+          default:
+              if (!IsElementwiseBinary(instr->opcode())) return std::nullopt;
+              return Key{instr->opcode(), instr->operand(0),
+                         instr->operand(1), 0, -1};
+        }
+    }
+
+    HloInstruction* Binary(HloOpcode opcode, HloInstruction* lhs,
+                           HloInstruction* rhs)
+    {
+        return Get({opcode, lhs, rhs, 0, -1},
+                   [&] { return builder_.Binary(opcode, lhs, rhs); });
+    }
+
+    template <typename Build>
+    HloInstruction* Get(const Key& key, Build build)
+    {
+        auto it = table_.find(key);
+        if (it != table_.end()) return it->second;
+        HloInstruction* instr = build();
+        built_.insert(instr);
+        table_.emplace(key, instr);
+        return instr;
+    }
+
+    HloBuilder builder_;
+    std::map<Key, HloInstruction*> table_;
+    std::unordered_set<const HloInstruction*> built_;
+};
+
+/**
  * Emits the unrolled Looped CollectiveEinsum for one site. Every
- * instruction added is tagged with a fresh loop group.
+ * instruction added is tagged with a fresh loop group; the loop-index
+ * scalars come from the Run's IndexScalars and stay untagged.
  */
 class LoopEmitter {
   public:
     LoopEmitter(HloComputation* computation, RingShifts* ring_shifts,
-                const DecomposeOptions& options, const Site& site)
+                IndexScalars* scalars, const DecomposeOptions& options,
+                const Site& site)
         : computation_(computation),
           builder_(computation),
           ring_shifts_(ring_shifts),
+          scalars_(scalars),
           options_(options),
           site_(site),
           n_(site.group_size)
@@ -332,7 +468,6 @@ class LoopEmitter {
     HloInstruction* Emit()
     {
         int64_t first_new = computation_->instruction_count();
-        axis_index_ = builder_.AxisIndex(site_.mesh_axis);
         HloInstruction* result;
         bool bidi = options_.bidirectional &&
                     BidirectionalRingEligible(n_, site_.shard_extent);
@@ -364,7 +499,7 @@ class LoopEmitter {
         std::vector<HloInstruction*> instrs = computation_->instructions();
         for (size_t i = static_cast<size_t>(first_new); i < instrs.size();
              ++i) {
-            instrs[i]->set_loop_group(group);
+            if (!scalars_->Owns(instrs[i])) instrs[i]->set_loop_group(group);
         }
         emitted_group_ = group;
         return result;
@@ -378,24 +513,48 @@ class LoopEmitter {
     HloInstruction* ShardId(int64_t delta)
     {
         if (options_.test_shard_id_bug) ++delta;  // deliberate, TEST-ONLY
-        int64_t normalized = ((delta % n_) + n_) % n_;
-        HloInstruction* sum =
-            normalized == 0
-                ? axis_index_
-                : builder_.Add(axis_index_,
-                               builder_.ConstantIndex(normalized));
-        return builder_.Remainder(sum, builder_.ConstantIndex(n_));
+        return scalars_->ShardId(site_.mesh_axis, n_, delta);
     }
 
     /** Scalar element offset shard_id * shard_extent (+ extra). */
     HloInstruction* OffsetOf(HloInstruction* shard_id, int64_t extra = 0)
     {
-        HloInstruction* off = builder_.Multiply(
-            shard_id, builder_.ConstantIndex(site_.shard_extent));
-        if (extra != 0) {
-            off = builder_.Add(off, builder_.ConstantIndex(extra));
-        }
-        return off;
+        return scalars_->Offset(shard_id, site_.shard_extent, extra);
+    }
+
+    /**
+     * HloBuilder::DynamicSliceOnDim with the shared zero start on every
+     * other dimension.
+     */
+    HloInstruction* DynamicSliceOnDim(HloInstruction* operand, int64_t dim,
+                                      HloInstruction* start, int64_t size)
+    {
+        const Shape& in = operand->shape();
+        std::vector<int64_t> sizes(in.dims().begin(), in.dims().end());
+        sizes[static_cast<size_t>(dim)] = size;
+        return builder_.DynamicSlice(operand, StartsOnDim(in, dim, start),
+                                     std::move(sizes));
+    }
+
+    /** HloBuilder::DynamicUpdateSliceOnDim with the shared zero start. */
+    HloInstruction* DynamicUpdateSliceOnDim(HloInstruction* operand,
+                                            HloInstruction* update,
+                                            int64_t dim,
+                                            HloInstruction* start)
+    {
+        return builder_.DynamicUpdateSlice(
+            operand, update, StartsOnDim(operand->shape(), dim, start));
+    }
+
+    /** `start` on `dim`, the shared zero on every other dimension. */
+    std::vector<HloInstruction*> StartsOnDim(const Shape& shape, int64_t dim,
+                                             HloInstruction* start)
+    {
+        std::vector<HloInstruction*> starts(
+            static_cast<size_t>(shape.rank()),
+            shape.rank() > 1 ? scalars_->Index(0) : nullptr);
+        starts[static_cast<size_t>(dim)] = start;
+        return starts;
     }
 
     /** Partial einsum keeping the original operand order. */
@@ -455,7 +614,7 @@ class LoopEmitter {
         }
         const EinsumSpec& spec = site_.einsum->einsum();
         int64_t out_dim = spec.OutDimOf(site_.label);
-        return builder_.DynamicUpdateSliceOnDim(acc, partial, out_dim,
+        return DynamicUpdateSliceOnDim(acc, partial, out_dim,
                                                 OffsetOf(shard_id));
     }
 
@@ -473,7 +632,7 @@ class LoopEmitter {
         }
         const EinsumSpec& spec = site_.einsum->einsum();
         int64_t other_dim = SideDimOf(spec, 1 - site_.side, site_.label);
-        return builder_.DynamicSliceOnDim(other, other_dim,
+        return DynamicSliceOnDim(other, other_dim,
                                           OffsetOf(shard_id),
                                           site_.shard_extent);
     }
@@ -528,11 +687,11 @@ class LoopEmitter {
             site_.kind == EinsumDimKind::kRhsFree) {
             partial = PartialEinsum(received, other);
             int64_t out_dim = spec.OutDimOf(site_.label);
-            return builder_.DynamicUpdateSliceOnDim(
+            return DynamicUpdateSliceOnDim(
                 acc, partial, out_dim, OffsetOf(peer_id, offset));
         }
         int64_t other_dim = SideDimOf(spec, 1 - site_.side, site_.label);
-        HloInstruction* slice = builder_.DynamicSliceOnDim(
+        HloInstruction* slice = DynamicSliceOnDim(
             other, other_dim, OffsetOf(peer_id, offset), half);
         partial = PartialEinsum(received, slice);
         if (site_.kind == EinsumDimKind::kContracting) {
@@ -540,7 +699,7 @@ class LoopEmitter {
         }
         int64_t out_dim = spec.OutDimOf(site_.label);
         (void)dim;
-        return builder_.DynamicUpdateSliceOnDim(
+        return DynamicUpdateSliceOnDim(
             acc, partial, out_dim, OffsetOf(peer_id, offset));
     }
 
@@ -618,7 +777,7 @@ class LoopEmitter {
         for (int64_t k = 0; k < n_; ++k) {
             HloInstruction* src_id = ShardId(-k);
             HloInstruction* dst_id = ShardId(k);
-            HloInstruction* chunk = builder_.DynamicSliceOnDim(
+            HloInstruction* chunk = DynamicSliceOnDim(
                 input, dim, OffsetOf(src_id), site_.shard_extent);
             HloInstruction* received = ChunkPermute(chunk, k);
             HloInstruction* partial =
@@ -648,7 +807,7 @@ class LoopEmitter {
             HloInstruction* partial =
                 PartialEinsum(SlicedOperandFor(src_id), other);
             HloInstruction* received = ChunkPermute(partial, k);
-            acc = builder_.DynamicUpdateSliceOnDim(acc, received, out_dim,
+            acc = DynamicUpdateSliceOnDim(acc, received, out_dim,
                                                    OffsetOf(dst_id));
         }
         return acc;
@@ -663,7 +822,7 @@ class LoopEmitter {
         HloInstruction* operand = site_.einsum->operand(site_.side);
         const EinsumSpec& spec = site_.einsum->einsum();
         int64_t dim = SideDimOf(spec, site_.side, site_.label);
-        return builder_.DynamicSliceOnDim(operand, dim, OffsetOf(shard_id),
+        return DynamicSliceOnDim(operand, dim, OffsetOf(shard_id),
                                           site_.shard_extent);
     }
 
@@ -757,10 +916,10 @@ class LoopEmitter {
     HloComputation* computation_;
     HloBuilder builder_;
     RingShifts* ring_shifts_;
+    IndexScalars* scalars_;
     const DecomposeOptions& options_;
     const Site& site_;
     int64_t n_;
-    HloInstruction* axis_index_ = nullptr;
 };
 
 }  // namespace
@@ -1049,13 +1208,16 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         chosen.push_back(best);
     }
 
+    if (chosen.empty()) return stats;
     RingShifts ring_shifts(mesh_);
+    IndexScalars scalars(computation);
     for (const Site& site : chosen) {
         DecomposeOptions site_options = options_;
         if (site.force_unidirectional) {
             site_options.bidirectional = false;
         }
-        LoopEmitter emitter(computation, &ring_shifts, site_options, site);
+        LoopEmitter emitter(computation, &ring_shifts, &scalars,
+                            site_options, site);
         HloInstruction* replacement = emitter.Emit();
         // Join key for the overlap-efficiency report: the decision of
         // this site learns the loop group its instructions now carry.
@@ -1084,10 +1246,8 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
             ++stats.reduce_scatter_sites;
         }
     }
-    if (!chosen.empty()) {
-        computation->RemoveDeadInstructions();
-        computation->SortTopologically();
-    }
+    computation->RemoveDeadInstructions();
+    computation->SortTopologically();
     return stats;
 }
 
