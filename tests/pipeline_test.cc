@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "core/overlap_compiler.h"
 #include "core/pod_runner.h"
 #include "hlo/verifier.h"
@@ -163,6 +168,77 @@ TEST(PipelineTest, ReportsSpeedupInExpectedRange)
             baseline->step_seconds / overlapped->step_seconds;
         EXPECT_GE(speedup, 1.05) << config.name;
         EXPECT_LE(speedup, 1.55) << config.name;
+    }
+}
+
+/**
+ * The first s32 scalar (index arithmetic) of `computation` that repeats
+ * an earlier one: same opcode, same operands, same literal bits and same
+ * mesh axis. Empty when every index scalar is distinct. The f32 zero
+ * each decomposed loop broadcasts into its accumulator is not an index
+ * and stays one per loop: shared, it moves the schedulers' picks and
+ * with them simulated step times.
+ */
+std::string
+FirstDuplicateScalar(const HloComputation& computation)
+{
+    using Key = std::tuple<HloOpcode, std::vector<const HloInstruction*>,
+                           uint32_t, int64_t>;
+    std::map<Key, const HloInstruction*> seen;
+    for (const HloInstruction* instr : computation.instructions()) {
+        if (instr->shape().rank() != 0 ||
+            instr->shape().dtype() != DType::kS32 ||
+            instr->opcode() == HloOpcode::kParameter) {
+            continue;
+        }
+        const Tensor* literal = instr->attrs().literal.get();
+        Key key{instr->opcode(),
+                {instr->operands().begin(), instr->operands().end()},
+                literal != nullptr ? std::bit_cast<uint32_t>(literal->data()[0])
+                                   : 0,
+                instr->attrs().mesh_axis};
+        auto [it, inserted] = seen.emplace(std::move(key), instr);
+        if (!inserted) {
+            return StrCat(instr->ToString(), " repeats ",
+                          it->second->ToString());
+        }
+    }
+    return "";
+}
+
+/**
+ * The decomposed loops take their index scalars from one store per
+ * computation, so no compiled overlap arm of a Table 1/2 model or of
+ * the moe_sweep grid computes one index scalar twice.
+ */
+TEST(PipelineTest, CompiledModulesComputeEachIndexScalarOnce)
+{
+    using testing_util::MoeSweepModel;
+    std::vector<std::pair<ModelConfig, CompilerOptions>> compiles;
+    for (const ModelConfig& m : testing_util::PaperModels()) {
+        compiles.emplace_back(m, CompilerOptions());
+    }
+    CompilerOptions blocking;
+    blocking.decompose.all_to_all = false;
+    CompilerOptions pipelined = blocking;
+    pipelined.async_all_to_all = true;
+    for (int64_t mesh_y : {4, 8, 16}) {
+        for (int64_t experts : {16, 64}) {
+            compiles.emplace_back(MoeSweepModel(1, mesh_y, experts),
+                                  blocking);
+            compiles.emplace_back(MoeSweepModel(1, mesh_y, experts),
+                                  CompilerOptions());
+            compiles.emplace_back(MoeSweepModel(4, mesh_y, experts),
+                                  pipelined);
+        }
+    }
+    for (const auto& [config, options] : compiles) {
+        auto module = BuildLayerStepModule(config);
+        ASSERT_TRUE(module.ok()) << config.name;
+        OverlapCompiler compiler(options);
+        ASSERT_TRUE(compiler.Compile(module->get()).ok()) << config.name;
+        EXPECT_EQ(FirstDuplicateScalar(*(*module)->entry()), "")
+            << config.name;
     }
 }
 
