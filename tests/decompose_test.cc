@@ -8,8 +8,10 @@
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
+#include "interp/evaluator.h"
 #include "passes/async.h"
 #include "passes/decompose.h"
+#include "test_util.h"
 
 namespace overlap {
 namespace {
@@ -457,6 +459,153 @@ TEST(DecomposeTest, BidirectionalPairsShareFusionGroups)
     EXPECT_EQ(einsums[0]->fusion_group(), einsums[1]->fusion_group());
     EXPECT_EQ(einsums[2]->fusion_group(), einsums[3]->fusion_group());
     EXPECT_NE(einsums[0]->fusion_group(), einsums[2]->fusion_group());
+}
+
+// ---------------------------------------------------------------------------
+// Loop-index scalars shared across sites.
+// ---------------------------------------------------------------------------
+
+/**
+ * Three overlap sites on the 4-rings (axis 1) of a 2 x 4 torus: x's
+ * batch (AllGather, free label, shard extent 2) and z's features
+ * (AllGather, contracting label, extent 4) feed two einsums whose sum
+ * goes through a third einsum into a ReduceScatter over its output
+ * features (extent 4). The extents differ so that a store keying an
+ * offset without its extent computes wrong slices; all are even, so
+ * each variant's bidirectional structures are eligible.
+ */
+std::unique_ptr<HloModule>
+MultiSiteModule(const Mesh& mesh)
+{
+    auto module = std::make_unique<HloModule>("multi_site");
+    module->set_mesh(mesh);
+    HloComputation* comp = module->AddEntryComputation("main");
+    HloBuilder b(comp);
+    const ReplicaGroups ring = mesh.Groups(1);
+    auto* x = b.Parameter(0, Shape({2, 8}), "x");
+    auto* z = b.Parameter(1, Shape({8, 4}), "z");
+    auto* w1 = b.Parameter(2, Shape({8, 8}), "w1");
+    auto* w2 = b.Parameter(3, Shape({16, 8}), "w2");
+    auto* w3 = b.Parameter(4, Shape({8, 16}), "w3");
+    auto* h = b.Einsum(b.AllGather(x, 0, ring), w1, "bf,fh->bh");
+    auto* g = b.Einsum(b.AllGather(z, 1, ring), w2, "bf,fh->bh");
+    auto* out = b.Einsum(b.Add(h, g), w3, "bh,hf->bf");
+    comp->set_root(b.ReduceScatter(out, 1, ring));
+    return module;
+}
+
+/** Small integers, so every partial sum is exact in f32. */
+Tensor
+IntegerTensor(const Shape& shape, int64_t seed)
+{
+    Tensor t(shape);
+    for (int64_t i = 0; i < t.num_elements(); ++i) {
+        t.data()[i] = static_cast<float>((i * 7 + seed * 3) % 5 - 2);
+    }
+    return t;
+}
+
+/** Decomposes every site of MultiSiteModule under `variant`. */
+std::unique_ptr<HloModule>
+DecomposedMultiSite(const Mesh& mesh, const difftest::DecomposeVariant& v)
+{
+    auto module = MultiSiteModule(mesh);
+    CostModel cost{HardwareSpec{}};
+    DecomposeOptions options;
+    options.use_cost_model = false;
+    v.ApplyTo(&options);
+    CollectiveEinsumDecomposer decomposer(mesh, &cost, options);
+    auto stats = decomposer.Run(module->entry());
+    EXPECT_TRUE(stats.ok()) << v.name;
+    if (stats.ok()) {
+        EXPECT_EQ(stats->allgather_sites, 2) << v.name;
+        EXPECT_EQ(stats->reduce_scatter_sites, 1) << v.name;
+    }
+    EXPECT_TRUE(VerifyModule(*module).ok()) << v.name;
+    return module;
+}
+
+/**
+ * The three loops share their index scalars; under every variant the
+ * decomposed module computes, on every device, exactly what the
+ * blocking one does.
+ */
+TEST(IndexScalarsTest, SharedScalarsKeepEveryVariantEqualToBlocking)
+{
+    const Mesh mesh(2, 4);
+    auto blocking = MultiSiteModule(mesh);
+    std::vector<std::vector<Tensor>> params;
+    for (const HloInstruction* p : blocking->entry()->parameters()) {
+        std::vector<Tensor> per_device;
+        for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+            per_device.push_back(IntegerTensor(
+                p->shape(), p->attrs().parameter_number * 8 + d));
+        }
+        params.push_back(std::move(per_device));
+    }
+    SpmdEvaluator eval(mesh);
+    auto expected = eval.Evaluate(*blocking->entry(), params);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    for (const difftest::DecomposeVariant& v :
+         difftest::AllDecomposeVariants()) {
+        auto module = DecomposedMultiSite(mesh, v);
+        auto actual = eval.Evaluate(*module->entry(), params);
+        ASSERT_TRUE(actual.ok()) << v.name << ": "
+                                 << actual.status().ToString();
+        ASSERT_EQ(actual->size(), expected->size());
+        for (size_t d = 0; d < expected->size(); ++d) {
+            EXPECT_TRUE(testing_util::BitEqual((*actual)[d], (*expected)[d]))
+                << v.name << " device " << d;
+        }
+    }
+}
+
+/**
+ * One AxisIndex for the ring axis, one (axis_index + delta) mod N chain
+ * per shift and one offset per (shard id, extent, extra) across all
+ * three loops. The shared scalars carry no loop group (they belong to
+ * no single loop), while each loop's own instructions carry its group.
+ */
+TEST(IndexScalarsTest, LoopsShareOneScalarPerKey)
+{
+    const Mesh mesh(2, 4);
+    for (const difftest::DecomposeVariant& v :
+         difftest::AllDecomposeVariants()) {
+        auto module = DecomposedMultiSite(mesh, v);
+        const HloComputation& comp = *module->entry();
+        EXPECT_EQ(CountOps(comp, HloOpcode::kAxisIndex), 1) << v.name;
+        std::set<int64_t> shifts;
+        std::set<std::pair<const HloInstruction*, const HloInstruction*>>
+            offsets;
+        std::set<int64_t> groups;
+        for (const HloInstruction* instr : comp.instructions()) {
+            if (instr->shape().dtype() == DType::kS32) {
+                EXPECT_EQ(instr->loop_group(), -1) << instr->ToString();
+            } else if (instr->opcode() == HloOpcode::kEinsum) {
+                groups.insert(instr->loop_group());
+            }
+            if (instr->opcode() == HloOpcode::kRemainder) {
+                // The shard id's sum is the bare axis index for shift 0.
+                const HloInstruction* sum = instr->operand(0);
+                const int64_t shift =
+                    sum->opcode() == HloOpcode::kAxisIndex
+                        ? 0
+                        : static_cast<int64_t>(
+                              sum->operand(1)->attrs().literal->data()[0]);
+                EXPECT_TRUE(shifts.insert(shift).second)
+                    << v.name << ": second chain for shift " << shift;
+            }
+            if (instr->opcode() == HloOpcode::kMultiply) {
+                EXPECT_TRUE(
+                    offsets.insert({instr->operand(0), instr->operand(1)})
+                        .second)
+                    << v.name << ": repeated offset " << instr->ToString();
+            }
+        }
+        // Every shift of a ring of 4 is used by some loop.
+        EXPECT_EQ(shifts.size(), 4u) << v.name;
+        EXPECT_EQ(groups, (std::set<int64_t>{0, 1, 2})) << v.name;
+    }
 }
 
 }  // namespace
