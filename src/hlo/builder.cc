@@ -5,18 +5,30 @@
 
 namespace overlap {
 
-HloInstruction*
-HloBuilder::AddInferred(HloOpcode opcode,
-                        std::vector<HloInstruction*> operands,
-                        InstrAttrs attrs)
+namespace {
+
+/** The inferred shape; a failed inference is a builder caller's bug. */
+Shape
+CheckedShape(StatusOr<Shape> shape)
 {
-    auto shape = InferInstructionShape(opcode, operands, attrs);
     if (!shape.ok()) {
         OVERLAP_LOG(kError) << "builder shape inference failed: "
                             << shape.status().ToString();
         OVERLAP_CHECK(shape.ok());
     }
-    return computation_->AddInstruction(opcode, std::move(shape).value(),
+    return std::move(shape).value();
+}
+
+}  // namespace
+
+HloInstruction*
+HloBuilder::AddInferred(HloOpcode opcode,
+                        std::vector<HloInstruction*> operands,
+                        InstrAttrs attrs)
+{
+    Shape shape =
+        CheckedShape(InferInstructionShape(opcode, operands, attrs));
+    return computation_->AddInstruction(opcode, std::move(shape),
                                         std::move(operands),
                                         std::move(attrs));
 }
@@ -221,9 +233,21 @@ HloInstruction*
 HloBuilder::Einsum(HloInstruction* lhs, HloInstruction* rhs,
                    const std::string& spec)
 {
+    // One parse: it infers the shape and becomes the instruction's
+    // cached parse, so einsum() never parses the spec again.
+    auto parsed = EinsumSpec::Parse(spec);
+    Shape shape = CheckedShape(
+        parsed.ok() ? parsed->InferOutputShape(lhs->shape(), rhs->shape())
+                    : StatusOr<Shape>(parsed.status()));
     InstrAttrs attrs;
     attrs.einsum_spec = spec;
-    return AddInferred(HloOpcode::kEinsum, {lhs, rhs}, std::move(attrs));
+    HloInstruction* instr = computation_->AddInstruction(
+        HloOpcode::kEinsum, std::move(shape), {lhs, rhs}, std::move(attrs));
+    instr->parsed_einsum_ =
+        std::make_shared<const EinsumSpec>(std::move(parsed).value());
+    instr->einsum_cache_.store(instr->parsed_einsum_.get(),
+                               std::memory_order_release);
+    return instr;
 }
 
 HloInstruction*

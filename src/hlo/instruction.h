@@ -273,6 +273,7 @@ class HloInstruction {
 
   private:
     friend class HloComputation;
+    friend class HloBuilder;  // seeds the einsum parse it inferred with
 
     void RemoveUser(HloInstruction* user);
 
