@@ -1,6 +1,8 @@
 #include "hlo/verifier.h"
 
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 #include "support/strings.h"
 
@@ -288,6 +290,29 @@ class InstructionSlots {
     std::vector<const HloInstruction*> slots_;
 };
 
+/**
+ * operand->HasUser(user), trying the users at and just before `*cursor`
+ * first (a repeated operand meets its user twice in a row); a hit moves
+ * the cursor past it.
+ */
+bool
+HasUserFrom(const HloInstruction* operand, const HloInstruction* user,
+            size_t* cursor)
+{
+    const std::vector<HloInstruction*>& users = operand->users();
+    if (*cursor < users.size() && users[*cursor] == user) {
+        ++*cursor;
+        return true;
+    }
+    if (*cursor > 0 && *cursor <= users.size() && users[*cursor - 1] == user) {
+        return true;
+    }
+    auto it = std::find(users.begin(), users.end(), user);
+    if (it == users.end()) return false;
+    *cursor = static_cast<size_t>(it - users.begin()) + 1;
+    return true;
+}
+
 }  // namespace
 
 Status
@@ -301,6 +326,13 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
     std::unordered_set<int64_t> param_numbers;
     int64_t param_count = 0;
     DeviceSets device_sets(num_devices);
+    // Per operand id, the position in its user list just past the last
+    // user found there. Users join a list as they are built, which is
+    // mostly the order this loop meets them, so the edge check looks
+    // there first and scans the whole list only on a miss: a shared
+    // scalar with hundreds of users costs O(users), not O(users^2).
+    std::vector<size_t> user_cursor(
+        static_cast<size_t>(computation.instruction_id_bound()), 0);
     for (const HloInstruction* instr : instrs) {
         for (const HloInstruction* operand : instr->operands()) {
             if (!defined.Contains(operand)) {
@@ -308,7 +340,9 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
                     StrCat("operand %", operand->name(),
                            " not defined before %", instr->name()));
             }
-            if (!operand->HasUser(instr)) {
+            if (!HasUserFrom(operand, instr,
+                             &user_cursor[static_cast<size_t>(
+                                 operand->id())])) {
                 return Internal(StrCat("missing user edge %",
                                        operand->name(), " -> %",
                                        instr->name()));

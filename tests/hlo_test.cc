@@ -457,6 +457,30 @@ TEST(ComputationTest, InstructionAddressesAreStable)
     EXPECT_TRUE(VerifyComputation(comp).ok());
 }
 
+/**
+ * The user-edge check looks at the user after the last one it found
+ * first; a user list out of instruction order, and an operand read
+ * twice, still verify.
+ */
+TEST(VerifierTest, UserListOutOfInstructionOrderVerifies)
+{
+    HloModule module("m");
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* shared = b.Parameter(0, Shape({2}));
+    auto* old = b.Parameter(1, Shape({2}));
+    auto* first = b.Add(old, old);
+    auto* second = b.Negate(shared);
+    comp->set_root(b.Add(first, second));
+    // shared's users become {second, first}: the reverse of the list.
+    comp->ReplaceAllUsesWith(old, shared);
+    ASSERT_EQ(shared->users().size(), 2u);
+    EXPECT_EQ(shared->users()[0], second);
+    EXPECT_EQ(first->operand(0), shared);
+    EXPECT_EQ(first->operand(1), shared);
+    EXPECT_TRUE(VerifyComputation(*comp).ok());
+}
+
 TEST(VerifierTest, CatchesBadSchedule)
 {
     HloModule module("m");
