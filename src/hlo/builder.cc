@@ -168,12 +168,12 @@ HloBuilder::DynamicSlice(HloInstruction* operand,
 
 HloInstruction*
 HloBuilder::DynamicSliceOnDim(HloInstruction* operand, int64_t dim,
-                              HloInstruction* start, int64_t size)
+                              HloInstruction* start, int64_t size,
+                              HloInstruction* zero)
 {
     const Shape& in = operand->shape();
     std::vector<HloInstruction*> starts;
     std::vector<int64_t> sizes;
-    HloInstruction* zero = nullptr;
     for (int64_t d = 0; d < in.rank(); ++d) {
         if (d == dim) {
             starts.push_back(start);
@@ -201,11 +201,11 @@ HloBuilder::DynamicUpdateSlice(HloInstruction* operand,
 HloInstruction*
 HloBuilder::DynamicUpdateSliceOnDim(HloInstruction* operand,
                                     HloInstruction* update, int64_t dim,
-                                    HloInstruction* start)
+                                    HloInstruction* start,
+                                    HloInstruction* zero)
 {
     const Shape& in = operand->shape();
     std::vector<HloInstruction*> starts;
-    HloInstruction* zero = nullptr;
     for (int64_t d = 0; d < in.rank(); ++d) {
         if (d == dim) {
             starts.push_back(start);

@@ -80,19 +80,23 @@ class HloBuilder {
                                  std::vector<int64_t> sizes);
     /**
      * Dynamic slice along a single dimension `dim` starting at scalar
-     * `start`, taking `size` elements; other dims are taken whole.
+     * `start`, taking `size` elements; other dims are taken whole,
+     * starting at `zero` (an s32 zero built here when null).
      */
     HloInstruction* DynamicSliceOnDim(HloInstruction* operand, int64_t dim,
-                                      HloInstruction* start, int64_t size);
+                                      HloInstruction* start, int64_t size,
+                                      HloInstruction* zero = nullptr);
 
     HloInstruction* DynamicUpdateSlice(HloInstruction* operand,
                                        HloInstruction* update,
                                        std::vector<HloInstruction*> starts);
-    /** Update along a single dimension; other dims start at zero. */
+    /** Update along a single dimension; other dims start at `zero`
+     *  (built here when null). */
     HloInstruction* DynamicUpdateSliceOnDim(HloInstruction* operand,
                                             HloInstruction* update,
                                             int64_t dim,
-                                            HloInstruction* start);
+                                            HloInstruction* start,
+                                            HloInstruction* zero = nullptr);
 
     HloInstruction* Copy(HloInstruction* operand);
     HloInstruction* Negate(HloInstruction* operand);

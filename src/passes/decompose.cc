@@ -522,39 +522,28 @@ class LoopEmitter {
         return scalars_->Offset(shard_id, site_.shard_extent, extra);
     }
 
-    /**
-     * HloBuilder::DynamicSliceOnDim with the shared zero start on every
-     * other dimension.
-     */
+    /** The store's zero start for `operand`'s other dimensions. */
+    HloInstruction* ZeroStartFor(const HloInstruction* operand)
+    {
+        return operand->shape().rank() > 1 ? scalars_->Index(0) : nullptr;
+    }
+
+    /** HloBuilder's helper, with the store's zero start. */
     HloInstruction* DynamicSliceOnDim(HloInstruction* operand, int64_t dim,
                                       HloInstruction* start, int64_t size)
     {
-        const Shape& in = operand->shape();
-        std::vector<int64_t> sizes(in.dims().begin(), in.dims().end());
-        sizes[static_cast<size_t>(dim)] = size;
-        return builder_.DynamicSlice(operand, StartsOnDim(in, dim, start),
-                                     std::move(sizes));
+        return builder_.DynamicSliceOnDim(operand, dim, start, size,
+                                          ZeroStartFor(operand));
     }
 
-    /** HloBuilder::DynamicUpdateSliceOnDim with the shared zero start. */
+    /** HloBuilder's helper, with the store's zero start. */
     HloInstruction* DynamicUpdateSliceOnDim(HloInstruction* operand,
                                             HloInstruction* update,
                                             int64_t dim,
                                             HloInstruction* start)
     {
-        return builder_.DynamicUpdateSlice(
-            operand, update, StartsOnDim(operand->shape(), dim, start));
-    }
-
-    /** `start` on `dim`, the shared zero on every other dimension. */
-    std::vector<HloInstruction*> StartsOnDim(const Shape& shape, int64_t dim,
-                                             HloInstruction* start)
-    {
-        std::vector<HloInstruction*> starts(
-            static_cast<size_t>(shape.rank()),
-            shape.rank() > 1 ? scalars_->Index(0) : nullptr);
-        starts[static_cast<size_t>(dim)] = start;
-        return starts;
+        return builder_.DynamicUpdateSliceOnDim(operand, update, dim, start,
+                                                ZeroStartFor(operand));
     }
 
     /** Partial einsum keeping the original operand order. */
@@ -615,7 +604,7 @@ class LoopEmitter {
         const EinsumSpec& spec = site_.einsum->einsum();
         int64_t out_dim = spec.OutDimOf(site_.label);
         return DynamicUpdateSliceOnDim(acc, partial, out_dim,
-                                                OffsetOf(shard_id));
+                                       OffsetOf(shard_id));
     }
 
     /**
@@ -632,9 +621,8 @@ class LoopEmitter {
         }
         const EinsumSpec& spec = site_.einsum->einsum();
         int64_t other_dim = SideDimOf(spec, 1 - site_.side, site_.label);
-        return DynamicSliceOnDim(other, other_dim,
-                                          OffsetOf(shard_id),
-                                          site_.shard_extent);
+        return DynamicSliceOnDim(other, other_dim, OffsetOf(shard_id),
+                                 site_.shard_extent);
     }
 
     /**
@@ -808,7 +796,7 @@ class LoopEmitter {
                 PartialEinsum(SlicedOperandFor(src_id), other);
             HloInstruction* received = ChunkPermute(partial, k);
             acc = DynamicUpdateSliceOnDim(acc, received, out_dim,
-                                                   OffsetOf(dst_id));
+                                          OffsetOf(dst_id));
         }
         return acc;
     }
@@ -823,7 +811,7 @@ class LoopEmitter {
         const EinsumSpec& spec = site_.einsum->einsum();
         int64_t dim = SideDimOf(spec, site_.side, site_.label);
         return DynamicSliceOnDim(operand, dim, OffsetOf(shard_id),
-                                          site_.shard_extent);
+                                 site_.shard_extent);
     }
 
     HloInstruction* EmitReduceScatterSingleChain()
