@@ -6,7 +6,6 @@
 #include <optional>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "hlo/builder.h"
 #include "support/logging.h"
@@ -335,8 +334,8 @@ class RingShifts {
  *
  * Loop group: none. A shared scalar feeds the loops of several sites,
  * so it belongs to none of them; the store's instructions keep loop
- * group -1 and LoopEmitter::Emit() tags only the instructions it adds
- * itself. Scalar index arithmetic costs 0 s
+ * group -1 and LoopEmitter::Emit() tags every other instruction it
+ * adds. Scalar index arithmetic costs 0 s
  * (CostModel::InstructionSeconds), so sharing moves no simulated time,
  * only the 4-byte live buffers the repeats held.
  */
@@ -387,10 +386,13 @@ class IndexScalars {
                           : Binary(HloOpcode::kAdd, off, Index(extra));
     }
 
-    /** True for the instructions the store built (no loop group). */
-    bool Owns(const HloInstruction* instr) const
+    /**
+     * True for a scalar the store holds or would hold. The emitter
+     * builds no s32 scalar of its own, so every one it adds is shared.
+     */
+    static bool Shares(const HloInstruction* instr)
     {
-        return built_.count(instr) != 0;
+        return KeyOf(instr).has_value();
     }
 
   private:
@@ -434,14 +436,12 @@ class IndexScalars {
         auto it = table_.find(key);
         if (it != table_.end()) return it->second;
         HloInstruction* instr = build();
-        built_.insert(instr);
         table_.emplace(key, instr);
         return instr;
     }
 
     HloBuilder builder_;
     std::map<Key, HloInstruction*> table_;
-    std::unordered_set<const HloInstruction*> built_;
 };
 
 /**
@@ -499,7 +499,9 @@ class LoopEmitter {
         std::vector<HloInstruction*> instrs = computation_->instructions();
         for (size_t i = static_cast<size_t>(first_new); i < instrs.size();
              ++i) {
-            if (!scalars_->Owns(instrs[i])) instrs[i]->set_loop_group(group);
+            if (!IndexScalars::Shares(instrs[i])) {
+                instrs[i]->set_loop_group(group);
+            }
         }
         emitted_group_ = group;
         return result;
