@@ -24,7 +24,8 @@ namespace overlap {
 namespace {
 
 using testing_util::DimsOf;
-using testing_util::MoeSweepModel;
+using testing_util::ArmCompile;
+using testing_util::MoeSweepArms;
 using testing_util::PaperModels;
 
 TEST(BuilderTest, EinsumShapeInference)
@@ -358,19 +359,8 @@ TEST(ComputationTest, SortMatchesHeapKahn)
                                  "baseline");
         ExpectSortMatchesOnLayer(m, CompilerOptions(), true, "overlap");
     }
-    CompilerOptions blocking;
-    blocking.decompose.all_to_all = false;
-    CompilerOptions pipelined = blocking;
-    pipelined.async_all_to_all = true;
-    for (int64_t mesh_y : {4, 8, 16}) {
-        for (int64_t experts : {16, 64}) {
-            ExpectSortMatchesOnLayer(MoeSweepModel(1, mesh_y, experts),
-                                     blocking, true, "blocking");
-            ExpectSortMatchesOnLayer(MoeSweepModel(1, mesh_y, experts),
-                                     CompilerOptions(), true, "decomposed");
-            ExpectSortMatchesOnLayer(MoeSweepModel(4, mesh_y, experts),
-                                     pipelined, true, "pipelined");
-        }
+    for (const ArmCompile& c : MoeSweepArms()) {
+        ExpectSortMatchesOnLayer(c.config, c.options, true, c.arm);
     }
     for (uint32_t seed = 1; seed <= 20; ++seed) {
         auto module = RandomDag(seed, 40 + 37 * seed);

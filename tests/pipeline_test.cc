@@ -213,32 +213,18 @@ FirstDuplicateScalar(const HloComputation& computation)
  */
 TEST(PipelineTest, CompiledModulesComputeEachIndexScalarOnce)
 {
-    using testing_util::MoeSweepModel;
-    std::vector<std::pair<ModelConfig, CompilerOptions>> compiles;
+    std::vector<testing_util::ArmCompile> compiles =
+        testing_util::MoeSweepArms();
     for (const ModelConfig& m : testing_util::PaperModels()) {
-        compiles.emplace_back(m, CompilerOptions());
+        compiles.push_back({m, CompilerOptions(), "overlap"});
     }
-    CompilerOptions blocking;
-    blocking.decompose.all_to_all = false;
-    CompilerOptions pipelined = blocking;
-    pipelined.async_all_to_all = true;
-    for (int64_t mesh_y : {4, 8, 16}) {
-        for (int64_t experts : {16, 64}) {
-            compiles.emplace_back(MoeSweepModel(1, mesh_y, experts),
-                                  blocking);
-            compiles.emplace_back(MoeSweepModel(1, mesh_y, experts),
-                                  CompilerOptions());
-            compiles.emplace_back(MoeSweepModel(4, mesh_y, experts),
-                                  pipelined);
-        }
-    }
-    for (const auto& [config, options] : compiles) {
-        auto module = BuildLayerStepModule(config);
-        ASSERT_TRUE(module.ok()) << config.name;
-        OverlapCompiler compiler(options);
-        ASSERT_TRUE(compiler.Compile(module->get()).ok()) << config.name;
+    for (const testing_util::ArmCompile& c : compiles) {
+        auto module = BuildLayerStepModule(c.config);
+        ASSERT_TRUE(module.ok()) << c.config.name;
+        OverlapCompiler compiler(c.options);
+        ASSERT_TRUE(compiler.Compile(module->get()).ok()) << c.config.name;
         EXPECT_EQ(FirstDuplicateScalar(*(*module)->entry()), "")
-            << config.name;
+            << c.config.name << "/" << c.arm;
     }
 }
 

@@ -53,6 +53,39 @@ MoeSweepModel(int64_t micro_batches, int64_t mesh_y = 8,
     return config;
 }
 
+/** One model compiled under one set of options, with the arm's name. */
+struct ArmCompile {
+    ModelConfig config;
+    CompilerOptions options;
+    std::string arm;
+};
+
+/**
+ * The moe_sweep grid (4 x {4, 8, 16} meshes x {16, 64} experts) under
+ * its three AllToAll arms: blocking, ring-decomposed and micro-batch
+ * pipelined (four micro-batches).
+ */
+inline std::vector<ArmCompile>
+MoeSweepArms()
+{
+    CompilerOptions blocking;
+    blocking.decompose.all_to_all = false;
+    CompilerOptions pipelined = blocking;
+    pipelined.async_all_to_all = true;
+    std::vector<ArmCompile> arms;
+    for (int64_t mesh_y : {4, 8, 16}) {
+        for (int64_t experts : {16, 64}) {
+            arms.push_back(
+                {MoeSweepModel(1, mesh_y, experts), blocking, "blocking"});
+            arms.push_back({MoeSweepModel(1, mesh_y, experts),
+                            CompilerOptions(), "decomposed"});
+            arms.push_back(
+                {MoeSweepModel(4, mesh_y, experts), pipelined, "pipelined"});
+        }
+    }
+    return arms;
+}
+
 /** A shape's dims as a vector, for comparing with an expected list. */
 inline std::vector<int64_t>
 DimsOf(const Shape& shape)
