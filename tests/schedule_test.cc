@@ -14,6 +14,7 @@
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
+#include "models/fault_presets.h"
 #include "models/model_config.h"
 #include "models/step_builder.h"
 #include "passes/async.h"
@@ -33,6 +34,8 @@ const char* const kScheduleGoldenPath =
     OVERLAP_TESTDATA_DIR "/paper_model_schedules.golden";
 const char* const kOutcomeGoldenPath =
     OVERLAP_TESTDATA_DIR "/simulated_outcomes.golden";
+const char* const kSiteDecisionGoldenPath =
+    OVERLAP_TESTDATA_DIR "/site_decisions.golden";
 
 /** Builds a decomposed, async AG-einsum loop over `n` devices. */
 std::unique_ptr<HloModule>
@@ -350,6 +353,32 @@ Hex(double value)
 }
 
 /**
+ * Rewrites the golden at `path` from `lines` when OVERLAP_REGEN_GOLDEN
+ * is set (and returns true); otherwise expects `lines` to match it line
+ * for line.
+ */
+bool
+RegenerateOrCompare(const char* path, const std::vector<std::string>& lines)
+{
+    if (std::getenv("OVERLAP_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(path);
+        EXPECT_TRUE(out.good()) << "cannot write " << path;
+        for (const std::string& line : lines) out << line << "\n";
+        return true;
+    }
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "missing " << path;
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);) golden.push_back(line);
+    for (size_t i = 0; i < std::max(lines.size(), golden.size()); ++i) {
+        EXPECT_EQ(i < lines.size() ? lines[i] : "<end>",
+                  i < golden.size() ? golden[i] : "<end>")
+            << path << " moved at line " << i + 1;
+    }
+    return false;
+}
+
+/**
  * The simulated outcome of every GoldenCompiles() entry, one field per
  * line ("<label> <field> <value>"; doubles as %a, counts in decimal),
  * must match the committed table. A compile the simulator refuses
@@ -386,20 +415,106 @@ TEST(SimulatedOutcomeTableTest, OutcomesMatchGolden)
                         std::to_string(r.peak_memory_bytes));
     }
 
-    if (std::getenv("OVERLAP_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(kOutcomeGoldenPath);
-        ASSERT_TRUE(out.good()) << "cannot write " << kOutcomeGoldenPath;
-        for (const std::string& line : lines) out << line << "\n";
+    if (RegenerateOrCompare(kOutcomeGoldenPath, lines)) {
         GTEST_SKIP() << "regenerated " << kOutcomeGoldenPath;
     }
-    std::ifstream in(kOutcomeGoldenPath);
-    ASSERT_TRUE(in.good()) << "missing " << kOutcomeGoldenPath;
-    std::vector<std::string> golden;
-    for (std::string line; std::getline(in, line);) golden.push_back(line);
-    for (size_t i = 0; i < std::max(lines.size(), golden.size()); ++i) {
-        EXPECT_EQ(i < lines.size() ? lines[i] : "<end>",
-                  i < golden.size() ? golden[i] : "<end>")
-            << "simulated outcome moved at line " << i + 1;
+}
+
+/**
+ * One line per field of every SiteDecision (doubles as %a) and one per
+ * DecomposeStats counter that `label`'s compile produced.
+ */
+void
+AppendDecisionLines(const std::string& label, const ModelConfig& config,
+                    const CompilerOptions& options,
+                    std::vector<std::string>* lines)
+{
+    auto module = BuildLayerStepModule(config);
+    if (!module.ok()) {
+        lines->push_back(label + " build failed");
+        return;
+    }
+    auto report = OverlapCompiler(options).Compile(module->get());
+    if (!report.ok()) {
+        lines->push_back(label + " compile failed");
+        return;
+    }
+    const DecomposeStats& stats = report->decompose;
+    for (size_t i = 0; i < stats.decisions.size(); ++i) {
+        const SiteDecision& d = stats.decisions[i];
+        const GateCost& c = d.cost;
+        const LoopShape& s = c.shape;
+        lines->push_back(StrCat(
+            label, " site ", i, " ", d.collective, " ", d.einsum, " ",
+            d.reason, " decomposed=", d.decomposed ? 1 : 0,
+            " lowered=", d.lowered_to_unidirectional ? 1 : 0,
+            " group=", d.loop_group, " ", LoopStructureName(s.structure),
+            " nominal=", Hex(d.benefit_nominal), " comp=", Hex(c.comp_t),
+            " comm=", Hex(c.comm_t), " ring=", Hex(c.comm_t_ring),
+            " extra=", Hex(c.extra_t),
+            " hidden=", Hex(c.predicted_hidden_fraction),
+            " margin=", Hex(c.margin)));
+        lines->push_back(StrCat(
+            label, " shape ", i, " n=", s.ring, " wire=",
+            Hex(s.wire_seconds), " hop=", Hex(s.hop_latency_seconds),
+            " partial=", Hex(s.partial_seconds),
+            " combine=", Hex(s.combine_seconds),
+            " slice=", Hex(s.slice_seconds), "x", s.slices_per_partial,
+            " zeros=", Hex(s.zeros_seconds), "x", s.accumulators,
+            " copy=", Hex(s.copy_seconds), s.has_copies ? "+" : "-",
+            " oh=", Hex(s.op_overhead_seconds),
+            " send=", Hex(s.send_slice_seconds),
+            " full_add=", s.combine_is_full_add ? 1 : 0,
+            " budget=", s.max_in_flight,
+            " fused=", Hex(s.fused_discount)));
+    }
+    lines->push_back(StrCat(
+        label, " stats ag=", stats.allgather_sites,
+        " rs=", stats.reduce_scatter_sites, " a2a=", stats.all_to_all_sites,
+        " rejected=", stats.rejected_by_cost_model,
+        " skipped=", stats.skipped_unsupported,
+        " fallbacks=", stats.fault_fallbacks,
+        " lowered=", stats.fault_lowered));
+}
+
+/**
+ * Every §5.5 gate verdict of every GoldenCompiles() entry, plus GPT_32B
+ * under bench/fault_sweep's seven fault specs (one ring link at 1.0 ...
+ * 0.05 of its bandwidth, with per-trial jitter) with and without the
+ * gate, must match the committed table: the matched sites, the
+ * structure each is costed as, every cost term, the loop group and the
+ * pass's counters. The fault rows are the only ones that reach the
+ * gate's unidirectional lowering and its fallback to the blocking
+ * collective.
+ * Regenerate with OVERLAP_REGEN_GOLDEN=1 only after an intentional
+ * change of the gate or the matchers.
+ */
+TEST(SiteDecisionTableTest, DecisionsMatchGolden)
+{
+    std::vector<std::string> lines;
+    for (const GoldenCompile& c : GoldenCompiles()) {
+        AppendDecisionLines(c.label, c.config, c.options, &lines);
+    }
+    const ModelConfig gpt = Table2GptModels()[0];
+    for (double severity : {1.0, 0.8, 0.6, 0.4, 0.25, 0.1, 0.05}) {
+        CompilerOptions options;
+        if (severity < 1.0) {
+            options.fault =
+                SingleDegradedLink(gpt.mesh(), /*axis=*/0, severity).spec;
+        }
+        options.fault.seed = 13;
+        options.fault.link_jitter = 0.02;
+        options.fault.compute_jitter = 0.01;
+        AppendDecisionLines(StrCat(gpt.name, "/fault", severity), gpt,
+                            options, &lines);
+        // Without the gate every site is decomposed as configured,
+        // still ranked by its fault-derated cost.
+        options.decompose.use_cost_model = false;
+        AppendDecisionLines(StrCat(gpt.name, "/forced_fault", severity),
+                            gpt, options, &lines);
+    }
+    if (RegenerateOrCompare(kSiteDecisionGoldenPath, lines)) {
+        GTEST_SKIP() << "regenerated " << kSiteDecisionGoldenPath;
     }
 }
 
