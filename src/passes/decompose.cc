@@ -56,6 +56,39 @@ AllToAllRingEligible(int64_t ring_size, int64_t dim_extent)
 
 namespace {
 
+/** The collective a loop structure decomposes. */
+HloOpcode
+ExchangeOf(LoopStructure structure)
+{
+    switch (structure) {
+      case LoopStructure::kAllGatherUnidirectional:
+      case LoopStructure::kAllGatherBidirectional:
+      case LoopStructure::kAllGatherTwoWay:
+          return HloOpcode::kAllGather;
+      case LoopStructure::kReduceScatterSingleChain:
+      case LoopStructure::kReduceScatterTwoChain:
+      case LoopStructure::kReduceScatterBidirectional:
+          return HloOpcode::kReduceScatter;
+      case LoopStructure::kAllToAllDispatch:
+      case LoopStructure::kAllToAllCombine:
+          return HloOpcode::kAllToAll;
+    }
+    return HloOpcode::kAllGather;
+}
+
+/**
+ * True for the loops whose exchange feeds the einsum (AllGather, AllToAll
+ * dispatch): they accumulate the einsum's result and replace the einsum.
+ * The others consume it (ReduceScatter, AllToAll combine) and replace
+ * the collective.
+ */
+bool
+FeedsEinsum(LoopStructure structure)
+{
+    return ExchangeOf(structure) == HloOpcode::kAllGather ||
+           structure == LoopStructure::kAllToAllDispatch;
+}
+
 /**
  * A matched AllGather-Einsum, Einsum-ReduceScatter, AllToAll-Einsum
  * (MoE dispatch) or Einsum-AllToAll (MoE combine) overlap site.
@@ -64,11 +97,10 @@ struct Site {
     HloInstruction* einsum = nullptr;
     /// The AG, RS or A2A to decompose.
     HloInstruction* collective = nullptr;
-    bool is_allgather = false;
-    /// AllToAll site (DESIGN.md §18): a2a_dispatch when the A2A feeds
-    /// the einsum, combine when it consumes it.
-    bool is_all_to_all = false;
-    bool a2a_dispatch = false;
+    /// The loop the gate costs and the emitter builds: the configured
+    /// one (StructureFor under the pass's options) unless the
+    /// variance-aware gate lowered it to the unidirectional loop.
+    LoopStructure structure = LoopStructure::kAllGatherUnidirectional;
     /// Einsum operand index of the gathered/exchanged operand (AG and
     /// A2A-dispatch cases) or of the operand that carries the scattered
     /// or exchanged output label (RS and A2A-combine cases).
@@ -76,7 +108,7 @@ struct Site {
     int64_t mesh_axis = -1;
     int64_t group_size = 0;  // N
     char label = 0;          // the partitioned einsum label
-    EinsumDimKind kind = EinsumDimKind::kLhsFree;  // AG case only
+    EinsumDimKind kind = EinsumDimKind::kLhsFree;
     /// Shard extent of `label` per loop iteration.
     int64_t shard_extent = 0;
     /// §5.5 cost terms the gate judges this site by (derated when a
@@ -84,50 +116,51 @@ struct Site {
     GateCost cost;
     /// Healthy-pod benefit (== cost.Benefit() without a fault model).
     double benefit_nominal = 0.0;
-    /// Variance-aware lowering: emit a unidirectional loop even though
-    /// bidirectional transfer is enabled and structurally possible.
-    bool force_unidirectional = false;
+    /// Index of the site's SiteDecision in DecomposeStats::decisions.
+    size_t decision = 0;
 };
 
 /**
- * The loop structure the emitter would build for this site under these
- * options — must mirror LoopEmitter::Emit()'s selection exactly so the
- * gate costs the loop it actually gets.
+ * The loop structure for `site` with or without the §5.4.2
+ * bidirectional structures: the one place a structure is picked. The
+ * site's collective and whether it feeds the einsum fix the family; the
+ * ring size, the shard extent and the options pick within it.
  */
 LoopStructure
-StructureFor(const Site& site, const DecomposeOptions& options,
-             bool bidi_enabled)
+StructureFor(const Site& site, bool bidirectional, bool unroll)
 {
-    int64_t n = site.group_size;
-    if (site.is_all_to_all) {
+    const bool feeds = site.einsum->operand(site.side) == site.collective;
+    if (site.collective->opcode() == HloOpcode::kAllToAll) {
         // The per-peer chunk exchanges route each chunk its shorter way
         // around the ring, so there is no bidirectional/unidirectional
         // structural distinction to pick from.
-        return site.a2a_dispatch ? LoopStructure::kAllToAllDispatch
-                                 : LoopStructure::kAllToAllCombine;
+        return feeds ? LoopStructure::kAllToAllDispatch
+                     : LoopStructure::kAllToAllCombine;
     }
-    bool bidi =
-        bidi_enabled && BidirectionalRingEligible(n, site.shard_extent);
-    if (site.is_allgather) {
-        if (bidi_enabled && TwoWayExchangeEligible(n, site.shard_extent)) {
+    const int64_t n = site.group_size;
+    const bool bidi =
+        bidirectional && BidirectionalRingEligible(n, site.shard_extent);
+    if (feeds) {
+        // At N == 2 the two halves of the peer's shard travel the two
+        // link directions at once (the §5.4.2 idea at its smallest
+        // scale, and what makes the §7.1 inference case profitable).
+        if (bidirectional && TwoWayExchangeEligible(n, site.shard_extent)) {
             return LoopStructure::kAllGatherTwoWay;
         }
         return bidi ? LoopStructure::kAllGatherBidirectional
                     : LoopStructure::kAllGatherUnidirectional;
     }
     if (bidi) return LoopStructure::kReduceScatterBidirectional;
-    return options.unroll && n % 2 == 0
-               ? LoopStructure::kReduceScatterTwoChain
-               : LoopStructure::kReduceScatterSingleChain;
+    return unroll && n % 2 == 0 ? LoopStructure::kReduceScatterTwoChain
+                                : LoopStructure::kReduceScatterSingleChain;
 }
 
 /**
- * §5.5 estimate of original minus overlapped time for one site under
- * the given cost model (possibly derated for a degraded ring). The
- * blocking-collective term intentionally uses healthy rates even on a
- * derated model (see CostModel::SetFaultDerating).
- * `allow_bidirectional` gates the §5.4.2 structures so the variance-
- * aware caller can evaluate the unidirectional lowering separately.
+ * §5.5 estimate of original minus overlapped time for one site emitted
+ * as `structure`, under the given cost model (possibly derated for a
+ * degraded ring). The blocking-collective term intentionally uses
+ * healthy rates even on a derated model (see
+ * CostModel::SetFaultDerating).
  *
  * The overlapped time comes from the loop-timeline replay
  * (sim/loop_timeline.h): the site's shapes are reduced to per-kernel
@@ -138,22 +171,22 @@ StructureFor(const Site& site, const DecomposeOptions& options,
  * — so Benefit() compares comp_t + comm_t against the replay span.
  */
 GateCost
-EstimateBenefit(const Site& site, const CostModel& cost,
-                const DecomposeOptions& options, bool allow_bidirectional)
+EstimateBenefit(const Site& site, LoopStructure structure,
+                const CostModel& cost, bool unroll)
 {
     double comp_t = cost.EinsumSeconds(site.einsum);
     double comm_t = cost.BlockingCollectiveSeconds(site.collective);
     int64_t n = site.group_size;
-    bool bidi_enabled = allow_bidirectional && options.bidirectional;
     double n_d = static_cast<double>(n);
     double oh = cost.spec().op_overhead;
+    const bool feeds = FeedsEinsum(structure);
+    // An AllToAll's input and output are the same size.
     int64_t shard_bytes =
-        site.is_allgather
-            ? site.collective->operand(0)->shape().byte_size()
-            : site.collective->shape().byte_size();
+        feeds ? site.collective->operand(0)->shape().byte_size()
+              : site.collective->shape().byte_size();
 
     LoopShape shape;
-    shape.structure = StructureFor(site, options, bidi_enabled);
+    shape.structure = structure;
     shape.ring = n;
     shape.wire_seconds = cost.WireSeconds(shard_bytes);
     shape.hop_latency_seconds = cost.HopLatencySeconds();
@@ -161,11 +194,11 @@ EstimateBenefit(const Site& site, const CostModel& cost,
     shape.partial_seconds = (comp_t - oh) / n_d + oh;
     shape.op_overhead_seconds = oh;
     shape.max_in_flight = cost.spec().max_in_flight_async;
-    shape.has_copies = !options.unroll;
+    shape.has_copies = !unroll;
     shape.copy_seconds =
         cost.ElementwiseBytesSeconds(2.0 * static_cast<double>(shard_bytes));
 
-    if (site.is_all_to_all) {
+    if (ExchangeOf(structure) == HloOpcode::kAllToAll) {
         // The exchanged buffer splits into N equal per-peer chunks;
         // each chunk travels its own permute (shorter way around), so
         // the per-hop occupancy and the aliasing copy shrink to 1/N.
@@ -173,47 +206,14 @@ EstimateBenefit(const Site& site, const CostModel& cost,
         shape.wire_seconds = cost.WireSeconds(chunk_bytes);
         shape.copy_seconds = cost.ElementwiseBytesSeconds(
             2.0 * static_cast<double>(chunk_bytes));
-        double out_bytes =
-            static_cast<double>(site.einsum->shape().byte_size());
-        if (site.a2a_dispatch) {
+        if (feeds) {
             // Sender-side DynamicSlice carving each chunk out of the
             // loop input.
             shape.send_slice_seconds = cost.ElementwiseBytesSeconds(
                 2.0 * static_cast<double>(chunk_bytes));
-            shape.zeros_seconds = cost.ElementwiseBytesSeconds(out_bytes);
-            if (site.kind == EinsumDimKind::kContracting) {
-                shape.combine_seconds =
-                    cost.ElementwiseBytesSeconds(3.0 * out_bytes);
-                shape.combine_is_full_add = true;
-            } else {
-                shape.combine_seconds =
-                    cost.ElementwiseBytesSeconds(2.0 * out_bytes / n_d);
-            }
-            if (site.kind == EinsumDimKind::kContracting ||
-                site.kind == EinsumDimKind::kBatch) {
-                double other_bytes = static_cast<double>(
-                    site.einsum->operand(1 - site.side)
-                        ->shape()
-                        .byte_size());
-                shape.slices_per_partial = 1;
-                shape.slice_seconds =
-                    cost.ElementwiseBytesSeconds(2.0 * other_bytes / n_d);
-            }
-        } else {
-            // Combine: the accumulator is the A2A buffer itself; each
-            // received chunk is DUSed into one 1/N block of it, and
-            // every partial slices the label-carrying operand.
-            double sliced_bytes = static_cast<double>(
-                site.einsum->operand(site.side)->shape().byte_size());
-            shape.zeros_seconds = cost.ElementwiseBytesSeconds(
-                static_cast<double>(shard_bytes));
-            shape.combine_seconds = cost.ElementwiseBytesSeconds(
-                2.0 * static_cast<double>(shard_bytes) / n_d);
-            shape.slices_per_partial = 1;
-            shape.slice_seconds =
-                cost.ElementwiseBytesSeconds(2.0 * sliced_bytes / n_d);
         }
-    } else if (site.is_allgather) {
+    }
+    if (feeds) {
         double out_bytes =
             static_cast<double>(site.einsum->shape().byte_size());
         double other_bytes = static_cast<double>(
@@ -237,7 +237,7 @@ EstimateBenefit(const Site& site, const CostModel& cost,
             shape.slice_seconds =
                 cost.ElementwiseBytesSeconds(2.0 * other_bytes / n_d);
         }
-        if (shape.structure == LoopStructure::kAllGatherTwoWay) {
+        if (structure == LoopStructure::kAllGatherTwoWay) {
             // Each direction carries half the shard concurrently; the
             // two static Slices splitting it run on the device.
             shape.wire_seconds = cost.WireSeconds(shard_bytes / 2);
@@ -250,12 +250,19 @@ EstimateBenefit(const Site& site, const CostModel& cost,
                 static_cast<double>(shard_bytes));
         }
     } else {
+        // The accumulator is the collective's result (for an AllToAll
+        // combine, the A2A buffer itself), and every partial slices the
+        // label-carrying operand. A ReduceScatter adds each partial
+        // into the whole accumulator; an AllToAll combine DUSes each
+        // received chunk into one 1/N block of it.
         double rs_bytes = static_cast<double>(shard_bytes);
         double sliced_bytes = static_cast<double>(
             site.einsum->operand(site.side)->shape().byte_size());
         shape.zeros_seconds = cost.ElementwiseBytesSeconds(rs_bytes);
         shape.combine_seconds =
-            cost.ElementwiseBytesSeconds(3.0 * rs_bytes);
+            ExchangeOf(structure) == HloOpcode::kAllToAll
+                ? cost.ElementwiseBytesSeconds(2.0 * rs_bytes / n_d)
+                : cost.ElementwiseBytesSeconds(3.0 * rs_bytes);
         shape.slices_per_partial = 1;
         shape.slice_seconds =
             cost.ElementwiseBytesSeconds(2.0 * sliced_bytes / n_d);
@@ -445,9 +452,11 @@ class IndexScalars {
 };
 
 /**
- * Emits the unrolled Looped CollectiveEinsum for one site. Every
- * instruction added is tagged with a fresh loop group; the loop-index
- * scalars come from the Run's IndexScalars and stay untagged.
+ * Emits the unrolled Looped CollectiveEinsum for one site in the
+ * site's structure; the options only select the no-unroll forms and
+ * the test-only shard-id bug. Every instruction added is tagged with a
+ * fresh loop group; the loop-index scalars come from the Run's
+ * IndexScalars and stay untagged.
  */
 class LoopEmitter {
   public:
@@ -468,32 +477,32 @@ class LoopEmitter {
     HloInstruction* Emit()
     {
         int64_t first_new = computation_->instruction_count();
-        HloInstruction* result;
-        bool bidi = options_.bidirectional &&
-                    BidirectionalRingEligible(n_, site_.shard_extent);
-        if (site_.is_all_to_all) {
-            result = site_.a2a_dispatch ? EmitAllToAllDispatch()
-                                        : EmitAllToAllCombine();
-        } else if (site_.is_allgather) {
-            if (options_.bidirectional &&
-                TwoWayExchangeEligible(n_, site_.shard_extent)) {
-                // 2-way parallelism: circulate the two halves of the
-                // peer's shard over the two opposite link directions
-                // concurrently (the §5.4.2 idea at its smallest scale,
-                // and what makes the §7.1 inference case profitable).
-                result = EmitAllGatherTwoWay();
-            } else {
-                result = bidi ? EmitAllGatherBidirectional()
-                              : EmitAllGatherUnidirectional();
-            }
-        } else {
-            if (bidi) {
-                result = EmitReduceScatterBidirectional();
-            } else if (options_.unroll && n_ % 2 == 0) {
-                result = EmitReduceScatterTwoChain();
-            } else {
-                result = EmitReduceScatterSingleChain();
-            }
+        HloInstruction* result = nullptr;
+        switch (site_.structure) {
+          case LoopStructure::kAllGatherUnidirectional:
+              result = EmitAllGatherUnidirectional();
+              break;
+          case LoopStructure::kAllGatherBidirectional:
+              result = EmitAllGatherBidirectional();
+              break;
+          case LoopStructure::kAllGatherTwoWay:
+              result = EmitAllGatherTwoWay();
+              break;
+          case LoopStructure::kReduceScatterSingleChain:
+              result = EmitReduceScatterSingleChain();
+              break;
+          case LoopStructure::kReduceScatterTwoChain:
+              result = EmitReduceScatterTwoChain();
+              break;
+          case LoopStructure::kReduceScatterBidirectional:
+              result = EmitReduceScatterBidirectional();
+              break;
+          case LoopStructure::kAllToAllDispatch:
+              result = EmitAllToAllDispatch();
+              break;
+          case LoopStructure::kAllToAllCombine:
+              result = EmitAllToAllCombine();
+              break;
         }
         int64_t group = computation_->NextLoopGroupId();
         std::vector<HloInstruction*> instrs = computation_->instructions();
@@ -929,147 +938,92 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         return it->second;
     };
 
+    // The check every site shares: `producer` (the exchange feeding the
+    // einsum, or the einsum feeding the exchange) has no use but the one
+    // operand of the other, the exchange's groups run along one mesh
+    // axis, the ring has more than one device and an AllToAll splits
+    // into one equal chunk per peer.
+    // Adds the site in its configured structure; a ring of one device is
+    // no site, any other failure counts as unsupported.
+    auto add_site = [&](Site site, const HloInstruction* producer,
+                        std::vector<Site>* candidates) {
+        const HloInstruction* exchange = site.collective;
+        const std::vector<HloInstruction*>& users = producer->users();
+        if (users.size() != 1 ||
+            std::count(users[0]->operands().begin(),
+                       users[0]->operands().end(), producer) != 1) {
+            ++stats.skipped_unsupported;
+            return;
+        }
+        site.mesh_axis = groups_axis(exchange->attrs().groups);
+        if (site.mesh_axis < 0) {
+            ++stats.skipped_unsupported;
+            return;
+        }
+        site.group_size = mesh_.axis_size(site.mesh_axis);
+        if (site.group_size <= 1) return;
+        int64_t extent = exchange->shape().dim(exchange->attrs().dim);
+        if (exchange->opcode() == HloOpcode::kAllToAll &&
+            !AllToAllRingEligible(site.group_size, extent)) {
+            ++stats.skipped_unsupported;
+            return;
+        }
+        site.shard_extent = exchange->opcode() == HloOpcode::kReduceScatter
+                                ? extent
+                                : extent / site.group_size;
+        site.structure =
+            StructureFor(site, options_.bidirectional, options_.unroll);
+        candidates->push_back(site);
+    };
+
     // Collect candidate sites per einsum, then pick the best one each.
     std::vector<Site> chosen;
+    std::vector<HloOpcode> feeding = {HloOpcode::kAllGather};
+    if (options_.all_to_all) feeding.push_back(HloOpcode::kAllToAll);
     for (HloInstruction* einsum : snapshot) {
         if (einsum->opcode() != HloOpcode::kEinsum) continue;
         const EinsumSpec& spec = einsum->einsum();
         std::vector<Site> candidates;
 
-        // AllGather feeding either operand.
-        for (int64_t side = 0; side < 2; ++side) {
-            HloInstruction* operand = einsum->operand(side);
-            if (operand->opcode() != HloOpcode::kAllGather) continue;
-            if (operand->users().size() != 1 ||
-                einsum->operand(0) == einsum->operand(1)) {
-                ++stats.skipped_unsupported;
-                continue;
-            }
-            int64_t axis = groups_axis(operand->attrs().groups);
-            if (axis < 0) {
-                ++stats.skipped_unsupported;
-                continue;
-            }
-            int64_t n = mesh_.axis_size(axis);
-            if (n <= 1) continue;
-            Site site;
-            site.einsum = einsum;
-            site.collective = operand;
-            site.is_allgather = true;
-            site.side = side;
-            site.mesh_axis = axis;
-            site.group_size = n;
-            site.label = SideLabels(
-                spec, side)[static_cast<size_t>(operand->attrs().dim)];
-            site.kind = spec.KindOf(site.label);
-            site.shard_extent =
-                operand->operand(0)->shape().dim(operand->attrs().dim);
-            candidates.push_back(site);
-        }
-
-        // AllToAll feeding either operand (MoE dispatch, §18).
-        for (int64_t side = 0; side < 2 && options_.all_to_all; ++side) {
-            HloInstruction* operand = einsum->operand(side);
-            if (operand->opcode() != HloOpcode::kAllToAll) continue;
-            if (operand->users().size() != 1 ||
-                einsum->operand(0) == einsum->operand(1)) {
-                ++stats.skipped_unsupported;
-                continue;
-            }
-            int64_t axis = groups_axis(operand->attrs().groups);
-            if (axis < 0) {
-                ++stats.skipped_unsupported;
-                continue;
-            }
-            int64_t n = mesh_.axis_size(axis);
-            if (n <= 1) continue;
-            int64_t extent =
-                operand->shape().dim(operand->attrs().dim);
-            if (!AllToAllRingEligible(n, extent)) {
-                ++stats.skipped_unsupported;
-                continue;
-            }
-            Site site;
-            site.einsum = einsum;
-            site.collective = operand;
-            site.is_all_to_all = true;
-            site.a2a_dispatch = true;
-            site.side = side;
-            site.mesh_axis = axis;
-            site.group_size = n;
-            site.label = SideLabels(
-                spec, side)[static_cast<size_t>(operand->attrs().dim)];
-            site.kind = spec.KindOf(site.label);
-            site.shard_extent = extent / n;
-            candidates.push_back(site);
-        }
-
-        // AllToAll consuming the einsum (MoE combine, §18). Like the
-        // ReduceScatter case, the exchanged output label must belong to
-        // exactly one operand so the partial einsums can slice it.
-        if (options_.all_to_all && einsum->users().size() == 1 &&
-            einsum->users()[0]->opcode() == HloOpcode::kAllToAll) {
-            HloInstruction* a2a = einsum->users()[0];
-            int64_t axis = groups_axis(a2a->attrs().groups);
-            char label = spec.out_labels()[static_cast<size_t>(
-                a2a->attrs().dim)];
-            EinsumDimKind kind = spec.KindOf(label);
-            int64_t extent = a2a->shape().dim(a2a->attrs().dim);
-            if (axis < 0) {
-                ++stats.skipped_unsupported;
-            } else if (kind != EinsumDimKind::kLhsFree &&
-                       kind != EinsumDimKind::kRhsFree) {
-                ++stats.skipped_unsupported;
-            } else if (mesh_.axis_size(axis) > 1) {
-                if (!AllToAllRingEligible(mesh_.axis_size(axis), extent)) {
-                    ++stats.skipped_unsupported;
-                } else {
-                    Site site;
-                    site.einsum = einsum;
-                    site.collective = a2a;
-                    site.is_all_to_all = true;
-                    site.a2a_dispatch = false;
-                    site.side =
-                        kind == EinsumDimKind::kLhsFree ? 0 : 1;
-                    site.mesh_axis = axis;
-                    site.group_size = mesh_.axis_size(axis);
-                    site.label = label;
-                    site.kind = kind;
-                    site.shard_extent =
-                        extent / mesh_.axis_size(axis);
-                    candidates.push_back(site);
-                }
-            }
-        }
-
-        // ReduceScatter consuming the einsum.
-        if (einsum->users().size() == 1 &&
-            einsum->users()[0]->opcode() == HloOpcode::kReduceScatter) {
-            HloInstruction* rs = einsum->users()[0];
-            int64_t axis = groups_axis(rs->attrs().groups);
-            char label = spec.out_labels()[static_cast<size_t>(
-                rs->attrs().dim)];
-            EinsumDimKind kind = spec.KindOf(label);
-            if (axis < 0) {
-                ++stats.skipped_unsupported;
-            } else if (kind != EinsumDimKind::kLhsFree &&
-                       kind != EinsumDimKind::kRhsFree) {
-                // The scattered dimension must be non-contracting and
-                // belong to exactly one operand (§5.1).
-                ++stats.skipped_unsupported;
-            } else if (mesh_.axis_size(axis) > 1) {
+        // The exchange feeding either operand: an AllGather, or an
+        // AllToAll (MoE dispatch, §18).
+        for (HloOpcode opcode : feeding) {
+            for (int64_t side = 0; side < 2; ++side) {
+                HloInstruction* operand = einsum->operand(side);
+                if (operand->opcode() != opcode) continue;
                 Site site;
                 site.einsum = einsum;
-                site.collective = rs;
-                site.is_allgather = false;
-                site.side = kind == EinsumDimKind::kLhsFree ? 0 : 1;
-                site.mesh_axis = axis;
-                site.group_size = mesh_.axis_size(axis);
-                site.label = label;
-                site.kind = kind;
-                site.shard_extent =
-                    rs->shape().dim(rs->attrs().dim);
-                candidates.push_back(site);
+                site.collective = operand;
+                site.side = side;
+                site.label = SideLabels(
+                    spec, side)[static_cast<size_t>(operand->attrs().dim)];
+                site.kind = spec.KindOf(site.label);
+                add_site(site, operand, &candidates);
+            }
+        }
+
+        // The exchange consuming the einsum: a ReduceScatter, or an
+        // AllToAll (MoE combine, §18). The exchanged output label must
+        // be non-contracting and belong to exactly one operand, so the
+        // partial einsums can slice it (§5.1).
+        HloInstruction* user =
+            einsum->users().size() == 1 ? einsum->users()[0] : nullptr;
+        if (user != nullptr &&
+            (user->opcode() == HloOpcode::kReduceScatter ||
+             (user->opcode() == HloOpcode::kAllToAll &&
+              options_.all_to_all))) {
+            Site site;
+            site.einsum = einsum;
+            site.collective = user;
+            site.label =
+                spec.out_labels()[static_cast<size_t>(user->attrs().dim)];
+            site.kind = spec.KindOf(site.label);
+            site.side = site.kind == EinsumDimKind::kLhsFree ? 0 : 1;
+            if (site.kind != EinsumDimKind::kLhsFree &&
+                site.kind != EinsumDimKind::kRhsFree) {
+                ++stats.skipped_unsupported;
+            } else {
+                add_site(site, einsum, &candidates);
             }
         }
 
@@ -1077,17 +1031,17 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
 
         // §5.5: estimate original vs overlapped time for each candidate.
         for (Site& site : candidates) {
-            site.cost = EstimateBenefit(site, *cost_model_, options_,
-                                        /*allow_bidirectional=*/true);
+            site.cost = EstimateBenefit(site, site.structure, *cost_model_,
+                                        options_.unroll);
             site.benefit_nominal = site.cost.Benefit();
         }
 
         // Variance-aware re-costing (fault model attached): gate on the
         // slowest link/chip of the site's ring instead of nominal
-        // rates. A bidirectional loop needs both directions healthy; a
-        // unidirectional lowering only the emitter's fixed direction
-        // (Permute(step=+1) routes toward the lower ring position,
-        // i.e. engine direction 0).
+        // rates. The configured structure is judged with both
+        // directions derated; the unidirectional lowering only with the
+        // emitter's fixed direction (Permute(step=+1) routes toward the
+        // lower ring position, i.e. engine direction 0).
         bool faulted = fault_model_ != nullptr &&
                        !fault_model_->fault_free();
         if (faulted) {
@@ -1102,37 +1056,33 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                     mesh_, site.mesh_axis, 0);
                 double l1 = fault_model_->WorstLinkLatencyFactor(
                     mesh_, site.mesh_axis, 1);
-                CostModel bidi_cost = *cost_model_;
-                bidi_cost.SetFaultDerating(chip, std::min(f0, f1),
+                CostModel both_cost = *cost_model_;
+                both_cost.SetFaultDerating(chip, std::min(f0, f1),
                                            std::max(l0, l1));
-                GateCost bidi_gate =
-                    EstimateBenefit(site, bidi_cost, options_,
-                                    /*allow_bidirectional=*/true);
-                if (site.is_all_to_all) {
-                    // A2A chunks route both directions regardless of
-                    // options, so the worst-of-both derating is the
-                    // only sound verdict; there is no unidirectional
-                    // lowering to fall back to.
-                    site.cost = bidi_gate;
+                site.cost = EstimateBenefit(site, site.structure, both_cost,
+                                            options_.unroll);
+                // A2A chunks route both directions regardless of
+                // options, so the worst-of-both derating is the only
+                // sound verdict; there is no unidirectional lowering to
+                // fall back to.
+                if (ExchangeOf(site.structure) == HloOpcode::kAllToAll) {
                     continue;
                 }
-                CostModel uni_cost = *cost_model_;
-                uni_cost.SetFaultDerating(chip, f0, l0);
-                GateCost uni_gate =
-                    EstimateBenefit(site, uni_cost, options_,
-                                    /*allow_bidirectional=*/false);
-                // Prefer the configured (bidirectional) structure while
-                // it still wins on the degraded ring; lower to the
-                // healthier single direction only once it no longer
-                // does (ISSUE: "fall back to blocking collective or
-                // lower unroll degree when the decomposed ring no
-                // longer wins").
-                if (bidi_gate.Benefit() < 0.0 &&
-                    uni_gate.Benefit() > bidi_gate.Benefit()) {
-                    site.cost = uni_gate;
-                    site.force_unidirectional = true;
-                } else {
-                    site.cost = bidi_gate;
+                CostModel one_cost = *cost_model_;
+                one_cost.SetFaultDerating(chip, f0, l0);
+                LoopStructure lowered = StructureFor(
+                    site, /*bidirectional=*/false, options_.unroll);
+                GateCost lowered_cost =
+                    EstimateBenefit(site, lowered, one_cost, options_.unroll);
+                // Keep the configured structure while it still wins on
+                // the degraded ring; lower to the healthier single
+                // direction only once it no longer does. Without the
+                // gate every site is emitted as configured, though it is
+                // still ranked by the lowered cost.
+                if (site.cost.Benefit() < 0.0 &&
+                    lowered_cost.Benefit() > site.cost.Benefit()) {
+                    site.cost = lowered_cost;
+                    if (options_.use_cost_model) site.structure = lowered;
                 }
             }
         }
@@ -1175,17 +1125,8 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
             stats.decisions.push_back(std::move(decision));
             continue;
         }
-        // Only honour the lowering when the gate is active and the
-        // structure would actually have been bidirectional — otherwise
-        // the "lowering" changes nothing and must not be counted.
-        best.force_unidirectional =
-            best.force_unidirectional && !best.is_all_to_all &&
-            options_.use_cost_model &&
-            options_.bidirectional &&
-            (BidirectionalRingEligible(best.group_size,
-                                       best.shard_extent) ||
-             TwoWayExchangeEligible(best.group_size, best.shard_extent));
-        if (best.force_unidirectional) {
+        if (best.structure !=
+            StructureFor(best, options_.bidirectional, options_.unroll)) {
             ++stats.fault_lowered;
             decision.lowered_to_unidirectional = true;
             OVERLAP_LOG(kInfo)
@@ -1194,6 +1135,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         }
         decision.decomposed = true;
         decision.reason = "decomposed";
+        best.decision = stats.decisions.size();
         stats.decisions.push_back(std::move(decision));
         chosen.push_back(best);
     }
@@ -1202,38 +1144,25 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
     RingShifts ring_shifts(mesh_);
     IndexScalars scalars(computation);
     for (const Site& site : chosen) {
-        DecomposeOptions site_options = options_;
-        if (site.force_unidirectional) {
-            site_options.bidirectional = false;
-        }
-        LoopEmitter emitter(computation, &ring_shifts, &scalars,
-                            site_options, site);
+        LoopEmitter emitter(computation, &ring_shifts, &scalars, options_,
+                            site);
         HloInstruction* replacement = emitter.Emit();
         // Join key for the overlap-efficiency report: the decision of
         // this site learns the loop group its instructions now carry.
-        for (SiteDecision& decision : stats.decisions) {
-            if (decision.decomposed &&
-                decision.collective == site.collective->name() &&
-                decision.einsum == site.einsum->name()) {
-                decision.loop_group = emitter.emitted_group();
-                break;
-            }
-        }
-        // Dispatch-shaped sites (AG-einsum, A2A-einsum) replace the
-        // einsum; consumer-shaped sites (einsum-RS, einsum-A2A) replace
-        // the collective.
-        bool replaces_einsum =
-            site.is_allgather ||
-            (site.is_all_to_all && site.a2a_dispatch);
-        HloInstruction* replaced =
-            replaces_einsum ? site.einsum : site.collective;
-        computation->ReplaceAllUsesWith(replaced, replacement);
-        if (site.is_all_to_all) {
-            ++stats.all_to_all_sites;
-        } else if (site.is_allgather) {
-            ++stats.allgather_sites;
-        } else {
-            ++stats.reduce_scatter_sites;
+        stats.decisions[site.decision].loop_group = emitter.emitted_group();
+        computation->ReplaceAllUsesWith(
+            FeedsEinsum(site.structure) ? site.einsum : site.collective,
+            replacement);
+        switch (ExchangeOf(site.structure)) {
+          case HloOpcode::kAllGather:
+              ++stats.allgather_sites;
+              break;
+          case HloOpcode::kReduceScatter:
+              ++stats.reduce_scatter_sites;
+              break;
+          default:
+              ++stats.all_to_all_sites;
+              break;
         }
     }
     computation->RemoveDeadInstructions();

@@ -102,7 +102,9 @@ struct DecomposeOptions {
     /**
      * §5.5 gating: decompose a site only when
      * comp_t + comm_t >= max(comp_t, comm_t_ring) + extra_t. When false,
-     * every matched site is decomposed unconditionally (used by the
+     * every matched site is decomposed unconditionally and in its
+     * configured structure, since the fault-aware lowering to a
+     * unidirectional loop is the gate's decision too (used by the
      * ablation bench).
      */
     bool use_cost_model = true;
@@ -122,16 +124,17 @@ struct DecomposeOptions {
  * partitions (>= 4; N == 2 has its own exchange, below) and the
  * partitioned label's per-shard extent must be even, so the two
  * counter-rotating streams split the work into equal halves. Sites that
- * fail the predicate fall back to the unidirectional loop. Shared by
- * the cost estimator, the emitter and the gate's lowering
- * classification so the three can never disagree.
+ * fail the predicate fall back to the unidirectional loop. The pass
+ * reads it in one place, where it picks each site's loop structure;
+ * the gate costs that structure and the emitter builds it.
  */
 bool BidirectionalRingEligible(int64_t ring_size, int64_t shard_extent);
 
 /**
  * True when the N == 2 two-way half-shard exchange (the §5.4.2 idea at
  * its smallest scale) is structurally legal: exactly two partitions and
- * an even shard extent (each direction carries half the shard).
+ * an even shard extent (each direction carries half the shard). Read
+ * where BidirectionalRingEligible is.
  */
 bool TwoWayExchangeEligible(int64_t ring_size, int64_t shard_extent);
 
@@ -166,8 +169,10 @@ struct SiteDecision {
     /// (equals cost.Benefit() without a fault model).
     double benefit_nominal = 0.0;
     bool decomposed = false;
-    /// Fault-aware lowering: the bidirectional ring no longer won, but
-    /// a unidirectional loop over the healthier direction still did.
+    /// Fault-aware lowering: the gate emitted a structure other than
+    /// the configured one, because the bidirectional (or two-way) loop
+    /// no longer won but a unidirectional loop over the healthier
+    /// direction still did.
     bool lowered_to_unidirectional = false;
     /// "decomposed", "rejected_by_cost_model" (unprofitable even when
     /// healthy) or "fault_fallback_blocking" (profitable when healthy
@@ -208,10 +213,10 @@ struct DecomposeStats {
     /// Sites the variance-aware gate sent back to the blocking
     /// collective because the degraded ring no longer won.
     int64_t fault_fallbacks = 0;
-    /// Of the decomposed sites, how many the gate lowered from a
-    /// bidirectional structure to the unidirectional loop. Counted only
-    /// when the site would actually have been bidirectional (see
-    /// BidirectionalRingEligible / TwoWayExchangeEligible).
+    /// Of the decomposed sites, how many the gate emitted in a
+    /// structure other than the configured one: a bidirectional or
+    /// two-way loop lowered to the unidirectional loop. A site whose
+    /// configured structure is already unidirectional never counts.
     int64_t fault_lowered = 0;
     /// Per-site gate verdicts, in program order of the einsums.
     std::vector<SiteDecision> decisions;
