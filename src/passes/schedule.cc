@@ -167,20 +167,19 @@ BottomUpSchedule(const SchedGraph& graph,
     double current_time = 0.0;
     int64_t in_flight = 0;
 
+    // A placed Done holds one of the hardware's transfer flags until its
+    // Start is placed; with every flag held no Done may be placed (a
+    // budget of 0 or less is unbounded, as in the engine).
+    auto budget_full = [&] {
+        return max_in_flight > 0 && in_flight >= max_in_flight;
+    };
     // Select: best priority among time-ready candidates, ties to the
-    // later input position. With the in-flight budget exhausted a Done
-    // ranks as class 3.
+    // later input position.
     auto best_ready = [&]() -> ReadyHeap* {
-        if (in_flight < max_in_flight && !ready[0].empty()) return &ready[0];
-        if (!ready[1].empty()) return &ready[1];
-        if (!ready[2].empty()) return &ready[2];
-        ReadyHeap* best = ready[3].empty() ? nullptr : &ready[3];
-        if (!ready[0].empty() &&
-            (best == nullptr ||
-             input_pos[ready[0].top()] > input_pos[best->top()])) {
-            best = &ready[0];
+        for (size_t c = budget_full() ? 1 : 0; c < ready.size(); ++c) {
+            if (!ready[c].empty()) return &ready[c];
         }
-        return best;
+        return nullptr;
     };
 
     for (const SchedUnit& unit : graph.units()) {
@@ -197,7 +196,10 @@ BottomUpSchedule(const SchedGraph& graph,
             pending.pop();
         }
         // If none is time-ready, the pending unit that becomes ready
-        // first.
+        // first. With the budget full, that is the first pending Start:
+        // the Start of every placed Done is pending or ready, and no
+        // ready Start was left. The units it passes become time-ready
+        // once the clock reaches it.
         const SchedUnit* candidate = nullptr;
         if (ReadyHeap* heap = best_ready()) {
             candidate = heap->top();
@@ -205,6 +207,12 @@ BottomUpSchedule(const SchedGraph& graph,
         } else if (!pending.empty()) {
             candidate = pending.top();
             pending.pop();
+            while (budget_full() && !candidate->IsAsyncStart()) {
+                ready[priority_class(candidate)].push(candidate);
+                OVERLAP_CHECK(!pending.empty());
+                candidate = pending.top();
+                pending.pop();
+            }
         } else {
             break;
         }

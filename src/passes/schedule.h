@@ -35,8 +35,10 @@ std::vector<const SchedUnit*> BaselineMemorySchedule(const SchedGraph& graph);
  * unit graph from the roots, prioritizing async Dones and
  * their users so that, after the final reversal, Starts sit as early and
  * Dones as late as the dependences and the in-flight budget
- * (`max_in_flight`) allow. Falls back to the input order's relative
- * positions to keep memory pressure low.
+ * (`max_in_flight`) allow. The budget is a bound: no more than
+ * `max_in_flight` transfers are ever outstanding (0 or less: no bound).
+ * Falls back to the input order's relative positions to keep memory
+ * pressure low.
  */
 std::vector<const SchedUnit*> BottomUpSchedule(
     const SchedGraph& graph, const std::vector<const SchedUnit*>& input,
