@@ -44,7 +44,7 @@ OverlapCompiler::Compile(HloModule* module) const
     // The pipeline: each pass re-fetches module->entry() when it runs,
     // because a rollback replaces the entry computation wholesale.
     std::vector<PipelinePass> pipeline;
-    if (options_.enable_overlap) {
+    if (options_.scheduler != SchedulerKind::kBaselineOnly) {
         pipeline.push_back(
             {"decompose", [&]() -> Status {
                  CollectiveEinsumDecomposer decomposer(

@@ -39,15 +39,9 @@ struct InjectedPass {
  * are enabled and on what hardware the cost model reasons.
  */
 struct CompilerOptions {
-    /**
-     * Master switch. When false the module is only fused and scheduled
-     * in the memory-minimizing baseline order — the "original" system of
-     * Figures 4/5 that every evaluation section compares against.
-     */
-    bool enable_overlap = true;
-
     DecomposeOptions decompose;
     FusionHeuristic fusion = FusionHeuristic::kOverlapAware;
+    /// kBaselineOnly also skips the overlap passes (see SchedulerKind).
     SchedulerKind scheduler = SchedulerKind::kBottomUp;
     HardwareSpec hardware;
 
@@ -79,7 +73,6 @@ struct CompilerOptions {
     static CompilerOptions Baseline()
     {
         CompilerOptions options;
-        options.enable_overlap = false;
         options.scheduler = SchedulerKind::kBaselineOnly;
         return options;
     }

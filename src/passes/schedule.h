@@ -12,6 +12,11 @@ enum class SchedulerKind {
     /**
      * No overlap-aware reordering: the memory-minimizing list order is
      * used as-is (what a system without the paper's technique runs).
+     * In a CompilerOptions it selects that system whole: the compiler
+     * then skips the overlap passes (decomposition, async creation, the
+     * concat rewrites) and only fuses and schedules the module — the
+     * "original" system of Figures 4/5 that every evaluation section
+     * compares against.
      */
     kBaselineOnly,
     /** The bottom-up list scheduler of Algorithm 2 (default; §6.3 shows
