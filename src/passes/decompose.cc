@@ -255,14 +255,14 @@ EstimateBenefit(const Site& site, LoopStructure structure,
         // label-carrying operand. A ReduceScatter adds each partial
         // into the whole accumulator; an AllToAll combine DUSes each
         // received chunk into one 1/N block of it.
-        double rs_bytes = static_cast<double>(shard_bytes);
+        double acc_bytes = static_cast<double>(shard_bytes);
         double sliced_bytes = static_cast<double>(
             site.einsum->operand(site.side)->shape().byte_size());
-        shape.zeros_seconds = cost.ElementwiseBytesSeconds(rs_bytes);
-        shape.combine_seconds =
+        shape.zeros_seconds = cost.ElementwiseBytesSeconds(acc_bytes);
+        shape.combine_seconds = cost.ElementwiseBytesSeconds(
             ExchangeOf(structure) == HloOpcode::kAllToAll
-                ? cost.ElementwiseBytesSeconds(2.0 * rs_bytes / n_d)
-                : cost.ElementwiseBytesSeconds(3.0 * rs_bytes);
+                ? 2.0 * acc_bytes / n_d
+                : 3.0 * acc_bytes);
         shape.slices_per_partial = 1;
         shape.slice_seconds =
             cost.ElementwiseBytesSeconds(2.0 * sliced_bytes / n_d);

@@ -88,6 +88,20 @@ CountOverlappedTransfers(const std::vector<HloInstruction*>& sched)
     return overlapped;
 }
 
+/** The most async transfers `schedule` has outstanding at once. */
+int64_t
+PeakInFlight(const std::vector<HloInstruction*>& schedule)
+{
+    int64_t in_flight = 0;
+    int64_t peak = 0;
+    for (const HloInstruction* instr : schedule) {
+        if (instr->opcode() == HloOpcode::kAsyncStart) ++in_flight;
+        if (instr->opcode() == HloOpcode::kAsyncDone) --in_flight;
+        peak = std::max(peak, in_flight);
+    }
+    return peak;
+}
+
 class SchedulerTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 TEST_P(SchedulerTest, ProducesValidTopologicalOrder)
@@ -109,14 +123,7 @@ TEST_P(SchedulerTest, RespectsAsyncBudget)
     CostModel cost(spec);
     ASSERT_TRUE(
         ScheduleComputation(module->entry(), cost, GetParam()).ok());
-    int64_t in_flight = 0;
-    int64_t peak = 0;
-    for (const HloInstruction* instr : module->entry()->schedule()) {
-        if (instr->opcode() == HloOpcode::kAsyncStart) ++in_flight;
-        if (instr->opcode() == HloOpcode::kAsyncDone) --in_flight;
-        peak = std::max(peak, in_flight);
-    }
-    EXPECT_LE(peak, 2);
+    EXPECT_LE(PeakInFlight(module->entry()->schedule()), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SchedulerTest,
@@ -287,15 +294,8 @@ TEST(ScheduleTest, InFlightBudgetBoundsOutstandingStarts)
             ASSERT_TRUE(module.ok()) << c.label;
             ASSERT_TRUE(OverlapCompiler(options).Compile(module->get()).ok())
                 << c.label;
-            int64_t in_flight = 0;
-            int64_t peak = 0;
-            for (const HloInstruction* instr :
-                 (*module)->entry()->schedule()) {
-                if (instr->opcode() == HloOpcode::kAsyncStart) ++in_flight;
-                if (instr->opcode() == HloOpcode::kAsyncDone) --in_flight;
-                peak = std::max(peak, in_flight);
-            }
-            EXPECT_LE(peak, budget) << c.label << " under budget " << budget;
+            EXPECT_LE(PeakInFlight((*module)->entry()->schedule()), budget)
+                << c.label << " under budget " << budget;
         }
     }
     for (const GoldenCompile& c : GoldenCompiles()) {
