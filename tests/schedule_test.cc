@@ -477,14 +477,33 @@ AppendDecisionLines(const std::string& label, const ModelConfig& config,
 }
 
 /**
+ * One fault_sweep compile of `model`: one ring link of mesh axis 0 at
+ * `severity` of its bandwidth (none at 1.0), with the sweep's seed and
+ * per-trial jitter, gate on.
+ */
+CompilerOptions
+FaultSweepOptions(const ModelConfig& model, double severity)
+{
+    CompilerOptions options;
+    if (severity < 1.0) {
+        options.fault =
+            SingleDegradedLink(model.mesh(), /*axis=*/0, severity).spec;
+    }
+    options.fault.seed = 13;
+    options.fault.link_jitter = 0.02;
+    options.fault.compute_jitter = 0.01;
+    return options;
+}
+
+/**
  * Every §5.5 gate verdict of every GoldenCompiles() entry, plus GPT_32B
  * under bench/fault_sweep's seven fault specs (one ring link at 1.0 ...
- * 0.05 of its bandwidth, with per-trial jitter) with and without the
- * gate, must match the committed table: the matched sites, the
- * structure each is costed as, every cost term, the loop group and the
- * pass's counters. The fault rows are the only ones that reach the
- * gate's unidirectional lowering and its fallback to the blocking
- * collective.
+ * 0.05 of its bandwidth, with per-trial jitter) and GPT_1T (rings of
+ * 128) under its 0.4 spec, each with and without the gate, must match
+ * the committed table: the matched sites, the structure each is costed
+ * as, every cost term, the loop group and the pass's counters. The
+ * fault rows are the only ones that reach the gate's unidirectional
+ * lowering and its fallback to the blocking collective.
  * Regenerate with OVERLAP_REGEN_GOLDEN=1 only after an intentional
  * change of the gate or the matchers.
  */
@@ -495,22 +514,21 @@ TEST(SiteDecisionTableTest, DecisionsMatchGolden)
         AppendDecisionLines(c.label, c.config, c.options, &lines);
     }
     const ModelConfig gpt = Table2GptModels()[0];
+    const ModelConfig gpt_1t = *FindModel("GPT_1T");
+    std::vector<std::pair<ModelConfig, double>> faults;
     for (double severity : {1.0, 0.8, 0.6, 0.4, 0.25, 0.1, 0.05}) {
-        CompilerOptions options;
-        if (severity < 1.0) {
-            options.fault =
-                SingleDegradedLink(gpt.mesh(), /*axis=*/0, severity).spec;
-        }
-        options.fault.seed = 13;
-        options.fault.link_jitter = 0.02;
-        options.fault.compute_jitter = 0.01;
-        AppendDecisionLines(StrCat(gpt.name, "/fault", severity), gpt,
+        faults.emplace_back(gpt, severity);
+    }
+    faults.emplace_back(gpt_1t, 0.4);
+    for (const auto& [model, severity] : faults) {
+        CompilerOptions options = FaultSweepOptions(model, severity);
+        AppendDecisionLines(StrCat(model.name, "/fault", severity), model,
                             options, &lines);
         // Without the gate every site is decomposed as configured,
         // still ranked by its fault-derated cost.
         options.decompose.use_cost_model = false;
-        AppendDecisionLines(StrCat(gpt.name, "/forced_fault", severity),
-                            gpt, options, &lines);
+        AppendDecisionLines(StrCat(model.name, "/forced_fault", severity),
+                            model, options, &lines);
     }
     if (RegenerateOrCompare(kSiteDecisionGoldenPath, lines)) {
         GTEST_SKIP() << "regenerated " << kSiteDecisionGoldenPath;
