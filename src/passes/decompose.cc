@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -156,23 +157,22 @@ StructureFor(const Site& site, bool bidirectional, bool unroll)
 }
 
 /**
- * §5.5 estimate of original minus overlapped time for one site emitted
- * as `structure`, under the given cost model (possibly derated for a
- * degraded ring). The blocking-collective term intentionally uses
- * healthy rates even on a derated model (see
+ * The replay-free §5.5 terms of one site emitted as `structure`, under
+ * the given cost model (possibly derated for a degraded ring): comp_t,
+ * comm_t, the margin and the replay input. comm_t_ring and extra_t stay
+ * zero until ReplayGate fills them in, so until then Benefit() is
+ * exactly BenefitBound(). The blocking-collective term intentionally
+ * uses healthy rates even on a derated model (see
  * CostModel::SetFaultDerating).
  *
- * The overlapped time comes from the loop-timeline replay
- * (sim/loop_timeline.h): the site's shapes are reduced to per-kernel
- * seconds mirroring what SchedGraph would compute for the emitted
- * loop, and the replay walks the loop's dependency graph under the
- * engine's channel semantics. comm_t_ring is the predicted serialized
- * wire time, extra_t the span's residual over max(comp_t, comm_t_ring)
- * — so Benefit() compares comp_t + comm_t against the replay span.
+ * The site's shapes are reduced to per-kernel seconds mirroring what
+ * SchedGraph would compute for the emitted loop, for the loop-timeline
+ * replay (sim/loop_timeline.h) to walk under the engine's channel
+ * semantics.
  */
 GateCost
-EstimateBenefit(const Site& site, LoopStructure structure,
-                const CostModel& cost, bool unroll)
+GateTerms(const Site& site, LoopStructure structure,
+          const CostModel& cost, bool unroll)
 {
     double comp_t = cost.EinsumSeconds(site.einsum);
     double comm_t = cost.BlockingCollectiveSeconds(site.collective);
@@ -268,21 +268,32 @@ EstimateBenefit(const Site& site, LoopStructure structure,
             cost.ElementwiseBytesSeconds(2.0 * sliced_bytes / n_d);
     }
 
-    LoopTimeline timeline = PredictLoopTimeline(shape);
     GateCost gate;
     gate.comp_t = comp_t;
     gate.comm_t = comm_t;
-    gate.comm_t_ring = timeline.wire_seconds;
-    // Mapped so max(comp_t, comm_t_ring) + extra_t reproduces the
-    // replay span (GateCost::OverlappedSeconds); the replay guarantees
-    // span >= both terms.
-    gate.extra_t = std::max(
-        0.0, timeline.span_seconds -
-                 std::max(comp_t, timeline.wire_seconds));
-    gate.predicted_hidden_fraction = timeline.HiddenFraction();
     gate.margin = kGateDecisionMargin * (comp_t + comm_t);
     gate.shape = shape;
     return gate;
+}
+
+/**
+ * Replays `gate`'s loop (PredictLoopTimeline) and fills in the terms
+ * that need it: comm_t_ring is the predicted serialized wire time,
+ * extra_t the span's residual over max(comp_t, comm_t_ring), so
+ * Benefit() compares comp_t + comm_t against the replay span.
+ */
+void
+ReplayGate(GateCost* gate)
+{
+    LoopTimeline timeline = PredictLoopTimeline(gate->shape);
+    gate->comm_t_ring = timeline.wire_seconds;
+    // Mapped so max(comp_t, comm_t_ring) + extra_t reproduces the
+    // replay span (GateCost::OverlappedSeconds); the replay guarantees
+    // span >= both terms.
+    gate->extra_t = std::max(
+        0.0, timeline.span_seconds -
+                 std::max(gate->comp_t, timeline.wire_seconds));
+    gate->predicted_hidden_fraction = timeline.HiddenFraction();
 }
 
 /** Labels of the einsum operand on the given side. */
@@ -976,6 +987,12 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         candidates->push_back(site);
     };
 
+    // Every loop-timeline replay of the gate, counted.
+    auto replay = [&stats](GateCost* gate) {
+        ReplayGate(gate);
+        ++stats.gate_replays;
+    };
+
     // Collect candidate sites per einsum, then pick the best one each.
     std::vector<Site> chosen;
     std::vector<HloOpcode> feeding = {HloOpcode::kAllGather};
@@ -1030,9 +1047,29 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         if (candidates.empty()) continue;
 
         // §5.5: estimate original vs overlapped time for each candidate.
+        // No candidate gains more than its replay-free bound, so replay
+        // them in descending bound order (matcher order on ties) and
+        // stop at the first whose bound is below the best benefit
+        // replayed: it and every later one lose. A skipped candidate
+        // keeps its replay-free cost, whose Benefit() is that bound.
+        std::vector<Site*> by_bound;
         for (Site& site : candidates) {
-            site.cost = EstimateBenefit(site, site.structure, *cost_model_,
-                                        options_.unroll);
+            site.cost = GateTerms(site, site.structure, *cost_model_,
+                                  options_.unroll);
+            by_bound.push_back(&site);
+        }
+        std::stable_sort(by_bound.begin(), by_bound.end(),
+                         [](const Site* a, const Site* b) {
+                             return a->cost.BenefitBound() >
+                                    b->cost.BenefitBound();
+                         });
+        double replayed_best = -std::numeric_limits<double>::infinity();
+        for (Site* site : by_bound) {
+            if (site->cost.BenefitBound() < replayed_best) break;
+            replay(&site->cost);
+            replayed_best = std::max(replayed_best, site->cost.Benefit());
+        }
+        for (Site& site : candidates) {
             site.benefit_nominal = site.cost.Benefit();
         }
 
@@ -1059,8 +1096,9 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 CostModel both_cost = *cost_model_;
                 both_cost.SetFaultDerating(chip, std::min(f0, f1),
                                            std::max(l0, l1));
-                site.cost = EstimateBenefit(site, site.structure, both_cost,
-                                            options_.unroll);
+                site.cost = GateTerms(site, site.structure, both_cost,
+                                      options_.unroll);
+                replay(&site.cost);
                 // A2A chunks route both directions regardless of
                 // options, so the worst-of-both derating is the only
                 // sound verdict; there is no unidirectional lowering to
@@ -1073,7 +1111,8 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 LoopStructure lowered = StructureFor(
                     site, /*bidirectional=*/false, options_.unroll);
                 GateCost lowered_cost =
-                    EstimateBenefit(site, lowered, one_cost, options_.unroll);
+                    GateTerms(site, lowered, one_cost, options_.unroll);
+                replay(&lowered_cost);
                 // Keep the configured structure while it still wins on
                 // the degraded ring; lower to the healthier single
                 // direction only once it no longer does. Without the

@@ -34,6 +34,14 @@ inline constexpr double kGateDecisionMargin = 0.02;
  * comm_t_ring), so OverlappedSeconds() is the replay span.
  * Benefit() is the gate inequality net of the decision margin: the
  * gate decomposes when it is non-negative.
+ *
+ * BenefitBound() needs no replay. OverlappedSeconds() is never below
+ * comp_t, and the bound is Benefit()'s own expression with comp_t in
+ * its place, so under IEEE rounding Benefit() <= BenefitBound() holds
+ * exactly, whatever the replay predicts. Before the replay comm_t_ring
+ * and extra_t are zero and the two are equal; the pass replays a
+ * candidate only while its bound can still beat the best benefit
+ * replayed (DESIGN.md §15), and a skipped candidate keeps that cost.
  */
 struct GateCost {
     double comp_t = 0.0;       ///< einsum kernel time
@@ -60,6 +68,12 @@ struct GateCost {
     double Benefit() const
     {
         return OriginalSeconds() - OverlappedSeconds() - margin;
+    }
+
+    /** The most Benefit() can be, for any comm_t_ring and extra_t. */
+    double BenefitBound() const
+    {
+        return OriginalSeconds() - comp_t - margin;
     }
 };
 
@@ -218,6 +232,10 @@ struct DecomposeStats {
     /// two-way loop lowered to the unidirectional loop. A site whose
     /// configured structure is already unidirectional never counts.
     int64_t fault_lowered = 0;
+    /// Loop-timeline replays (PredictLoopTimeline calls) the gate made:
+    /// one per candidate that could still win on nominal rates, plus
+    /// every fault re-costing.
+    int64_t gate_replays = 0;
     /// Per-site gate verdicts, in program order of the einsums.
     std::vector<SiteDecision> decisions;
 

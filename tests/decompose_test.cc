@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "hlo/module.h"
 #include "hlo/verifier.h"
 #include "interp/evaluator.h"
+#include "models/step_builder.h"
 #include "passes/async.h"
 #include "passes/decompose.h"
 #include "test_util.h"
@@ -402,6 +405,83 @@ TEST(DecomposeTest, PicksOneCandidatePerEinsum)
     EXPECT_EQ(stats->allgather_sites, 1);
     EXPECT_EQ(CountOps(*comp, HloOpcode::kAllGather), 1);
     EXPECT_TRUE(VerifyModule(module).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The §5.5 gate's replay-free bound: a candidate is replayed only while
+// its bound can still beat the best benefit replayed.
+// ---------------------------------------------------------------------------
+
+/** The values next to `x` on both sides, and `x` itself. */
+std::vector<double>
+Around(double x)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    return {std::nextafter(x, -inf), x, std::nextafter(x, inf)};
+}
+
+/**
+ * Benefit() <= BenefitBound() for every replay outcome, with every
+ * operand on and next to the edges the argument rests on: extra_t = 0,
+ * comm_t_ring == comp_t, and comp_t and comm_t magnitudes one ulp apart
+ * or so far apart that comp_t + comm_t rounds back to comp_t. Without a
+ * replay (comm_t_ring and extra_t zero) the two are bit-equal, and so
+ * are they whenever the replay lands at comp_t exactly.
+ */
+TEST(GateBoundTest, BenefitNeverExceedsTheBound)
+{
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    for (double comp : {1e-3, 3e-7, 0.1}) {
+        std::vector<double> comms = Around(comp);
+        for (double comm : {comp * 0x1p-52, comp * 0x1p-54, 1e-300}) {
+            comms.push_back(comm);
+        }
+        for (double comp_t : Around(comp)) {
+            for (double comm_t : comms) {
+                std::vector<double> rings = Around(comp_t);
+                rings.push_back(0.0);
+                rings.push_back(comm_t);
+                for (double ring : rings) {
+                    for (double extra : {0.0, denorm, comp_t * 0x1p-53,
+                                         comp_t}) {
+                        GateCost cost;
+                        cost.comp_t = comp_t;
+                        cost.comm_t = comm_t;
+                        cost.margin = kGateDecisionMargin * (comp_t + comm_t);
+                        EXPECT_EQ(cost.Benefit(), cost.BenefitBound());
+                        cost.comm_t_ring = ring;
+                        cost.extra_t = extra;
+                        EXPECT_LE(cost.Benefit(), cost.BenefitBound())
+                            << std::hexfloat << comp_t << " " << comm_t
+                            << " " << ring << " " << extra;
+                        if (ring <= comp_t && extra == 0.0) {
+                            EXPECT_EQ(cost.Benefit(), cost.BenefitBound());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The default compile replays only the candidates that can win. GPT_1T
+ * and GPT_32B each match 24 candidates on 12 einsums, so replaying all
+ * of them would be 24; GPT_1T replays only each einsum's winner and
+ * GPT_32B four more. BigSSL_10B has one candidate on each of its 8
+ * einsums and replays every one.
+ */
+TEST(GateBoundTest, ReplaysOnlyCandidatesThatCanWin)
+{
+    for (const auto& [model, replays] :
+         std::vector<std::pair<std::string, int64_t>>{
+             {"GPT_1T", 12}, {"GPT_32B", 16}, {"BigSSL_10B", 8}}) {
+        auto module = BuildLayerStepModule(*FindModel(model));
+        ASSERT_TRUE(module.ok()) << model;
+        auto report = OverlapCompiler(CompilerOptions()).Compile(module->get());
+        ASSERT_TRUE(report.ok()) << model;
+        EXPECT_EQ(report->decompose.gate_replays, replays) << model;
+    }
 }
 
 TEST(DecomposeTest, EmitsExpectedPermuteCounts)

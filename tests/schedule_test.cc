@@ -477,61 +477,86 @@ AppendDecisionLines(const std::string& label, const ModelConfig& config,
 }
 
 /**
- * One fault_sweep compile of `model`: one ring link of mesh axis 0 at
- * `severity` of its bandwidth (none at 1.0), with the sweep's seed and
- * per-trial jitter, gate on.
+ * bench/fault_sweep's compiles of GPT_32B under its seven fault specs
+ * (one ring link of mesh axis 0 at 1.0 ... 0.05 of its bandwidth, with
+ * the sweep's seed and per-trial jitter) and of GPT_1T (rings of 128)
+ * under its 0.4 spec, each with the gate on ("/fault") and off
+ * ("/forced_fault"). They are the only compiles that reach the gate's
+ * unidirectional lowering and its fallback to the blocking collective.
  */
-CompilerOptions
-FaultSweepOptions(const ModelConfig& model, double severity)
+std::vector<GoldenCompile>
+FaultCompiles()
 {
-    CompilerOptions options;
-    if (severity < 1.0) {
-        options.fault =
-            SingleDegradedLink(model.mesh(), /*axis=*/0, severity).spec;
+    const ModelConfig gpt_32b = Table2GptModels()[0];
+    std::vector<std::pair<ModelConfig, double>> faults;
+    for (double severity : {1.0, 0.8, 0.6, 0.4, 0.25, 0.1, 0.05}) {
+        faults.emplace_back(gpt_32b, severity);
     }
-    options.fault.seed = 13;
-    options.fault.link_jitter = 0.02;
-    options.fault.compute_jitter = 0.01;
-    return options;
+    faults.emplace_back(*FindModel("GPT_1T"), 0.4);
+    std::vector<GoldenCompile> compiles;
+    for (const auto& [model, severity] : faults) {
+        CompilerOptions options;
+        if (severity < 1.0) {
+            options.fault =
+                SingleDegradedLink(model.mesh(), /*axis=*/0, severity).spec;
+        }
+        options.fault.seed = 13;
+        options.fault.link_jitter = 0.02;
+        options.fault.compute_jitter = 0.01;
+        compiles.push_back(
+            {StrCat(model.name, "/fault", severity), model, options});
+        // Without the gate every site is decomposed as configured,
+        // still ranked by its fault-derated cost.
+        options.decompose.use_cost_model = false;
+        compiles.push_back(
+            {StrCat(model.name, "/forced_fault", severity), model, options});
+    }
+    return compiles;
+}
+
+/** GoldenCompiles() followed by FaultCompiles(). */
+std::vector<GoldenCompile>
+GateCompiles()
+{
+    std::vector<GoldenCompile> compiles = GoldenCompiles();
+    for (GoldenCompile& c : FaultCompiles()) compiles.push_back(std::move(c));
+    return compiles;
 }
 
 /**
- * Every §5.5 gate verdict of every GoldenCompiles() entry, plus GPT_32B
- * under bench/fault_sweep's seven fault specs (one ring link at 1.0 ...
- * 0.05 of its bandwidth, with per-trial jitter) and GPT_1T (rings of
- * 128) under its 0.4 spec, each with and without the gate, must match
- * the committed table: the matched sites, the structure each is costed
- * as, every cost term, the loop group and the pass's counters. The
- * fault rows are the only ones that reach the gate's unidirectional
- * lowering and its fallback to the blocking collective.
+ * Every §5.5 gate verdict of every GateCompiles() entry must match the
+ * committed table: the matched sites, the structure each is costed as,
+ * every cost term, the loop group and the pass's counters.
  * Regenerate with OVERLAP_REGEN_GOLDEN=1 only after an intentional
  * change of the gate or the matchers.
  */
 TEST(SiteDecisionTableTest, DecisionsMatchGolden)
 {
     std::vector<std::string> lines;
-    for (const GoldenCompile& c : GoldenCompiles()) {
+    for (const GoldenCompile& c : GateCompiles()) {
         AppendDecisionLines(c.label, c.config, c.options, &lines);
-    }
-    const ModelConfig gpt = Table2GptModels()[0];
-    const ModelConfig gpt_1t = *FindModel("GPT_1T");
-    std::vector<std::pair<ModelConfig, double>> faults;
-    for (double severity : {1.0, 0.8, 0.6, 0.4, 0.25, 0.1, 0.05}) {
-        faults.emplace_back(gpt, severity);
-    }
-    faults.emplace_back(gpt_1t, 0.4);
-    for (const auto& [model, severity] : faults) {
-        CompilerOptions options = FaultSweepOptions(model, severity);
-        AppendDecisionLines(StrCat(model.name, "/fault", severity), model,
-                            options, &lines);
-        // Without the gate every site is decomposed as configured,
-        // still ranked by its fault-derated cost.
-        options.decompose.use_cost_model = false;
-        AppendDecisionLines(StrCat(model.name, "/forced_fault", severity),
-                            model, options, &lines);
     }
     if (RegenerateOrCompare(kSiteDecisionGoldenPath, lines)) {
         GTEST_SKIP() << "regenerated " << kSiteDecisionGoldenPath;
+    }
+}
+
+/**
+ * No verdict of any GateCompiles() entry records a benefit above its
+ * replay-free bound, the premise on which the gate skips the replay of
+ * candidates that cannot win.
+ */
+TEST(SiteDecisionTableTest, BenefitNeverExceedsItsBound)
+{
+    for (const GoldenCompile& c : GateCompiles()) {
+        auto module = BuildLayerStepModule(c.config);
+        ASSERT_TRUE(module.ok()) << c.label;
+        auto report = OverlapCompiler(c.options).Compile(module->get());
+        ASSERT_TRUE(report.ok()) << c.label;
+        for (const SiteDecision& d : report->decompose.decisions) {
+            EXPECT_LE(d.cost.Benefit(), d.cost.BenefitBound())
+                << c.label << " " << d.collective;
+        }
     }
 }
 
