@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the compiler passes themselves:
- * the SPMD layer-step build, decomposition and its §5.5 loop-timeline
+ * the SPMD layer-step build, decomposition (one loop, and a layer with
+ * the §5.5 gate ranking its candidates) and the gate's loop-timeline
  * replay, async conversion, fusion, the schedulers and their unit
  * graph, the simulator, the topological sort, and the guarded
  * pipeline's verify, input clone and rollback replay. These measure
@@ -78,9 +79,42 @@ BENCHMARK(BM_DecomposeLoop)
     ->Args({1, 4})->Args({1, 16})->Args({1, 64})->Args({1, 128})
     ->Args({16, 128});
 
-// The §5.5 gate's replay of one bidirectional AllGather loop (the
-// structure the dense models' ring-128 sites get), comm-bound so that
-// every tier of the walk runs. Args: {ring, in-flight budget}.
+// The decomposition pass with the §5.5 gate on, over a clone of the
+// built (not yet compiled) layer step of GPT_32B (0) or GPT_1T: the
+// matchers, the ranking of every einsum's candidates with the replays
+// it needs, and the emitted loops. The clone of the input, far smaller
+// than the compiled layer, is timed with it. BM_DecomposeLoop never
+// reaches the ranking (gate off, one candidate).
+void
+BM_DecomposeLayer(benchmark::State& state)
+{
+    const ModelConfig* config = FindModel(
+        state.range(0) == 0 ? "GPT_32B" : "GPT_1T");
+    auto module = std::move(BuildLayerStepModule(*config)).value();
+    CostModel cost{HardwareSpec{}};
+    int64_t replays = 0;
+    for (auto _ : state) {
+        auto entry = module->entry()->Clone();
+        CollectiveEinsumDecomposer decomposer(*module->mesh(), &cost,
+                                              DecomposeOptions());
+        auto stats = decomposer.Run(entry.get());
+        if (!stats.ok()) {
+            state.SkipWithError(stats.status().ToString().c_str());
+            break;
+        }
+        replays = stats->gate_replays;
+        benchmark::DoNotOptimize(entry);
+    }
+    state.SetLabel(config->name);
+    state.counters["gate_replays"] = static_cast<double>(replays);
+}
+BENCHMARK(BM_DecomposeLayer)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// One replay of the §5.5 gate: a bidirectional AllGather loop, the
+// structure the dense models' ring-32 and ring-128 sites get (most
+// ring-128 candidates lose to a cheaper bound and are not replayed),
+// comm-bound so that every tier of the walk runs. Args: {ring,
+// in-flight budget}.
 void
 BM_LoopTimelinePredict(benchmark::State& state)
 {
