@@ -1102,8 +1102,10 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 // A2A chunks route both directions regardless of
                 // options, so the worst-of-both derating is the only
                 // sound verdict; there is no unidirectional lowering to
-                // fall back to.
-                if (ExchangeOf(site.structure) == HloOpcode::kAllToAll) {
+                // fall back to. Without the gate every site is emitted
+                // as configured, so it is ranked by that cost too.
+                if (!options_.use_cost_model ||
+                    ExchangeOf(site.structure) == HloOpcode::kAllToAll) {
                     continue;
                 }
                 CostModel one_cost = *cost_model_;
@@ -1115,13 +1117,11 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 replay(&lowered_cost);
                 // Keep the configured structure while it still wins on
                 // the degraded ring; lower to the healthier single
-                // direction only once it no longer does. Without the
-                // gate every site is emitted as configured, though it is
-                // still ranked by the lowered cost.
+                // direction only once it no longer does.
                 if (site.cost.Benefit() < 0.0 &&
                     lowered_cost.Benefit() > site.cost.Benefit()) {
                     site.cost = lowered_cost;
-                    if (options_.use_cost_model) site.structure = lowered;
+                    site.structure = lowered;
                 }
             }
         }

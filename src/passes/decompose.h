@@ -119,7 +119,8 @@ struct DecomposeOptions {
      * every matched site is decomposed unconditionally and in its
      * configured structure, since the fault-aware lowering to a
      * unidirectional loop is the gate's decision too (used by the
-     * ablation bench).
+     * ablation bench); an einsum's candidates are still ranked by the
+     * cost of that structure.
      */
     bool use_cost_model = true;
 

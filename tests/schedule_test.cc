@@ -506,7 +506,7 @@ FaultCompiles()
         compiles.push_back(
             {StrCat(model.name, "/fault", severity), model, options});
         // Without the gate every site is decomposed as configured,
-        // still ranked by its fault-derated cost.
+        // ranked by that structure's fault-derated cost.
         options.decompose.use_cost_model = false;
         compiles.push_back(
             {StrCat(model.name, "/forced_fault", severity), model, options});
